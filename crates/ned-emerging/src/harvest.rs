@@ -7,12 +7,12 @@
 //! in-KB entity enrichment of §5.5.1.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use ned_eval::gold::GoldDoc;
-use ned_text::patterns::extract_phrases;
-use ned_text::pos::{sentence_start_flags, PosTagger};
-use ned_text::sentence::split_sentences;
-use ned_text::Mention;
+use ned_kb::fx::FxHashMap;
+use ned_text::patterns::{extract_phrases, phrase_spans};
+use ned_text::{Mention, PosTag, PosTagger, Token};
 
 /// Number of tokens on each side of a mention that count as its context
 /// window (the thesis uses ±5 sentences; our generated documents have no
@@ -22,31 +22,95 @@ pub const WINDOW_TOKENS: usize = 40;
 /// A multiset of harvested phrases.
 pub type PhraseCounts = HashMap<String, u64>;
 
-/// Harvests keyphrases around one mention of a document.
-pub fn harvest_window(doc: &GoldDoc, mention: &Mention) -> PhraseCounts {
-    let start = mention.token_start.saturating_sub(WINDOW_TOKENS);
-    let end = (mention.token_end + WINDOW_TOKENS).min(doc.tokens.len());
-    let window = &doc.tokens[start..end];
-    let sentences = split_sentences(window);
-    let starts = sentence_start_flags(window.len(), &sentences);
-    let mut tags = PosTagger::new().tag(window, &starts);
-    // Mask the mention's own tokens so phrase runs break at the mention and
-    // the name is never harvested as a keyphrase of itself.
-    let mention_range = (mention.token_start - start)..(mention.token_end - start);
-    for i in mention_range {
-        tags[i] = ned_text::PosTag::Punctuation;
+/// The context window around `mention` in a document of `n_tokens` tokens,
+/// and the mention's own tokens relative to the window start; `None` when
+/// the mention's span does not lie inside the document.
+fn window_of(n_tokens: usize, mention: &Mention) -> Option<(Range<usize>, Range<usize>)> {
+    if mention.token_start > mention.token_end || mention.token_end > n_tokens {
+        return None;
     }
+    let start = mention.token_start.saturating_sub(WINDOW_TOKENS);
+    let end = (mention.token_end + WINDOW_TOKENS).min(n_tokens);
+    Some((start..end, mention.token_start - start..mention.token_end - start))
+}
+
+/// Harvests keyphrases around one mention of a document, tagging the
+/// window on its own. A mention outside the document harvests nothing.
+pub fn harvest_window(doc: &GoldDoc, mention: &Mention) -> PhraseCounts {
     let mut counts = PhraseCounts::new();
+    let Some((range, masked)) = window_of(doc.tokens.len(), mention) else { return counts };
+    let Some(window) = doc.tokens.get(range) else { return counts };
+    let mut tags = PosTagger::new().tag_document(window);
+    mask(&mut tags, masked);
     for phrase in extract_phrases(window, &tags) {
         *counts.entry(phrase.surface.to_lowercase()).or_insert(0) += 1;
     }
     counts
 }
 
+/// A document prepared once for harvesting many of its windows, which
+/// overlap heavily: it is POS-tagged once ([`PosTagger::window_tags`]
+/// derives each window's tags), and each phrase span's surface is built
+/// and interned once.
+#[derive(Debug)]
+pub(crate) struct TaggedDoc<'d> {
+    tokens: &'d [Token],
+    tags: Vec<PosTag>,
+    /// Interned surface of every phrase span seen so far, by token span.
+    spans: FxHashMap<(usize, usize), usize>,
+}
+
+impl<'d> TaggedDoc<'d> {
+    pub(crate) fn new(tagger: &PosTagger, tokens: &'d [Token]) -> Self {
+        TaggedDoc { tokens, tags: tagger.tag_document(tokens), spans: FxHashMap::default() }
+    }
+
+    /// Calls `count` with the surface id of every keyphrase occurrence in
+    /// the window around `mention`: the phrases [`harvest_window`] counts.
+    /// `intern` turns a lowercased surface into its id the first time a
+    /// span is seen.
+    pub(crate) fn harvest(
+        &mut self,
+        tagger: &PosTagger,
+        mention: &Mention,
+        mut intern: impl FnMut(&str) -> usize,
+        mut count: impl FnMut(usize),
+    ) {
+        let tokens = self.tokens;
+        let Some((range, masked)) = window_of(tokens.len(), mention) else { return };
+        let Some(window) = tokens.get(range.clone()) else { return };
+        let mut tags = tagger.window_tags(tokens, &self.tags, range.clone());
+        mask(&mut tags, masked);
+        for (start, end) in phrase_spans(window, &tags) {
+            let span = (range.start + start, range.start + end);
+            let id = *self.spans.entry(span).or_insert_with(|| {
+                let words: Vec<&str> =
+                    window.get(start..end).into_iter().flatten().map(|t| t.text.as_str()).collect();
+                intern(&words.join(" ").to_lowercase())
+            });
+            count(id);
+        }
+    }
+}
+
+/// Masks the mention's own tokens so phrase runs break at the mention and
+/// the name is never harvested as a keyphrase of itself.
+fn mask(tags: &mut [PosTag], mention: Range<usize>) {
+    if let Some(masked) = tags.get_mut(mention) {
+        masked.fill(PosTag::Punctuation);
+    }
+}
+
 /// Harvests the *global model* of a name: all phrases co-occurring with any
-/// mention of `name` across `docs`, with document-occurrence counts, plus
-/// the number of mention occurrences observed.
-pub fn harvest_name(docs: &[&GoldDoc], name: &str) -> (PhraseCounts, u64) {
+/// mention of `name` across `docs`, plus the number of mention occurrences
+/// observed. Counts are per window: a phrase is counted once for every
+/// mention window it occurs in, so a phrase near two mentions of one
+/// document counts twice.
+///
+/// The per-name reference for [`crate::ee_model::NameModels::build`],
+/// which harvests every name in one pass.
+#[cfg(test)]
+pub(crate) fn harvest_name(docs: &[&GoldDoc], name: &str) -> (PhraseCounts, u64) {
     let mut counts = PhraseCounts::new();
     let mut occurrences = 0;
     for doc in docs {
@@ -65,7 +129,8 @@ pub fn harvest_name(docs: &[&GoldDoc], name: &str) -> (PhraseCounts, u64) {
 
 /// All names occurring as mention surfaces in `docs`, with occurrence
 /// counts.
-pub fn mention_names(docs: &[&GoldDoc]) -> HashMap<String, u64> {
+#[cfg(test)]
+pub(crate) fn mention_names(docs: &[&GoldDoc]) -> HashMap<String, u64> {
     let mut names = HashMap::new();
     for doc in docs {
         for lm in &doc.mentions {
@@ -155,5 +220,40 @@ mod tests {
         let counts = harvest_window(&d, &d.mentions[0].mention);
         assert!(counts.keys().any(|p| p.contains("signal")), "{counts:?}");
         assert!(!counts.keys().any(|p| p.contains("filler0")), "{counts:?}");
+    }
+
+    #[test]
+    fn tagged_doc_harvests_what_harvest_window_counts() {
+        // The first mention's window starts at the "." after "Dr", which
+        // ends a sentence in the window but not in the document.
+        let mut text = "the old ".repeat(5);
+        text.push_str("Dr. Record sales of the secret surveillance program rose sharply ");
+        text.push_str(&"while the famous band toured ".repeat(6));
+        text.push_str("Snowden spoke. Snowden left! Kashmir Senate hearing on Snowden");
+        let tokens = tokenize(&text);
+        let mentions: Vec<LabeledMention> = (0..tokens.len())
+            .filter(|&i| tokens[i].text == "Snowden")
+            .map(|i| LabeledMention { mention: Mention::new("Snowden", i, i + 1), label: None })
+            .collect();
+        assert_eq!(mentions[0].mention.token_start - WINDOW_TOKENS, 11);
+        assert_eq!(tokens[11].text, ".");
+        let d = GoldDoc::new("t", tokens, mentions, 0);
+        let tagger = PosTagger::new();
+        let mut tagged = TaggedDoc::new(&tagger, &d.tokens);
+        let mut surfaces: Vec<String> = Vec::new();
+        let outside = Mention::new("Snowden", d.tokens.len(), d.tokens.len() + 1);
+        for mention in d.mentions.iter().map(|lm| &lm.mention).chain([&outside]) {
+            let mut ids = Vec::new();
+            let intern = |s: &str| {
+                surfaces.push(s.to_owned());
+                surfaces.len() - 1
+            };
+            tagged.harvest(&tagger, mention, intern, |id| ids.push(id));
+            let mut counts = PhraseCounts::new();
+            for id in ids {
+                *counts.entry(surfaces[id].clone()).or_insert(0) += 1;
+            }
+            assert_eq!(counts, harvest_window(&d, mention), "{mention:?}");
+        }
     }
 }

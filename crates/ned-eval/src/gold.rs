@@ -1,6 +1,8 @@
 //! Gold-standard document types shared by the corpus generator, the
 //! disambiguators, and the evaluation measures.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 use ned_kb::EntityId;
@@ -33,24 +35,77 @@ pub struct GoldDoc {
     pub day: u32,
 }
 
+/// A mention span that breaks the invariants of a [`GoldDoc`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanError {
+    /// Mention `index` starts before the previous mention ends.
+    Unsorted {
+        /// Position of the mention in the document's mention list.
+        index: usize,
+    },
+    /// Mention `index` covers no token (`token_start >= token_end`).
+    Empty {
+        /// Position of the mention in the document's mention list.
+        index: usize,
+    },
+    /// Mention `index` ends past the document's last token.
+    OutOfRange {
+        /// Position of the mention in the document's mention list.
+        index: usize,
+    },
+}
+
+impl fmt::Display for SpanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpanError::Unsorted { index } => {
+                write!(f, "mentions must be sorted and non-overlapping (mention {index})")
+            }
+            SpanError::Empty { index } => write!(f, "mention {index} covers no token"),
+            SpanError::OutOfRange { index } => write!(f, "mention {index} out of token range"),
+        }
+    }
+}
+
+impl std::error::Error for SpanError {}
+
 impl GoldDoc {
-    /// Creates a document and checks mention ordering invariants.
+    /// Creates a document and checks its mention spans.
+    ///
+    /// # Panics
+    /// Panics when [`GoldDoc::validate`] rejects the spans.
     pub fn new(
         id: impl Into<String>,
         tokens: Vec<Token>,
         mentions: Vec<LabeledMention>,
         day: u32,
     ) -> Self {
-        for w in mentions.windows(2) {
-            assert!(
-                w[0].mention.token_end <= w[1].mention.token_start,
-                "mentions must be sorted and non-overlapping"
-            );
+        let doc = GoldDoc { id: id.into(), tokens, mentions, day };
+        if let Err(e) = doc.validate() {
+            panic!("{e}");
         }
-        if let Some(last) = mentions.last() {
-            assert!(last.mention.token_end <= tokens.len(), "mention out of token range");
+        doc
+    }
+
+    /// Checks the mention spans: each covers at least one token inside the
+    /// document, and they are sorted and non-overlapping. Documents built
+    /// with [`GoldDoc::new`] pass; deserialized ones must be checked.
+    pub fn validate(&self) -> Result<(), SpanError> {
+        let mut prev_end = 0;
+        for (index, lm) in self.mentions.iter().enumerate() {
+            let m = &lm.mention;
+            if m.token_start < prev_end {
+                return Err(SpanError::Unsorted { index });
+            }
+            if m.token_start >= m.token_end {
+                return Err(SpanError::Empty { index });
+            }
+            if m.token_end > self.tokens.len() {
+                return Err(SpanError::OutOfRange { index });
+            }
+            prev_end = m.token_end;
         }
-        GoldDoc { id: id.into(), tokens, mentions, day }
+        Ok(())
     }
 
     /// The bare mentions, without labels (input to a disambiguator).

@@ -266,7 +266,7 @@ impl DeltaKb {
         mutations: Vec<KbMutation>,
         metrics: &Metrics,
     ) -> Result<DeltaKb, NedError> {
-        let (merged, touched) = merge(&base, &mutations)?;
+        let (mut merged, touched) = merge(&base, &mutations)?;
         let base_n = base.entity_count();
         let merged_n = merged.entity_count();
 
@@ -342,9 +342,11 @@ impl DeltaKb {
             phrases_new,
             phrase_surfaces_new,
             total_phrase_observations: merged.keyphrase_store().total_observations(),
-            weights: merged.weights.clone(),
-            kp_index: merged.kp_index.clone(),
-            phrase_runs: merged.phrase_runs.clone(),
+            // The merged KB is dropped here: move its global statistics
+            // instead of copying them.
+            weights: std::mem::take(&mut merged.weights),
+            kp_index: std::mem::take(&mut merged.kp_index),
+            phrase_runs: std::mem::take(&mut merged.phrase_runs),
         })
     }
 

@@ -35,11 +35,20 @@ const MIN_TERM_TOKENS: usize = 1;
 /// are extracted when at least `MIN_TERM_TOKENS` long. Overlapping
 /// candidates are allowed — weighting downstream decides salience.
 pub fn extract_phrases(tokens: &[Token], tags: &[PosTag]) -> Vec<PhraseCandidate> {
+    phrase_spans(tokens, tags)
+        .into_iter()
+        .map(|(start, end)| PhraseCandidate { start, end, surface: surface(tokens, start, end) })
+        .collect()
+}
+
+/// The `(start, end)` token spans of [`extract_phrases`], in the same
+/// order, without building their surfaces.
+pub fn phrase_spans(tokens: &[Token], tags: &[PosTag]) -> Vec<(usize, usize)> {
     assert_eq!(tokens.len(), tags.len());
     let mut out = Vec::new();
     extract_proper_runs(tokens, tags, &mut out);
     extract_technical_terms(tokens, tags, &mut out);
-    out.sort_by_key(|p| (p.start, p.end));
+    out.sort_unstable();
     out.dedup();
     out
 }
@@ -55,7 +64,7 @@ fn surface(tokens: &[Token], start: usize, end: usize) -> String {
     s
 }
 
-fn extract_proper_runs(tokens: &[Token], tags: &[PosTag], out: &mut Vec<PhraseCandidate>) {
+fn extract_proper_runs(tokens: &[Token], tags: &[PosTag], out: &mut Vec<(usize, usize)>) {
     let mut i = 0;
     while i < tokens.len() {
         if tags[i] == PosTag::ProperNoun {
@@ -64,7 +73,7 @@ fn extract_proper_runs(tokens: &[Token], tags: &[PosTag], out: &mut Vec<PhraseCa
             {
                 i += 1;
             }
-            out.push(PhraseCandidate { start, end: i, surface: surface(tokens, start, i) });
+            out.push((start, i));
         } else {
             i += 1;
         }
@@ -72,7 +81,7 @@ fn extract_proper_runs(tokens: &[Token], tags: &[PosTag], out: &mut Vec<PhraseCa
 }
 
 /// State machine for `(Adj|Noun)* (Noun Prep)? (Adj|Noun)* Noun`.
-fn extract_technical_terms(tokens: &[Token], tags: &[PosTag], out: &mut Vec<PhraseCandidate>) {
+fn extract_technical_terms(tokens: &[Token], tags: &[PosTag], out: &mut Vec<(usize, usize)>) {
     let is_body = |t: PosTag| matches!(t, PosTag::Adjective | PosTag::Noun | PosTag::ProperNoun);
     let mut i = 0;
     while i < tokens.len() {
@@ -112,7 +121,7 @@ fn extract_technical_terms(tokens: &[Token], tags: &[PosTag], out: &mut Vec<Phra
             if end - start >= MIN_TERM_TOKENS && end > start {
                 // Skip pure proper-noun runs (already emitted) only if
                 // identical; mixed runs are new information.
-                out.push(PhraseCandidate { start, end, surface: surface(tokens, start, end) });
+                out.push((start, end));
             }
         }
         if i == start {

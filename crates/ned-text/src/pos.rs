@@ -7,6 +7,9 @@
 //! capitalization, which is sufficient for pattern extraction on both the
 //! synthetic corpora and ordinary English.
 
+use std::ops::Range;
+
+use crate::sentence::split_sentences;
 use crate::stopwords::is_stopword;
 use crate::token::{Token, TokenKind};
 
@@ -94,6 +97,37 @@ impl PosTagger {
             .collect()
     }
 
+    /// Tags a whole document, with the sentence starts [`split_sentences`]
+    /// finds in it.
+    pub fn tag_document(&self, tokens: &[Token]) -> Vec<PosTag> {
+        let starts = sentence_start_flags(tokens.len(), &split_sentences(tokens));
+        self.tag(tokens, &starts)
+    }
+
+    /// The tags of the window `tokens[window]` tagged on its own, from the
+    /// [`PosTagger::tag_document`] tags of all of `tokens`. Only the
+    /// window's first two tokens can start a sentence differently than in
+    /// the document — its first token always starts one, and a `.` there
+    /// ends one even after an abbreviation the window cut off — so only
+    /// they are re-tagged. Empty when `window` is out of range.
+    pub fn window_tags(
+        &self,
+        tokens: &[Token],
+        doc_tags: &[PosTag],
+        window: Range<usize>,
+    ) -> Vec<PosTag> {
+        let (Some(tokens), Some(tags)) = (tokens.get(window.clone()), doc_tags.get(window)) else {
+            return Vec::new();
+        };
+        let mut tags = tags.to_vec();
+        let head = tokens.get(..2).unwrap_or(tokens);
+        let starts = sentence_start_flags(head.len(), &split_sentences(head));
+        for ((tag, tok), at_start) in tags.iter_mut().zip(head).zip(starts) {
+            *tag = self.tag_one(tok, at_start);
+        }
+        tags
+    }
+
     /// Tags a single token given whether it starts a sentence.
     pub fn tag_one(&self, tok: &Token, at_sentence_start: bool) -> PosTag {
         match tok.kind {
@@ -157,8 +191,8 @@ pub fn sentence_start_flags(n_tokens: usize, sentences: &[crate::sentence::Sente
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sentence::split_sentences;
     use crate::tokenizer::tokenize;
+    use proptest::prelude::*;
 
     fn tag_text(input: &str) -> Vec<(String, PosTag)> {
         let tokens = tokenize(input);
@@ -218,5 +252,79 @@ mod tests {
     fn mismatched_flags_panic() {
         let tokens = tokenize("a b");
         PosTagger::new().tag(&tokens, &[true]);
+    }
+
+    /// Tokens that start sentences (`.`/`!`/`?`), that keep a following `.`
+    /// from ending one (`Dr`, `J`), and whose tag depends on starting one.
+    const BOUNDARY: &[&str] = &["Dr", "J", "Mr", ".", "!", "?", "Record", "Kashmir"];
+    /// Everything else a window may hold.
+    const FILLER: &[&str] =
+        &["the", "NSA", "famous", "program", "quickly", "1976", "of", "was", ",", "Rock"];
+
+    fn token(text: &str, start: usize) -> Token {
+        let kind = if text.chars().all(|c| c.is_ascii_digit()) {
+            TokenKind::Number
+        } else if text.chars().all(|c| c.is_ascii_punctuation()) {
+            TokenKind::Punct
+        } else {
+            TokenKind::Word
+        };
+        Token::new(text, start, kind)
+    }
+
+    /// Document tags, turned into the tags of `window`.
+    fn window_tags(doc: &[Token], window: std::ops::Range<usize>) -> Vec<PosTag> {
+        let tagger = PosTagger::new();
+        tagger.window_tags(doc, &tagger.tag_document(doc), window)
+    }
+
+    /// The reference: the window tagged on its own.
+    fn own_tags(window: &[Token]) -> Vec<PosTag> {
+        let starts = sentence_start_flags(window.len(), &split_sentences(window));
+        PosTagger::new().tag(window, &starts)
+    }
+
+    #[test]
+    fn window_start_after_an_abbreviation_is_retagged() {
+        // In the document "Dr ." does not end a sentence, so "Record" is
+        // mid-sentence; a window starting at "." ends a sentence there.
+        let doc = tokenize("the Dr. Record sales");
+        let tags = window_tags(&doc, 2..doc.len());
+        assert_eq!(tags, own_tags(&doc[2..]));
+        assert_eq!(tags[1], PosTag::Noun);
+        assert_eq!(PosTagger::new().tag_document(&doc)[3], PosTag::ProperNoun);
+    }
+
+    #[test]
+    fn out_of_range_window_has_no_tags() {
+        let doc = tokenize("a b c");
+        let tagger = PosTagger::new();
+        assert!(tagger.window_tags(&doc, &tagger.tag_document(&doc), 2..5).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn retagged_window_matches_tagging_the_window_alone(
+            left in proptest::collection::vec(0usize..BOUNDARY.len() + FILLER.len(), 0..6),
+            head in (0usize..BOUNDARY.len(), 0usize..BOUNDARY.len()),
+            right in proptest::collection::vec(0usize..BOUNDARY.len() + FILLER.len(), 0..12),
+            cut in 0usize..14,
+        ) {
+            let word = |i: usize| BOUNDARY.get(i).or_else(|| FILLER.get(i - BOUNDARY.len()));
+            let texts: Vec<&str> = left
+                .iter()
+                .chain([&head.0, &head.1])
+                .chain(&right)
+                .filter_map(|&i| word(i).copied())
+                .collect();
+            let doc: Vec<Token> =
+                texts.iter().enumerate().map(|(i, t)| token(t, i * 8)).collect();
+            // The window puts the two boundary tokens at positions 0 and 1.
+            let start = left.len();
+            let end = (start + 2 + cut).min(doc.len());
+            prop_assert_eq!(window_tags(&doc, start..end), own_tags(&doc[start..end]));
+        }
     }
 }

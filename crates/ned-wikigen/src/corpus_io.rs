@@ -20,7 +20,9 @@ pub fn write_docs<W: Write>(docs: &[GoldDoc], mut writer: W) -> io::Result<()> {
     writer.write_all(&body)
 }
 
-/// Reads gold documents written by [`write_docs`].
+/// Reads gold documents written by [`write_docs`]. A document whose mention
+/// spans fail [`GoldDoc::validate`] is an [`io::ErrorKind::InvalidData`]
+/// error carrying the [`ned_eval::gold::SpanError`].
 pub fn read_docs<R: Read>(mut reader: R) -> io::Result<Vec<GoldDoc>> {
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
@@ -35,7 +37,12 @@ pub fn read_docs<R: Read>(mut reader: R) -> io::Result<Vec<GoldDoc>> {
     if body.len() as u64 != len {
         return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated corpus body"));
     }
-    decode(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let docs: Vec<GoldDoc> =
+        decode(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    for doc in &docs {
+        doc.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    }
+    Ok(docs)
 }
 
 #[cfg(test)]
@@ -73,6 +80,27 @@ mod tests {
         write_docs(&original, &mut buf).unwrap();
         assert!(read_docs(&buf[..buf.len() / 2]).is_err());
         assert!(read_docs(&buf[..10]).is_err());
+    }
+
+    #[test]
+    fn rejects_mention_spans_outside_the_tokens() {
+        use ned_eval::gold::SpanError;
+        for expected in [SpanError::OutOfRange { index: 0 }, SpanError::Empty { index: 0 }] {
+            let mut bad = docs();
+            let doc = bad.iter_mut().find(|d| !d.mentions.is_empty()).unwrap();
+            let n_tokens = doc.tokens.len();
+            let mention = &mut doc.mentions[0].mention;
+            match expected {
+                SpanError::Empty { .. } => mention.token_start = mention.token_end,
+                _ => mention.token_end = n_tokens + 1,
+            }
+            let mut buf = Vec::new();
+            write_docs(&bad, &mut buf).unwrap();
+            let err = read_docs(buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let span = err.get_ref().and_then(|e| e.downcast_ref::<SpanError>());
+            assert_eq!(span, Some(&expected), "{err}");
+        }
     }
 
     #[test]
