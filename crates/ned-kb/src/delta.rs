@@ -9,22 +9,33 @@
 //!
 //! ## Semantics
 //!
-//! Building an overlay conceptually **thaws** the frozen base back into a
-//! legacy [`KnowledgeBase`] (id-preserving: entity `i` stays entity `i`,
-//! phrase `p` stays phrase `p`), applies the mutations exactly as
-//! [`crate::builder::KbBuilder`] would have at build time, and keeps only
-//! the *rows that changed* plus the recomputed global statistics
-//! ([`WeightModel`], [`KeyphraseIndex`], [`PhraseRuns`] — IDF and the
-//! superdocument model depend on the global entity count, so they cannot be
-//! patched row-wise). Reads of untouched rows fall through to the base
-//! arrays with one hash-map miss of overhead; reads of touched rows hit the
-//! overlay.
+//! An overlay means what `merge` computes from scratch: thaw the frozen
+//! base back into a legacy [`KnowledgeBase`] (id-preserving: entity `i`
+//! stays entity `i`, phrase `p` stays phrase `p`), apply the mutations
+//! exactly as [`crate::builder::KbBuilder`] would have at build time, and
+//! recompute the global statistics ([`WeightModel`], [`KeyphraseIndex`],
+//! [`PhraseRuns`]).
+//!
+//! [`DeltaKb::build`] reaches the same result without the thaw. It applies
+//! each mutation to the overlay itself, copying a base row into the overlay
+//! maps the first time a mutation touches it, and resolving names and words
+//! through the base's lookups plus the overlay's new tails. It then patches
+//! the base's statistics: document frequencies change only for entities
+//! whose keyphrase row or in-links changed and for the out-link targets of
+//! changed rows; inverted-index postings only for changed rows; phrase runs
+//! only for new phrases. The values that depend on the entity count N
+//! (IDF, superdocument NPMI, µ and the phrase masses) are recomputed, since
+//! N changes with every promoted entity. Reads of untouched rows fall
+//! through to the base arrays with one hash-map miss of overhead; reads of
+//! touched rows hit the overlay.
 //!
 //! [`DeltaKb::compact`] folds base + mutations into a fresh [`FrozenKb`]
-//! that is bitwise-identical to building the merged KB from scratch —
-//! the overlay and its compaction share one merge routine, so they cannot
-//! drift apart.
+//! through `merge`, so it is bitwise-identical to building the merged KB
+//! from scratch; the equivalence suite pins every overlay to its
+//! compaction.
 
+use std::collections::hash_map::Entry;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use ned_core::NedError;
@@ -34,7 +45,7 @@ use ned_text::normalize::{match_key, squash_whitespace};
 use crate::dictionary::{Candidate, Dictionary};
 use crate::entity::Entity;
 use crate::frozen::FrozenKb;
-use crate::fx::{FxHashMap, FxHashSet};
+use crate::fx::{FxHashMap, FxHasher};
 use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::{EntityPhrase, KeyphraseStore};
 use crate::kp_index::KeyphraseIndex;
@@ -43,20 +54,7 @@ use crate::mutation::KbMutation;
 use crate::phrase_runs::PhraseRuns;
 use crate::store::KnowledgeBase;
 use crate::vocab::{PhraseInterner, WordInterner};
-use crate::weights::WeightModel;
-
-/// Rows the mutation sequence touched, keyed by their post-merge identity.
-#[derive(Debug, Default)]
-pub(crate) struct Touched {
-    /// Entities whose keyphrase row changed.
-    kp_rows: FxHashSet<EntityId>,
-    /// Dictionary match-keys whose candidate row changed.
-    dict_keys: FxHashSet<String>,
-    /// Entities whose out-link row changed.
-    out_rows: FxHashSet<EntityId>,
-    /// Entities whose in-link row changed.
-    in_rows: FxHashSet<EntityId>,
-}
+use crate::weights::{EntityWords, TermCounts, TermRows, TermSets, WeightModel};
 
 /// Reconstructs the legacy representation of a frozen KB, id-preserving:
 /// every entity, word, and phrase keeps its dense id, so mutations applied
@@ -123,15 +121,12 @@ fn resolve(kb: &KnowledgeBase, name: &str) -> Result<EntityId, NedError> {
 }
 
 /// Applies one mutation to the thawed KB, mirroring the corresponding
-/// [`crate::builder::KbBuilder`] operation, and records what it touched.
-fn apply(kb: &mut KnowledgeBase, touched: &mut Touched, m: &KbMutation) -> Result<(), NedError> {
+/// [`crate::builder::KbBuilder`] operation.
+fn apply(kb: &mut KnowledgeBase, m: &KbMutation) -> Result<(), NedError> {
     match m {
         KbMutation::AddEntity { canonical_name, kind } => {
             if kb.by_name.contains_key(canonical_name) {
-                return Err(NedError::Config {
-                    what: "kb mutation",
-                    message: format!("add_entity: canonical name already taken: {canonical_name}"),
-                });
+                return Err(name_taken(canonical_name));
             }
             let id = EntityId::from_index(kb.entities.len());
             kb.entities.push(Entity::new(canonical_name.clone(), *kind));
@@ -140,61 +135,65 @@ fn apply(kb: &mut KnowledgeBase, touched: &mut Touched, m: &KbMutation) -> Resul
             kb.keyphrases.grow_to(kb.entities.len());
             // The builder registers the title itself as a name observation.
             kb.dictionary.add(canonical_name, id, 1);
-            touched.dict_keys.insert(match_key(&squash_whitespace(canonical_name)));
         }
         KbMutation::AddLink { src, dst } => {
             let s = resolve(kb, src)?;
             let d = resolve(kb, dst)?;
             kb.links.add_link(s, d);
-            touched.out_rows.insert(s);
-            touched.in_rows.insert(d);
         }
         KbMutation::AddKeyphrase { entity, surface, count } => {
             let e = resolve(kb, entity)?;
             if surface.split_whitespace().next().is_none() {
-                return Err(NedError::Config {
-                    what: "kb mutation",
-                    message: format!("add_keyphrase: empty keyphrase for {entity}"),
-                });
+                return Err(empty_keyphrase(entity));
             }
             let p = kb.phrases.intern(surface, &mut kb.words);
             kb.keyphrases.add(e, p, *count);
-            touched.kp_rows.insert(e);
         }
         KbMutation::ReweightKeyphrase { entity, surface, delta } => {
             let e = resolve(kb, entity)?;
-            let p = kb.phrases.get(surface, &kb.words).ok_or_else(|| NedError::Lookup {
-                what: "keyphrase",
-                key: surface.clone(),
-            })?;
-            kb.keyphrases.reweight(e, p, *delta).ok_or_else(|| NedError::Lookup {
-                what: "entity keyphrase",
-                key: format!("{entity} / {surface}"),
-            })?;
-            touched.kp_rows.insert(e);
+            let p = kb.phrases.get(surface, &kb.words).ok_or_else(|| unknown_phrase(surface))?;
+            kb.keyphrases
+                .reweight(e, p, *delta)
+                .ok_or_else(|| unknown_entity_phrase(entity, surface))?;
         }
         KbMutation::AddDictionarySurface { entity, surface, count } => {
             let e = resolve(kb, entity)?;
             kb.dictionary.add(surface, e, *count);
-            touched.dict_keys.insert(match_key(&squash_whitespace(surface)));
         }
     }
     Ok(())
 }
 
+fn name_taken(canonical_name: &str) -> NedError {
+    NedError::Config {
+        what: "kb mutation",
+        message: format!("add_entity: canonical name already taken: {canonical_name}"),
+    }
+}
+
+fn empty_keyphrase(entity: &str) -> NedError {
+    NedError::Config {
+        what: "kb mutation",
+        message: format!("add_keyphrase: empty keyphrase for {entity}"),
+    }
+}
+
+fn unknown_phrase(surface: &str) -> NedError {
+    NedError::Lookup { what: "keyphrase", key: surface.to_string() }
+}
+
+fn unknown_entity_phrase(entity: &str, surface: &str) -> NedError {
+    NedError::Lookup { what: "entity keyphrase", key: format!("{entity} / {surface}") }
+}
+
 /// Thaws `base`, applies `mutations` in order, and finalizes into a fully
 /// consistent [`KnowledgeBase`] — exactly the KB a from-scratch build of
-/// base-ops + mutations would have produced. Shared by [`DeltaKb::build`]
-/// and [`DeltaKb::compact`] so overlay reads and compacted snapshots cannot
-/// disagree.
-pub(crate) fn merge(
-    base: &FrozenKb,
-    mutations: &[KbMutation],
-) -> Result<(KnowledgeBase, Touched), NedError> {
+/// base-ops + mutations would have produced. [`DeltaKb::compact`] freezes
+/// it; the overlay equivalence tests compare against it.
+pub(crate) fn merge(base: &FrozenKb, mutations: &[KbMutation]) -> Result<KnowledgeBase, NedError> {
     let mut kb = thaw(base);
-    let mut touched = Touched::default();
     for m in mutations {
-        apply(&mut kb, &mut touched, m)?;
+        apply(&mut kb, m)?;
     }
     // Finalize is idempotent on untouched rows: the frozen arrays were
     // stored in exactly the order these sorts produce.
@@ -203,7 +202,152 @@ pub(crate) fn merge(
     kb.keyphrases.finalize();
     kb.weights = WeightModel::compute(&kb.keyphrases, &kb.links, &kb.phrases, kb.words.len());
     kb.rebuild_indexes();
-    Ok((kb, touched))
+    Ok(kb)
+}
+
+/// What every overlay over one frozen base needs from it beyond its read
+/// API. Computed from the base's rows by the first [`DeltaKb::build`] over
+/// the base and kept with it, so later builds start from it.
+#[derive(Debug, Clone)]
+pub(crate) struct OverlayBase {
+    /// The interner's lookup, which a frozen KB does not keep: phrases
+    /// keyed by the hash of their word sequence.
+    phrases: PhraseTable,
+    /// Document frequencies of the base rows.
+    counts: TermCounts,
+    /// The distinct keyphrase words of every base entity.
+    words: EntityWords,
+}
+
+impl OverlayBase {
+    pub(crate) fn of(base: &FrozenKb) -> Self {
+        let (counts, words) =
+            TermCounts::count(base, base.entity_count(), base.word_count(), base.phrase_count());
+        let mut phrases = PhraseTable::default();
+        // Were two base phrases to share a word sequence, the later id
+        // would win, as in the interner's index: it is inserted first.
+        for i in (0..base.phrase_count()).rev() {
+            let p = PhraseId::from_index(i);
+            phrases.insert(words_hash(base.phrase_words(p)), p);
+        }
+        OverlayBase { phrases, counts, words }
+    }
+}
+
+/// Phrase ids keyed by the hash of their word sequence; a lookup compares
+/// the words, so a hash collision costs a scan of `colliding`, never a
+/// wrong id.
+#[derive(Debug, Clone, Default)]
+struct PhraseTable {
+    by_hash: FxHashMap<u64, PhraseId>,
+    /// Phrases whose hash an earlier phrase had already taken.
+    colliding: Vec<(u64, PhraseId)>,
+}
+
+impl PhraseTable {
+    fn insert(&mut self, h: u64, p: PhraseId) {
+        match self.by_hash.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(p);
+            }
+            Entry::Occupied(_) => self.colliding.push((h, p)),
+        }
+    }
+
+    /// The phrase with hash `h` for which `is_it` holds.
+    fn find(&self, h: u64, is_it: impl Fn(PhraseId) -> bool) -> Option<PhraseId> {
+        self.by_hash.get(&h).copied().filter(|&p| is_it(p)).or_else(|| {
+            self.colliding.iter().filter(|&&(x, _)| x == h).map(|&(_, p)| p).find(|&p| is_it(p))
+        })
+    }
+}
+
+fn words_hash(words: &[WordId]) -> u64 {
+    let mut h = FxHasher::default();
+    words.hash(&mut h);
+    h.finish()
+}
+
+impl TermRows for FrozenKb {
+    fn keyphrases(&self, e: EntityId) -> &[EntityPhrase] {
+        FrozenKb::keyphrases(self, e)
+    }
+    fn inlinks(&self, e: EntityId) -> &[EntityId] {
+        self.links().inlinks(e)
+    }
+    fn phrase_words(&self, p: PhraseId) -> &[WordId] {
+        FrozenKb::phrase_words(self, p)
+    }
+}
+
+impl TermRows for DeltaKb {
+    fn keyphrases(&self, e: EntityId) -> &[EntityPhrase] {
+        DeltaKb::keyphrases(self, e)
+    }
+    fn inlinks(&self, e: EntityId) -> &[EntityId] {
+        DeltaKb::inlinks(self, e)
+    }
+    fn phrase_words(&self, p: PhraseId) -> &[WordId] {
+        DeltaKb::phrase_words(self, p)
+    }
+}
+
+/// The state of one [`DeltaKb::build`] that the finished overlay does not
+/// keep.
+struct Staging<'b> {
+    base: &'b FrozenKb,
+    overlay_base: &'b OverlayBase,
+    /// Every phrase of the merged KB: the base's table plus the phrases
+    /// the overlay adds.
+    phrases: PhraseTable,
+    /// Entities with an overlay keyphrase / in-link / out-link row.
+    kp_touched: Vec<EntityId>,
+    in_touched: Vec<EntityId>,
+    out_touched: Vec<EntityId>,
+    /// Buffers reused across mutations: one lowercased word, one phrase's
+    /// word ids.
+    word: String,
+    phrase: Vec<WordId>,
+}
+
+impl<'b> Staging<'b> {
+    fn new(base: &'b FrozenKb) -> Self {
+        Staging {
+            base,
+            overlay_base: base.overlay_base(),
+            phrases: base.overlay_base().phrases.clone(),
+            kp_touched: Vec::new(),
+            in_touched: Vec::new(),
+            out_touched: Vec::new(),
+            word: String::new(),
+            phrase: Vec::new(),
+        }
+    }
+}
+
+/// The overlay row of `e`, copied from the base on first touch.
+fn row_mut<'r, 'b, T: Clone + 'b>(
+    rows: &'r mut FxHashMap<EntityId, Vec<T>>,
+    touched: &mut Vec<EntityId>,
+    e: EntityId,
+    base_row: impl FnOnce() -> &'b [T],
+) -> &'r mut Vec<T> {
+    rows.entry(e).or_insert_with(|| {
+        touched.push(e);
+        base_row().to_vec()
+    })
+}
+
+/// `word.to_lowercase()` into a reused buffer; ASCII words, the common
+/// case, do not allocate.
+fn lowercase_into(word: &str, out: &mut String) {
+    out.clear();
+    if word.is_ascii() {
+        out.push_str(word);
+        out.make_ascii_lowercase();
+    } else {
+        out.push_str(&word.to_lowercase());
+    }
 }
 
 /// An immutable copy-on-write overlay: `base` + the effect of `mutations`,
@@ -211,7 +355,7 @@ pub(crate) fn merge(
 ///
 /// Untouched rows fall through to the frozen base; touched rows (and
 /// everything belonging to newly added entities) live in overlay maps.
-/// Global statistics are recomputed over the merged KB, because IDF and the
+/// Global statistics cover the merged KB, because IDF and the
 /// superdocument NPMI depend on the total entity count.
 #[derive(Debug)]
 pub struct DeltaKb {
@@ -251,10 +395,13 @@ pub struct DeltaKb {
 impl DeltaKb {
     /// Builds the overlay for `mutations` over `base`.
     ///
-    /// Cost is one thaw + merge (linear in the base) at build time; reads
-    /// afterwards are lock-free and allocation-free on the fall-through
-    /// path. Name-resolution failures and duplicate entities surface as
-    /// typed errors.
+    /// Applying the mutations is linear in their number; the statistics
+    /// cost one pass over the merged KB's keyphrase rows for the
+    /// N-dependent weights, plus the rows the mutations changed. The first
+    /// build over a base also counts the base once. Reads afterwards are
+    /// lock-free and allocation-free on the fall-through path.
+    /// Name-resolution failures and duplicate entities surface as typed
+    /// errors.
     pub fn build(base: Arc<FrozenKb>, mutations: Vec<KbMutation>) -> Result<DeltaKb, NedError> {
         Self::build_observed(base, mutations, &Metrics::disabled())
     }
@@ -266,88 +413,311 @@ impl DeltaKb {
         mutations: Vec<KbMutation>,
         metrics: &Metrics,
     ) -> Result<DeltaKb, NedError> {
-        let (mut merged, touched) = merge(&base, &mutations)?;
-        let base_n = base.entity_count();
-        let merged_n = merged.entity_count();
+        let frozen = Arc::clone(&base);
+        let mut st = Staging::new(&frozen);
+        let mut delta = DeltaKb::empty(base);
+        for m in &mutations {
+            delta.apply(&mut st, m)?;
+        }
+        delta.mutations = mutations;
+        delta.finish(st);
+        metrics.gauge(names::KB_DELTA_ENTITIES).set(delta.delta_entity_count() as u64);
+        Ok(delta)
+    }
 
-        let mut new_entities = Vec::with_capacity(merged_n - base_n);
-        let mut by_name_new = FxHashMap::default();
-        let mut kp_rows = FxHashMap::default();
-        let mut inlink_rows = FxHashMap::default();
-        let mut outlink_rows = FxHashMap::default();
-        for i in base_n..merged_n {
-            let e = EntityId::from_index(i);
-            let ent = merged.entity(e).clone();
-            by_name_new.insert(ent.canonical_name.clone(), e);
-            new_entities.push(ent);
-            kp_rows.insert(e, merged.keyphrases(e).to_vec());
-            inlink_rows.insert(e, merged.links().inlinks(e).to_vec());
-            outlink_rows.insert(e, merged.links().outlinks(e).to_vec());
+    /// The overlay of no mutations.
+    fn empty(base: Arc<FrozenKb>) -> DeltaKb {
+        DeltaKb {
+            base_entity_count: base.entity_count(),
+            base_word_count: base.word_count(),
+            base_phrase_count: base.phrase_count(),
+            merged_name_count: base.dictionary().name_count(),
+            merged_pair_count: base.dictionary().pair_count(),
+            merged_edge_count: base.links().edge_count(),
+            total_phrase_observations: base.total_phrase_observations(),
+            base,
+            mutations: Vec::new(),
+            new_entities: Vec::new(),
+            by_name_new: FxHashMap::default(),
+            kp_rows: FxHashMap::default(),
+            inlink_rows: FxHashMap::default(),
+            outlink_rows: FxHashMap::default(),
+            dict_rows: FxHashMap::default(),
+            dict_keys_sorted: Vec::new(),
+            words_new: Vec::new(),
+            word_index_new: FxHashMap::default(),
+            phrases_new: Vec::new(),
+            phrase_surfaces_new: Vec::new(),
+            weights: WeightModel::default(),
+            kp_index: KeyphraseIndex::default(),
+            phrase_runs: PhraseRuns::default(),
         }
-        for &e in &touched.kp_rows {
-            kp_rows.entry(e).or_insert_with(|| merged.keyphrases(e).to_vec());
-        }
-        for &e in &touched.in_rows {
-            inlink_rows.entry(e).or_insert_with(|| merged.links().inlinks(e).to_vec());
-        }
-        for &e in &touched.out_rows {
-            outlink_rows.entry(e).or_insert_with(|| merged.links().outlinks(e).to_vec());
-        }
-        let mut dict_rows = FxHashMap::default();
-        for key in &touched.dict_keys {
-            if let Some(row) = merged.dictionary().row(key) {
-                dict_rows.insert(key.clone(), row.to_vec());
+    }
+
+    /// Applies one mutation to the overlay with the arithmetic of the
+    /// thawed [`apply`]: rows are extended in the order the legacy stores
+    /// extend them and sorted once, in [`DeltaKb::finish`].
+    fn apply(&mut self, st: &mut Staging<'_>, m: &KbMutation) -> Result<(), NedError> {
+        let base = st.base;
+        match m {
+            KbMutation::AddEntity { canonical_name, kind } => {
+                if self.entity_by_name(canonical_name).is_some() {
+                    return Err(name_taken(canonical_name));
+                }
+                let id = EntityId::from_index(self.entity_count());
+                self.new_entities.push(Entity::new(canonical_name.clone(), *kind));
+                self.by_name_new.insert(canonical_name.clone(), id);
+                self.kp_rows.insert(id, Vec::new());
+                self.inlink_rows.insert(id, Vec::new());
+                self.outlink_rows.insert(id, Vec::new());
+                st.kp_touched.push(id);
+                st.in_touched.push(id);
+                st.out_touched.push(id);
+                // The builder registers the title itself as a name observation.
+                self.add_name(canonical_name, id, 1);
+            }
+            KbMutation::AddLink { src, dst } => {
+                let s = self.resolve(src)?;
+                let d = self.resolve(dst)?;
+                // Self-links and duplicates are ignored, as in
+                // `LinkGraph::add_link`.
+                if s != d && !self.outlinks(s).contains(&d) {
+                    row_mut(&mut self.outlink_rows, &mut st.out_touched, s, || {
+                        base.links().outlinks(s)
+                    })
+                    .push(d);
+                    row_mut(&mut self.inlink_rows, &mut st.in_touched, d, || {
+                        base.links().inlinks(d)
+                    })
+                    .push(s);
+                    self.merged_edge_count += 1;
+                }
+            }
+            KbMutation::AddKeyphrase { entity, surface, count } => {
+                let e = self.resolve(entity)?;
+                if surface.trim().is_empty() {
+                    return Err(empty_keyphrase(entity));
+                }
+                let p = self.intern_phrase(st, surface);
+                let row = row_mut(&mut self.kp_rows, &mut st.kp_touched, e, || base.keyphrases(e));
+                match row.iter_mut().find(|ep| ep.phrase == p) {
+                    Some(ep) => ep.count += count,
+                    None => row.push(EntityPhrase { phrase: p, count: *count }),
+                }
+                self.total_phrase_observations += count;
+            }
+            KbMutation::ReweightKeyphrase { entity, surface, delta } => {
+                let e = self.resolve(entity)?;
+                let p = self.find_phrase(st, surface).ok_or_else(|| unknown_phrase(surface))?;
+                if !self.keyphrases(e).iter().any(|ep| ep.phrase == p) {
+                    return Err(unknown_entity_phrase(entity, surface));
+                }
+                let row = row_mut(&mut self.kp_rows, &mut st.kp_touched, e, || base.keyphrases(e));
+                if let Some(ep) = row.iter_mut().find(|ep| ep.phrase == p) {
+                    // Saturating at zero, like `KeyphraseStore::reweight`.
+                    let old = ep.count;
+                    ep.count = if *delta >= 0 {
+                        old.saturating_add(delta.unsigned_abs())
+                    } else {
+                        old.saturating_sub(delta.unsigned_abs())
+                    };
+                    self.total_phrase_observations =
+                        self.total_phrase_observations - old + ep.count;
+                }
+            }
+            KbMutation::AddDictionarySurface { entity, surface, count } => {
+                let e = self.resolve(entity)?;
+                self.add_name(surface, e, *count);
             }
         }
-        let mut dict_keys_sorted: Vec<String> = dict_rows.keys().cloned().collect();
-        dict_keys_sorted.sort_unstable();
+        Ok(())
+    }
 
-        let base_words = base.word_count();
-        let base_phrases = base.phrase_count();
-        let words_new: Vec<String> = (base_words..merged.word_interner().len())
-            .map(|i| merged.word_text(WordId::from_index(i)).to_string())
-            .collect();
-        let word_index_new = words_new
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), WordId::from_index(base_words + i)))
-            .collect();
-        let phrases_new: Vec<Vec<WordId>> = (base_phrases..merged.phrase_interner().len())
-            .map(|i| merged.phrase_words(PhraseId::from_index(i)).to_vec())
-            .collect();
-        let phrase_surfaces_new: Vec<String> = (base_phrases..merged.phrase_interner().len())
-            .map(|i| merged.phrase_surface(PhraseId::from_index(i)).to_string())
-            .collect();
+    fn resolve(&self, name: &str) -> Result<EntityId, NedError> {
+        self.entity_by_name(name)
+            .ok_or_else(|| NedError::Lookup { what: "entity name", key: name.to_string() })
+    }
 
-        metrics.gauge(names::KB_DELTA_ENTITIES).set((merged_n - base_n) as u64);
+    /// `Dictionary::add` on the overlay: the row of the name's match key is
+    /// copied from the base on first touch.
+    fn add_name(&mut self, name: &str, e: EntityId, count: u64) {
+        let row = match self.dict_rows.entry(match_key(&squash_whitespace(name))) {
+            Entry::Occupied(slot) => slot.into_mut(),
+            Entry::Vacant(slot) => {
+                let base_row = self.base.dictionary().row(slot.key());
+                if base_row.is_none() {
+                    self.merged_name_count += 1;
+                }
+                self.dict_keys_sorted.push(slot.key().clone());
+                slot.insert(base_row.map_or_else(Vec::new, <[Candidate]>::to_vec))
+            }
+        };
+        match row.iter_mut().find(|c| c.entity == e) {
+            Some(c) => c.count += count,
+            None => {
+                row.push(Candidate { entity: e, count });
+                self.merged_pair_count += 1;
+            }
+        }
+    }
 
-        Ok(DeltaKb {
-            base,
-            mutations,
-            base_entity_count: base_n,
-            base_word_count: base_words,
-            base_phrase_count: base_phrases,
-            new_entities,
-            by_name_new,
-            kp_rows,
-            inlink_rows,
-            outlink_rows,
-            dict_rows,
-            dict_keys_sorted,
-            merged_name_count: merged.dictionary().name_count(),
-            merged_pair_count: merged.dictionary().pair_count(),
-            merged_edge_count: merged.links().edge_count(),
-            words_new,
-            word_index_new,
-            phrases_new,
-            phrase_surfaces_new,
-            total_phrase_observations: merged.keyphrase_store().total_observations(),
-            // The merged KB is dropped here: move its global statistics
-            // instead of copying them.
-            weights: std::mem::take(&mut merged.weights),
-            kp_index: std::mem::take(&mut merged.kp_index),
-            phrase_runs: std::mem::take(&mut merged.phrase_runs),
-        })
+    /// Resolves the words of `surface` into `st.phrase`, lowercased. With
+    /// `intern`, an unknown word joins the overlay's word tail (like
+    /// `WordInterner::intern`); without it, an unknown word returns false.
+    fn phrase_word_ids(&mut self, st: &mut Staging<'_>, surface: &str, intern: bool) -> bool {
+        st.phrase.clear();
+        for word in surface.split_whitespace() {
+            lowercase_into(word, &mut st.word);
+            let known = st
+                .base
+                .word_id_lowercased(&st.word)
+                .or_else(|| self.word_index_new.get(st.word.as_str()).copied());
+            let id = match known {
+                Some(id) => id,
+                None if intern => {
+                    let id = WordId::from_index(self.word_count());
+                    self.words_new.push(st.word.clone());
+                    self.word_index_new.insert(st.word.clone(), id);
+                    id
+                }
+                None => return false,
+            };
+            st.phrase.push(id);
+        }
+        true
+    }
+
+    /// The phrase whose word sequence is `st.phrase`, with hash `h`.
+    fn lookup_phrase(&self, st: &Staging<'_>, h: u64) -> Option<PhraseId> {
+        st.phrases.find(h, |p| self.phrase_words(p) == st.phrase.as_slice())
+    }
+
+    /// `PhraseInterner::intern` on the overlay.
+    fn intern_phrase(&mut self, st: &mut Staging<'_>, surface: &str) -> PhraseId {
+        self.phrase_word_ids(st, surface, true);
+        let h = words_hash(&st.phrase);
+        if let Some(p) = self.lookup_phrase(st, h) {
+            return p;
+        }
+        let p = PhraseId::from_index(self.phrase_count());
+        self.phrases_new.push(st.phrase.clone());
+        self.phrase_surfaces_new.push(surface.to_string());
+        st.phrases.insert(h, p);
+        p
+    }
+
+    /// `PhraseInterner::get` on the overlay.
+    fn find_phrase(&mut self, st: &mut Staging<'_>, surface: &str) -> Option<PhraseId> {
+        if !self.phrase_word_ids(st, surface, false) {
+            return None;
+        }
+        self.lookup_phrase(st, words_hash(&st.phrase))
+    }
+
+    /// Sorts the touched rows into the order the from-scratch finalize
+    /// produces, then derives the statistics.
+    fn finish(&mut self, mut st: Staging<'_>) {
+        st.kp_touched.sort_unstable();
+        st.in_touched.sort_unstable();
+        // Rows and tails grew by pushes; trimming them keeps the overlay's
+        // footprint that of exact-size copies.
+        self.new_entities.shrink_to_fit();
+        self.words_new.shrink_to_fit();
+        self.phrases_new.shrink_to_fit();
+        self.phrase_surfaces_new.shrink_to_fit();
+        for e in &st.kp_touched {
+            if let Some(row) = self.kp_rows.get_mut(e) {
+                row.sort_unstable_by_key(|ep| ep.phrase);
+                row.shrink_to_fit();
+            }
+        }
+        for e in &st.in_touched {
+            if let Some(row) = self.inlink_rows.get_mut(e) {
+                row.sort_unstable();
+                row.shrink_to_fit();
+            }
+        }
+        for e in &st.out_touched {
+            if let Some(row) = self.outlink_rows.get_mut(e) {
+                row.sort_unstable();
+                row.shrink_to_fit();
+            }
+        }
+        self.dict_keys_sorted.sort_unstable();
+        for key in &self.dict_keys_sorted {
+            if let Some(row) = self.dict_rows.get_mut(key) {
+                row.sort_by(|a, b| b.count.cmp(&a.count).then(a.entity.cmp(&b.entity)));
+            }
+        }
+        let (weights, kp_index, phrase_runs) = self.statistics(&st);
+        self.weights = weights;
+        self.kp_index = kp_index;
+        self.phrase_runs = phrase_runs;
+    }
+
+    /// The merged KB's statistics, derived from the base's.
+    ///
+    /// Document frequencies change only for the entities whose keyphrase
+    /// row changed (direct and superdocument), whose in-links changed
+    /// (superdocument), and for the out-link targets of changed rows (whose
+    /// superdocuments contain them): each of those drops its base
+    /// contribution and adds its merged one. Postings change only for
+    /// changed rows, runs only for new phrases. Everything that depends on
+    /// N is recomputed.
+    fn statistics(&self, st: &Staging<'_>) -> (WeightModel, KeyphraseIndex, PhraseRuns) {
+        let base = st.base;
+        let n = self.entity_count();
+        let is_base = |e: EntityId| e.index() < self.base_entity_count;
+        let changed = &st.kp_touched;
+        let mut superdocs: Vec<EntityId> = changed.iter().chain(&st.in_touched).copied().collect();
+        for &e in changed {
+            superdocs.extend_from_slice(self.outlinks(e));
+        }
+        superdocs.sort_unstable();
+        superdocs.dedup();
+
+        let mut counts = st.overlay_base.counts.clone();
+        counts.grow(self.word_count(), self.phrase_count());
+        let mut sets = TermSets::new(self.word_count(), self.phrase_count());
+        let mut changed_words = Vec::with_capacity(changed.len());
+        for &e in changed {
+            if is_base(e) {
+                counts.add_direct(base.keyphrases(e), st.overlay_base.words.row(e), -1);
+            }
+            let row = self.keyphrases(e);
+            let mut words = Vec::new();
+            sets.distinct_words(row, self, &mut words);
+            counts.add_direct(row, &words, 1);
+            changed_words.push(words);
+        }
+        for &e in &superdocs {
+            if is_base(e) {
+                counts.add_superdoc(e, base, &mut sets, -1);
+            }
+            counts.add_superdoc(e, self, &mut sets, 1);
+        }
+        let mut words = EntityWords::default();
+        let mut next_changed = changed.iter().zip(&changed_words).peekable();
+        for ei in 0..n {
+            let e = EntityId::from_index(ei);
+            match next_changed.next_if(|&(&c, _)| c == e) {
+                Some((_, row)) => words.push_row(row),
+                None => words.push_row(st.overlay_base.words.row(e)),
+            }
+        }
+        let weights = WeightModel::from_counts(n, &counts, &words, self);
+
+        let mut kp_index = base.keyphrase_index().clone();
+        kp_index.patch(self.word_count(), changed, |e| self.keyphrases(e), |p| self.phrase_words(p));
+        let phrase_runs = PhraseRuns::patched(
+            base.phrase_runs(),
+            self.phrase_count(),
+            n,
+            |e| self.keyphrases(e),
+            |p| self.phrase_words(p),
+            &weights,
+        );
+        (weights, kp_index, phrase_runs)
     }
 
     /// The frozen base this overlay layers over.
@@ -367,12 +737,11 @@ impl DeltaKb {
 
     /// Folds base + mutations into a fresh [`FrozenKb`].
     ///
-    /// Re-runs the same merge that built this overlay, so the result is
-    /// bitwise-identical to freezing a from-scratch build of the merged KB
-    /// — the compaction invariant the equivalence suite pins down.
+    /// Runs the from-scratch `merge` (thaw, apply, recompute), so the
+    /// result is bitwise-identical to freezing a from-scratch build of the
+    /// merged KB; the equivalence suite pins every overlay's reads to it.
     pub fn compact(&self) -> Result<FrozenKb, NedError> {
-        let (merged, _) = merge(&self.base, &self.mutations)?;
-        Ok(FrozenKb::freeze(&merged))
+        Ok(FrozenKb::freeze(&merge(&self.base, &self.mutations)?))
     }
 
     // --- read helpers shared with the view wrappers ---------------------
@@ -599,7 +968,7 @@ mod tests {
     fn fixture() -> (Arc<FrozenKb>, DeltaKb, KnowledgeBase) {
         let base = Arc::new(FrozenKb::freeze(&example_kb()));
         let muts = sample_mutations();
-        let (merged, _) = merge(&base, &muts).unwrap();
+        let merged = merge(&base, &muts).unwrap();
         let delta = DeltaKb::build(Arc::clone(&base), muts).unwrap();
         (base, delta, merged)
     }
@@ -722,6 +1091,27 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, NedError::Lookup { .. }), "{err}");
+    }
+
+    #[test]
+    fn phrases_whose_hashes_collide_still_resolve() {
+        let base = Arc::new(FrozenKb::freeze(&example_kb()));
+        let mut st = Staging::new(&base);
+        let mut delta = DeltaKb::empty(Arc::clone(&base));
+        let a = delta.intern_phrase(&mut st, "first fresh phrase");
+        // Make the slot of the second phrase's hash look taken by the
+        // first, as a 64-bit collision would.
+        delta.phrase_word_ids(&mut st, "second fresh phrase", true);
+        let h = words_hash(&st.phrase);
+        st.phrases.by_hash.insert(h, a);
+        let b = delta.intern_phrase(&mut st, "second fresh phrase");
+        assert_ne!(a, b);
+        assert_eq!(st.phrases.colliding, vec![(h, b)]);
+        // Both resolve again: the second through the collision list.
+        assert_eq!(delta.intern_phrase(&mut st, "Second Fresh Phrase"), b);
+        assert_eq!(delta.find_phrase(&mut st, "SECOND fresh PHRASE"), Some(b));
+        assert_eq!(delta.intern_phrase(&mut st, "First Fresh Phrase"), a);
+        assert_eq!(delta.phrase_count(), base.phrase_count() + 2);
     }
 
     #[test]

@@ -112,12 +112,6 @@ impl Dictionary {
         self.entries.insert(key, cands);
     }
 
-    /// Looks up a row by its **already-normalized** key, without
-    /// re-applying the match-key rules (overlay reads in [`crate::delta`]).
-    pub(crate) fn row(&self, key: &str) -> Option<&[Candidate]> {
-        self.entries.get(key).map(Vec::as_slice)
-    }
-
     /// Sorts every candidate list by descending count (stable order for
     /// deterministic iteration). Called once at build time.
     pub(crate) fn finalize(&mut self) {

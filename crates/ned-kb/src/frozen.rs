@@ -23,10 +23,13 @@
 //! `u64` anchor counts), so disambiguation outputs are byte-identical
 //! whichever representation backs the [`KbView`](crate::view::KbView).
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use ned_text::normalize::{match_key, squash_whitespace};
 
+use crate::delta::OverlayBase;
 use crate::dictionary::{Candidate, Dictionary};
 use crate::entity::Entity;
 use crate::fx::FxHashMap;
@@ -125,7 +128,13 @@ impl FrozenDictionary {
     /// Candidate list for an **already-normalized** match key, skipping the
     /// case rules (overlay fall-through in [`crate::delta`]).
     pub(crate) fn candidates_by_key(&self, key: &str) -> &[Candidate] {
-        self.find(key).map_or(&[], |i| self.candidates_at(i))
+        self.row(key).unwrap_or(&[])
+    }
+
+    /// The row of an **already-normalized** match key, `None` when the key
+    /// is absent (overlay writes in [`crate::delta`]).
+    pub(crate) fn row(&self, key: &str) -> Option<&[Candidate]> {
+        self.find(key).map(|i| self.candidates_at(i))
     }
 
     /// Popularity prior p(e | name) (§3.3.3) — identical arithmetic to the
@@ -399,6 +408,9 @@ pub struct FrozenKb {
     word_index: FxHashMap<String, WordId>,
     kp_index: KeyphraseIndex,
     stats: FrozenKbStats,
+    /// What delta overlays over this KB build from; computed by the first
+    /// [`crate::DeltaKb::build`] over it, never at load.
+    overlay_base: OnceLock<OverlayBase>,
 }
 
 impl FrozenKb {
@@ -512,6 +524,7 @@ impl FrozenKb {
             word_index,
             kp_index,
             stats,
+            overlay_base: OnceLock::new(),
         }
     }
 
@@ -592,6 +605,17 @@ impl FrozenKb {
     /// legacy interner).
     pub fn word_id(&self, text: &str) -> Option<WordId> {
         self.word_index.get(&text.to_lowercase()).copied()
+    }
+
+    /// Looks up a keyword whose text is already lowercased.
+    pub(crate) fn word_id_lowercased(&self, lowered: &str) -> Option<WordId> {
+        self.word_index.get(lowered).copied()
+    }
+
+    /// The state delta overlays over this KB build from, computed on first
+    /// use.
+    pub(crate) fn overlay_base(&self) -> &OverlayBase {
+        self.overlay_base.get_or_init(|| OverlayBase::of(self))
     }
 
     /// Number of distinct keywords.
@@ -768,6 +792,14 @@ mod tests {
             s.dictionary_bytes + s.link_bytes + s.keyphrase_bytes + s.weight_bytes
                 + s.phrase_run_bytes
         );
+    }
+
+    #[test]
+    fn overlay_base_is_computed_by_the_first_overlay_not_at_load() {
+        let fz = std::sync::Arc::new(frozen().1);
+        assert!(fz.overlay_base.get().is_none());
+        crate::DeltaKb::build(std::sync::Arc::clone(&fz), Vec::new()).unwrap();
+        assert!(fz.overlay_base.get().is_some());
     }
 
     #[test]

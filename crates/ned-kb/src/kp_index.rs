@@ -66,6 +66,63 @@ impl KeyphraseIndex {
         KeyphraseIndex { postings }
     }
 
+    /// Re-indexes the keyphrase rows of the `touched` entities after their
+    /// rows grew, and grows the index to `word_count` words. Mutations only
+    /// ever add phrases to a row, so an entity's old postings are a subset
+    /// of its new ones: adding the new row's postings and deduplicating
+    /// equals building the index over the new rows from scratch.
+    pub(crate) fn patch<'x>(
+        &mut self,
+        word_count: usize,
+        touched: &[EntityId],
+        new_rows: impl Fn(EntityId) -> &'x [EntityPhrase],
+        words_of: impl Fn(PhraseId) -> &'x [WordId],
+    ) {
+        if self.postings.len() < word_count {
+            self.postings.resize_with(word_count, Vec::new);
+        }
+        // The new postings, bucketed by word with a counting sort that keeps
+        // their (entity, phrase) order, so each list is extended once.
+        let mut added: Vec<(WordId, (EntityId, PhraseId))> = Vec::new();
+        for &e in touched {
+            for ep in new_rows(e) {
+                added.extend(words_of(ep.phrase).iter().map(|&w| (w, (e, ep.phrase))));
+            }
+        }
+        let mut bucket_end = vec![0usize; self.postings.len()];
+        for (w, _) in &added {
+            if let Some(n) = bucket_end.get_mut(w.index()) {
+                *n += 1;
+            }
+        }
+        let mut total = 0;
+        for n in &mut bucket_end {
+            total += *n;
+            *n = total;
+        }
+        let mut bucketed = vec![(EntityId(0), PhraseId(0)); total];
+        let mut next = bucket_end.clone();
+        for &(w, posting) in added.iter().rev() {
+            if let Some(at) = next.get_mut(w.index()) {
+                *at -= 1;
+                if let Some(slot) = bucketed.get_mut(*at) {
+                    *slot = posting;
+                }
+            }
+        }
+        let mut start = 0;
+        for (list, &end) in self.postings.iter_mut().zip(&bucket_end) {
+            if let Some(bucket) = bucketed.get(start..end).filter(|b| !b.is_empty()) {
+                list.extend_from_slice(bucket);
+                // A no-op scan when every added entity follows every entity
+                // already listed, as promoted entities do.
+                list.sort_unstable();
+                list.dedup();
+            }
+            start = end;
+        }
+    }
+
     /// Number of indexed words.
     pub fn word_count(&self) -> usize {
         self.postings.len()

@@ -62,37 +62,89 @@ impl PhraseRuns {
         weights: &WeightModel,
     ) -> Self {
         let mut run_offsets = Vec::with_capacity(phrase_count + 1);
-        let mut run_data: Vec<WordId> = Vec::new();
-        let mut idf_mass = Vec::with_capacity(phrase_count);
         run_offsets.push(0u32);
-        for pi in 0..phrase_count {
-            let p = PhraseId::from_index(pi);
-            // Exactly the reference computation in `phrase_score`: to_vec,
-            // sort_unstable, dedup, then sum weights over the run.
-            let mut ws = words_of(p).to_vec();
-            ws.sort_unstable();
-            ws.dedup();
-            idf_mass.push(ws.iter().map(|&w| weights.word_idf(w)).sum::<f64>());
-            run_data.extend_from_slice(&ws);
-            run_offsets.push(offset(run_data.len()));
-        }
+        let mut run_data = Vec::new();
+        push_runs(&mut run_offsets, &mut run_data, 0..phrase_count, words_of);
+        Self::with_masses(run_offsets, run_data, entity_count, phrases_of, weights)
+    }
+
+    /// The runs of a KB that extends `base`'s phrases with phrases
+    /// `base.phrase_count()..phrase_count`: base runs are copied (a
+    /// phrase's words never change), new phrases get their runs, and every
+    /// mass is recomputed, because the weights depend on the entity count.
+    pub(crate) fn patched<'x>(
+        base: &PhraseRuns,
+        phrase_count: usize,
+        entity_count: usize,
+        phrases_of: impl Fn(EntityId) -> &'x [EntityPhrase],
+        words_of: impl Fn(PhraseId) -> &'x [WordId],
+        weights: &WeightModel,
+    ) -> Self {
+        let mut run_offsets = Vec::with_capacity(phrase_count + 1);
+        run_offsets.extend_from_slice(&base.run_offsets);
+        let mut run_data = base.run_data.clone();
+        push_runs(&mut run_offsets, &mut run_data, base.phrase_count()..phrase_count, words_of);
+        Self::with_masses(run_offsets, run_data, entity_count, phrases_of, weights)
+    }
+
+    /// Completes the runs with the IDF mass of every phrase and the NPMI
+    /// mass of every (entity, own-keyphrase) pair.
+    fn with_masses<'x>(
+        run_offsets: Vec<u32>,
+        run_data: Vec<WordId>,
+        entity_count: usize,
+        phrases_of: impl Fn(EntityId) -> &'x [EntityPhrase],
+        weights: &WeightModel,
+    ) -> Self {
+        let phrase_count = run_offsets.len().saturating_sub(1);
+        // Exactly the reference computation in `phrase_score`: sum the
+        // weights over the sorted-deduplicated run.
+        let idf_mass = (0..phrase_count)
+            .map(|pi| {
+                run_slice(&run_offsets, &run_data, pi)
+                    .iter()
+                    .map(|&w| weights.word_idf(w))
+                    .sum::<f64>()
+            })
+            .collect();
 
         let mut npmi_offsets = Vec::with_capacity(entity_count + 1);
         let mut npmi_mass: Vec<(PhraseId, f64)> = Vec::new();
         npmi_offsets.push(0u32);
+        // The entity's NPMI row scattered by word id, so each word of a run
+        // reads `keyword_npmi(e, w)` (the row's value, else 0.0) without a
+        // search.
+        let mut npmi_of_word: Vec<f64> = Vec::new();
         for ei in 0..entity_count {
             let e = EntityId::from_index(ei);
-            let row_start = npmi_mass.len();
+            let npmi_row = weights.keyword_npmi_row(e);
+            for &(w, v) in npmi_row {
+                if npmi_of_word.len() <= w.index() {
+                    npmi_of_word.resize(w.index() + 1, 0.0);
+                }
+                if let Some(slot) = npmi_of_word.get_mut(w.index()) {
+                    *slot = v;
+                }
+            }
+            let mut last = None;
             for ep in phrases_of(e) {
                 // Keyphrase rows are sorted by phrase id; skip duplicates
                 // so the binary-search lookup stays unambiguous.
-                // ned-lint: allow(p1) — row_start ≤ len, suffix slice
-                if npmi_mass[row_start..].last().is_some_and(|&(p, _)| p == ep.phrase) {
+                if last == Some(ep.phrase) {
                     continue;
                 }
+                last = Some(ep.phrase);
                 let run = run_slice(&run_offsets, &run_data, ep.phrase.index());
-                let mass = run.iter().map(|&w| weights.keyword_npmi(e, w)).sum::<f64>();
+                let mass = run
+                    .iter()
+                    .map(|&w| npmi_of_word.get(w.index()).copied().unwrap_or(0.0))
+                    .sum::<f64>();
                 npmi_mass.push((ep.phrase, mass));
+            }
+            for &(w, _) in npmi_row {
+                if let Some(slot) = npmi_of_word.get_mut(w.index()) {
+                    *slot = 0.0;
+                }
             }
             npmi_offsets.push(offset(npmi_mass.len()));
         }
@@ -159,6 +211,26 @@ impl PhraseRuns {
 fn run_slice<'a>(offsets: &[u32], data: &'a [WordId], i: usize) -> &'a [WordId] {
     // ned-lint: allow(p1) — CSR invariant: offsets has phrase_count+1 entries
     &data[offsets[i] as usize..offsets[i + 1] as usize]
+}
+
+/// Appends the sorted-deduplicated runs of `phrases` to the CSR arrays.
+fn push_runs<'x>(
+    run_offsets: &mut Vec<u32>,
+    run_data: &mut Vec<WordId>,
+    phrases: std::ops::Range<usize>,
+    words_of: impl Fn(PhraseId) -> &'x [WordId],
+) {
+    let mut run = Vec::new();
+    for pi in phrases {
+        // Exactly the reference computation in `phrase_score`: to_vec,
+        // sort_unstable, dedup.
+        run.clear();
+        run.extend_from_slice(words_of(PhraseId::from_index(pi)));
+        run.sort_unstable();
+        run.dedup();
+        run_data.extend_from_slice(&run);
+        run_offsets.push(offset(run_data.len()));
+    }
 }
 
 /// Converts a data length to a `u32` CSR offset.

@@ -18,9 +18,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::fx::FxHashSet;
 use crate::ids::{EntityId, PhraseId, WordId};
-use crate::keyphrase::KeyphraseStore;
+use crate::keyphrase::{EntityPhrase, KeyphraseStore};
 use crate::links::LinkGraph;
 use crate::vocab::PhraseInterner;
 
@@ -46,89 +45,59 @@ pub struct WeightModel {
 impl WeightModel {
     /// Computes all weights from the keyphrase store and link graph.
     ///
-    /// Cost is `O(Σ_e |superdoc(e)|)` time with transient per-entity hash
-    /// sets; nothing quadratic in the number of entities.
+    /// Cost is `O(Σ_e |superdoc(e)|)` time with two stamp arrays (one per
+    /// term kind) as the per-entity sets; nothing quadratic in the number
+    /// of entities.
     pub fn compute(
         keyphrases: &KeyphraseStore,
         links: &LinkGraph,
         phrases: &PhraseInterner,
         n_words: usize,
     ) -> Self {
+        let rows = StoreRows { keyphrases, links, phrases };
         let n = keyphrases.len();
-        let n_phrases = phrases.len();
+        let (counts, words) = TermCounts::count(&rows, n, n_words, phrases.len());
+        Self::from_counts(n, &counts, &words, &rows)
+    }
 
-        // Pass 1: direct document frequencies for IDF.
-        let mut word_df = vec![0u32; n_words];
-        let mut phrase_df = vec![0u32; n_phrases];
-        let mut word_set: FxHashSet<WordId> = FxHashSet::default();
-        for ei in 0..n {
-            let e = EntityId::from_index(ei);
-            word_set.clear();
-            for ep in keyphrases.phrases(e) {
-                phrase_df[ep.phrase.index()] += 1;
-                for &w in phrases.words(ep.phrase) {
-                    word_set.insert(w);
-                }
-            }
-            for &w in &word_set {
-                word_df[w.index()] += 1;
-            }
-        }
-
-        // Pass 2: superdocument document frequencies.
-        let mut word_super_df = vec![0u32; n_words];
-        let mut phrase_super_df = vec![0u32; n_phrases];
-        let mut phrase_set: FxHashSet<PhraseId> = FxHashSet::default();
-        for ei in 0..n {
-            let e = EntityId::from_index(ei);
-            word_set.clear();
-            phrase_set.clear();
-            collect_superdoc(e, keyphrases, links, phrases, &mut word_set, &mut phrase_set);
-            for &w in &word_set {
-                word_super_df[w.index()] += 1;
-            }
-            for &p in &phrase_set {
-                phrase_super_df[p.index()] += 1;
-            }
-        }
-
-        let idf = |df: u32| -> f64 {
-            if df == 0 || n == 0 {
-                0.0
-            } else {
-                (n as f64 / df as f64).log2()
-            }
-        };
-        let word_idf: Vec<f64> = word_df.iter().map(|&d| idf(d)).collect();
-        let phrase_idf: Vec<f64> = phrase_df.iter().map(|&d| idf(d)).collect();
-
-        // Pass 3: per-entity NPMI (keywords) and µ (keyphrases) over own
-        // keyphrase terms. Own terms are always in the superdocument.
+    /// The N-dependent half of the model: IDF, NPMI and µ from document
+    /// frequencies counted over `n` entities. `words` holds each entity's
+    /// distinct keyphrase words, sorted; `rows` its keyphrase row.
+    ///
+    /// Every value depends on its term only through the term's df, so each
+    /// formula is evaluated once per df value and looked up per term —
+    /// bit-identical to evaluating it per (entity, term) pair.
+    pub(crate) fn from_counts<R: TermRows + ?Sized>(
+        n: usize,
+        counts: &TermCounts,
+        words: &EntityWords,
+        rows: &R,
+    ) -> Self {
         let ln_n = (n as f64).ln();
+        let idf_of = DfTable::new(n, |df| idf(df, n));
+        let npmi_of = DfTable::new(n, |df| npmi_present(df, n, ln_n));
+        let mu_of = DfTable::new(n, |df| mu_present(df, n));
+
         let mut entity_word_npmi = Vec::with_capacity(n);
         let mut entity_phrase_mi = Vec::with_capacity(n);
         for ei in 0..n {
             let e = EntityId::from_index(ei);
-            word_set.clear();
-            for ep in keyphrases.phrases(e) {
-                for &w in phrases.words(ep.phrase) {
-                    word_set.insert(w);
-                }
-            }
-            let mut word_row: Vec<(WordId, f64)> = word_set
+            // Own words are always in the superdocument; the row is already
+            // sorted by word id.
+            entity_word_npmi.push(
+                words
+                    .row(e)
+                    .iter()
+                    .filter_map(|&w| {
+                        let npmi = npmi_of.get(df_at(&counts.word_super_df, w.index()));
+                        (npmi > 0.0).then_some((w, npmi))
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let mut phrase_row: Vec<(PhraseId, f64)> = rows
+                .keyphrases(e)
                 .iter()
-                .filter_map(|&w| {
-                    let npmi = npmi_present(word_super_df[w.index()], n, ln_n);
-                    (npmi > 0.0).then_some((w, npmi))
-                })
-                .collect();
-            word_row.sort_unstable_by_key(|&(w, _)| w);
-            entity_word_npmi.push(word_row);
-
-            let mut phrase_row: Vec<(PhraseId, f64)> = keyphrases
-                .phrases(e)
-                .iter()
-                .map(|ep| (ep.phrase, mu_present(phrase_super_df[ep.phrase.index()], n)))
+                .map(|ep| (ep.phrase, mu_of.get(df_at(&counts.phrase_super_df, ep.phrase.index()))))
                 .collect();
             phrase_row.sort_unstable_by_key(|&(p, _)| p);
             entity_phrase_mi.push(phrase_row);
@@ -136,10 +105,10 @@ impl WeightModel {
 
         WeightModel {
             n_entities: n,
-            word_idf,
-            phrase_idf,
-            word_super_df,
-            phrase_super_df,
+            word_idf: counts.word_df.iter().map(|&d| idf_of.get(d)).collect(),
+            phrase_idf: counts.phrase_df.iter().map(|&d| idf_of.get(d)).collect(),
+            word_super_df: counts.word_super_df.clone(),
+            phrase_super_df: counts.phrase_super_df.clone(),
             entity_word_npmi,
             entity_phrase_mi,
         }
@@ -166,28 +135,29 @@ impl WeightModel {
     }
 
     /// NPMI weight of keyword `w` with respect to entity `e` (Eq. 3.1);
-    /// 0 when the word is not among the entity's keyphrase words or the
-    /// weight was non-positive.
+    /// 0 when the word is not among the entity's keyphrase words, the
+    /// weight was non-positive, or `e` is out of range.
     pub fn keyword_npmi(&self, e: EntityId, w: WordId) -> f64 {
-        let row = &self.entity_word_npmi[e.index()];
-        row.binary_search_by_key(&w, |&(x, _)| x).map_or(0.0, |i| row[i].1)
+        lookup_row(self.keyword_npmi_row(e), w)
     }
 
-    /// All (word, npmi) pairs of an entity, sorted by word id.
+    /// All (word, npmi) pairs of an entity, sorted by word id; empty for an
+    /// out-of-range entity.
     pub fn keyword_npmi_row(&self, e: EntityId) -> &[(WordId, f64)] {
-        &self.entity_word_npmi[e.index()]
+        self.entity_word_npmi.get(e.index()).map_or(&[], Vec::as_slice)
     }
 
     /// µ-MI weight of keyphrase `p` with respect to entity `e` (Eq. 4.1);
-    /// 0 when the phrase is not in the entity's keyphrase set.
+    /// 0 when the phrase is not in the entity's keyphrase set or `e` is out
+    /// of range.
     pub fn phrase_mi(&self, e: EntityId, p: PhraseId) -> f64 {
-        let row = &self.entity_phrase_mi[e.index()];
-        row.binary_search_by_key(&p, |&(x, _)| x).map_or(0.0, |i| row[i].1)
+        lookup_row(self.phrase_mi_row(e), p)
     }
 
-    /// All (phrase, µ) pairs of an entity, sorted by phrase id.
+    /// All (phrase, µ) pairs of an entity, sorted by phrase id; empty for
+    /// an out-of-range entity.
     pub fn phrase_mi_row(&self, e: EntityId) -> &[(PhraseId, f64)] {
-        &self.entity_phrase_mi[e.index()]
+        self.entity_phrase_mi.get(e.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Approximate heap footprint of the model in bytes (array payloads
@@ -215,29 +185,285 @@ impl WeightModel {
     }
 }
 
-/// Collects the distinct words and phrases of an entity's superdocument.
-fn collect_superdoc(
-    e: EntityId,
-    keyphrases: &KeyphraseStore,
-    links: &LinkGraph,
-    phrases: &PhraseInterner,
-    words_out: &mut FxHashSet<WordId>,
-    phrases_out: &mut FxHashSet<PhraseId>,
-) {
-    let mut add = |entity: EntityId| {
-        for ep in keyphrases.phrases(entity) {
-            if phrases_out.insert(ep.phrase) {
-                for &w in phrases.words(ep.phrase) {
-                    words_out.insert(w);
-                }
-            } else {
-                // Phrase already seen: its words are already inserted.
+/// The weight of `key` in a row sorted by key; 0 when absent.
+fn lookup_row<K: Ord + Copy>(row: &[(K, f64)], key: K) -> f64 {
+    row.binary_search_by_key(&key, |&(k, _)| k)
+        .ok()
+        .and_then(|i| row.get(i))
+        .map_or(0.0, |&(_, v)| v)
+}
+
+/// Read access to the rows the statistics are counted over, so the
+/// build-time store, the frozen base and the delta overlay share one
+/// counting routine.
+pub(crate) trait TermRows {
+    /// The keyphrase row of `e`.
+    fn keyphrases(&self, e: EntityId) -> &[EntityPhrase];
+    /// Entities linking to `e`.
+    fn inlinks(&self, e: EntityId) -> &[EntityId];
+    /// Word-id sequence of phrase `p`.
+    fn phrase_words(&self, p: PhraseId) -> &[WordId];
+}
+
+/// The build-time stores as [`TermRows`].
+struct StoreRows<'a> {
+    keyphrases: &'a KeyphraseStore,
+    links: &'a LinkGraph,
+    phrases: &'a PhraseInterner,
+}
+
+impl TermRows for StoreRows<'_> {
+    fn keyphrases(&self, e: EntityId) -> &[EntityPhrase] {
+        self.keyphrases.phrases(e)
+    }
+    fn inlinks(&self, e: EntityId) -> &[EntityId] {
+        self.links.inlinks(e)
+    }
+    fn phrase_words(&self, p: PhraseId) -> &[WordId] {
+        self.phrases.words(p)
+    }
+}
+
+/// Document frequencies of every keyword and keyphrase, directly (entities
+/// whose own keyphrases contain the term) and over superdocuments: all the
+/// weights depend on besides the entity count N.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct TermCounts {
+    word_df: Vec<u32>,
+    phrase_df: Vec<u32>,
+    word_super_df: Vec<u32>,
+    phrase_super_df: Vec<u32>,
+}
+
+impl TermCounts {
+    /// Counts every entity of `rows` from zero; also returns each entity's
+    /// distinct keyphrase words.
+    pub(crate) fn count<R: TermRows + ?Sized>(
+        rows: &R,
+        n: usize,
+        n_words: usize,
+        n_phrases: usize,
+    ) -> (Self, EntityWords) {
+        let mut counts = TermCounts::default();
+        counts.grow(n_words, n_phrases);
+        let mut sets = TermSets::new(n_words, n_phrases);
+        let mut words = EntityWords::default();
+        let mut row = Vec::new();
+        for ei in 0..n {
+            let e = EntityId::from_index(ei);
+            sets.distinct_words(rows.keyphrases(e), rows, &mut row);
+            counts.add_direct(rows.keyphrases(e), &row, 1);
+            words.push_row(&row);
+            counts.add_superdoc(e, rows, &mut sets, 1);
+        }
+        (counts, words)
+    }
+
+    /// Extends the frequency arrays to `n_words` / `n_phrases` terms; new
+    /// terms start at df 0.
+    pub(crate) fn grow(&mut self, n_words: usize, n_phrases: usize) {
+        for v in [&mut self.word_df, &mut self.word_super_df] {
+            if v.len() < n_words {
+                v.resize(n_words, 0);
             }
         }
-    };
-    add(e);
-    for &src in links.inlinks(e) {
-        add(src);
+        for v in [&mut self.phrase_df, &mut self.phrase_super_df] {
+            if v.len() < n_phrases {
+                v.resize(n_phrases, 0);
+            }
+        }
+    }
+
+    /// Adds (`sign` = 1) or removes (`sign` = -1) one entity's direct
+    /// contribution: every entry of its keyphrase `row` counts its phrase,
+    /// every word of `distinct_words` (the row's words, deduplicated) counts
+    /// once.
+    pub(crate) fn add_direct(
+        &mut self,
+        row: &[EntityPhrase],
+        distinct_words: &[WordId],
+        sign: i32,
+    ) {
+        for ep in row {
+            bump(&mut self.phrase_df, ep.phrase.index(), sign);
+        }
+        for w in distinct_words {
+            bump(&mut self.word_df, w.index(), sign);
+        }
+    }
+
+    /// Adds (`sign` = 1) or removes (`sign` = -1) the superdocument of `e`
+    /// — its own keyphrases plus those of every entity linking to it — each
+    /// distinct term counting once.
+    pub(crate) fn add_superdoc<R: TermRows + ?Sized>(
+        &mut self,
+        e: EntityId,
+        rows: &R,
+        sets: &mut TermSets,
+        sign: i32,
+    ) {
+        sets.clear();
+        let mut add = |entity: EntityId| {
+            for ep in rows.keyphrases(entity) {
+                // A phrase seen before already contributed its words.
+                if sets.phrases.insert(ep.phrase.index()) {
+                    bump(&mut self.phrase_super_df, ep.phrase.index(), sign);
+                    for w in rows.phrase_words(ep.phrase) {
+                        if sets.words.insert(w.index()) {
+                            bump(&mut self.word_super_df, w.index(), sign);
+                        }
+                    }
+                }
+            }
+        };
+        add(e);
+        for &src in rows.inlinks(e) {
+            add(src);
+        }
+    }
+}
+
+/// Moves one count up or down; never panics (a count can only go below
+/// zero when the counted rows are not the ones the counts came from).
+fn bump(counts: &mut [u32], i: usize, sign: i32) {
+    if let Some(c) = counts.get_mut(i) {
+        *c = if sign > 0 { c.saturating_add(1) } else { c.saturating_sub(1) };
+    }
+}
+
+/// The df at `i`; 0 beyond the array.
+fn df_at(counts: &[u32], i: usize) -> u32 {
+    counts.get(i).copied().unwrap_or(0)
+}
+
+/// The distinct keyphrase words of every entity, each row sorted by word
+/// id, in one flat array.
+#[derive(Debug, Clone)]
+pub(crate) struct EntityWords {
+    offsets: Vec<usize>,
+    data: Vec<WordId>,
+}
+
+impl Default for EntityWords {
+    fn default() -> Self {
+        EntityWords { offsets: vec![0], data: Vec::new() }
+    }
+}
+
+impl EntityWords {
+    /// Appends the row of the next entity.
+    pub(crate) fn push_row(&mut self, words: &[WordId]) {
+        self.data.extend_from_slice(words);
+        self.offsets.push(self.data.len());
+    }
+
+    /// The sorted distinct words of `e`; empty beyond the last row.
+    pub(crate) fn row(&self, e: EntityId) -> &[WordId] {
+        let i = e.index();
+        match (self.offsets.get(i), self.offsets.get(i + 1)) {
+            (Some(&lo), Some(&hi)) => self.data.get(lo..hi).unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+}
+
+/// Membership sets over dense word and phrase ids, cleared in O(1).
+#[derive(Debug)]
+pub(crate) struct TermSets {
+    words: StampSet,
+    phrases: StampSet,
+}
+
+impl TermSets {
+    /// Sets over `n_words` words and `n_phrases` phrases.
+    pub(crate) fn new(n_words: usize, n_phrases: usize) -> Self {
+        TermSets { words: StampSet::new(n_words), phrases: StampSet::new(n_phrases) }
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        self.phrases.clear();
+    }
+
+    /// Writes the distinct words of a keyphrase `row` into `out`, sorted.
+    pub(crate) fn distinct_words<R: TermRows + ?Sized>(
+        &mut self,
+        row: &[EntityPhrase],
+        rows: &R,
+        out: &mut Vec<WordId>,
+    ) {
+        self.words.clear();
+        out.clear();
+        for ep in row {
+            for &w in rows.phrase_words(ep.phrase) {
+                if self.words.insert(w.index()) {
+                    out.push(w);
+                }
+            }
+        }
+        out.sort_unstable();
+    }
+}
+
+/// A set over `0..len` that clears by advancing a generation stamp.
+#[derive(Debug)]
+struct StampSet {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl StampSet {
+    fn new(len: usize) -> Self {
+        StampSet { stamps: vec![0; len], generation: 1 }
+    }
+
+    fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamps.iter_mut().for_each(|s| *s = 0);
+            self.generation = 1;
+        }
+    }
+
+    /// Inserts `i`; true if it was absent. Ids beyond the set are never
+    /// members (and never counted).
+    fn insert(&mut self, i: usize) -> bool {
+        match self.stamps.get_mut(i) {
+            Some(s) if *s != self.generation => {
+                *s = self.generation;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// A formula of (df, N) tabulated for every df in `0..=N`, so it is
+/// evaluated once per df value rather than once per (entity, term) pair.
+struct DfTable<F> {
+    values: Vec<f64>,
+    f: F,
+}
+
+impl<F: Fn(u32) -> f64> DfTable<F> {
+    fn new(n: usize, f: F) -> Self {
+        let values = (0..=u32::try_from(n).unwrap_or(u32::MAX)).map(&f).collect();
+        DfTable { values, f }
+    }
+
+    /// `f(df)`; a df beyond N (impossible for counted rows) is evaluated
+    /// directly.
+    fn get(&self, df: u32) -> f64 {
+        self.values.get(df as usize).copied().unwrap_or_else(|| (self.f)(df))
+    }
+}
+
+/// IDF (Eq. 3.5): `log2(N / df)`; 0 for an unobserved term.
+fn idf(df: u32, n: usize) -> f64 {
+    if df == 0 || n == 0 {
+        0.0
+    } else {
+        (n as f64 / df as f64).log2()
     }
 }
 

@@ -6,10 +6,15 @@
 //!
 //! 1. **Read equivalence** (property-tested): for arbitrary valid mutation
 //!    batches, every `KbView` read — entities, dictionary candidates,
-//!    priors, links, keyphrases, interners — is bitwise-identical across
-//!    four backends: the [`DeltaKb`] overlay, its [`DeltaKb::compact`]
-//!    output, a from-scratch legacy [`KnowledgeBase`] built with the same
-//!    operations, and that KB frozen.
+//!    priors, links, keyphrases, interners, and the derived statistics
+//!    (weights, inverted-index postings, phrase runs) — is
+//!    bitwise-identical across four backends: the [`DeltaKb`] overlay, its
+//!    [`DeltaKb::compact`] output, a from-scratch legacy [`KnowledgeBase`]
+//!    built with the same operations, and that KB frozen. Batches with
+//!    keyphrase reweights, which the builder cannot replay, are checked
+//!    against the compaction alone, and so is every prefix of one growing
+//!    log built over one shared base, the way the news stream builds its
+//!    overlays.
 //! 2. **Disambiguation equivalence**: a WAL-replayed overlay and its
 //!    compacted snapshot annotate the quick corpus identically — same
 //!    assignments (confidences compared by bits), same ned-obs counters —
@@ -21,8 +26,10 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use aida_ned::aida::{AidaConfig, Disambiguator};
+use aida_ned::kb::snapshot::encode;
 use aida_ned::kb::{
     DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbMutation, KbView, KnowledgeBase, Wal,
+    WordId,
 };
 use aida_ned::obs::Metrics;
 use aida_ned::relatedness::MilneWitten;
@@ -57,6 +64,11 @@ fn base_ops() -> Vec<KbMutation> {
             surface: "rock guitar solo".into(),
             count: i as u64 + 1,
         });
+        ops.push(KbMutation::AddKeyphrase {
+            entity: (*name).into(),
+            surface: format!("base topic {}", i % 3),
+            count: 2,
+        });
     }
     ops.push(KbMutation::AddLink { src: "Alpha".into(), dst: "Beta".into() });
     ops.push(KbMutation::AddLink { src: "Beta".into(), dst: "Gamma".into() });
@@ -88,37 +100,92 @@ fn apply_to_builder(b: &mut KbBuilder, ids: &mut HashMap<String, EntityId>, m: &
     }
 }
 
-/// Decodes a seed tuple into one valid mutation against `known` entity
-/// names (base + previously added), registering any new entity it adds.
-/// Cycles through every builder-mirrorable variant.
+const BASE_NAMES: [&str; 5] = ["Alpha", "Beta", "Gamma", "Delta Co", "Epsilon FC"];
+
+/// The entities and (entity, keyphrase) pairs a generated batch may refer
+/// to: the base's, plus whatever the batch has added so far.
+struct Known {
+    names: Vec<String>,
+    pairs: Vec<(String, String)>,
+    fresh: u32,
+}
+
+impl Known {
+    fn base() -> Self {
+        let names: Vec<String> = BASE_NAMES.iter().map(|s| s.to_string()).collect();
+        let mut pairs = Vec::new();
+        for (i, name) in names.iter().enumerate() {
+            pairs.push((name.clone(), "rock guitar solo".to_string()));
+            pairs.push((name.clone(), format!("base topic {}", i % 3)));
+        }
+        Known { names, pairs, fresh: 0 }
+    }
+}
+
+/// Decodes a seed tuple into one valid mutation against the `known`
+/// entities and keyphrases, registering what it adds. Cycles through every
+/// builder-mirrorable variant, plus `ReweightKeyphrase` (down to zero
+/// included) when `reweights` is set.
 fn decode_mutation(
     op: u8,
     a: u8,
     b: u8,
     count: u8,
-    known: &mut Vec<String>,
-    fresh: &mut u32,
+    known: &mut Known,
+    reweights: bool,
 ) -> KbMutation {
-    let pick = |i: u8, known: &[String]| known[i as usize % known.len()].clone();
-    match op % 4 {
+    let pick = |i: u8, names: &[String]| names[i as usize % names.len()].clone();
+    let variants = if reweights { 5 } else { 4 };
+    match op % variants {
         0 => {
-            *fresh += 1;
-            let name = format!("Grown {fresh}");
-            known.push(name.clone());
+            known.fresh += 1;
+            let name = format!("Grown {}", known.fresh);
+            known.names.push(name.clone());
             KbMutation::AddEntity { canonical_name: name, kind: EntityKind::Other }
         }
-        1 => KbMutation::AddLink { src: pick(a, known), dst: pick(b, known) },
-        2 => KbMutation::AddKeyphrase {
-            entity: pick(a, known),
-            surface: format!("keyphrase topic {}", b % 6),
-            count: u64::from(count) + 1,
-        },
-        _ => KbMutation::AddDictionarySurface {
-            entity: pick(a, known),
+        1 => KbMutation::AddLink { src: pick(a, &known.names), dst: pick(b, &known.names) },
+        2 => {
+            let entity = pick(a, &known.names);
+            let surface = format!("keyphrase topic {}", b % 6);
+            known.pairs.push((entity.clone(), surface.clone()));
+            KbMutation::AddKeyphrase { entity, surface, count: u64::from(count) + 1 }
+        }
+        3 => KbMutation::AddDictionarySurface {
+            entity: pick(a, &known.names),
             surface: format!("surface {}", b % 8),
             count: u64::from(count) + 1,
         },
+        _ => {
+            let (entity, surface) = known.pairs[a as usize % known.pairs.len()].clone();
+            let delta = match count % 4 {
+                0 => -1_000_000,
+                1 => -1,
+                2 => -i64::from(b % 4),
+                _ => i64::from(b),
+            };
+            KbMutation::ReweightKeyphrase { entity, surface, delta }
+        }
     }
+}
+
+/// A frozen KB of [`base_ops`].
+fn frozen_base() -> Arc<FrozenKb> {
+    let mut builder = KbBuilder::new();
+    let mut ids = HashMap::new();
+    for op in &base_ops() {
+        apply_to_builder(&mut builder, &mut ids, op);
+    }
+    Arc::new(FrozenKb::freeze(&builder.build()))
+}
+
+/// Probe surfaces for dictionary lookups: every surface a batch may add,
+/// every entity name, plus a miss.
+fn probe_surfaces(known: &Known) -> Vec<String> {
+    let mut surfaces: Vec<String> = (0..8).map(|i| format!("surface {i}")).collect();
+    surfaces.extend((0..5).map(|i| format!("base surface {i}")));
+    surfaces.extend(known.names.iter().cloned());
+    surfaces.push("never mentioned anywhere".into());
+    surfaces
 }
 
 /// Asserts every `KbView` read of `a` and `b` is bitwise-identical.
@@ -161,6 +228,25 @@ fn assert_reads_identical<K1: KbView, K2: KbView>(a: &K1, b: &K2, surfaces: &[St
     let keys_a: Vec<String> = a.dictionary().iter().map(|(k, _)| k.to_string()).collect();
     let keys_b: Vec<String> = b.dictionary().iter().map(|(k, _)| k.to_string()).collect();
     assert_eq!(keys_a, keys_b, "{tag}: dictionary iteration order");
+    for i in 0..a.word_count() {
+        let w = WordId::from_index(i);
+        assert_eq!(a.word_text(w), b.word_text(w), "{tag}: word text {i}");
+        assert_eq!(a.word_id(a.word_text(w)), Some(w), "{tag}: word id {i}");
+        assert_eq!(b.word_id(b.word_text(w)), Some(w), "{tag}: word id {i}");
+        assert_eq!(
+            a.keyphrase_index().postings(w),
+            b.keyphrase_index().postings(w),
+            "{tag}: postings of word {i}"
+        );
+    }
+    // The derived statistics, bit for bit.
+    assert_eq!(encode(a.weights()).unwrap(), encode(b.weights()).unwrap(), "{tag}: weights");
+    assert_eq!(a.phrase_runs(), b.phrase_runs(), "{tag}: phrase runs");
+    assert_eq!(
+        encode(a.phrase_runs()).unwrap(),
+        encode(b.phrase_runs()).unwrap(),
+        "{tag}: phrase run bits"
+    );
 }
 
 proptest! {
@@ -174,46 +260,74 @@ proptest! {
         seeds in proptest::collection::vec(
             (0u8..255, 0u8..255, 0u8..255, 0u8..255), 1..14),
     ) {
-        let base = base_ops();
-        let mut known: Vec<String> =
-            ["Alpha", "Beta", "Gamma", "Delta Co", "Epsilon FC"]
-                .iter().map(|s| s.to_string()).collect();
-        let mut fresh = 0u32;
+        let mut known = Known::base();
         let muts: Vec<KbMutation> = seeds
             .iter()
-            .map(|&(op, a, b, c)| decode_mutation(op, a, b, c, &mut known, &mut fresh))
+            .map(|&(op, a, b, c)| decode_mutation(op, a, b, c, &mut known, false))
             .collect();
 
-        // Base KB, frozen; overlay over it.
-        let mut builder = KbBuilder::new();
-        let mut base_ids = HashMap::new();
-        for op in &base {
-            apply_to_builder(&mut builder, &mut base_ids, op);
-        }
-        let frozen_base = Arc::new(FrozenKb::freeze(&builder.build()));
-        let delta = DeltaKb::build(Arc::clone(&frozen_base), muts.clone())
+        let delta = DeltaKb::build(frozen_base(), muts.clone())
             .expect("generated batches are valid");
         let compacted = delta.compact().expect("compaction succeeds");
 
         // From-scratch reference: base ops + mutations in one build.
         let mut scratch = KbBuilder::new();
         let mut scratch_ids = HashMap::new();
-        for op in base.iter().chain(&muts) {
+        for op in base_ops().iter().chain(&muts) {
             apply_to_builder(&mut scratch, &mut scratch_ids, op);
         }
         let scratch_kb: KnowledgeBase = scratch.build();
         let scratch_frozen = FrozenKb::freeze(&scratch_kb);
 
-        // Probe surfaces: every surface either side ever added, plus a miss.
-        let mut surfaces: Vec<String> = (0..8).map(|i| format!("surface {i}")).collect();
-        surfaces.extend((0..5).map(|i| format!("base surface {i}")));
-        surfaces.extend(known.iter().cloned());
-        surfaces.push("never mentioned anywhere".into());
-
+        let surfaces = probe_surfaces(&known);
         assert_reads_identical(&delta, &scratch_kb, &surfaces, "delta vs legacy");
         assert_reads_identical(&delta, &scratch_frozen, &surfaces, "delta vs frozen");
         assert_reads_identical(&delta, &compacted, &surfaces, "delta vs compacted");
-        prop_assert_eq!(delta.entity_count(), 5 + fresh as usize);
+        prop_assert_eq!(delta.entity_count(), 5 + known.fresh as usize);
+    }
+
+    /// Batches with reweights (down to zero and past it), keyphrases and
+    /// links on base entities: the overlay equals its compaction, the
+    /// from-scratch merge.
+    #[test]
+    fn overlay_with_reweights_matches_compaction(
+        seeds in proptest::collection::vec(
+            (0u8..255, 0u8..255, 0u8..255, 0u8..255), 1..24),
+    ) {
+        let mut known = Known::base();
+        let muts: Vec<KbMutation> = seeds
+            .iter()
+            .map(|&(op, a, b, c)| decode_mutation(op, a, b, c, &mut known, true))
+            .collect();
+        let delta = DeltaKb::build(frozen_base(), muts).expect("generated batches are valid");
+        let compacted = delta.compact().expect("compaction succeeds");
+        assert_reads_identical(&delta, &compacted, &probe_surfaces(&known), "delta vs compacted");
+    }
+
+    /// One growing log built at random cut points over one shared base, as
+    /// the news stream rebuilds its overlay each round: every build equals
+    /// the from-scratch merge of its prefix.
+    #[test]
+    fn every_prefix_of_a_growing_log_matches_compaction(
+        seeds in proptest::collection::vec(
+            (0u8..255, 0u8..255, 0u8..255, 0u8..255), 1..40),
+        cuts in proptest::collection::vec(0usize..40, 1..5),
+    ) {
+        let mut known = Known::base();
+        let log: Vec<KbMutation> = seeds
+            .iter()
+            .map(|&(op, a, b, c)| decode_mutation(op, a, b, c, &mut known, true))
+            .collect();
+        let base = frozen_base();
+        let surfaces = probe_surfaces(&known);
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c % (log.len() + 1)).collect();
+        cuts.sort_unstable();
+        for cut in cuts {
+            let delta = DeltaKb::build(Arc::clone(&base), log[..cut].to_vec())
+                .expect("every prefix of a valid log is valid");
+            let compacted = delta.compact().expect("compaction succeeds");
+            assert_reads_identical(&delta, &compacted, &surfaces, &format!("prefix {cut}"));
+        }
     }
 }
 
