@@ -557,6 +557,12 @@ mod tests {
         EntityId(i)
     }
 
+    /// The graph over `local` with the coherence table of `rel`.
+    fn build(local: &[Vec<(EntityId, f64)>], rel: &TableRel, gamma: f64) -> MentionEntityGraph {
+        let table = crate::coherence::CoherenceTable::build(rel, local, local);
+        MentionEntityGraph::build(local, Some(&table), gamma)
+    }
+
     /// The Page/Kashmir scenario: coherence must override the misleading
     /// local preference of mention 0.
     fn coherent_graph() -> MentionEntityGraph {
@@ -568,7 +574,7 @@ mod tests {
             vec![(e(20), 0.6), (e(21), 0.55)], // 20 = Jimmy, 21 = Larry
         ];
         let rel = TableRel(vec![(e(11), e(20), 1.0)]);
-        MentionEntityGraph::build(&local, &rel, 0.6, true)
+        build(&local, &rel, 0.6)
     }
 
     fn chosen_entities(
@@ -598,7 +604,7 @@ mod tests {
     fn empty_graph_maps_nothing() {
         let local: Vec<Vec<(EntityId, f64)>> = vec![vec![], vec![]];
         let rel = TableRel(vec![]);
-        let graph = MentionEntityGraph::build(&local, &rel, 0.4, true);
+        let graph = build(&local, &rel, 0.4);
         let solution = solve(&graph, &SolverConfig::default());
         assert_eq!(solution, vec![None, None]);
     }
@@ -607,7 +613,7 @@ mod tests {
     fn mention_without_candidates_is_unmapped_others_resolved() {
         let local = vec![vec![], vec![(e(1), 0.7)]];
         let rel = TableRel(vec![]);
-        let graph = MentionEntityGraph::build(&local, &rel, 0.4, true);
+        let graph = build(&local, &rel, 0.4);
         let solution = solve(&graph, &SolverConfig::default());
         assert_eq!(solution[0], None);
         assert!(solution[1].is_some());
@@ -620,7 +626,7 @@ mod tests {
         let local: Vec<Vec<(EntityId, f64)>> =
             (0..30).map(|i| vec![(e(i), 0.5 + (i as f64) * 0.01)]).collect();
         let rel = TableRel(vec![]);
-        let graph = MentionEntityGraph::build(&local, &rel, 0.4, true);
+        let graph = build(&local, &rel, 0.4);
         let config = SolverConfig { graph_size_factor: 1, ..Default::default() };
         let solution = solve(&graph, &config);
         assert!(solution.iter().all(|s| s.is_some()));
@@ -652,7 +658,7 @@ mod tests {
     fn wide_graph() -> MentionEntityGraph {
         let local: Vec<Vec<(EntityId, f64)>> =
             vec![(0..2000u32).map(|ci| (e(ci), 0.5)).collect()];
-        MentionEntityGraph::build(&local, &TableRel(vec![]), 0.4, true)
+        build(&local, &TableRel(vec![]), 0.4)
     }
 
     #[test]

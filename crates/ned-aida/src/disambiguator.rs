@@ -11,6 +11,7 @@ use rayon::prelude::*;
 
 use crate::algorithm::{solve_budgeted_observed, SolverConfig};
 use crate::candidates::{candidate_features_observed, CandidateFeatures};
+use crate::coherence::{CoherenceTable, PairCoherence};
 use crate::expansion::expansion_targets;
 use crate::config::AidaConfig;
 use crate::context::DocumentContext;
@@ -191,6 +192,18 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
         &self,
         features: &[Vec<CandidateFeatures>],
     ) -> DisambiguationResult {
+        self.disambiguate_with(features, |locals, graph_locals| {
+            CoherenceTable::build(&self.relatedness, locals, graph_locals)
+        })
+    }
+
+    /// [`Self::disambiguate_features`] with the pairwise coherence read
+    /// from what `coherence(locals, graph_locals)` builds.
+    pub(crate) fn disambiguate_with<C: PairCoherence>(
+        &self,
+        features: &[Vec<CandidateFeatures>],
+        coherence: impl FnOnce(&[Vec<(EntityId, f64)>], &[Vec<(EntityId, f64)>]) -> C,
+    ) -> DisambiguationResult {
         if features.is_empty() {
             return DisambiguationResult::default();
         }
@@ -222,21 +235,21 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
                 .collect();
         }
 
-        let chosen: Vec<Option<EntityId>> =
+        let (chosen, coherence): (Vec<Option<EntityId>>, Option<C>) =
             if self.config.use_coherence && degradation == DegradationLevel::None {
-                match self.solve_with_coherence(features, &locals) {
-                    Ok(chosen) => chosen,
+                match self.solve_with_coherence(features, &locals, coherence) {
+                    Ok(solved) => solved,
                     // Middle rung: the solver ran out of budget (or
                     // otherwise faulted); drop the coherence feature and
                     // keep the best local candidate per mention.
                     Err(err) => {
                         debug_assert!(err.is_degradable(), "unexpected solver fault: {err}");
                         degradation = DegradationLevel::NoCoherence;
-                        locals.iter().map(|cands| argmax_entity(cands)).collect()
+                        (locals.iter().map(|cands| argmax_entity(cands)).collect(), None)
                     }
                 }
             } else {
-                locals.iter().map(|cands| argmax_entity(cands)).collect()
+                (locals.iter().map(|cands| argmax_entity(cands)).collect(), None)
             };
 
         match degradation {
@@ -244,24 +257,26 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             DegradationLevel::NoCoherence => self.obs.degradation_no_coherence.inc(),
             DegradationLevel::PriorOnly => self.obs.degradation_prior_only.inc(),
         }
-        let degraded = degradation.is_degraded();
         let assignments = features
             .iter()
             .zip(&locals)
             .zip(&chosen)
             .enumerate()
             .map(|(mi, ((_f, local), &entity))| {
-                self.make_assignment(mi, local, entity, &chosen, degraded)
+                self.make_assignment(mi, local, entity, &chosen, coherence.as_ref())
             })
             .collect();
         DisambiguationResult { assignments, degradation }
     }
 
-    fn solve_with_coherence(
+    /// Runs the joint model; returns each mention's entity and the
+    /// coherence source the assignment scores read (none when γ is 0).
+    fn solve_with_coherence<C: PairCoherence>(
         &self,
         features: &[Vec<CandidateFeatures>],
         locals: &[Vec<(EntityId, f64)>],
-    ) -> Result<Vec<Option<EntityId>>, NedError> {
+        coherence: impl FnOnce(&[Vec<(EntityId, f64)>], &[Vec<(EntityId, f64)>]) -> C,
+    ) -> Result<(Vec<Option<EntityId>>, Option<C>), NedError> {
         // Coherence robustness: fix agreeing mentions to their best local
         // candidate, keeping only that candidate in the graph (§3.5.2).
         let graph_locals: Vec<Vec<(EntityId, f64)>> = features
@@ -270,23 +285,21 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             .map(|(f, local)| {
                 if should_fix_mention(f, &self.config) {
                     self.obs.mentions_fixed.inc();
-                    match argmax_index(local) {
-                        Some(i) => vec![local[i]],
-                        None => Vec::new(),
-                    }
+                    argmax_index(local).and_then(|i| local.get(i)).into_iter().copied().collect()
                 } else {
                     local.clone()
                 }
             })
             .collect();
-        let graph = {
+        let (graph, coherence) = {
             let _span = self.obs.span(names::STAGE_GRAPH_NS);
-            MentionEntityGraph::build(
-                &graph_locals,
-                &self.relatedness,
-                self.config.gamma,
-                true,
-            )
+            let gamma = self.config.gamma;
+            if gamma > 0.0 {
+                let coherence = coherence(locals, &graph_locals);
+                (coherence.graph(&graph_locals, gamma), Some(coherence))
+            } else {
+                (MentionEntityGraph::build(&graph_locals, None, gamma), None)
+            }
         };
         self.obs.graph_entity_nodes.add(graph.entity_count() as u64);
         self.obs.coherence_edges_built.add(graph.coherence_edge_count() as u64);
@@ -299,31 +312,33 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             wall_budget_ms: self.config.solver_wall_budget_ms,
         };
         let _span = self.obs.span(names::STAGE_SOLVER_NS);
-        Ok(solve_budgeted_observed(&graph, &solver, &self.clock, &self.obs.solver)?
+        let chosen = solve_budgeted_observed(&graph, &solver, &self.clock, &self.obs.solver)?
             .into_iter()
-            .map(|s| s.map(|ni| graph.nodes[ni].entity))
-            .collect())
+            .map(|s| s.and_then(|ni| graph.nodes.get(ni)).map(|n| n.entity))
+            .collect();
+        Ok((chosen, coherence))
     }
 
     /// Builds the final assignment for mention `mi`, scoring every candidate
     /// by its local weight blended with its coherence to the *other*
     /// mentions' chosen entities — the candidate's weighted degree in the
     /// solution graph, which Chapter 5 uses as the confidence basis.
-    fn make_assignment(
+    fn make_assignment<C: PairCoherence>(
         &self,
         mi: usize,
         local: &[(EntityId, f64)],
         entity: Option<EntityId>,
         chosen: &[Option<EntityId>],
-        degraded: bool,
+        coherence: Option<&C>,
     ) -> MentionAssignment {
         if local.is_empty() {
             return MentionAssignment::unmapped(mi);
         }
-        // A degraded document dropped the coherence feature, so its scores
-        // must not consult the relatedness measure either (which may be the
-        // faulty component that forced the degradation).
-        let gamma = if self.config.use_coherence && !degraded { self.config.gamma } else { 0.0 };
+        // Coherence comes only from the joint model's table: a degraded
+        // document dropped the feature, so its scores must not consult the
+        // relatedness measure either (which may be the faulty component
+        // that forced the degradation).
+        let gamma = if coherence.is_some() { self.config.gamma } else { 0.0 };
         let others: Vec<EntityId> = chosen
             .iter()
             .enumerate()
@@ -333,11 +348,9 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
         let mut scores: Vec<(EntityId, f64)> = local
             .iter()
             .map(|&(e, w)| {
-                let coh = if gamma > 0.0 && !others.is_empty() {
-                    others.iter().map(|&o| self.relatedness.relatedness(e, o)).sum::<f64>()
-                        / others.len() as f64
-                } else {
-                    0.0
+                let coh = match coherence {
+                    Some(c) if !others.is_empty() => c.sum(e, &others) / others.len() as f64,
+                    _ => 0.0,
                 };
                 (e, (1.0 - gamma) * w + gamma * coh)
             })

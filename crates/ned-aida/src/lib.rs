@@ -24,6 +24,7 @@ pub mod algorithm;
 pub mod baselines;
 pub mod candidates;
 pub mod classification;
+pub mod coherence;
 pub mod config;
 pub mod context;
 pub mod cover;
@@ -39,6 +40,7 @@ pub mod robustness;
 pub mod scratch;
 pub mod similarity;
 
+pub use coherence::CoherenceTable;
 pub use config::{AidaConfig, KeywordWeighting};
 pub use deadline::{remaining_ns, DeadlinePlan, DeadlinePolicy};
 pub use ned_core::{DegradationLevel, NedError};

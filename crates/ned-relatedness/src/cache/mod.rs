@@ -641,6 +641,12 @@ impl<M: Relatedness> Relatedness for CachedRelatedness<M> {
     fn relatedness(&self, a: EntityId, b: EntityId) -> f64 {
         self.cache.get_or_insert_with(a, b, || self.inner.relatedness(a, b)).0
     }
+
+    /// The wrapped measure's enumeration; it reads no cached value, so it
+    /// counts as no lookup.
+    fn nonzero_pairs(&self, entities: &[EntityId], out: &mut Vec<(u32, u32)>) {
+        self.inner.nonzero_pairs(entities, out);
+    }
 }
 
 #[cfg(test)]

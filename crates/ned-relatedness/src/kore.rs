@@ -137,6 +137,10 @@ impl Relatedness for Kore {
     }
 
     fn relatedness(&self, a: EntityId, b: EntityId) -> f64 {
+        // The loop below adds its terms in an order that depends on which
+        // entity comes first; fixing the orientation keeps the measure
+        // symmetric bit for bit.
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
         let ea = &self.entity_infos[a.index()];
         let eb = &self.entity_infos[b.index()];
         let denom = ea.weight_mass + eb.weight_mass;

@@ -128,3 +128,21 @@ fn relatedness_measures_are_symmetric_on_real_kb() {
         }
     }
 }
+
+#[test]
+fn relatedness_measures_are_bitwise_symmetric_on_real_kb() {
+    // The coherence table evaluates each pair once, in ascending id order,
+    // for readers that ask in either order: symmetry must hold bit for bit.
+    let world = World::generate(WorldConfig::tiny(105));
+    let exported = ExportedKb::build(&world);
+    let kb = &exported.kb;
+    let mw = MilneWitten::new(kb);
+    let kore = Kore::new(kb);
+    let ids: Vec<_> = kb.entity_ids().take(300).collect();
+    for (i, &a) in ids.iter().enumerate() {
+        for &b in &ids[i + 1..] {
+            assert_eq!(mw.relatedness(a, b).to_bits(), mw.relatedness(b, a).to_bits());
+            assert_eq!(kore.relatedness(a, b).to_bits(), kore.relatedness(b, a).to_bits());
+        }
+    }
+}

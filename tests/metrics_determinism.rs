@@ -172,8 +172,9 @@ fn assert_cache_conservation(snap: &MetricsSnapshot, live_entries: u64) {
     );
 }
 
-/// A cap small enough to bind on a 10-doc corpus (500 entries' worth).
-const TIGHT_CAP: u64 = 500 * aida_ned::relatedness::ENTRY_BYTES;
+/// A cap small enough to bind on a 10-doc corpus (64 entries' worth; the
+/// corpus looks up about 220 distinct pairs).
+const TIGHT_CAP: u64 = 64 * aida_ned::relatedness::ENTRY_BYTES;
 
 #[test]
 fn capped_cache_is_invisible_to_outcomes_and_conserves_lookups() {

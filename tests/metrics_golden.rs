@@ -113,8 +113,8 @@ fn whole_corpus_counters_are_pinned() {
         ("aida_solver_invocations", 8),
         ("aida_solver_iterations", 36),
         ("aida_solver_taboo_hits", 295),
-        ("relatedness_cache_hits", 5515),
-        ("relatedness_cache_misses", 1360),
+        ("relatedness_cache_hits", 47),
+        ("relatedness_cache_misses", 218),
         ("doc_status_ok", 8),
     ];
     assert_golden(&snapshot, golden, "whole corpus");
@@ -156,8 +156,8 @@ fn per_document_counters_are_pinned() {
             ("aida_solver_invocations", 1),
             ("aida_solver_iterations", 5),
             ("aida_solver_taboo_hits", 39),
-            ("relatedness_cache_hits", 224),
-            ("relatedness_cache_misses", 142),
+            ("relatedness_cache_hits", 0),
+            ("relatedness_cache_misses", 22),
             ("doc_status_ok", 1),
         ],
         &[
@@ -172,8 +172,8 @@ fn per_document_counters_are_pinned() {
             ("aida_solver_invocations", 1),
             ("aida_solver_iterations", 3),
             ("aida_solver_taboo_hits", 19),
-            ("relatedness_cache_hits", 729),
-            ("relatedness_cache_misses", 205),
+            ("relatedness_cache_hits", 0),
+            ("relatedness_cache_misses", 54),
             ("doc_status_ok", 1),
         ],
         &[
@@ -188,8 +188,8 @@ fn per_document_counters_are_pinned() {
             ("aida_solver_invocations", 1),
             ("aida_solver_iterations", 2),
             ("aida_solver_taboo_hits", 12),
-            ("relatedness_cache_hits", 695),
-            ("relatedness_cache_misses", 245),
+            ("relatedness_cache_hits", 0),
+            ("relatedness_cache_misses", 34),
             ("doc_status_ok", 1),
         ],
     ];

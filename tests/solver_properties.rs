@@ -5,6 +5,7 @@ use proptest::prelude::*;
 
 use aida_ned::aida::algorithm::{solve, SolverConfig};
 use aida_ned::aida::graph::MentionEntityGraph;
+use aida_ned::aida::CoherenceTable;
 use aida_ned::relatedness::Relatedness;
 use aida_ned::kb::EntityId;
 
@@ -24,6 +25,12 @@ impl Relatedness for HashRel {
         h ^= h >> 33;
         (h % 1000) as f64 / 1000.0
     }
+}
+
+/// The graph over `local` with `HashRel` coherence.
+fn build(local: &[Vec<(EntityId, f64)>], gamma: f64) -> MentionEntityGraph {
+    let table = CoherenceTable::build(&HashRel, local, local);
+    MentionEntityGraph::build(local, Some(&table), gamma)
 }
 
 /// Strategy: per-mention candidate lists as (entity id, weight) pairs.
@@ -55,7 +62,7 @@ proptest! {
     /// every mention with candidates, and only picks actual candidates.
     #[test]
     fn solver_output_is_a_valid_assignment(local in candidate_lists()) {
-        let graph = MentionEntityGraph::build(&local, &HashRel, 0.4, true);
+        let graph = build(&local, 0.4);
         let solution = solve(&graph, &SolverConfig::default());
         prop_assert_eq!(solution.len(), local.len());
         for (mi, decision) in solution.iter().enumerate() {
@@ -75,7 +82,7 @@ proptest! {
     /// Determinism: the same graph solves to the same assignment.
     #[test]
     fn solver_is_deterministic(local in candidate_lists()) {
-        let graph = MentionEntityGraph::build(&local, &HashRel, 0.4, true);
+        let graph = build(&local, 0.4);
         let a = solve(&graph, &SolverConfig::default());
         let b = solve(&graph, &SolverConfig::default());
         prop_assert_eq!(a, b);
@@ -85,7 +92,7 @@ proptest! {
     /// factor 1 every mention with candidates gets an entity.
     #[test]
     fn pruning_preserves_coverage(local in candidate_lists()) {
-        let graph = MentionEntityGraph::build(&local, &HashRel, 0.5, true);
+        let graph = build(&local, 0.5);
         let config = SolverConfig { graph_size_factor: 1, ..SolverConfig::default() };
         let solution = solve(&graph, &config);
         for (mi, decision) in solution.iter().enumerate() {
@@ -122,7 +129,7 @@ proptest! {
             }
             t
         };
-        let graph = MentionEntityGraph::build(&local, &HashRel, 0.4, true);
+        let graph = build(&local, 0.4);
         let exhaustive = solve(&graph, &SolverConfig::default());
         let ls = solve(
             &graph,
