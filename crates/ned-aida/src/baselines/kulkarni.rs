@@ -211,7 +211,7 @@ mod tests {
     fn collective_uses_link_coherence() {
         // An unambiguous anchor entity strongly linked to the less popular
         // sense of "Alpha": hill climbing must flip "Alpha" to that sense.
-        use ned_kb::{EntityKind, KbBuilder};
+        use ned_kb::{EntityKind, FrozenKb, KbBuilder};
         let mut b = KbBuilder::new();
         let song = b.add_entity("Alpha (song)", EntityKind::Work);
         let city = b.add_entity("Alpha (city)", EntityKind::Location);
@@ -224,7 +224,7 @@ mod tests {
             b.add_link(linker, song);
             b.add_link(linker, anchor);
         }
-        let kb = b.build();
+        let kb = FrozenKb::freeze(&b.build());
         let tokens = ned_text::tokenize("Alpha by Anchor Band");
         let mentions = vec![
             ned_text::Mention::new("Alpha", 0, 1),

@@ -98,11 +98,11 @@ pub(crate) fn entity_context_cosine<K: KbView + ?Sized>(
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_text::{tokenize, Mention, Token};
 
     /// Shared baseline test fixture: ambiguous "Kashmir" and "Page".
-    pub fn kb() -> KnowledgeBase {
+    pub fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let song = b.add_entity("Kashmir (song)", EntityKind::Work);
         let region = b.add_entity("Kashmir (region)", EntityKind::Location);
@@ -123,7 +123,7 @@ pub(crate) mod test_support {
         let x = b.add_entity("Linker X", EntityKind::Other);
         b.add_link(x, jimmy);
         b.add_link(x, song);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     /// A music-context document mentioning "Kashmir" and "Page".

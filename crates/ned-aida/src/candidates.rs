@@ -111,10 +111,10 @@ pub fn candidate_features_observed<K: KbView + ?Sized>(
 mod tests {
     use super::*;
     use crate::context::DocumentContext;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_text::tokenize;
 
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let song = b.add_entity("Kashmir (song)", EntityKind::Work);
         let region = b.add_entity("Kashmir (region)", EntityKind::Location);
@@ -123,7 +123,7 @@ mod tests {
         b.add_keyphrase(song, "unusual chords", 2);
         b.add_keyphrase(song, "rock performance", 3);
         b.add_keyphrase(region, "Himalaya mountains", 4);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     #[test]

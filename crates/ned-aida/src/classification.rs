@@ -122,11 +122,11 @@ impl<'a, K: KbView> TypeClassifier<'a, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_text::tokenize;
 
     /// "Dylan" is either the musician (popular) or a city (less popular).
-    fn setup() -> (KnowledgeBase, Taxonomy) {
+    fn setup() -> (FrozenKb, Taxonomy) {
         let mut b = KbBuilder::new();
         let musician = b.add_entity("Bob Dylan", EntityKind::Person);
         let city = b.add_entity("Dylan Town", EntityKind::Location);
@@ -136,7 +136,7 @@ mod tests {
         b.add_keyphrase(musician, "studio album", 3);
         b.add_keyphrase(city, "river harbor", 3);
         b.add_keyphrase(city, "municipal council", 2);
-        let kb = b.build();
+        let kb = FrozenKb::freeze(&b.build());
         let mut tax = Taxonomy::new(kb.entity_count());
         let person = tax.add_type("person");
         let m = tax.add_type("musician");
@@ -199,6 +199,45 @@ mod tests {
         assert!(clf.supports(&tokens, &mention, person, 0.5));
         let location = tax.type_by_name("location").unwrap();
         assert!(!clf.supports(&tokens, &mention, location, 0.5));
+    }
+
+    #[test]
+    fn overlay_candidate_outside_the_taxonomy_adds_no_type() {
+        use ned_kb::{DeltaKb, KbMutation};
+        use std::sync::Arc;
+        let (kb, tax) = setup();
+        let tokens = tokenize("Dylan appeared");
+        let mention = Mention::new("Dylan", 0, 1);
+        let base =
+            TypeClassifier::new(&kb, &tax).with_prior_weight(1.0).classify(&tokens, &mention);
+        // An entity promoted after the taxonomy was built, sharing the
+        // surface "Dylan" with both base entities.
+        let overlay = DeltaKb::build(
+            Arc::new(kb),
+            vec![
+                KbMutation::AddEntity {
+                    canonical_name: "Dylan Records".into(),
+                    kind: EntityKind::Organization,
+                },
+                KbMutation::AddDictionarySurface {
+                    entity: "Dylan Records".into(),
+                    surface: "Dylan".into(),
+                    count: 50,
+                },
+            ],
+        )
+        .unwrap();
+        let promoted = overlay.entity_by_name("Dylan Records").unwrap();
+        assert!(overlay.candidates("Dylan").iter().any(|c| c.entity == promoted));
+        let grown =
+            TypeClassifier::new(&overlay, &tax).with_prior_weight(1.0).classify(&tokens, &mention);
+        // The promoted candidate contributes no type; the base entities'
+        // evidence keeps its types, order and (renormalized) scores.
+        assert_eq!(grown.len(), base.len());
+        for (g, b) in grown.iter().zip(&base) {
+            assert_eq!(g.ty, b.ty);
+            assert!((g.score - b.score).abs() < 1e-12, "{} vs {}", g.score, b.score);
+        }
     }
 
     #[test]

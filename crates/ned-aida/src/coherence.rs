@@ -152,7 +152,7 @@ impl PairCoherence for CoherenceTable {
 mod tests {
     use std::sync::Mutex;
 
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_obs::Metrics;
     use ned_relatedness::{CacheConfig, CachedRelatedness, Kore, MilneWitten, ENTRY_BYTES};
     use proptest::prelude::*;
@@ -183,7 +183,7 @@ mod tests {
     /// Twelve entities with the given links (some end up without
     /// in-links) and overlapping keyphrases, so MW and KORE both have
     /// zero and nonzero pairs.
-    fn kb(links: &[(u32, u32)]) -> KnowledgeBase {
+    fn kb(links: &[(u32, u32)]) -> FrozenKb {
         let mut b = KbBuilder::new();
         let ids: Vec<EntityId> = (0..ENTITIES)
             .map(|i| b.add_entity(&format!("E{i}"), EntityKind::Other))
@@ -199,7 +199,7 @@ mod tests {
         for &(s, d) in links {
             b.add_link(ids[(s % ENTITIES) as usize], ids[(d % ENTITIES) as usize]);
         }
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     fn features(spec: &[Vec<(u32, f64, f64)>]) -> Vec<Vec<CandidateFeatures>> {
@@ -235,7 +235,7 @@ mod tests {
     /// Runs `features` through the table path and the per-pair reference
     /// and asserts the same assignments, score bits and counters.
     fn assert_matches_reference<R: Relatedness>(
-        kb: &KnowledgeBase,
+        kb: &FrozenKb,
         relatedness: &R,
         config: AidaConfig,
         features: &[Vec<CandidateFeatures>],
@@ -373,7 +373,7 @@ mod tests {
 
     /// Records every pair it scores; optionally enumerates like MW.
     struct Recording<'a> {
-        mw: MilneWitten<&'a KnowledgeBase>,
+        mw: MilneWitten<&'a FrozenKb>,
         join: bool,
         calls: Mutex<Vec<(EntityId, EntityId)>>,
     }

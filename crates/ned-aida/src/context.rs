@@ -53,15 +53,15 @@ impl DocumentContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_text::tokenize;
 
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let e = b.add_entity("Jimmy Page", EntityKind::Person);
         b.add_keyphrase(e, "hard rock chords", 1);
         b.add_keyphrase(e, "Gibson guitar", 1);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     #[test]

@@ -7,7 +7,6 @@ use ned_kb::{EntityId, KbView};
 use ned_obs::{names, Clock, Metrics};
 use ned_relatedness::Relatedness;
 use ned_text::{Mention, Token};
-use rayon::prelude::*;
 
 use crate::algorithm::{solve_budgeted_observed, SolverConfig};
 use crate::candidates::{candidate_features_observed, CandidateFeatures};
@@ -21,21 +20,11 @@ use crate::obs::PipelineObs;
 use crate::result::{DisambiguationResult, MentionAssignment};
 use crate::robustness::{local_weights, should_fix_mention};
 
-/// Minimum number of mentions before the feature stage fans out over rayon.
-///
-/// Below this, a document is scored sequentially on the calling worker: the
-/// per-mention work is small enough that nested fan-out costs more in
-/// range/chunk bookkeeping than it wins, and it would split the per-worker
-/// scratch-arena reuse across short-lived scoped threads. Parallelism
-/// splits at the document level; this gate only affects *where* mentions
-/// run, never their order or values, so outputs stay bit-identical.
-const MENTION_PAR_THRESHOLD: usize = 64;
-
 /// The AIDA joint disambiguator, parameterized over the KB representation
 /// and the coherence measure.
 ///
-/// The KB handle is held *by value*: pass `&KnowledgeBase` for the classic
-/// borrowed style, or (a clone of) an `Arc<FrozenKb>` for a fully owned
+/// The KB handle is held *by value*: pass `&FrozenKb` (or `&DeltaKb`) for
+/// the borrowed style, or (a clone of) an `Arc<FrozenKb>` for a fully owned
 /// disambiguator that can be moved across threads and shared by rayon
 /// workers without any borrow tying it to a KB binding.
 pub struct Disambiguator<K, R> {
@@ -165,16 +154,9 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             }
             features
         };
-        // Mentions are scored independently. Typical documents run
-        // sequentially on the calling worker (reusing its scratch arena);
-        // only unusually mention-heavy documents fan out over rayon, whose
-        // collect preserves mention order — both paths produce identical
-        // output.
-        if mentions.len() < MENTION_PAR_THRESHOLD {
-            (0..mentions.len()).map(score_mention).collect()
-        } else {
-            (0..mentions.len()).into_par_iter().map(score_mention).collect()
-        }
+        // Mentions are scored in order on the calling thread, reusing its
+        // scratch arena; parallelism splits at the document level only.
+        (0..mentions.len()).map(score_mention).collect()
     }
 
     /// Disambiguates pre-computed features (the entry point used by the
@@ -400,13 +382,13 @@ impl<K: KbView, R: Relatedness> NedMethod for Disambiguator<K, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_relatedness::MilneWitten;
     use ned_text::tokenize;
 
     /// The running example of Chapter 3: "They performed Kashmir, written by
     /// Page and Plant. Page played unusual chords on his Gibson."
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let song = b.add_entity("Kashmir (song)", EntityKind::Work);
         let region = b.add_entity("Kashmir (region)", EntityKind::Location);
@@ -453,7 +435,7 @@ mod tests {
         ] {
             b.add_link(a, b_);
         }
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     fn doc() -> (Vec<Token>, Vec<Mention>) {

@@ -176,10 +176,10 @@ impl<'a, K: KbView, R: Relatedness> JointAnnotator<'a, K, R> {
 mod tests {
     use super::*;
     use crate::config::AidaConfig;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_relatedness::MilneWitten;
 
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let song = b.add_entity("Kashmir (song)", EntityKind::Work);
         let jimmy = b.add_entity("Jimmy Page", EntityKind::Person);
@@ -193,7 +193,7 @@ mod tests {
         b.add_keyphrase(larry, "search engine", 3);
         b.add_link(jimmy, song);
         b.add_link(song, jimmy);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     #[test]

@@ -408,11 +408,11 @@ pub fn simscore_exhaustive<K: KbView + ?Sized>(
 mod tests {
     use super::*;
     use crate::context::DocumentContext;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_text::tokenize;
 
     /// Jimmy Page vs Larry Page with distinctive keyphrases.
-    fn kb() -> (KnowledgeBase, EntityId, EntityId) {
+    fn kb() -> (FrozenKb, EntityId, EntityId) {
         let mut b = KbBuilder::new();
         let jimmy = b.add_entity("Jimmy Page", EntityKind::Person);
         let larry = b.add_entity("Larry Page", EntityKind::Person);
@@ -421,10 +421,10 @@ mod tests {
         b.add_keyphrase(jimmy, "Grammy Award winner", 1);
         b.add_keyphrase(larry, "search engine", 3);
         b.add_keyphrase(larry, "Stanford university", 2);
-        (b.build(), jimmy, larry)
+        (FrozenKb::freeze(&b.build()), jimmy, larry)
     }
 
-    fn context_of(kb: &KnowledgeBase, text: &str) -> Vec<(usize, WordId)> {
+    fn context_of(kb: &FrozenKb, text: &str) -> Vec<(usize, WordId)> {
         DocumentContext::build(kb, &tokenize(text)).words
     }
 

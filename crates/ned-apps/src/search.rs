@@ -77,7 +77,7 @@ pub struct Suggestion {
 
 /// The index over disambiguated documents.
 ///
-/// Generic over the KB handle: pass `&KnowledgeBase` for the classic
+/// Generic over the KB handle: pass `&FrozenKb` (or `&DeltaKb`) for the
 /// borrowed style or (a clone of) an `Arc<FrozenKb>` for a fully owned
 /// index that can move across threads.
 pub struct EntityIndex<K> {
@@ -268,19 +268,19 @@ impl<K: KbView> EntityIndex<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_text::tokenize;
 
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let song = b.add_entity("Kashmir (song)", EntityKind::Work);
         let region = b.add_entity("Kashmir (region)", EntityKind::Location);
         b.add_name(song, "Kashmir", 1);
         b.add_name(region, "Kashmir", 1);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
-    fn index(kb: &KnowledgeBase) -> EntityIndex<&KnowledgeBase> {
+    fn index(kb: &FrozenKb) -> EntityIndex<&FrozenKb> {
         let song = kb.entity_by_name("Kashmir (song)").unwrap();
         let region = kb.entity_by_name("Kashmir (region)").unwrap();
         let mut idx = EntityIndex::new(kb);

@@ -7,6 +7,7 @@ use std::hint::black_box;
 use ned_aida::baselines::{Cucerzan, Kulkarni, KulkarniVariant, PriorOnly};
 use ned_aida::{AidaConfig, Disambiguator, NedMethod};
 use ned_eval::gold::GoldDoc;
+use ned_kb::FrozenKb;
 use ned_relatedness::{Kore, MilneWitten};
 use ned_wikigen::config::WorldConfig;
 use ned_wikigen::corpus::conll_like;
@@ -25,7 +26,7 @@ fn setup() -> (ExportedKb, Vec<GoldDoc>) {
 
 fn bench_methods(c: &mut Criterion) {
     let (exported, docs) = setup();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let kore = Kore::new(kb);
 
     let mut group = c.benchmark_group("disambiguate_corpus_24_docs");

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ned_kb::EntityId;
+use ned_kb::{EntityId, FrozenKb};
 use ned_relatedness::{Kore, KoreLsh, MilneWitten, Relatedness, TwoStageConfig};
 use ned_wikigen::config::WorldConfig;
 use ned_wikigen::{ExportedKb, World};
@@ -19,7 +19,7 @@ fn setup() -> ExportedKb {
 
 fn bench_pairwise(c: &mut Criterion) {
     let exported = setup();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let mw = MilneWitten::new(kb);
     let kore = Kore::new(kb);
     // A fixed slice of moderately popular entities.
@@ -53,7 +53,7 @@ fn bench_pairwise(c: &mut Criterion) {
 
 fn bench_scoped_lsh(c: &mut Criterion) {
     let exported = setup();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let lsh_g = KoreLsh::new(kb, TwoStageConfig::lsh_g());
     let lsh_f = KoreLsh::new(kb, TwoStageConfig::lsh_f());
     let kore = Kore::new(kb);

@@ -11,6 +11,7 @@ use ned_aida::similarity::{context_word_set, simscore_exhaustive, simscore_index
 use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting};
 use ned_bench::runner::run_method_with_threads;
 use ned_eval::gold::GoldDoc;
+use ned_kb::FrozenKb;
 use ned_relatedness::MilneWitten;
 use ned_wikigen::config::WorldConfig;
 use ned_wikigen::corpus::conll_like;
@@ -28,7 +29,7 @@ fn setup() -> (ExportedKb, Vec<GoldDoc>) {
 
 fn bench_thread_scaling(c: &mut Criterion) {
     let (exported, docs) = setup();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
 
     let mut group = c.benchmark_group("throughput_24_docs");
     group.sample_size(10);
@@ -54,7 +55,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
 
 fn bench_similarity_index(c: &mut Criterion) {
     let (exported, docs) = setup();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     // Every mention context with its candidate entities.
     let cases: Vec<_> = docs
         .iter()

@@ -4,8 +4,7 @@
 //! corpus at several thread counts and reports docs/sec and mentions/sec per
 //! count, the speedup relative to one thread, and the relatedness-cache hit
 //! rate. The sweep runs through the `Arc<FrozenKb>` read path (the service
-//! configuration) and a legacy `&KnowledgeBase` pass asserts both paths are
-//! byte-identical. Also measures the algorithmic speedup of the keyphrase
+//! configuration). Also measures the algorithmic speedup of the keyphrase
 //! inverted index (indexed vs exhaustive `simscore` over every
 //! mention–candidate pair) and asserts that every thread count produces
 //! byte-identical outcomes. Results are printed as a table and written to
@@ -123,7 +122,6 @@ fn identical(a: &Evaluation, b: &Evaluation) -> bool {
 /// Runs the throughput benchmark.
 pub fn run(scale: &Scale) {
     let env = Env::build(scale);
-    let kb = &env.exported.kb;
     let corpus = env.conll(scale);
     let docs = &corpus.docs;
     let mention_count: usize = docs.iter().map(|d| d.mentions.len()).sum();
@@ -210,23 +208,6 @@ pub fn run(scale: &Scale) {
     } else {
         1.0
     };
-
-    // The legacy mutable-shaped KB must agree byte for byte with the frozen
-    // read path — the tables of the thesis do not move when the storage
-    // layout does.
-    {
-        let cached = CachedRelatedness::new(MilneWitten::new(kb));
-        let aida = Disambiguator::new(kb, &cached, AidaConfig::full());
-        let legacy = run_method_with_threads(&aida, docs, 1)
-            .unwrap_or_else(|e| panic!("cannot build 1-thread pool: {e}"));
-        let Some(frozen_eval) = baseline.as_ref() else {
-            unreachable!("the thread sweep runs at least once")
-        };
-        assert!(
-            identical(frozen_eval, &legacy),
-            "frozen KB path diverged from the legacy KB path"
-        );
-    }
 
     // Hit-rate-vs-memory-cap sweep: single-threaded runs per eviction
     // policy and byte cap, each executed twice — the metrics snapshots

@@ -21,7 +21,7 @@ fn link_poor_threshold(env: &Env, gold: &RelatednessGold) -> usize {
         .seeds
         .iter()
         .filter_map(|e| env.exported.label_of(e.seed))
-        .map(|id| env.exported.kb.links().inlink_count(id))
+        .map(|id| env.frozen.links().inlink_count(id))
         .collect();
     counts.sort_unstable();
     counts.get(counts.len() / 2).copied().unwrap_or(0)
@@ -84,7 +84,7 @@ pub fn run(scale: &Scale) {
         generate_gold(&env.world, &env.exported, 11, &RelbenchConfig::default());
     eprintln!("gold standard: {} seeds", gold.seeds.len());
 
-    let kb = &env.exported.kb;
+    let kb = &*env.frozen;
     let kwcs = KeywordCosine::new(kb);
     let kpcs = KeyphraseCosine::new(kb);
     let mw = MilneWitten::new(kb);

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use ned_eval::report::{num, Table};
-use ned_kb::EntityId;
+use ned_kb::{EntityId, FrozenKb};
 use ned_relatedness::pair_selection::coherence_pairs;
 use ned_relatedness::{Kore, KoreLsh, MilneWitten, Relatedness, TwoStageConfig};
 
@@ -58,7 +58,7 @@ fn summarize(costs: &[DocCost]) -> Summary {
 /// Runs the timing experiment.
 pub fn run(scale: &Scale) {
     let env = Env::build(scale);
-    let kb = &env.exported.kb;
+    let kb = &*env.frozen;
     let corpus = env.conll(scale);
     let docs = &corpus.docs;
 
@@ -201,8 +201,8 @@ pub fn run(scale: &Scale) {
         topic_vocab: 500,
         ..ned_wikigen::config::WorldConfig::default()
     });
-    let heavy = ned_wikigen::ExportedKb::build(&heavy_world);
-    let kb = &heavy.kb;
+    let heavy = FrozenKb::freeze(&ned_wikigen::ExportedKb::build(&heavy_world).kb);
+    let kb = &heavy;
     let kore = Kore::new(kb);
     let lsh_g = KoreLsh::new(kb, TwoStageConfig::lsh_g());
     let lsh_f = KoreLsh::new(kb, TwoStageConfig::lsh_f());

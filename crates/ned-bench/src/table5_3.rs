@@ -121,7 +121,7 @@ pub fn run(scale: &Scale) {
     // §5.7.2: the EE methods include *harvested keyphrases for existing
     // entities* — enrich the KB from each target day's harvest window, then
     // build the EE models against the enriched KB (which subtracts more).
-    let enrich_for = |target_day: u32| -> ned_kb::KnowledgeBase {
+    let enrich_for = |target_day: u32| -> ned_kb::FrozenKb {
         let window: Vec<&GoldDoc> = stream
             .docs
             .iter()

@@ -197,14 +197,14 @@ fn stability(chosen: &[u32], present: &[u32]) -> Vec<f64> {
 mod tests {
     use super::*;
     use ned_aida::AidaConfig;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_relatedness::MilneWitten;
     use ned_text::{tokenize, Mention};
 
     /// KB with one clear-cut mention ("Gibson" with strong context) and one
     /// genuinely uncertain mention ("Page" with no context and a flat
     /// prior).
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let gibson = b.add_entity("Gibson Les Paul", EntityKind::Other);
         let jimmy = b.add_entity("Jimmy Page", EntityKind::Person);
@@ -215,12 +215,12 @@ mod tests {
         b.add_keyphrase(gibson, "electric guitar", 5);
         b.add_keyphrase(jimmy, "hard rock", 3);
         b.add_keyphrase(larry, "search engine", 3);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     fn setup(
-        kb: &KnowledgeBase,
-    ) -> (Disambiguator<&KnowledgeBase, MilneWitten<&KnowledgeBase>>, Vec<f64>, Vec<f64>) {
+        kb: &FrozenKb,
+    ) -> (Disambiguator<&FrozenKb, MilneWitten<&FrozenKb>>, Vec<f64>, Vec<f64>) {
         let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::r_prior_sim());
         let tokens = tokenize("the electric guitar by Gibson was played by Page");
         let mentions = vec![Mention::new("Gibson", 4, 5), Mention::new("Page", 9, 10)];

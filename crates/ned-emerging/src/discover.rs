@@ -366,13 +366,13 @@ impl ThresholdEe {
 mod tests {
     use super::*;
     use crate::ee_model::{EePhrase, NameModels};
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_relatedness::MilneWitten;
     use ned_text::tokenize;
 
     /// KB: "Prism" is a band. The text talks about a surveillance program —
     /// evidence for an emerging entity under the same name.
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let band = b.add_entity("Prism (band)", EntityKind::Organization);
         b.add_name(band, "Prism", 10);
@@ -382,10 +382,10 @@ mod tests {
         b.add_name(gov, "Washington", 20);
         b.add_keyphrase(gov, "federal agency budget", 4);
         b.add_keyphrase(gov, "secret surveillance", 2);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
-    fn model(kb: &KnowledgeBase) -> NameModels {
+    fn model(kb: &FrozenKb) -> NameModels {
         let words = |s: &str| -> Vec<WordId> {
             let mut w: Vec<WordId> =
                 s.split_whitespace().filter_map(|x| kb.word_id(x)).collect();

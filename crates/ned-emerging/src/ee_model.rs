@@ -449,7 +449,7 @@ mod tests {
     use super::*;
     use crate::harvest::mention_names;
     use ned_eval::gold::LabeledMention;
-    use ned_kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder, KbMutation, KnowledgeBase};
+    use ned_kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder, KbMutation};
     use ned_text::{tokenize, Token, TokenKind};
     use proptest::prelude::*;
 
@@ -496,7 +496,7 @@ mod tests {
 
     /// KB knows "Prism" as a band with phrase "progressive rock band"; the
     /// news stream talks about a surveillance program.
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let band = b.add_entity("Prism (band)", EntityKind::Organization);
         b.add_name(band, "Prism", 10);
@@ -505,7 +505,7 @@ mod tests {
         let pad = b.add_entity("Pad", EntityKind::Other);
         b.add_keyphrase(pad, "secret surveillance program", 1);
         b.add_keyphrase(pad, "intelligence whistleblower leak", 1);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     fn news_doc(id: &str, text: &str) -> GoldDoc {
@@ -603,8 +603,7 @@ mod tests {
 
     #[test]
     fn one_pass_build_matches_the_reference_on_the_fixture() {
-        let kb = kb();
-        let frozen = FrozenKb::freeze(&kb);
+        let frozen = kb();
         let docs = docs();
         let refs: Vec<&GoldDoc> = docs.iter().collect();
         for max_phrases in [1, 2, 3000] {

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use ned_aida::Disambiguator;
 use ned_eval::gold::GoldDoc;
-use ned_kb::{EntityId, KbBuilder, KbView, KnowledgeBase};
+use ned_kb::{EntityId, FrozenKb, KbBuilder, KbView};
 use ned_relatedness::Relatedness;
 
 use crate::confidence::ConfAssessor;
@@ -67,9 +67,9 @@ pub fn harvest_confident<K: KbView, R: Relatedness>(
 }
 
 /// Rebuilds the knowledge base with the harvested phrases added (weights
-/// are recomputed), returning the enriched KB. Accepts any [`KbView`]
-/// (legacy or frozen); the output is always a fresh builder-path KB.
-pub fn enrich_kb<K: KbView + ?Sized>(kb: &K, report: &EnrichmentReport) -> KnowledgeBase {
+/// are recomputed), returning the enriched KB frozen for reading. Accepts
+/// any [`KbView`] (a frozen KB or an overlay).
+pub fn enrich_kb<K: KbView + ?Sized>(kb: &K, report: &EnrichmentReport) -> FrozenKb {
     let mut builder = KbBuilder::from_kb(kb);
     // Insert in sorted (entity, surface) order: keyphrase ids are assigned
     // in insertion order, so hash-map iteration order here would otherwise
@@ -85,7 +85,7 @@ pub fn enrich_kb<K: KbView + ?Sized>(kb: &K, report: &EnrichmentReport) -> Knowl
             builder.add_keyphrase(entity, surface, count);
         }
     }
-    builder.build()
+    FrozenKb::freeze(&builder.build())
 }
 
 #[cfg(test)]
@@ -98,7 +98,7 @@ mod tests {
     use ned_relatedness::MilneWitten;
     use ned_text::{tokenize, Mention};
 
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let may = b.add_entity("Theresa May", EntityKind::Person);
         b.add_name(may, "May", 10);
@@ -110,7 +110,7 @@ mod tests {
         b.add_keyphrase(pad, "chief suspect investigation", 1);
         let other = b.add_entity("Other", EntityKind::Other);
         b.add_keyphrase(other, "completely unrelated affairs", 1);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     fn docs() -> Vec<GoldDoc> {

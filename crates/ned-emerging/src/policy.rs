@@ -195,18 +195,18 @@ impl PromotionTracker {
 mod tests {
     use super::*;
     use crate::ee_model::{EeModel, EePhrase};
-    use ned_kb::{KbBuilder, KnowledgeBase};
+    use ned_kb::{FrozenKb, KbBuilder};
 
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let band = b.add_entity("Prism (band)", EntityKind::Organization);
         b.add_name(band, "Prism", 10);
         b.add_keyphrase(band, "progressive rock band", 5);
         b.add_keyphrase(band, "secret surveillance program", 1);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
-    fn models(kb: &KnowledgeBase) -> NameModels {
+    fn models(kb: &FrozenKb) -> NameModels {
         let words = |s: &str| {
             let mut w: Vec<_> = s.split_whitespace().filter_map(|x| kb.word_id(x)).collect();
             w.sort_unstable();
@@ -296,7 +296,7 @@ mod tests {
         }
         let promos =
             tracker.drain_promotions(&PromotionPolicy::default(), &models, &kb, &metrics);
-        let base = Arc::new(ned_kb::FrozenKb::freeze(&kb));
+        let base = Arc::new(kb);
         let muts: Vec<KbMutation> =
             promos.into_iter().flat_map(|p| p.mutations).collect();
         let delta = ned_kb::DeltaKb::build(base, muts).unwrap();

@@ -4,7 +4,7 @@
 //! enough to distinguish it from further EEs with the same name. At some
 //! point … it should be promoted … to a canonicalized entity").
 
-use ned_kb::{EntityId, EntityKind, KbBuilder, KbView, KnowledgeBase};
+use ned_kb::{EntityId, EntityKind, FrozenKb, KbBuilder, KbView};
 
 use crate::ee_model::EeModel;
 
@@ -12,9 +12,9 @@ use crate::ee_model::EeModel;
 /// a new entity under `canonical_name`, registered in the dictionary under
 /// the model's ambiguous name, carrying the model's keyphrases.
 ///
-/// Returns the rebuilt KB and the new entity's id. Existing entity ids are
-/// preserved (rebuilds are id-stable), so gold labels and indexes remain
-/// valid.
+/// Returns the rebuilt KB, frozen for reading, and the new entity's id.
+/// Existing entity ids are preserved (rebuilds are id-stable), so gold
+/// labels and indexes remain valid.
 ///
 /// # Panics
 /// Panics when `canonical_name` is already taken or the model is empty.
@@ -24,7 +24,7 @@ pub fn promote_entity<K: KbView + ?Sized>(
     canonical_name: &str,
     kind: EntityKind,
     initial_anchor_count: u64,
-) -> (KnowledgeBase, EntityId) {
+) -> (FrozenKb, EntityId) {
     assert!(!model.is_empty(), "cannot promote an entity without keyphrases");
     let mut builder = KbBuilder::from_kb(kb);
     let id = builder.add_entity(canonical_name, kind);
@@ -34,7 +34,7 @@ pub fn promote_entity<K: KbView + ?Sized>(
         let count = (phrase.weight * 5.0).ceil() as u64;
         builder.add_keyphrase(id, &phrase.surface, count.max(1));
     }
-    (builder.build(), id)
+    (FrozenKb::freeze(&builder.build()), id)
 }
 
 #[cfg(test)]
@@ -45,17 +45,17 @@ mod tests {
     use ned_relatedness::MilneWitten;
     use ned_text::{tokenize, Mention};
 
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let band = b.add_entity("Prism (band)", EntityKind::Organization);
         b.add_name(band, "Prism", 10);
         b.add_keyphrase(band, "progressive rock band", 5);
         let pad = b.add_entity("Pad", EntityKind::Other);
         b.add_keyphrase(pad, "secret surveillance program", 1);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
-    fn model(kb: &KnowledgeBase) -> EeModel {
+    fn model(kb: &FrozenKb) -> EeModel {
         let words = |s: &str| {
             let mut w: Vec<_> = s.split_whitespace().filter_map(|x| kb.word_id(x)).collect();
             w.sort_unstable();

@@ -34,8 +34,8 @@ impl KbBuilder {
     }
 
     /// Reconstructs a builder from an existing knowledge base (any
-    /// [`KbView`](crate::KbView) — legacy or frozen), so the KB can be
-    /// extended (e.g. with harvested keyphrases or newly promoted entities)
+    /// [`KbView`](crate::KbView): a frozen KB or an overlay), so the KB can
+    /// be extended (e.g. with harvested keyphrases or newly promoted entities)
     /// and rebuilt with fresh weights — the KB maintenance life-cycle of
     /// §5.6.
     pub fn from_kb<K: crate::KbView + ?Sized>(kb: &K) -> Self {
@@ -134,15 +134,6 @@ impl KbBuilder {
         dictionary.finalize();
 
         let weights = WeightModel::compute(&keyphrases, &links, &self.phrases, self.words.len());
-        let kp_index =
-            crate::kp_index::KeyphraseIndex::build(&keyphrases, &self.phrases, self.words.len());
-        let phrase_runs = crate::phrase_runs::PhraseRuns::build_raw(
-            self.phrases.len(),
-            self.entities.len(),
-            |e| keyphrases.phrases(e),
-            |p| self.phrases.words(p),
-            &weights,
-        );
 
         KnowledgeBase {
             entities: self.entities,
@@ -153,8 +144,6 @@ impl KbBuilder {
             keyphrases,
             weights,
             by_name: self.by_name,
-            kp_index,
-            phrase_runs,
         }
     }
 }
@@ -203,7 +192,7 @@ pub(crate) mod tests {
         let page = kb.entity_by_name("Jimmy Page").unwrap();
         assert_eq!(kb.entity(page).canonical_name, "Jimmy Page");
         assert_eq!(kb.keyphrases(page).len(), 3);
-        assert!(kb.links().inlink_count(page) >= 2);
+        assert!(kb.links().inlinks(page).len() >= 2);
     }
 
     #[test]
@@ -243,7 +232,7 @@ pub(crate) mod tests {
     #[test]
     fn from_kb_roundtrips() {
         let kb = example_kb();
-        let kb2 = KbBuilder::from_kb(&kb).build();
+        let kb2 = KbBuilder::from_kb(&crate::FrozenKb::freeze(&kb)).build();
         assert_eq!(kb2.entity_count(), kb.entity_count());
         let page = kb.entity_by_name("Jimmy Page").unwrap();
         assert_eq!(kb2.entity_by_name("Jimmy Page"), Some(page));
@@ -266,7 +255,7 @@ pub(crate) mod tests {
     #[test]
     fn from_kb_allows_extension() {
         let kb = example_kb();
-        let mut builder = KbBuilder::from_kb(&kb);
+        let mut builder = KbBuilder::from_kb(&crate::FrozenKb::freeze(&kb));
         let page = kb.entity_by_name("Jimmy Page").unwrap();
         builder.add_keyphrase(page, "chief suspect", 3);
         let kb2 = builder.build();

@@ -10,11 +10,11 @@
 //! ## Semantics
 //!
 //! An overlay means what `merge` computes from scratch: thaw the frozen
-//! base back into a legacy [`KnowledgeBase`] (id-preserving: entity `i`
+//! base back into a build-time [`KnowledgeBase`] (id-preserving: entity `i`
 //! stays entity `i`, phrase `p` stays phrase `p`), apply the mutations
-//! exactly as [`crate::builder::KbBuilder`] would have at build time, and
-//! recompute the global statistics ([`WeightModel`], [`KeyphraseIndex`],
-//! [`PhraseRuns`]).
+//! exactly as [`crate::builder::KbBuilder`] would have at build time,
+//! recompute the [`WeightModel`], and freeze the result, which builds the
+//! [`KeyphraseIndex`] and [`PhraseRuns`] afresh.
 //!
 //! [`DeltaKb::build`] reaches the same result without the thaw. It applies
 //! each mutation to the overlay itself, copying a base row into the overlay
@@ -107,8 +107,6 @@ fn thaw(base: &FrozenKb) -> KnowledgeBase {
         keyphrases,
         weights: WeightModel::default(),
         by_name,
-        kp_index: KeyphraseIndex::default(),
-        phrase_runs: PhraseRuns::default(),
     }
 }
 
@@ -201,7 +199,6 @@ pub(crate) fn merge(base: &FrozenKb, mutations: &[KbMutation]) -> Result<Knowled
     kb.links.finalize();
     kb.keyphrases.finalize();
     kb.weights = WeightModel::compute(&kb.keyphrases, &kb.links, &kb.phrases, kb.words.len());
-    kb.rebuild_indexes();
     Ok(kb)
 }
 

@@ -71,17 +71,6 @@ impl Dictionary {
             .map_or(0.0, |c| c.count as f64 / total as f64)
     }
 
-    /// Full prior distribution over the candidates of a name, in candidate
-    /// order. Empty when the name is unknown.
-    pub fn prior_distribution(&self, surface: &str) -> Vec<(EntityId, f64)> {
-        let cands = self.candidates(surface);
-        let total: u64 = cands.iter().map(|c| c.count).sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        cands.iter().map(|c| (c.entity, c.count as f64 / total as f64)).collect()
-    }
-
     /// Number of distinct names.
     pub fn name_count(&self) -> usize {
         self.entries.len()
@@ -170,7 +159,7 @@ mod tests {
         assert!((d.prior("Kashmir", e(1)) - 0.1).abs() < 1e-12);
         assert_eq!(d.prior("Kashmir", e(2)), 0.0);
         assert_eq!(d.prior("Unknown", e(0)), 0.0);
-        let dist = d.prior_distribution("Kashmir");
+        let dist = crate::frozen::FrozenDictionary::freeze(&d).prior_distribution("Kashmir");
         let sum: f64 = dist.iter().map(|(_, p)| p).sum();
         assert!((sum - 1.0).abs() < 1e-12);
     }

@@ -10,14 +10,14 @@
 //! context — an *exact* pruning, not an approximation.
 //!
 //! Postings are sorted by `(entity, phrase)` so one binary search yields an
-//! entity's slice of a word's posting list. The index is transient (rebuilt
-//! after snapshot deserialization), like the other lookup indexes.
+//! entity's slice of a word's posting list. The index is transient (the
+//! frozen KB rebuilds it on every construction, snapshot decode included),
+//! like the other lookup indexes.
 
 use crate::ids::{EntityId, PhraseId, WordId};
-use crate::keyphrase::{EntityPhrase, KeyphraseStore};
-use crate::vocab::PhraseInterner;
+use crate::keyphrase::EntityPhrase;
 
-/// Word → (entity, phrase) postings over a [`KeyphraseStore`].
+/// Word → (entity, phrase) postings over every entity's keyphrase set.
 #[derive(Debug, Default, Clone)]
 pub struct KeyphraseIndex {
     /// `postings[w]` lists every (entity, phrase) whose phrase contains
@@ -26,19 +26,8 @@ pub struct KeyphraseIndex {
 }
 
 impl KeyphraseIndex {
-    /// Builds the index over all entities' keyphrase sets.
-    pub fn build(store: &KeyphraseStore, phrases: &PhraseInterner, word_count: usize) -> Self {
-        Self::build_raw(
-            word_count,
-            store.len(),
-            |e| store.phrases(e),
-            |p| phrases.words(p),
-        )
-    }
-
-    /// Builds the index from raw accessors, so both KB representations
-    /// (nested legacy stores and frozen CSR arrays) produce identical
-    /// postings from the same one construction routine.
+    /// Builds the index over all entities' keyphrase sets, read through
+    /// raw accessors (the frozen KB's CSR arrays).
     pub(crate) fn build_raw<'x>(
         word_count: usize,
         entity_count: usize,
@@ -195,8 +184,9 @@ mod tests {
     use super::*;
     use crate::builder::KbBuilder;
     use crate::entity::EntityKind;
+    use crate::frozen::FrozenKb;
 
-    fn kb() -> crate::store::KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let jimmy = b.add_entity("Jimmy Page", EntityKind::Person);
         let larry = b.add_entity("Larry Page", EntityKind::Person);
@@ -204,7 +194,7 @@ mod tests {
         b.add_keyphrase(jimmy, "rock guitarist", 2);
         b.add_keyphrase(larry, "search engine", 3);
         b.add_keyphrase(larry, "rock climbing", 1);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     #[test]
@@ -283,7 +273,7 @@ mod tests {
 
     #[test]
     fn empty_store_builds_empty_index() {
-        let kb = KbBuilder::new().build();
+        let kb = FrozenKb::freeze(&KbBuilder::new().build());
         let idx = kb.keyphrase_index();
         assert_eq!(idx.posting_count(), 0);
     }

@@ -16,7 +16,9 @@
 //! - entity–keyword NPMI over the "superdocument" model (Eqs. 3.1–3.3),
 //! - entity–keyphrase normalized mutual information µ (Eq. 4.1).
 //!
-//! The central type is [`KnowledgeBase`], constructed via [`KbBuilder`].
+//! A KB is built as a [`KnowledgeBase`] via [`KbBuilder`], then frozen into
+//! a [`FrozenKb`] and read through [`KbView`], which the frozen KB and the
+//! [`DeltaKb`] overlay of promoted entities implement.
 
 pub mod builder;
 pub mod delta;

@@ -64,22 +64,6 @@ impl LinkGraph {
         &self.outlinks[e.index()]
     }
 
-    /// Number of in-links of `e` (the entity's "link popularity").
-    pub fn inlink_count(&self, e: EntityId) -> usize {
-        self.inlinks[e.index()].len()
-    }
-
-    /// Size of the intersection of the in-link sets of `a` and `b`, by
-    /// linear merge over the sorted lists.
-    pub fn shared_inlink_count(&self, a: EntityId, b: EntityId) -> usize {
-        sorted_intersection_size(self.inlinks(a), self.inlinks(b))
-    }
-
-    /// True if a direct link exists in either direction.
-    pub fn directly_linked(&self, a: EntityId, b: EntityId) -> bool {
-        self.outlinks(a).binary_search(&b).is_ok() || self.outlinks(b).binary_search(&a).is_ok()
-    }
-
     /// Sorts all adjacency lists; must be called once after construction and
     /// before any query that relies on sorted order.
     pub fn finalize(&mut self) {
@@ -151,7 +135,7 @@ mod tests {
         let g = graph();
         assert_eq!(g.inlinks(e(1)), &[e(0), e(3), e(4)]);
         assert_eq!(g.outlinks(e(0)), &[e(1), e(2)]);
-        assert_eq!(g.inlink_count(e(2)), 2);
+        assert_eq!(g.inlinks(e(2)).len(), 2);
         assert_eq!(g.edge_count(), 5);
     }
 
@@ -166,7 +150,7 @@ mod tests {
 
     #[test]
     fn shared_inlinks() {
-        let g = graph();
+        let g = crate::frozen::FrozenLinks::freeze(&graph());
         // in(1) = {0,3,4}, in(2) = {0,3} → intersection 2.
         assert_eq!(g.shared_inlink_count(e(1), e(2)), 2);
         assert_eq!(g.shared_inlink_count(e(1), e(0)), 0);
@@ -174,7 +158,7 @@ mod tests {
 
     #[test]
     fn direct_link_detection() {
-        let g = graph();
+        let g = crate::frozen::FrozenLinks::freeze(&graph());
         assert!(g.directly_linked(e(0), e(1)));
         assert!(g.directly_linked(e(1), e(0)));
         assert!(!g.directly_linked(e(1), e(2)));

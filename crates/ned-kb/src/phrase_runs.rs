@@ -24,8 +24,8 @@
 //! property over random worlds.
 //!
 //! The structure is persisted as an *optional* section of snapshot v3
-//! (frame tag 6) and rebuilt from the keyphrase store + weights when the
-//! section is absent (v2 snapshots, legacy builds, hand-built KBs).
+//! (frame tag 6). The frozen KB rebuilds it from its keyphrases + weights
+//! when the section is absent (freezing a built KB, v2 snapshots).
 
 use serde::{Deserialize, Serialize};
 
@@ -50,10 +50,8 @@ pub struct PhraseRuns {
 }
 
 impl PhraseRuns {
-    /// Builds runs and masses from raw accessors, so both KB
-    /// representations (nested legacy stores and frozen CSR arrays)
-    /// produce identical values from the same one construction routine
-    /// (mirroring [`crate::kp_index::KeyphraseIndex::build_raw`]).
+    /// Builds runs and masses from raw accessors (the frozen KB's CSR
+    /// arrays), mirroring [`crate::kp_index::KeyphraseIndex::build_raw`].
     pub(crate) fn build_raw<'x>(
         phrase_count: usize,
         entity_count: usize,
@@ -247,16 +245,16 @@ mod tests {
     use super::*;
     use crate::builder::KbBuilder;
     use crate::entity::EntityKind;
-    use crate::store::KnowledgeBase;
+    use crate::frozen::FrozenKb;
 
-    fn kb() -> KnowledgeBase {
+    fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
         let jimmy = b.add_entity("Jimmy Page", EntityKind::Person);
         let larry = b.add_entity("Larry Page", EntityKind::Person);
         b.add_keyphrase(jimmy, "hard rock rock", 3);
         b.add_keyphrase(jimmy, "rock guitarist", 2);
         b.add_keyphrase(larry, "search engine", 3);
-        b.build()
+        FrozenKb::freeze(&b.build())
     }
 
     #[test]
@@ -344,7 +342,7 @@ mod tests {
 
     #[test]
     fn empty_kb_builds_empty_runs() {
-        let kb = KbBuilder::new().build();
+        let kb = FrozenKb::freeze(&KbBuilder::new().build());
         let runs = kb.phrase_runs();
         assert_eq!(runs.phrase_count(), 0);
         assert!(runs.is_consistent_with(0, 0));

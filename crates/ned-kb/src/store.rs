@@ -7,17 +7,17 @@ use crate::entity::Entity;
 use crate::fx::FxHashMap;
 use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::{EntityPhrase, KeyphraseStore};
-use crate::kp_index::KeyphraseIndex;
 use crate::links::LinkGraph;
-use crate::phrase_runs::PhraseRuns;
 use crate::vocab::{PhraseInterner, WordInterner};
 use crate::weights::WeightModel;
 
-/// An immutable knowledge base: entity repository, name dictionary, link
+/// The build-time knowledge base: entity repository, name dictionary, link
 /// graph, keyphrase store, and precomputed statistical weights.
 ///
 /// Construct via [`crate::builder::KbBuilder`]; serialize via
-/// [`crate::snapshot`].
+/// [`crate::snapshot`]. It is not a read view: consumers read the
+/// [`FrozenKb`](crate::FrozenKb) that [`FrozenKb::freeze`](crate::FrozenKb::freeze)
+/// makes of it, which builds the read indexes the store does not carry.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct KnowledgeBase {
     pub(crate) entities: Vec<Entity>,
@@ -29,10 +29,6 @@ pub struct KnowledgeBase {
     pub(crate) weights: WeightModel,
     #[serde(skip)]
     pub(crate) by_name: FxHashMap<String, EntityId>,
-    #[serde(skip)]
-    pub(crate) kp_index: KeyphraseIndex,
-    #[serde(skip)]
-    pub(crate) phrase_runs: PhraseRuns,
 }
 
 impl KnowledgeBase {
@@ -87,16 +83,6 @@ impl KnowledgeBase {
         &self.keyphrases
     }
 
-    /// The keyphrase inverted index (keyword → (entity, phrase) postings).
-    pub fn keyphrase_index(&self) -> &KeyphraseIndex {
-        &self.kp_index
-    }
-
-    /// Precomputed deduplicated phrase runs and weight masses.
-    pub fn phrase_runs(&self) -> &PhraseRuns {
-        &self.phrase_runs
-    }
-
     /// Word-id sequence of a keyphrase.
     pub fn phrase_words(&self, p: PhraseId) -> &[WordId] {
         self.phrases.words(p)
@@ -142,13 +128,5 @@ impl KnowledgeBase {
             .enumerate()
             .map(|(i, e)| (e.canonical_name.clone(), EntityId::from_index(i)))
             .collect();
-        self.kp_index = KeyphraseIndex::build(&self.keyphrases, &self.phrases, self.words.len());
-        self.phrase_runs = PhraseRuns::build_raw(
-            self.phrases.len(),
-            self.entities.len(),
-            |e| self.keyphrases.phrases(e),
-            |p| self.phrases.words(p),
-            &self.weights,
-        );
     }
 }

@@ -100,9 +100,10 @@ impl Taxonomy {
         self.names.len()
     }
 
-    /// Direct types of an entity.
+    /// Direct types of an entity. An entity the taxonomy does not cover
+    /// (one promoted into the KB after the taxonomy was built) has none.
     pub fn direct_types(&self, entity: EntityId) -> &[TypeId] {
-        &self.entity_types[entity.index()]
+        self.entity_types.get(entity.index()).map_or(&[], Vec::as_slice)
     }
 
     /// All types of an entity, including transitive super-types, sorted.
@@ -270,6 +271,15 @@ mod tests {
         assert!(t.is_instance_of(EntityId(0), root));
         assert!(t.is_instance_of(EntityId(1), root));
         assert!(!t.is_instance_of(EntityId(1), person));
+    }
+
+    #[test]
+    fn uncovered_entity_has_no_types() {
+        let (t, person, ..) = music_taxonomy();
+        let promoted = EntityId(3);
+        assert!(t.direct_types(promoted).is_empty());
+        assert!(t.all_types(promoted).is_empty());
+        assert!(!t.is_instance_of(promoted, person));
     }
 
     #[test]

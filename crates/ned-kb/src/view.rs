@@ -3,35 +3,35 @@
 //! Every consumer of the KB — the disambiguator, the relatedness measures,
 //! the emerging-entity pipeline, the applications — only ever *reads*. This
 //! trait captures that read API once so consumers can be generic over the
-//! backing representation: the build-time [`KnowledgeBase`] (nested `Vec`s
-//! and hash maps, cheap to mutate) or the read-optimized
-//! [`FrozenKb`] (flat columnar arrays, cheap to
-//! share). Blanket impls for `&K` and `Arc<K>` mean call sites can keep
-//! passing borrows while services hold one `Arc<FrozenKb>` across threads.
+//! two read representations: the [`FrozenKb`] (flat columnar arrays, cheap
+//! to share) and the [`DeltaKb`] overlay (a frozen base plus the rows that
+//! promotions touched). Blanket impls for `&K` and `Arc<K>` mean call sites
+//! can keep passing borrows while services hold one `Arc<FrozenKb>` across
+//! threads. The build-time [`KnowledgeBase`](crate::KnowledgeBase) is not a
+//! view: it is only built, frozen, encoded and merged.
 //!
 //! The two representations store their dictionary and link graph
 //! differently, so those accessors return the lightweight [`DictView`] and
 //! [`LinksView`] wrappers rather than concrete structs; both wrappers
-//! preserve the exact iteration order and arithmetic of the legacy types,
-//! keeping every downstream output byte-identical.
+//! preserve the exact iteration order and arithmetic of the frozen arrays,
+//! keeping every downstream output byte-identical across backends.
 
 use std::sync::Arc;
 
 use crate::delta::DeltaKb;
-use crate::dictionary::{Candidate, Dictionary};
+use crate::dictionary::Candidate;
 use crate::entity::Entity;
 use crate::frozen::{FrozenDictionary, FrozenKb, FrozenLinks};
 use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::EntityPhrase;
 use crate::kp_index::KeyphraseIndex;
-use crate::links::LinkGraph;
 use crate::phrase_runs::PhraseRuns;
-use crate::store::KnowledgeBase;
 use crate::weights::WeightModel;
 
 /// Read-only view of a knowledge base.
 ///
-/// Implemented by [`KnowledgeBase`] and [`FrozenKb`], plus blanket impls
+/// Implemented by [`FrozenKb`] and [`DeltaKb`] (and by the
+/// [`KbEpoch`](crate::KbEpoch) that publishes either), plus blanket impls
 /// for `&K` and `Arc<K>` so both borrowed and shared-handle call styles
 /// work. `Send + Sync` is a supertrait: every view must be shareable across
 /// the rayon workers of the parallel engine.
@@ -183,60 +183,6 @@ impl<K: KbView + ?Sized> KbView for Arc<K> {
     delegate_kb_view!(self => (**self));
 }
 
-impl KbView for KnowledgeBase {
-    fn entity_count(&self) -> usize {
-        KnowledgeBase::entity_count(self)
-    }
-    fn entity(&self, e: EntityId) -> &Entity {
-        KnowledgeBase::entity(self, e)
-    }
-    fn entity_by_name(&self, canonical_name: &str) -> Option<EntityId> {
-        KnowledgeBase::entity_by_name(self, canonical_name)
-    }
-    fn candidates(&self, surface: &str) -> &[Candidate] {
-        KnowledgeBase::candidates(self, surface)
-    }
-    fn prior(&self, surface: &str, e: EntityId) -> f64 {
-        KnowledgeBase::prior(self, surface, e)
-    }
-    fn dictionary(&self) -> DictView<'_> {
-        DictView::Legacy(KnowledgeBase::dictionary(self))
-    }
-    fn links(&self) -> LinksView<'_> {
-        LinksView::Graph(KnowledgeBase::links(self))
-    }
-    fn keyphrases(&self, e: EntityId) -> &[EntityPhrase] {
-        KnowledgeBase::keyphrases(self, e)
-    }
-    fn keyphrase_index(&self) -> &KeyphraseIndex {
-        KnowledgeBase::keyphrase_index(self)
-    }
-    fn phrase_words(&self, p: PhraseId) -> &[WordId] {
-        KnowledgeBase::phrase_words(self, p)
-    }
-    fn phrase_surface(&self, p: PhraseId) -> &str {
-        KnowledgeBase::phrase_surface(self, p)
-    }
-    fn word_text(&self, w: WordId) -> &str {
-        KnowledgeBase::word_text(self, w)
-    }
-    fn word_id(&self, text: &str) -> Option<WordId> {
-        KnowledgeBase::word_id(self, text)
-    }
-    fn word_count(&self) -> usize {
-        self.word_interner().len()
-    }
-    fn phrase_count(&self) -> usize {
-        self.phrase_interner().len()
-    }
-    fn weights(&self) -> &WeightModel {
-        KnowledgeBase::weights(self)
-    }
-    fn phrase_runs(&self) -> &PhraseRuns {
-        KnowledgeBase::phrase_runs(self)
-    }
-}
-
 impl KbView for FrozenKb {
     fn entity_count(&self) -> usize {
         FrozenKb::entity_count(self)
@@ -297,8 +243,6 @@ impl KbView for FrozenKb {
 /// operations produce identical results regardless of the backing store.
 #[derive(Debug, Clone, Copy)]
 pub enum LinksView<'a> {
-    /// The build-time nested-`Vec` graph.
-    Graph(&'a LinkGraph),
     /// The frozen CSR graph.
     Frozen(&'a FrozenLinks),
     /// The copy-on-write overlay (touched rows overlaid, rest falls
@@ -310,7 +254,6 @@ impl<'a> LinksView<'a> {
     /// Number of entities.
     pub fn len(&self) -> usize {
         match self {
-            LinksView::Graph(g) => g.len(),
             LinksView::Frozen(f) => f.len(),
             LinksView::Delta(d) => DeltaKb::entity_count(d),
         }
@@ -324,7 +267,6 @@ impl<'a> LinksView<'a> {
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
         match self {
-            LinksView::Graph(g) => g.edge_count(),
             LinksView::Frozen(f) => f.edge_count(),
             LinksView::Delta(d) => DeltaKb::edge_count(d),
         }
@@ -333,7 +275,6 @@ impl<'a> LinksView<'a> {
     /// Entities linking *to* `e`, sorted ascending.
     pub fn inlinks(&self, e: EntityId) -> &'a [EntityId] {
         match self {
-            LinksView::Graph(g) => g.inlinks(e),
             LinksView::Frozen(f) => f.inlinks(e),
             LinksView::Delta(d) => DeltaKb::inlinks(d, e),
         }
@@ -342,7 +283,6 @@ impl<'a> LinksView<'a> {
     /// Entities `e` links *to*, sorted ascending.
     pub fn outlinks(&self, e: EntityId) -> &'a [EntityId] {
         match self {
-            LinksView::Graph(g) => g.outlinks(e),
             LinksView::Frozen(f) => f.outlinks(e),
             LinksView::Delta(d) => DeltaKb::outlinks(d, e),
         }
@@ -367,8 +307,6 @@ impl<'a> LinksView<'a> {
 /// Representation-bridging view of the name dictionary.
 #[derive(Debug, Clone, Copy)]
 pub enum DictView<'a> {
-    /// The build-time hash-map dictionary.
-    Legacy(&'a Dictionary),
     /// The frozen sorted-arena dictionary.
     Frozen(&'a FrozenDictionary),
     /// The copy-on-write overlay (touched rows overlaid, rest falls
@@ -381,7 +319,6 @@ impl<'a> DictView<'a> {
     /// name is unknown.
     pub fn candidates(&self, surface: &str) -> &'a [Candidate] {
         match self {
-            DictView::Legacy(d) => d.candidates(surface),
             DictView::Frozen(d) => d.candidates(surface),
             DictView::Delta(d) => DeltaKb::candidates(d, surface),
         }
@@ -391,7 +328,6 @@ impl<'a> DictView<'a> {
     /// unknown.
     pub fn prior(&self, surface: &str, entity: EntityId) -> f64 {
         match self {
-            DictView::Legacy(d) => d.prior(surface, entity),
             DictView::Frozen(d) => d.prior(surface, entity),
             DictView::Delta(d) => DeltaKb::prior(d, surface, entity),
         }
@@ -401,7 +337,6 @@ impl<'a> DictView<'a> {
     /// order. Empty when the name is unknown.
     pub fn prior_distribution(&self, surface: &str) -> Vec<(EntityId, f64)> {
         match self {
-            DictView::Legacy(d) => d.prior_distribution(surface),
             DictView::Frozen(d) => d.prior_distribution(surface),
             DictView::Delta(d) => DeltaKb::prior_distribution(d, surface),
         }
@@ -410,7 +345,6 @@ impl<'a> DictView<'a> {
     /// Number of distinct names.
     pub fn name_count(&self) -> usize {
         match self {
-            DictView::Legacy(d) => d.name_count(),
             DictView::Frozen(d) => d.name_count(),
             DictView::Delta(d) => DeltaKb::name_count(d),
         }
@@ -419,7 +353,6 @@ impl<'a> DictView<'a> {
     /// Number of (name, entity) pairs.
     pub fn pair_count(&self) -> usize {
         match self {
-            DictView::Legacy(d) => d.pair_count(),
             DictView::Frozen(d) => d.pair_count(),
             DictView::Delta(d) => DeltaKb::pair_count(d),
         }
@@ -427,12 +360,10 @@ impl<'a> DictView<'a> {
 
     /// Iterates over all (name-key, candidates) entries in ascending key
     /// order. The frozen arm walks the pre-sorted arrays without allocating;
-    /// the legacy arm pays the per-call key sort of [`Dictionary::iter`];
     /// the delta arm merges the base walk with the sorted overlay keys
     /// (overlay shadows the base on equal keys).
     pub fn iter(&self) -> DictIter<'a> {
         match self {
-            DictView::Legacy(d) => DictIter::Legacy(Box::new(d.iter())),
             DictView::Frozen(d) => DictIter::Frozen { dict: d, next: 0 },
             DictView::Delta(d) => DictIter::Delta { delta: d, base_next: 0, overlay_next: 0 },
         }
@@ -441,8 +372,6 @@ impl<'a> DictView<'a> {
 
 /// Iterator over dictionary entries in ascending key order.
 pub enum DictIter<'a> {
-    /// Boxed legacy iterator (hash-map keys collected and sorted per call).
-    Legacy(Box<dyn Iterator<Item = (&'a str, &'a [Candidate])> + 'a>),
     /// Zero-alloc index walk over the frozen sorted arrays.
     Frozen {
         /// The frozen dictionary being walked.
@@ -465,7 +394,6 @@ pub enum DictIter<'a> {
 impl std::fmt::Debug for DictIter<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DictIter::Legacy(_) => f.debug_tuple("Legacy").finish_non_exhaustive(),
             DictIter::Frozen { next, .. } => {
                 f.debug_struct("Frozen").field("next", next).finish_non_exhaustive()
             }
@@ -483,7 +411,6 @@ impl<'a> Iterator for DictIter<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         match self {
-            DictIter::Legacy(it) => it.next(),
             DictIter::Frozen { dict, next } => {
                 if *next >= dict.name_count() {
                     return None;

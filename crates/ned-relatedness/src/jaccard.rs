@@ -50,9 +50,9 @@ impl<K: KbView> Relatedness for InlinkJaccard<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
 
-    fn kb() -> (KnowledgeBase, EntityId, EntityId, EntityId) {
+    fn kb() -> (FrozenKb, EntityId, EntityId, EntityId) {
         let mut b = KbBuilder::new();
         let x = b.add_entity("X", EntityKind::Other);
         let y = b.add_entity("Y", EntityKind::Other);
@@ -65,7 +65,7 @@ mod tests {
         let extra = b.add_entity("Extra", EntityKind::Other);
         b.add_link(extra, y);
         b.add_link(extra, z);
-        (b.build(), x, y, z)
+        (FrozenKb::freeze(&b.build()), x, y, z)
     }
 
     #[test]

@@ -139,10 +139,10 @@ impl Relatedness for KeywordCosine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
 
     /// Three musicians sharing phrases, one unrelated politician.
-    fn kb() -> (KnowledgeBase, Vec<EntityId>) {
+    fn kb() -> (FrozenKb, Vec<EntityId>) {
         let mut b = KbBuilder::new();
         let page = b.add_entity("Jimmy Page", EntityKind::Person);
         let plant = b.add_entity("Robert Plant", EntityKind::Person);
@@ -158,7 +158,7 @@ mod tests {
         b.add_keyphrase(dylan, "acoustic guitar", 2);
         b.add_keyphrase(pol, "foreign policy", 4);
         b.add_keyphrase(pol, "trade agreement", 3);
-        (b.build(), vec![page, plant, dylan, pol])
+        (FrozenKb::freeze(&b.build()), vec![page, plant, dylan, pol])
     }
 
     #[test]
@@ -210,7 +210,7 @@ mod tests {
         let x = b.add_entity("X", EntityKind::Other);
         let y = b.add_entity("Y", EntityKind::Other);
         b.add_keyphrase(y, "some phrase", 1);
-        let kb = b.build();
+        let kb = FrozenKb::freeze(&b.build());
         let m = KeyphraseCosine::new(&kb);
         assert_eq!(m.relatedness(x, y), 0.0);
         assert_eq!(m.relatedness(x, x), 0.0);

@@ -177,11 +177,11 @@ impl Relatedness for Kore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
 
     /// Nick Cave / Hallelujah (song) fixture from §4.1: the song is
     /// link-poor but shares salient keyphrases with the singer.
-    fn kb() -> (KnowledgeBase, Vec<EntityId>) {
+    fn kb() -> (FrozenKb, Vec<EntityId>) {
         let mut b = KbBuilder::new();
         let cave = b.add_entity("Nick Cave", EntityKind::Person);
         let song = b.add_entity("Hallelujah (Nick Cave song)", EntityKind::Work);
@@ -197,7 +197,7 @@ mod tests {
         b.add_keyphrase(cohen, "Hallelujah composition", 3);
         b.add_keyphrase(pol, "federal assembly", 3);
         b.add_keyphrase(pol, "state visit", 2);
-        (b.build(), vec![cave, song, cohen, pol])
+        (FrozenKb::freeze(&b.build()), vec![cave, song, cohen, pol])
     }
 
     #[test]
@@ -245,7 +245,7 @@ mod tests {
         b.add_keyphrase(exact, "English rock guitarist", 1);
         b.add_keyphrase(partial, "English guitarist", 1);
         b.add_keyphrase(noise, "completely unrelated topic", 1);
-        let kb = b.build();
+        let kb = FrozenKb::freeze(&b.build());
         let kore = Kore::new(&kb);
         assert!(kore.relatedness(x, exact) > kore.relatedness(x, partial));
         assert!(kore.relatedness(x, partial) > 0.0);
@@ -257,7 +257,7 @@ mod tests {
         let x = b.add_entity("X", EntityKind::Other);
         let y = b.add_entity("Y", EntityKind::Other);
         b.add_keyphrase(y, "some phrase", 1);
-        let kb = b.build();
+        let kb = FrozenKb::freeze(&b.build());
         let kore = Kore::new(&kb);
         assert_eq!(kore.relatedness(x, y), 0.0);
     }
@@ -266,10 +266,14 @@ mod tests {
     fn po_is_jaccard_on_idf() {
         let (kb, _) = kb();
         let kore = Kore::new(&kb);
-        let words = kb.word_interner();
-        let phrases = kb.phrase_interner();
-        let a = phrases.get("Australian singer", words).unwrap();
-        let b = phrases.get("Australian male singer", words).unwrap();
+        let phrase = |surface: &str| {
+            (0..kb.phrase_count())
+                .map(PhraseId::from_index)
+                .find(|&p| kb.phrase_surface(p) == surface)
+                .unwrap()
+        };
+        let a = phrase("Australian singer");
+        let b = phrase("Australian male singer");
         let po = kore.phrase_overlap(a, b);
         assert!(po > 0.0 && po < 1.0);
         assert!((kore.phrase_overlap(a, a) - 1.0).abs() < 1e-12);

@@ -12,7 +12,7 @@ use crate::traits::Relatedness;
 
 /// Milne–Witten relatedness over a knowledge base's link graph.
 ///
-/// Generic over the KB representation: pass `&KnowledgeBase` for the legacy
+/// Generic over the KB handle: pass `&FrozenKb` (or `&DeltaKb`) for the
 /// borrowed style or (a clone of) an `Arc<FrozenKb>` for the shared-handle
 /// service style.
 #[derive(Debug, Clone, Copy)]
@@ -96,10 +96,10 @@ impl<K: KbView> Relatedness for MilneWitten<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder, KbMutation};
 
     /// 6 entities: `a` and `b` share two in-linkers, `c` shares none.
-    fn kb() -> (KnowledgeBase, EntityId, EntityId, EntityId) {
+    fn kb() -> (FrozenKb, EntityId, EntityId, EntityId) {
         let mut builder = KbBuilder::new();
         let a = builder.add_entity("A", EntityKind::Other);
         let b = builder.add_entity("B", EntityKind::Other);
@@ -113,7 +113,7 @@ mod tests {
         builder.add_link(y, b);
         builder.add_link(z, a);
         builder.add_link(z, c);
-        (builder.build(), a, b, c)
+        (FrozenKb::freeze(&builder.build()), a, b, c)
     }
 
     #[test]
@@ -189,14 +189,10 @@ mod tests {
         );
     }
 
-    /// A link graph over `n` entities named `E0..`, built three ways: the
-    /// legacy store, that store frozen, and an overlay that adds the last
-    /// entity and the second half of the links over a frozen base.
-    fn three_backends(
-        n: usize,
-        links: &[(usize, usize)],
-    ) -> (KnowledgeBase, ned_kb::FrozenKb, ned_kb::DeltaKb) {
-        use ned_kb::{DeltaKb, FrozenKb, KbMutation};
+    /// A link graph over `n` entities named `E0..`, built two ways: frozen
+    /// from a store, and an overlay that adds the last entity and the
+    /// second half of the links over a frozen base.
+    fn two_backends(n: usize, links: &[(usize, usize)]) -> (FrozenKb, DeltaKb) {
         let name = |i: usize| format!("E{i}");
         let build = |entities: usize, links: &[(usize, usize)]| {
             let mut builder = KbBuilder::new();
@@ -205,21 +201,20 @@ mod tests {
             for &(s, d) in links {
                 builder.add_link(ids[s], ids[d]);
             }
-            builder.build()
+            FrozenKb::freeze(&builder.build())
         };
-        let legacy = build(n, links);
-        let frozen = FrozenKb::freeze(&legacy);
+        let frozen = build(n, links);
         let (early, late): (Vec<_>, Vec<_>) =
             links.iter().enumerate().partition(|&(k, &(s, d))| k % 2 == 0 && s < n - 1 && d < n - 1);
         let early: Vec<(usize, usize)> = early.into_iter().map(|(_, &l)| l).collect();
-        let base = FrozenKb::freeze(&build(n - 1, &early));
+        let base = build(n - 1, &early);
         let mut mutations =
             vec![KbMutation::AddEntity { canonical_name: name(n - 1), kind: EntityKind::Other }];
         mutations.extend(
             late.into_iter().map(|(_, &(s, d))| KbMutation::AddLink { src: name(s), dst: name(d) }),
         );
         let delta = DeltaKb::build(std::sync::Arc::new(base), mutations).unwrap();
-        (legacy, frozen, delta)
+        (frozen, delta)
     }
 
     /// Checks the `nonzero_pairs` contract on one KB and returns the pairs.
@@ -245,7 +240,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Every pair `nonzero_pairs` omits scores exactly +0.0 on the
-        /// legacy, frozen and overlay KBs, which all list the same pairs.
+        /// frozen and overlay KBs, which both list the same pairs.
         /// Sparse random links leave entities without in-links; queries
         /// repeat entities, so the diagonal and self pairs are covered.
         #[test]
@@ -255,10 +250,9 @@ mod tests {
             query in proptest::collection::vec(0usize..64, 0..12),
         ) {
             let links: Vec<(usize, usize)> = links.iter().map(|&(s, d)| (s % n, d % n)).collect();
-            let (legacy, frozen, delta) = three_backends(n, &links);
+            let (frozen, delta) = two_backends(n, &links);
             let entities: Vec<EntityId> = query.iter().map(|&q| EntityId((q % n) as u32)).collect();
-            let expected = checked_pairs(&legacy, &entities);
-            proptest::prop_assert_eq!(&checked_pairs(&frozen, &entities), &expected);
+            let expected = checked_pairs(&frozen, &entities);
             proptest::prop_assert_eq!(&checked_pairs(&delta, &entities), &expected);
         }
     }

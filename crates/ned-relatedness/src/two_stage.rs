@@ -224,10 +224,10 @@ pub fn all_pairs_relatedness<M: Relatedness>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{EntityKind, KbBuilder, KnowledgeBase};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
 
     /// Two clusters of entities with heavy intra-cluster phrase sharing.
-    fn kb() -> (KnowledgeBase, Vec<EntityId>) {
+    fn kb() -> (FrozenKb, Vec<EntityId>) {
         let mut b = KbBuilder::new();
         let mut ids = Vec::new();
         for i in 0..4 {
@@ -244,7 +244,7 @@ mod tests {
             b.add_keyphrase(e, &format!("political party {i}"), 1);
             ids.push(e);
         }
-        (b.build(), ids)
+        (FrozenKb::freeze(&b.build()), ids)
     }
 
     #[test]

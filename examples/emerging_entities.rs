@@ -18,7 +18,7 @@ use aida_ned::emerging::confidence::{ConfAssessor, ConfidenceMethod};
 use aida_ned::emerging::discover::{EeConfig, EeDiscovery};
 use aida_ned::emerging::ee_model::{EeModelConfig, NameModels};
 use aida_ned::eval::gold::{GoldDoc, LabeledMention};
-use aida_ned::kb::{EntityKind, KbBuilder};
+use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::text::{tokenize, Mention};
 
@@ -46,7 +46,7 @@ fn main() {
     b.add_keyphrase(gov, "federal agency", 4);
     b.add_keyphrase(gov, "secret surveillance program", 2);
     b.add_keyphrase(gov, "intelligence court order", 1);
-    let kb = b.build();
+    let kb = FrozenKb::freeze(&b.build());
 
     // A chunk of recent news in which a *new* Prism appears.
     let chunk = [

@@ -14,7 +14,7 @@
 
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
 use aida_ned::apps::{EntityIndex, Query};
-use aida_ned::kb::EntityKind;
+use aida_ned::kb::{EntityKind, FrozenKb, KbView};
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::corpus::conll_like;
@@ -23,7 +23,7 @@ use aida_ned::wikigen::{ExportedKb, World};
 fn main() {
     let world = World::generate(WorldConfig::tiny(77));
     let exported = ExportedKb::build(&world);
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let corpus = conll_like(&world, &exported, 3, 40);
 
     // Disambiguate and index every document.
@@ -37,8 +37,7 @@ fn main() {
     println!("indexed {} documents", index.len());
 
     // Pick an ambiguous surface and one of its entities for the demo.
-    let (surface, cands) = kb
-        .dictionary()
+    let (surface, cands) = KbView::dictionary(kb)
         .iter()
         .filter(|(_, c)| c.len() >= 2)
         .max_by_key(|(_, c)| c.len())

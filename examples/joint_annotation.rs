@@ -10,6 +10,7 @@
 
 use aida_ned::aida::classification::TypeClassifier;
 use aida_ned::aida::{AidaConfig, Disambiguator, JointAnnotator, JointConfig};
+use aida_ned::kb::FrozenKb;
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::corpus::conll_like;
@@ -19,7 +20,7 @@ fn main() {
     // A synthetic world with its KB and taxonomy.
     let world = World::generate(WorldConfig::tiny(321));
     let exported = ExportedKb::build(&world);
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let taxonomy = &exported.taxonomy;
 
     let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::full());

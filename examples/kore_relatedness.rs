@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example kore_relatedness`
 
-use aida_ned::kb::{EntityKind, KbBuilder};
+use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
 use aida_ned::relatedness::{Kore, KoreLsh, MilneWitten, Relatedness, TwoStageConfig};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
         b.add_link(f, cash);
         b.add_link(f, song);
     }
-    let kb = b.build();
+    let kb = FrozenKb::freeze(&b.build());
 
     let mw = MilneWitten::new(&kb);
     let kore = Kore::new(&kb);

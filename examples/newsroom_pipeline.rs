@@ -7,6 +7,7 @@
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
 use aida_ned::apps::NewsAnalytics;
 use aida_ned::eval::{macro_accuracy, micro_accuracy};
+use aida_ned::kb::FrozenKb;
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::news::{generate_stream, NewsConfig};
@@ -16,7 +17,7 @@ fn main() {
     // A deterministic synthetic world standing in for Wikipedia/YAGO.
     let world = World::generate(WorldConfig::tiny(2024));
     let exported = ExportedKb::build(&world);
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     println!("world: {} entities ({} emerging)", world.len(), world.emerging_indices().len());
 
     // A five-day news stream with emerging entities mixed in.

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
-use aida_ned::kb::{EntityKind, KbBuilder};
+use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KbView};
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::text::{tokenize, NerConfig, Recognizer};
 
@@ -51,14 +51,14 @@ fn main() {
     ] {
         b.add_link(a, t);
     }
-    let kb = b.build();
+    let kb = FrozenKb::freeze(&b.build());
 
     // 2. Recognize mentions with the rule-based NER.
     let text =
         "They performed Kashmir, written by Page and Plant. Page played unusual chords on his Gibson.";
     let tokens = tokenize(text);
     let mut ner = Recognizer::new(NerConfig::default());
-    for (key, _) in kb.dictionary().iter() {
+    for (key, _) in KbView::dictionary(&kb).iter() {
         ner.add_gazetteer_entry(key);
     }
     let mentions = ner.recognize(&tokens);

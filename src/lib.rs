@@ -17,11 +17,11 @@
 //!
 //! ```
 //! use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
-//! use aida_ned::kb::{EntityKind, KbBuilder};
+//! use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
 //! use aida_ned::relatedness::MilneWitten;
 //! use aida_ned::text::{tokenize, Mention};
 //!
-//! // Build a tiny knowledge base.
+//! // Build a tiny knowledge base and freeze it into its columnar read form.
 //! let mut builder = KbBuilder::new();
 //! let song = builder.add_entity("Kashmir (song)", EntityKind::Work);
 //! let region = builder.add_entity("Kashmir (region)", EntityKind::Location);
@@ -30,7 +30,7 @@
 //! builder.add_keyphrase(song, "hard rock", 2);
 //! builder.add_keyphrase(song, "unusual chords", 2);
 //! builder.add_keyphrase(region, "Himalaya mountains", 4);
-//! let kb = builder.build();
+//! let kb = FrozenKb::freeze(&builder.build());
 //!
 //! // Disambiguate a mention in context.
 //! let aida = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::full());
@@ -39,13 +39,12 @@
 //! let result = aida.disambiguate(&tokens, &mentions);
 //! assert_eq!(result.labels()[0], kb.entity_by_name("Kashmir (song)"));
 //!
-//! // Service configuration: freeze the KB into its columnar read form and
-//! // share one handle across threads. Outputs are byte-identical.
+//! // Service configuration: share one KB handle across threads. Outputs
+//! // are byte-identical.
 //! use std::sync::Arc;
-//! use aida_ned::kb::FrozenKb;
-//! let frozen = Arc::new(FrozenKb::freeze(&kb));
+//! let shared = Arc::new(kb);
 //! let service =
-//!     Disambiguator::new(frozen.clone(), MilneWitten::new(frozen.clone()), AidaConfig::full());
+//!     Disambiguator::new(shared.clone(), MilneWitten::new(shared.clone()), AidaConfig::full());
 //! assert_eq!(service.disambiguate(&tokens, &mentions).labels(), result.labels());
 //! ```
 

@@ -23,7 +23,7 @@ use aida_ned::aida::{
     AidaConfig, DeadlinePlan, DeadlinePolicy, Disambiguator, JointConfig, NedMethod,
 };
 use aida_ned::core::DegradationLevel;
-use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KnowledgeBase};
+use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
 use aida_ned::obs::{Clock, Metrics};
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::serve::{
@@ -35,7 +35,7 @@ use aida_ned::text::{tokenize, Mention};
 /// A KB whose single surface is shared by `width` entities: one mention
 /// yields a graph wide enough that the solver's first Dijkstra alone
 /// crosses the 1024-charge wall-budget sampling cadence.
-fn wide_kb(width: u32) -> KnowledgeBase {
+fn wide_kb(width: u32) -> FrozenKb {
     let mut b = KbBuilder::new();
     let mut prev = None;
     for i in 0..width {
@@ -47,13 +47,13 @@ fn wide_kb(width: u32) -> KnowledgeBase {
         }
         prev = Some(e);
     }
-    b.build()
+    FrozenKb::freeze(&b.build())
 }
 
 /// Runs one wide-graph document under `clock` with a 6 ms wall budget
 /// (the `Budgeted` rung of the deadline ladder) and returns the reported
 /// degradation plus the metrics snapshot.
-fn run_wide(kb: &KnowledgeBase, clock: Clock) -> (DegradationLevel, aida_ned::obs::MetricsSnapshot)
+fn run_wide(kb: &FrozenKb, clock: Clock) -> (DegradationLevel, aida_ned::obs::MetricsSnapshot)
 {
     // 6 ms remaining → the policy keeps the joint method under a wall
     // budget; this transition itself is pinned here.
@@ -110,7 +110,7 @@ fn ticking_clock_expires_wall_budget_mid_solve() {
 
 /// A small fully-linked KB whose names appear in the request text, so the
 /// serving handler's recognizer finds real mentions.
-fn tiny_kb() -> KnowledgeBase {
+fn tiny_kb() -> FrozenKb {
     let mut b = KbBuilder::new();
     let z = b.add_entity("Zanthor", EntityKind::Person);
     let q = b.add_entity("Quorbel", EntityKind::Person);
@@ -122,12 +122,12 @@ fn tiny_kb() -> KnowledgeBase {
     b.add_link(z, q);
     b.add_link(q, x);
     b.add_link(x, z);
-    b.build()
+    FrozenKb::freeze(&b.build())
 }
 
 #[test]
 fn queue_backlog_burns_deadlines_down_the_exact_ladder() {
-    let frozen = Arc::new(FrozenKb::freeze(&tiny_kb()));
+    let frozen = Arc::new(tiny_kb());
     let metrics = Metrics::new();
     let (clock, hand) = Clock::manual();
     let handler = AidaHandler::try_new(
@@ -212,7 +212,7 @@ fn queue_backlog_burns_deadlines_down_the_exact_ladder() {
 
 #[test]
 fn shed_expired_policy_converts_expired_requests_to_typed_sheds() {
-    let frozen = Arc::new(FrozenKb::freeze(&tiny_kb()));
+    let frozen = Arc::new(tiny_kb());
     let metrics = Metrics::new();
     let (clock, hand) = Clock::manual();
     let handler = AidaHandler::try_new(

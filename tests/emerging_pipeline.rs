@@ -8,6 +8,7 @@ use aida_ned::emerging::ee_model::{EeModelConfig, NameModels};
 use aida_ned::emerging::enrich::{enrich_kb, harvest_confident};
 use aida_ned::eval::ee_measures::ee_averages;
 use aida_ned::eval::gold::{GoldDoc, Label};
+use aida_ned::kb::FrozenKb;
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::news::{generate_stream, NewsConfig};
@@ -46,7 +47,7 @@ fn setup() -> (World, ExportedKb, Vec<GoldDoc>, Vec<GoldDoc>) {
 #[test]
 fn ee_discovery_finds_emerging_entities() {
     let (_world, exported, harvest, test) = setup();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let refs: Vec<&GoldDoc> = harvest.iter().collect();
     let models = NameModels::build(kb, &refs, 2, &EeModelConfig::default());
     assert!(!models.is_empty(), "the stream must yield EE models");
@@ -78,7 +79,7 @@ fn ee_discovery_finds_emerging_entities() {
 #[test]
 fn confidence_separates_correct_from_wrong() {
     let (_world, exported, _harvest, test) = setup();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::r_prior_sim());
     let assessor = ConfAssessor::new(ConfidenceMethod::Conf);
     let mut correct_conf = Vec::new();
@@ -110,7 +111,7 @@ fn confidence_separates_correct_from_wrong() {
 #[test]
 fn kb_enrichment_adds_recent_phrases() {
     let (world, exported, harvest, _test) = setup();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::r_prior_sim());
     let assessor = ConfAssessor::new(ConfidenceMethod::Normalized);
     let refs: Vec<&GoldDoc> = harvest.iter().collect();

@@ -9,6 +9,7 @@ use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
 use aida_ned::eval::gold::Label;
 use aida_ned::eval::{macro_accuracy, micro_accuracy};
 use aida_ned::kb::snapshot::{read_snapshot, write_snapshot};
+use aida_ned::kb::FrozenKb;
 use aida_ned::relatedness::{Kore, MilneWitten, Relatedness};
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::corpus::conll_like;
@@ -36,15 +37,12 @@ fn micro(pairs: &[(Vec<Label>, Vec<Label>)]) -> f64 {
 fn full_pipeline_beats_the_prior_baseline() {
     let world = World::generate(WorldConfig::tiny(101));
     let exported = ExportedKb::build(&world);
+    let kb = FrozenKb::freeze(&exported.kb);
     let corpus = conll_like(&world, &exported, 5, 80);
     let docs = &corpus.docs; // all docs: this is a method comparison, not tuning
 
-    let prior = PriorOnly::new(&exported.kb);
-    let aida = Disambiguator::new(
-        &exported.kb,
-        MilneWitten::new(&exported.kb),
-        AidaConfig::full(),
-    );
+    let prior = PriorOnly::new(&kb);
+    let aida = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::full());
     let prior_acc = micro(&label_pairs(&prior, docs));
     let aida_acc = micro(&label_pairs(&aida, docs));
     assert!(
@@ -58,10 +56,11 @@ fn full_pipeline_beats_the_prior_baseline() {
 fn kore_coherence_works_end_to_end() {
     let world = World::generate(WorldConfig::tiny(102));
     let exported = ExportedKb::build(&world);
+    let kb = FrozenKb::freeze(&exported.kb);
     let corpus = conll_like(&world, &exported, 6, 40);
     let docs = corpus.test();
-    let kore = Kore::new(&exported.kb);
-    let aida = Disambiguator::new(&exported.kb, &kore, AidaConfig::full());
+    let kore = Kore::new(&kb);
+    let aida = Disambiguator::new(&kb, &kore, AidaConfig::full());
     let pairs = label_pairs(&aida, docs);
     assert!(micro(&pairs) > 0.65);
     let view: Vec<(&[Label], &[Label])> =
@@ -73,12 +72,9 @@ fn kore_coherence_works_end_to_end() {
 fn disambiguation_is_deterministic_across_runs() {
     let world = World::generate(WorldConfig::tiny(103));
     let exported = ExportedKb::build(&world);
+    let kb = FrozenKb::freeze(&exported.kb);
     let corpus = conll_like(&world, &exported, 7, 10);
-    let aida = Disambiguator::new(
-        &exported.kb,
-        MilneWitten::new(&exported.kb),
-        AidaConfig::full(),
-    );
+    let aida = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::full());
     for doc in &corpus.docs {
         let a = aida.disambiguate(&doc.tokens, &doc.bare_mentions());
         let b = aida.disambiguate(&doc.tokens, &doc.bare_mentions());
@@ -90,18 +86,15 @@ fn disambiguation_is_deterministic_across_runs() {
 fn snapshot_roundtrip_preserves_disambiguation_behaviour() {
     let world = World::generate(WorldConfig::tiny(104));
     let exported = ExportedKb::build(&world);
+    let kb = FrozenKb::freeze(&exported.kb);
     let corpus = conll_like(&world, &exported, 8, 6);
 
     let mut buf = Vec::new();
     write_snapshot(&exported.kb, &mut buf).expect("snapshot written");
-    let restored = read_snapshot(buf.as_slice()).expect("snapshot read");
-    assert_eq!(restored.entity_count(), exported.kb.entity_count());
+    let restored = FrozenKb::freeze(&read_snapshot(buf.as_slice()).expect("snapshot read"));
+    assert_eq!(restored.entity_count(), kb.entity_count());
 
-    let aida_orig = Disambiguator::new(
-        &exported.kb,
-        MilneWitten::new(&exported.kb),
-        AidaConfig::full(),
-    );
+    let aida_orig = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::full());
     let aida_restored =
         Disambiguator::new(&restored, MilneWitten::new(&restored), AidaConfig::full());
     for doc in &corpus.docs {
@@ -115,7 +108,7 @@ fn snapshot_roundtrip_preserves_disambiguation_behaviour() {
 fn relatedness_measures_are_symmetric_on_real_kb() {
     let world = World::generate(WorldConfig::tiny(105));
     let exported = ExportedKb::build(&world);
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let mw = MilneWitten::new(kb);
     let kore = Kore::new(kb);
     let ids: Vec<_> = kb.entity_ids().take(40).collect();
@@ -135,7 +128,7 @@ fn relatedness_measures_are_bitwise_symmetric_on_real_kb() {
     // for readers that ask in either order: symmetry must hold bit for bit.
     let world = World::generate(WorldConfig::tiny(105));
     let exported = ExportedKb::build(&world);
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let mw = MilneWitten::new(kb);
     let kore = Kore::new(kb);
     let ids: Vec<_> = kb.entity_ids().take(300).collect();

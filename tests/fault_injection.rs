@@ -28,7 +28,7 @@ use aida_ned::core::{NedError, SnapshotError};
 use aida_ned::kb::snapshot::{
     read_frozen_snapshot, read_snapshot, write_snapshot, FORMAT_VERSION, V2_FORMAT_VERSION,
 };
-use aida_ned::kb::{EntityId, EntityKind, KbBuilder};
+use aida_ned::kb::{EntityId, EntityKind, FrozenKb, KbBuilder};
 use aida_ned::relatedness::{MilneWitten, Relatedness};
 use aida_ned::text::tokenize;
 use aida_ned::wikigen::config::WorldConfig;
@@ -145,7 +145,7 @@ fn outcomes_identical(a: &DocOutcome, b: &DocOutcome) -> bool {
 fn ten_percent_poisoned_corpus_completes_with_exact_failure_reporting() {
     install_quiet_hook();
     let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::full());
 
     // Poison every 10th document — 10% of the corpus.
@@ -198,7 +198,7 @@ fn ten_percent_poisoned_corpus_completes_with_exact_failure_reporting() {
 fn poisoned_run_metrics_match_status_accounting() {
     install_quiet_hook();
     let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     // A starved solver pushes every healthy document down the degradation
     // ladder; the poisoned ones fail outright — so the run exercises every
     // `doc_status_*` counter at once.
@@ -267,7 +267,7 @@ fn poisoned_run_metrics_match_status_accounting() {
 fn nth_relatedness_call_panic_fails_exactly_one_document() {
     install_quiet_hook();
     let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
 
     // Count the total relatedness traffic of a clean single-threaded run.
     let counting = FaultyRelatedness::new(MilneWitten::new(kb));
@@ -302,7 +302,7 @@ fn nth_relatedness_call_panic_fails_exactly_one_document() {
 fn nan_relatedness_never_panics_the_batch() {
     install_quiet_hook();
     let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let nan_measure = FaultyRelatedness::new(MilneWitten::new(kb)).always_nan();
     let aida = Disambiguator::new(kb, &nan_measure, AidaConfig::full());
     let eval = run_method_with_threads(&aida, &docs, 2).expect("thread pool");
@@ -322,7 +322,7 @@ fn poisoned_docs_keep_bounded_cache_conservation_exact() {
     use aida_ned::relatedness::{CacheConfig, CachedRelatedness, EvictionPolicy, ENTRY_BYTES};
     install_quiet_hook();
     let (exported, docs) = test_env();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
 
     let cap = 400 * ENTRY_BYTES; // tight enough to bind on this corpus
     for policy in [EvictionPolicy::Lru, EvictionPolicy::TinyLfuSlru] {
@@ -417,7 +417,7 @@ fn panicking_compute_neither_poisons_a_shard_nor_counts_a_lookup() {
 #[test]
 fn empty_and_whitespace_documents_yield_wellformed_empty_results() {
     let (exported, _) = test_env();
-    let kb = &exported.kb;
+    let kb = &FrozenKb::freeze(&exported.kb);
     let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::full());
 
     // Completely empty document.

@@ -1,11 +1,15 @@
-//! Property-based equivalence of the frozen columnar KB and the legacy KB.
+//! Property-based equivalence of the frozen columnar KB with the store it
+//! was frozen from, and of the two read backends.
 //!
 //! [`FrozenKb::freeze`] is a pure re-layout: every read answer — candidate
-//! lists, priors, link neighborhoods, keyphrase sets, interner lookups,
-//! similarity scores, and full joint disambiguation — must be *identical*
-//! to the legacy [`KnowledgeBase`], down to the bit pattern of every float.
-//! These properties drive randomly built worlds through both
-//! representations side by side.
+//! lists, priors, link neighborhoods, keyphrase sets, interner lookups and
+//! weights — must be *identical* to the build-time [`KnowledgeBase`]'s own
+//! accessors, down to the bit pattern of every float. The indexes the
+//! frozen KB builds for itself (keyphrase postings, phrase runs) are
+//! checked against the reference scorers `phrase_score` and
+//! `simscore_exhaustive`, and full joint disambiguation through an overlay
+//! of no mutations must match the frozen KB bit for bit. These properties
+//! drive randomly built worlds through every representation side by side.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -17,7 +21,8 @@ use aida_ned::aida::similarity::{
     phrase_score, phrase_score_run, simscore, simscore_exhaustive, simscores_batch,
 };
 use aida_ned::aida::{AidaConfig, Disambiguator, KeywordWeighting, NedMethod, SimObs};
-use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase, WordId};
+use aida_ned::kb::snapshot::encode;
+use aida_ned::kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase, WordId};
 use aida_ned::obs::Metrics;
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::text::{tokenize, Mention};
@@ -66,7 +71,7 @@ fn world_strategy() -> impl Strategy<Value = WorldSpec> {
         })
 }
 
-/// Builds the legacy KB from a spec; returns the KB and its name pool.
+/// Builds the store from a spec; returns the store and its name pool.
 fn build_world(spec: &WorldSpec) -> (KnowledgeBase, Vec<String>) {
     let mut builder = KbBuilder::new();
     let mut ids = Vec::new();
@@ -94,10 +99,11 @@ fn build_world(spec: &WorldSpec) -> (KnowledgeBase, Vec<String>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every primitive read answer agrees between the representations:
-    /// entities, dictionary (candidates + priors + iteration order), link
-    /// neighborhoods, keyphrase sets, interners, and weights-backed
-    /// similarity.
+    /// Every primitive read answer of the frozen KB agrees with the store's
+    /// own accessors: entities, dictionary (candidates + priors + iteration
+    /// order), link neighborhoods, keyphrase sets, interners, and weights.
+    /// The keyphrase index the frozen KB builds for itself is checked
+    /// through indexed similarity, which must equal the exhaustive scan.
     #[test]
     fn frozen_reads_match_legacy(spec in world_strategy()) {
         let (kb, name_pool) = build_world(&spec);
@@ -114,19 +120,16 @@ proptest! {
         // Dictionary: candidates and priors per surface (known and unknown),
         // and the full iteration in ascending key order.
         for surface in name_pool.iter().map(String::as_str).chain(["zz", "Qx"]) {
-            prop_assert_eq!(
-                KbView::candidates(&frozen, surface),
-                KbView::candidates(&kb, surface)
-            );
+            prop_assert_eq!(frozen.candidates(surface), kb.candidates(surface));
             for e in kb.entity_ids() {
-                let fp = KbView::prior(&frozen, surface, e);
-                let lp = KbView::prior(&kb, surface, e);
+                let fp = frozen.prior(surface, e);
+                let lp = kb.prior(surface, e);
                 prop_assert_eq!(fp.to_bits(), lp.to_bits(), "prior({}, {:?})", surface, e);
             }
         }
         let frozen_entries: Vec<_> = KbView::dictionary(&frozen).iter().collect();
-        let legacy_entries: Vec<_> = KbView::dictionary(&kb).iter().collect();
-        prop_assert_eq!(frozen_entries, legacy_entries);
+        let store_entries: Vec<_> = kb.dictionary().iter().collect();
+        prop_assert_eq!(frozen_entries, store_entries);
 
         // Link neighborhoods, sorted slices on both sides.
         prop_assert_eq!(frozen.links().edge_count(), kb.links().edge_count());
@@ -136,66 +139,62 @@ proptest! {
         }
 
         // Keyphrase sets, phrase decompositions, and interners.
-        prop_assert_eq!(frozen.word_count(), KbView::word_count(&kb));
-        prop_assert_eq!(frozen.phrase_count(), KbView::phrase_count(&kb));
+        prop_assert_eq!(frozen.word_count(), kb.word_interner().len());
+        prop_assert_eq!(frozen.phrase_count(), kb.phrase_interner().len());
+        for wi in 0..kb.word_interner().len() {
+            let w = WordId::from_index(wi);
+            prop_assert_eq!(frozen.word_text(w), kb.word_text(w));
+            prop_assert_eq!(frozen.word_id(kb.word_text(w)), Some(w));
+        }
         for e in kb.entity_ids() {
-            prop_assert_eq!(KbView::keyphrases(&frozen, e), KbView::keyphrases(&kb, e));
-            for ep in KbView::keyphrases(&kb, e) {
-                prop_assert_eq!(
-                    KbView::phrase_words(&frozen, ep.phrase),
-                    KbView::phrase_words(&kb, ep.phrase)
-                );
-                prop_assert_eq!(
-                    KbView::phrase_surface(&frozen, ep.phrase),
-                    KbView::phrase_surface(&kb, ep.phrase)
-                );
+            prop_assert_eq!(frozen.keyphrases(e), kb.keyphrases(e));
+            for ep in kb.keyphrases(e) {
+                prop_assert_eq!(frozen.phrase_words(ep.phrase), kb.phrase_words(ep.phrase));
+                prop_assert_eq!(frozen.phrase_surface(ep.phrase), kb.phrase_surface(ep.phrase));
             }
         }
 
-        // Similarity: the weights and the kp-index survive freezing bit for
-        // bit.
+        // Weights survive freezing bit for bit.
+        prop_assert_eq!(encode(frozen.weights()).unwrap(), encode(kb.weights()).unwrap());
+
+        // Similarity: the kp-index visits exactly the phrases that can
+        // score, so the indexed score equals the exhaustive scan.
         let tokens = tokenize(&spec.context.join(" "));
-        let legacy_ctx = DocumentContext::build(&kb, &tokens).words;
-        let frozen_ctx = DocumentContext::build(&frozen, &tokens).words;
-        prop_assert_eq!(&frozen_ctx, &legacy_ctx);
+        let ctx = DocumentContext::build(&frozen, &tokens).words;
         for e in kb.entity_ids() {
             for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
-                let f = simscore(&frozen, e, &frozen_ctx, weighting);
-                let l = simscore(&kb, e, &legacy_ctx, weighting);
-                prop_assert_eq!(f.to_bits(), l.to_bits(), "simscore({:?}) {} vs {}", e, f, l);
+                let f = simscore(&frozen, e, &ctx, weighting);
+                let x = simscore_exhaustive(&frozen, e, &ctx, weighting);
+                prop_assert_eq!(f.to_bits(), x.to_bits(), "simscore({:?}) {} vs {}", e, f, x);
             }
         }
     }
 
-    /// The precomputed phrase runs (PR 6 hot path) are pure re-derivations:
-    /// on both backends, every run is the sorted-deduplicated word set of
-    /// the raw phrase, and the precomputed IDF / per-entity NPMI masses
-    /// equal the reference sums bit for bit.
+    /// The precomputed phrase runs (the scoring hot path) are pure
+    /// re-derivations: every run the frozen KB builds is the
+    /// sorted-deduplicated word set of the store's raw phrase, and the
+    /// precomputed IDF / per-entity NPMI masses equal the reference sums
+    /// over the store's weights bit for bit.
     #[test]
     fn phrase_runs_match_reference_across_backends(spec in world_strategy()) {
         let (kb, _) = build_world(&spec);
         let frozen = FrozenKb::freeze(&kb);
-        prop_assert_eq!(kb.phrase_runs().phrase_count(), KbView::phrase_count(&kb));
-        prop_assert_eq!(frozen.phrase_runs().phrase_count(), KbView::phrase_count(&kb));
+        prop_assert_eq!(frozen.phrase_runs().phrase_count(), kb.phrase_interner().len());
         for e in kb.entity_ids() {
-            for ep in KbView::keyphrases(&kb, e) {
+            for ep in kb.keyphrases(e) {
                 let p = ep.phrase;
-                let mut reference: Vec<WordId> = KbView::phrase_words(&kb, p).to_vec();
+                let mut reference: Vec<WordId> = kb.phrase_words(p).to_vec();
                 reference.sort_unstable();
                 reference.dedup();
-                prop_assert_eq!(kb.phrase_runs().run(p), reference.as_slice());
                 prop_assert_eq!(frozen.phrase_runs().run(p), reference.as_slice());
 
                 let idf_ref: f64 =
                     reference.iter().map(|&w| kb.weights().word_idf(w)).sum();
-                prop_assert_eq!(kb.phrase_runs().idf_mass(p).to_bits(), idf_ref.to_bits());
                 prop_assert_eq!(frozen.phrase_runs().idf_mass(p).to_bits(), idf_ref.to_bits());
 
                 let npmi_ref: f64 =
                     reference.iter().map(|&w| kb.weights().keyword_npmi(e, w)).sum();
-                let legacy_mass = kb.phrase_runs().npmi_mass(e, p).map(f64::to_bits);
                 let frozen_mass = frozen.phrase_runs().npmi_mass(e, p).map(f64::to_bits);
-                prop_assert_eq!(legacy_mass, Some(npmi_ref.to_bits()));
                 prop_assert_eq!(frozen_mass, Some(npmi_ref.to_bits()));
             }
         }
@@ -204,15 +203,17 @@ proptest! {
     /// Scratch-arena reuse and batching change nothing: scoring through the
     /// reused per-thread arena (run-based phrase scores, batched candidate
     /// scoring — including a second pass over buffers the first call
-    /// dirtied, and across backends) is bit-identical to the
-    /// fresh-allocation reference implementations.
+    /// dirtied, and across the frozen KB and an overlay of no mutations)
+    /// is bit-identical to the fresh-allocation reference implementations.
     #[test]
     fn scratch_reuse_and_batching_match_fresh_scoring(spec in world_strategy()) {
         let (kb, _) = build_world(&spec);
-        let frozen = FrozenKb::freeze(&kb);
+        let frozen = Arc::new(FrozenKb::freeze(&kb));
+        let overlay = DeltaKb::build(Arc::clone(&frozen), Vec::new()).unwrap();
+        let frozen = &*frozen;
         let tokens = tokenize(&spec.context.join(" "));
-        let ctx = DocumentContext::build(&frozen, &tokens).words;
-        let entities: Vec<_> = kb.entity_ids().collect();
+        let ctx = DocumentContext::build(frozen, &tokens).words;
+        let entities: Vec<_> = frozen.entity_ids().collect();
         let metrics = Metrics::new();
         let obs = SimObs::new(&metrics);
         // One cover scratch reused across every phrase, entity, weighting,
@@ -223,10 +224,10 @@ proptest! {
         for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
             let reference: Vec<f64> = entities
                 .iter()
-                .map(|&e| simscore_exhaustive(&frozen, e, &ctx, weighting))
+                .map(|&e| simscore_exhaustive(frozen, e, &ctx, weighting))
                 .collect();
             for pass in 0..2 {
-                let batched = simscores_batch(&frozen, &entities, &ctx, weighting, &obs);
+                let batched = simscores_batch(frozen, &entities, &ctx, weighting, &obs);
                 prop_assert_eq!(batched.len(), reference.len());
                 for (i, (b, r)) in batched.iter().zip(&reference).enumerate() {
                     prop_assert_eq!(
@@ -235,33 +236,34 @@ proptest! {
                     );
                 }
             }
-            let legacy_batched = simscores_batch(&kb, &entities, &ctx, weighting, &obs);
-            for (b, r) in legacy_batched.iter().zip(&reference) {
+            let overlay_batched = simscores_batch(&overlay, &entities, &ctx, weighting, &obs);
+            for (b, r) in overlay_batched.iter().zip(&reference) {
                 prop_assert_eq!(b.to_bits(), r.to_bits());
             }
             for &e in &entities {
-                for ep in KbView::keyphrases(&kb, e) {
-                    let fresh = phrase_score(
-                        &kb, e, KbView::phrase_words(&kb, ep.phrase), &ctx, weighting,
-                    );
+                for ep in frozen.keyphrases(e) {
+                    let fresh =
+                        phrase_score(frozen, e, frozen.phrase_words(ep.phrase), &ctx, weighting);
                     let run_frozen =
-                        phrase_score_run(&frozen, e, ep.phrase, &ctx, weighting, &mut cover);
-                    let run_legacy =
-                        phrase_score_run(&kb, e, ep.phrase, &ctx, weighting, &mut cover);
+                        phrase_score_run(frozen, e, ep.phrase, &ctx, weighting, &mut cover);
+                    let run_overlay =
+                        phrase_score_run(&overlay, e, ep.phrase, &ctx, weighting, &mut cover);
                     prop_assert_eq!(run_frozen.to_bits(), fresh.to_bits());
-                    prop_assert_eq!(run_legacy.to_bits(), fresh.to_bits());
+                    prop_assert_eq!(run_overlay.to_bits(), fresh.to_bits());
                 }
             }
         }
     }
 
     /// Full joint disambiguation through an `Arc<FrozenKb>` service handle
-    /// is byte-identical to the borrowed legacy path: same entity choices,
-    /// same score bits, same per-candidate score lists, same degradation.
+    /// is byte-identical to the same KB behind an overlay of no mutations:
+    /// same entity choices, same score bits, same per-candidate score
+    /// lists, same degradation.
     #[test]
     fn frozen_disambiguation_is_byte_identical(spec in world_strategy()) {
         let (kb, name_pool) = build_world(&spec);
         let frozen = Arc::new(FrozenKb::freeze(&kb));
+        let overlay = Arc::new(DeltaKb::build(Arc::clone(&frozen), Vec::new()).unwrap());
 
         // Compose a document: the context words followed by the mention
         // surfaces (single-token by construction), each mention spanning its
@@ -275,15 +277,19 @@ proptest! {
         }
         let tokens = tokenize(&words.join(" "));
 
-        let legacy_aida = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::full());
+        let overlay_aida = Disambiguator::new(
+            overlay.clone(),
+            MilneWitten::new(overlay.clone()),
+            AidaConfig::full(),
+        );
         let frozen_aida =
             Disambiguator::new(frozen.clone(), MilneWitten::new(frozen.clone()), AidaConfig::full());
-        let legacy = legacy_aida.disambiguate(&tokens, &mentions);
+        let reference = overlay_aida.disambiguate(&tokens, &mentions);
         let frozen_result = frozen_aida.disambiguate(&tokens, &mentions);
 
-        prop_assert_eq!(frozen_result.degradation, legacy.degradation);
-        prop_assert_eq!(frozen_result.assignments.len(), legacy.assignments.len());
-        for (fa, la) in frozen_result.assignments.iter().zip(&legacy.assignments) {
+        prop_assert_eq!(frozen_result.degradation, reference.degradation);
+        prop_assert_eq!(frozen_result.assignments.len(), reference.assignments.len());
+        for (fa, la) in frozen_result.assignments.iter().zip(&reference.assignments) {
             prop_assert_eq!(fa.mention_index, la.mention_index);
             prop_assert_eq!(fa.entity, la.entity);
             prop_assert_eq!(fa.score.to_bits(), la.score.to_bits());

@@ -8,9 +8,9 @@
 //!    batches, every `KbView` read — entities, dictionary candidates,
 //!    priors, links, keyphrases, interners, and the derived statistics
 //!    (weights, inverted-index postings, phrase runs) — is
-//!    bitwise-identical across four backends: the [`DeltaKb`] overlay, its
-//!    [`DeltaKb::compact`] output, a from-scratch legacy [`KnowledgeBase`]
-//!    built with the same operations, and that KB frozen. Batches with
+//!    bitwise-identical across three KBs: the [`DeltaKb`] overlay, its
+//!    [`DeltaKb::compact`] output, and a from-scratch KB built with the
+//!    same operations and frozen. Batches with
 //!    keyphrase reweights, which the builder cannot replay, are checked
 //!    against the compaction alone, and so is every prefix of one growing
 //!    log built over one shared base, the way the news stream builds its
@@ -28,8 +28,7 @@ use std::sync::{Arc, OnceLock};
 use aida_ned::aida::{AidaConfig, Disambiguator};
 use aida_ned::kb::snapshot::encode;
 use aida_ned::kb::{
-    DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbMutation, KbView, KnowledgeBase, Wal,
-    WordId,
+    DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbMutation, KbView, Wal, WordId,
 };
 use aida_ned::obs::Metrics;
 use aida_ned::relatedness::MilneWitten;
@@ -252,9 +251,9 @@ fn assert_reads_identical<K1: KbView, K2: KbView>(a: &K1, b: &K2, surfaces: &[St
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// For arbitrary valid mutation batches, the overlay, its compaction,
-    /// the from-scratch legacy KB, and the from-scratch frozen KB are
-    /// bitwise-indistinguishable through every `KbView` read.
+    /// For arbitrary valid mutation batches, the overlay, its compaction
+    /// and the from-scratch frozen KB are bitwise-indistinguishable through
+    /// every `KbView` read.
     #[test]
     fn overlay_reads_match_every_from_scratch_backend(
         seeds in proptest::collection::vec(
@@ -276,11 +275,9 @@ proptest! {
         for op in base_ops().iter().chain(&muts) {
             apply_to_builder(&mut scratch, &mut scratch_ids, op);
         }
-        let scratch_kb: KnowledgeBase = scratch.build();
-        let scratch_frozen = FrozenKb::freeze(&scratch_kb);
+        let scratch_frozen = FrozenKb::freeze(&scratch.build());
 
         let surfaces = probe_surfaces(&known);
-        assert_reads_identical(&delta, &scratch_kb, &surfaces, "delta vs legacy");
         assert_reads_identical(&delta, &scratch_frozen, &surfaces, "delta vs frozen");
         assert_reads_identical(&delta, &compacted, &surfaces, "delta vs compacted");
         prop_assert_eq!(delta.entity_count(), 5 + known.fresh as usize);

@@ -4,17 +4,18 @@
 //! counts; the registry is keyed by a `BTreeMap`, so snapshot ordering is
 //! lexicographic and stable; and under the default null clock the stage
 //! histograms are interleaving-independent too. The same snapshot must also
-//! come out of both KB backends (legacy row-oriented `KnowledgeBase` and
-//! the frozen columnar `FrozenKb`) — storage layout must not move a single
-//! counter. Finally, the zero-overhead contract: attaching a registry must
-//! not change one bit of annotation output.
+//! come out of both KB backends (the frozen columnar `FrozenKb` and a
+//! `DeltaKb` overlay of no mutations over it) and out of that overlay's
+//! compaction — storage layout must not move a single counter. Finally,
+//! the zero-overhead contract: attaching a registry must not change one
+//! bit of annotation output.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::{Arc, OnceLock};
 
 use aida_ned::aida::{AidaConfig, Disambiguator};
-use aida_ned::kb::FrozenKb;
+use aida_ned::kb::{DeltaKb, FrozenKb, KbView};
 use aida_ned::obs::{Metrics, MetricsSnapshot};
 use aida_ned::relatedness::{CacheConfig, CachedRelatedness, MilneWitten};
 use aida_ned::wikigen::config::WorldConfig;
@@ -42,30 +43,34 @@ fn corpus(seed: u64, docs: usize) -> Vec<GoldDoc> {
     conll_like(world, exported, seed, docs).docs
 }
 
-/// Runs the full pipeline (cached relatedness + disambiguator, both
-/// instrumented) over `docs` through the frozen KB path and returns the
-/// outcomes plus the complete metrics snapshot.
-fn run_frozen(docs: &[GoldDoc], threads: usize) -> (Evaluation, MetricsSnapshot) {
+/// The other two backends over the shared frozen KB: an overlay of no
+/// mutations, and that overlay compacted into a fresh frozen KB.
+fn other_backends() -> (Arc<DeltaKb>, Arc<FrozenKb>) {
     let (_, _, frozen) = world();
+    let overlay = Arc::new(DeltaKb::build(Arc::clone(frozen), Vec::new()).unwrap());
+    let compacted = Arc::new(overlay.compact().unwrap());
+    (overlay, compacted)
+}
+
+/// Runs the full pipeline (cached relatedness + disambiguator, both
+/// instrumented) over `docs` on `kb` and returns the outcomes plus the
+/// complete metrics snapshot.
+fn run_on<K: KbView + Clone>(
+    kb: K,
+    docs: &[GoldDoc],
+    threads: usize,
+) -> (Evaluation, MetricsSnapshot) {
     let metrics = Metrics::new();
-    let cached = CachedRelatedness::with_metrics(MilneWitten::new(frozen.clone()), &metrics);
-    let aida =
-        Disambiguator::new(frozen.clone(), &cached, AidaConfig::full()).with_metrics(&metrics);
+    let cached = CachedRelatedness::with_metrics(MilneWitten::new(kb.clone()), &metrics);
+    let aida = Disambiguator::new(kb, &cached, AidaConfig::full()).with_metrics(&metrics);
     let eval = run_method_with_threads(&aida, docs, threads).expect("thread pool");
     eval.record_metrics(&metrics);
     (eval, metrics.snapshot())
 }
 
-/// Same pipeline over the legacy borrowed `KnowledgeBase` backend.
-fn run_legacy(docs: &[GoldDoc], threads: usize) -> (Evaluation, MetricsSnapshot) {
-    let (_, exported, _) = world();
-    let kb = &exported.kb;
-    let metrics = Metrics::new();
-    let cached = CachedRelatedness::with_metrics(MilneWitten::new(kb), &metrics);
-    let aida = Disambiguator::new(kb, &cached, AidaConfig::full()).with_metrics(&metrics);
-    let eval = run_method_with_threads(&aida, docs, threads).expect("thread pool");
-    eval.record_metrics(&metrics);
-    (eval, metrics.snapshot())
+/// [`run_on`] through the shared frozen KB.
+fn run_frozen(docs: &[GoldDoc], threads: usize) -> (Evaluation, MetricsSnapshot) {
+    run_on(world().2.clone(), docs, threads)
 }
 
 /// Bitwise outcome equality (confidences compared by bits).
@@ -100,13 +105,21 @@ fn snapshot_is_identical_across_thread_counts() {
 #[test]
 fn snapshot_is_identical_across_kb_backends() {
     let docs = corpus(23, 10);
-    let (frozen_eval, frozen_snap) = run_frozen(&docs, 2);
-    let (legacy_eval, legacy_snap) = run_legacy(&docs, 2);
-    assert_identical(&frozen_eval, &legacy_eval);
-    assert_eq!(
-        frozen_snap, legacy_snap,
-        "the storage backend moved a counter: legacy vs frozen snapshots differ"
-    );
+    let (frozen_eval, frozen_snap) = run_frozen(&docs, 1);
+    let (overlay, compacted) = other_backends();
+    for threads in [1usize, 2, 4, 8] {
+        let runs = [
+            ("overlay", run_on(overlay.clone(), &docs, threads)),
+            ("compacted", run_on(compacted.clone(), &docs, threads)),
+        ];
+        for (backend, (eval, snap)) in runs {
+            assert_identical(&frozen_eval, &eval);
+            assert_eq!(
+                frozen_snap, snap,
+                "the storage backend moved a counter: frozen vs {backend} at {threads} threads"
+            );
+        }
+    }
 }
 
 #[test]
@@ -136,14 +149,16 @@ struct CacheRun {
     bytes_peak: u64,
 }
 
-/// Runs the frozen-KB pipeline with a bounded relatedness cache.
-fn run_frozen_capped(docs: &[GoldDoc], threads: usize, config: CacheConfig) -> CacheRun {
-    let (_, _, frozen) = world();
+/// Runs the pipeline on `kb` with a bounded relatedness cache.
+fn run_capped_on<K: KbView + Clone>(
+    kb: K,
+    docs: &[GoldDoc],
+    threads: usize,
+    config: CacheConfig,
+) -> CacheRun {
     let metrics = Metrics::new();
-    let cached =
-        CachedRelatedness::with_config(MilneWitten::new(frozen.clone()), &metrics, config);
-    let aida =
-        Disambiguator::new(frozen.clone(), &cached, AidaConfig::full()).with_metrics(&metrics);
+    let cached = CachedRelatedness::with_config(MilneWitten::new(kb.clone()), &metrics, config);
+    let aida = Disambiguator::new(kb, &cached, AidaConfig::full()).with_metrics(&metrics);
     let eval = run_method_with_threads(&aida, docs, threads).expect("thread pool");
     eval.record_metrics(&metrics);
     cached.cache().publish_gauges();
@@ -154,6 +169,11 @@ fn run_frozen_capped(docs: &[GoldDoc], threads: usize, config: CacheConfig) -> C
         bytes: cached.cache().bytes_used(),
         bytes_peak: cached.cache().bytes_peak(),
     }
+}
+
+/// [`run_capped_on`] through the shared frozen KB.
+fn run_frozen_capped(docs: &[GoldDoc], threads: usize, config: CacheConfig) -> CacheRun {
+    run_capped_on(world().2.clone(), docs, threads, config)
 }
 
 /// Asserts the cache-counter conservation laws on a snapshot.
@@ -237,28 +257,25 @@ fn capped_cache_is_invisible_to_outcomes_and_conserves_lookups() {
 #[test]
 fn capped_snapshot_is_identical_across_kb_backends() {
     // The storage backend must not move a cache counter even when the cap
-    // binds: the frozen and legacy KBs drive identical access sequences, so
-    // evictions, admissions, and gauges land identically.
+    // binds: the frozen KB, the overlay of no mutations and its compaction
+    // drive identical access sequences, so evictions, admissions, and
+    // gauges land identically.
     let docs = corpus(37, 8);
     let config = CacheConfig::bounded(TIGHT_CAP);
 
     let frozen = run_frozen_capped(&docs, 1, config);
-
-    let (_, exported, _) = world();
-    let kb = &exported.kb;
-    let metrics = Metrics::new();
-    let cached = CachedRelatedness::with_config(MilneWitten::new(kb), &metrics, config);
-    let aida = Disambiguator::new(kb, &cached, AidaConfig::full()).with_metrics(&metrics);
-    let eval = run_method_with_threads(&aida, &docs, 1).expect("thread pool");
-    eval.record_metrics(&metrics);
-    cached.cache().publish_gauges();
-
-    assert_identical(&frozen.eval, &eval);
-    assert_eq!(
-        frozen.snap,
-        metrics.snapshot(),
-        "legacy vs frozen bounded snapshots differ: backend layout leaked into eviction"
-    );
+    let (overlay, compacted) = other_backends();
+    let runs = [
+        ("overlay", run_capped_on(overlay, &docs, 1, config)),
+        ("compacted", run_capped_on(compacted, &docs, 1, config)),
+    ];
+    for (backend, run) in runs {
+        assert_identical(&frozen.eval, &run.eval);
+        assert_eq!(
+            frozen.snap, run.snap,
+            "frozen vs {backend} bounded snapshots differ: backend layout leaked into eviction"
+        );
+    }
 }
 
 /// Shard-partitioned trace replay: each shard's access sub-sequence is a

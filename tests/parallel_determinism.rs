@@ -4,9 +4,8 @@
 //! changing a single bit of any score. This must hold on the degraded
 //! rungs of the fault-tolerance ladder too: a solver budget that forces
 //! fallbacks fires at deterministic algorithmic points, so degraded runs
-//! are just as reproducible. The frozen columnar read path is held to the
-//! same bar: an `Arc<FrozenKb>` service handle must reproduce the
-//! borrowed-KB outcomes bit for bit at every thread count.
+//! are just as reproducible. Every run goes through the service
+//! configuration: one frozen KB behind a shared `Arc` handle.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -50,9 +49,9 @@ fn thread_count_does_not_change_outcomes() {
     });
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 11, 16);
-    let kb = &exported.kb;
+    let kb = Arc::new(FrozenKb::freeze(&exported.kb));
 
-    let cached = CachedRelatedness::new(MilneWitten::new(kb));
+    let cached = CachedRelatedness::new(MilneWitten::new(kb.clone()));
     let method = Disambiguator::new(kb, &cached, AidaConfig::full());
 
     let baseline = run_method_with_threads(&method, &corpus.docs, 1).expect("thread pool");
@@ -65,35 +64,6 @@ fn thread_count_does_not_change_outcomes() {
 }
 
 #[test]
-fn frozen_kb_path_is_byte_identical_to_legacy_at_every_thread_count() {
-    let world = World::generate(WorldConfig {
-        entities_per_topic: 120,
-        ..WorldConfig::default()
-    });
-    let exported = ExportedKb::build(&world);
-    let corpus = conll_like(&world, &exported, 11, 16);
-    let kb = &exported.kb;
-
-    // The legacy borrowed-KB path is the reference.
-    let cached = CachedRelatedness::new(MilneWitten::new(kb));
-    let method = Disambiguator::new(kb, &cached, AidaConfig::full());
-    let baseline = run_method_with_threads(&method, &corpus.docs, 1).expect("thread pool");
-    assert!(!baseline.docs.is_empty());
-
-    // The service configuration: one frozen KB behind a shared Arc handle,
-    // fanned out across rayon workers. Same labels, same statuses, same
-    // confidence bits, for any thread count.
-    let frozen = Arc::new(FrozenKb::freeze(kb));
-    let frozen_cached = CachedRelatedness::new(MilneWitten::new(frozen.clone()));
-    let frozen_method = Disambiguator::new(frozen.clone(), &frozen_cached, AidaConfig::full());
-    for threads in [1usize, 2, 4, 8] {
-        let run =
-            run_method_with_threads(&frozen_method, &corpus.docs, threads).expect("thread pool");
-        assert_identical(&baseline, &run, threads);
-    }
-}
-
-#[test]
 fn degraded_runs_are_deterministic_across_thread_counts() {
     let world = World::generate(WorldConfig {
         entities_per_topic: 120,
@@ -101,7 +71,7 @@ fn degraded_runs_are_deterministic_across_thread_counts() {
     });
     let exported = ExportedKb::build(&world);
     let corpus = conll_like(&world, &exported, 11, 16);
-    let kb = &exported.kb;
+    let kb = Arc::new(FrozenKb::freeze(&exported.kb));
 
     // A solver budget this tight exhausts on every nontrivial document,
     // forcing the no-coherence fallback. The budget is charged at
@@ -109,7 +79,7 @@ fn degraded_runs_are_deterministic_across_thread_counts() {
     // confidences, and degradation tags — must still be byte-identical
     // for any thread count.
     let config = AidaConfig { solver_max_iterations: 8, ..AidaConfig::full() };
-    let cached = CachedRelatedness::new(MilneWitten::new(kb));
+    let cached = CachedRelatedness::new(MilneWitten::new(kb.clone()));
     let method = Disambiguator::new(kb, &cached, config);
 
     let baseline = run_method_with_threads(&method, &corpus.docs, 1).expect("thread pool");
@@ -146,7 +116,7 @@ proptest! {
             builder.add_keyphrase(e, &words.join(" "), (i % 5 + 1) as u64);
             entities.push(e);
         }
-        let kb = builder.build();
+        let kb = FrozenKb::freeze(&builder.build());
 
         let tokens = tokenize(&context.join(" "));
         let ctx = DocumentContext::build(&kb, &tokens);

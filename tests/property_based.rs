@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use aida_ned::eval::map::{interpolated_map, RankedItem};
 use aida_ned::eval::spearman::spearman;
-use aida_ned::kb::{EntityKind, KbBuilder};
+use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
 use aida_ned::relatedness::minhash::{exact_jaccard, MinHasher};
 use aida_ned::relatedness::{Kore, MilneWitten, Relatedness};
 use aida_ned::text::normalize::{match_key, names_match};
@@ -100,7 +100,7 @@ proptest! {
         for (src, dst) in links {
             b.add_link(ids[src], ids[dst]);
         }
-        let kb = b.build();
+        let kb = FrozenKb::freeze(&b.build());
         let mw = MilneWitten::new(&kb);
         let kore = Kore::new(&kb);
         for &a in &ids {

@@ -1,12 +1,13 @@
 //! Snapshot decode must rebuild the transient (`serde(skip)`) indexes.
 //!
-//! The by-name entity index and the keyphrase inverted index are derived
-//! structures: snapshots never store them, and every load path rebuilds
-//! them before handing the KB out. A regression here is silent — lookups
-//! return `None` and the kp-index-pruned similarity returns 0.0 instead of
-//! the true score — so these tests pin the behaviour on all three load
-//! paths: the legacy v2 reader, the v2 freeze-on-load reader, and the v3
-//! sectioned reader.
+//! The by-name entity index, the interner lookups and the keyphrase
+//! inverted index are derived structures: snapshots never store them, and
+//! every load path rebuilds them before handing the KB out. A regression
+//! here is silent — lookups return `None` and the kp-index-pruned
+//! similarity returns 0.0 instead of the true score — so these tests pin
+//! the behaviour on all three load paths: the v2 store reader (which
+//! rebuilds the name and interner lookups; freezing the store builds the
+//! rest), the v2 freeze-on-load reader, and the v3 sectioned reader.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -16,7 +17,7 @@ use aida_ned::aida::KeywordWeighting;
 use aida_ned::kb::snapshot::{
     read_frozen_snapshot, read_snapshot, write_frozen_snapshot, write_snapshot,
 };
-use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase};
+use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase, PhraseId, WordId};
 use aida_ned::text::tokenize;
 
 /// A small world with name ambiguity, keyphrases, and links — enough for
@@ -42,14 +43,14 @@ fn sample_kb() -> KnowledgeBase {
 }
 
 /// The context window used for the similarity probes.
-fn window_for<K: KbView + ?Sized>(kb: &K) -> Vec<(usize, aida_ned::kb::WordId)> {
+fn window_for<K: KbView + ?Sized>(kb: &K) -> Vec<(usize, WordId)> {
     let tokens = tokenize("the hard rock band played unusual chords near the Himalaya mountains");
     DocumentContext::build(kb, &tokens).words
 }
 
 /// Asserts the two transient indexes answer correctly on `kb`, comparing
-/// similarity scores bitwise against the pre-snapshot `reference`.
-fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &KnowledgeBase, path: &str) {
+/// similarity scores bitwise against the pre-snapshot KB frozen.
+fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &FrozenKb, path: &str) {
     // `by_name` (serde(skip)): canonical-name lookup must work immediately.
     for name in ["Kashmir (song)", "Kashmir (region)", "Led Zeppelin"] {
         assert_eq!(
@@ -97,8 +98,22 @@ fn v2_decode_rebuilds_transient_indexes() {
     let mut bytes = Vec::new();
     write_snapshot(&kb, &mut bytes).expect("write v2");
 
+    // The v2 reader hands back a store: its name and interner lookups
+    // must work immediately, and freezing it builds the read indexes.
     let loaded = read_snapshot(&bytes[..]).expect("read v2");
-    assert_transients_rebuilt(&loaded, &kb, "v2 legacy reader");
+    for name in ["Kashmir (song)", "Kashmir (region)", "Led Zeppelin"] {
+        assert_eq!(loaded.entity_by_name(name), kb.entity_by_name(name), "by-name {name:?}");
+    }
+    for wi in 0..kb.word_interner().len() {
+        let w = WordId::from_index(wi);
+        assert_eq!(loaded.word_id(kb.word_text(w)), Some(w), "word lookup {wi}");
+    }
+    for pi in 0..kb.phrase_interner().len() {
+        let p = PhraseId::from_index(pi);
+        let found = loaded.phrase_interner().get(kb.phrase_surface(p), loaded.word_interner());
+        assert_eq!(found, Some(p), "phrase lookup {pi}");
+    }
+    assert_transients_rebuilt(&FrozenKb::freeze(&loaded), &FrozenKb::freeze(&kb), "v2 reader");
 }
 
 #[test]
@@ -108,7 +123,7 @@ fn v2_freeze_on_load_rebuilds_transient_indexes() {
     write_snapshot(&kb, &mut bytes).expect("write v2");
 
     let frozen = read_frozen_snapshot(&bytes[..]).expect("freeze-on-load v2");
-    assert_transients_rebuilt(&frozen, &kb, "v2 freeze-on-load reader");
+    assert_transients_rebuilt(&frozen, &FrozenKb::freeze(&kb), "v2 freeze-on-load reader");
 }
 
 #[test]
@@ -119,6 +134,6 @@ fn v3_decode_rebuilds_transient_indexes() {
     write_frozen_snapshot(&frozen, &mut bytes).expect("write v3");
 
     let loaded = read_frozen_snapshot(&bytes[..]).expect("read v3");
-    assert_transients_rebuilt(&loaded, &kb, "v3 sectioned reader");
+    assert_transients_rebuilt(&loaded, &frozen, "v3 sectioned reader");
     assert_eq!(loaded.stats(), frozen.stats(), "v3 round-trip changed section stats");
 }
