@@ -14,6 +14,8 @@
 //!    mention; enumerate all combinations when feasible, otherwise run a
 //!    deterministic local search, maximizing the total edge weight.
 
+use std::ops::Range;
+
 use ned_core::NedError;
 use ned_obs::Clock;
 
@@ -363,88 +365,299 @@ fn postprocess(
     config: &SolverConfig,
     budget: &mut Budget,
 ) -> Result<Vec<Option<usize>>, NedError> {
-    let choices: Vec<Vec<usize>> = graph
-        .mention_candidates
-        .iter()
-        .map(|cands| cands.iter().copied().filter(|&ni| active[ni]).collect::<Vec<_>>())
-        .collect();
-    // Combination count with saturation.
-    let mut combos: u64 = 1;
-    for c in &choices {
-        combos = combos.saturating_mul(c.len().max(1) as u64);
-        if combos > config.exhaustive_limit {
-            break;
-        }
-    }
-    if combos <= config.exhaustive_limit {
-        exhaustive(graph, &choices, budget)
+    let objective = Objective::new(graph, active);
+    if objective.combinations_within(config.exhaustive_limit) {
+        objective.exhaustive(budget)
     } else {
-        local_search(graph, &choices, config, budget)
+        objective.local_search(config, budget)
     }
 }
 
-/// Total objective of a full assignment: chosen mention-edge weights plus
-/// entity-edge weights between distinct chosen nodes (each pair once).
-fn assignment_weight(graph: &MentionEntityGraph, assignment: &[Option<usize>]) -> f64 {
-    let mut total = 0.0;
-    let mut chosen: Vec<usize> = Vec::with_capacity(assignment.len());
-    for (mi, &a) in assignment.iter().enumerate() {
-        if let Some(ni) = a {
-            total += mention_edge_weight(graph, ni, mi);
-            chosen.push(ni);
+/// The post-processing objective of one solve, built once: the weight of a
+/// full assignment is its chosen mention-edge weights plus the entity-edge
+/// weights between distinct chosen nodes, each pair once. Every float is
+/// added in the order the per-assignment reference
+/// (`reference::assignment_weight`) adds it — mention terms in mention
+/// order from `+0.0`, then edges by ascending first end, each node's edges
+/// in list order — so weights, ties and winners are bitwise the same
+/// (DESIGN.md §8).
+struct Objective {
+    /// Mention `mi`'s choices are `choices[start[mi]..start[mi + 1]]`.
+    start: Vec<usize>,
+    /// Every mention's active candidates, in mention order, as
+    /// `(node, mention-edge weight)`.
+    choices: Vec<(usize, f64)>,
+    /// The entity edges `(a, b, weight)` with `a < b` and both ends
+    /// choosable, in the order the reference adds them.
+    edges: Vec<(usize, usize, f64)>,
+    /// Number of entity nodes: the length of a per-node chosen count.
+    node_count: usize,
+}
+
+/// A mention with two or more choices: one level of the exhaustive
+/// enumeration. Every other mention is fixed to its only choice (or none).
+struct Level {
+    /// The mention's choices (a range of `Objective::choices`).
+    choices: Range<usize>,
+    /// The current choice, an index into `Objective::choices`.
+    pick: usize,
+    /// The fixed choices between this mention and the next level.
+    tail: Range<usize>,
+    /// The mention-edge sum through `tail` under the current picks.
+    sum: f64,
+}
+
+impl Objective {
+    fn new(graph: &MentionEntityGraph, active: &[bool]) -> Self {
+        let node_count = graph.entity_count();
+        let mut start = Vec::with_capacity(graph.mention_candidates.len() + 1);
+        let mut choices = Vec::new();
+        let mut choosable = vec![false; node_count];
+        start.push(0);
+        for (mi, cands) in graph.mention_candidates.iter().enumerate() {
+            for &ni in cands.iter().filter(|&&ni| active.get(ni) == Some(&true)) {
+                choices.push((ni, mention_edge_weight(graph, ni, mi)));
+                if let Some(c) = choosable.get_mut(ni) {
+                    *c = true;
+                }
+            }
+            start.push(choices.len());
         }
+        let is_choosable = |ni: usize| choosable.get(ni) == Some(&true);
+        let edges = graph
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|&(a, _)| is_choosable(a))
+            .flat_map(|(a, node)| {
+                node.entity_edges
+                    .iter()
+                    .filter(move |&&(b, _)| b > a && is_choosable(b))
+                    .map(move |&(b, w)| (a, b, w))
+            })
+            .collect();
+        Objective { start, choices, edges, node_count }
     }
-    chosen.sort_unstable();
-    chosen.dedup();
-    for (i, &a) in chosen.iter().enumerate() {
-        for &(b, w) in &graph.nodes[a].entity_edges {
-            if chosen[i + 1..].binary_search(&b).is_ok() {
-                total += w;
+
+    /// Each mention's range of `choices`.
+    fn mention_ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.start.iter().zip(self.start.iter().skip(1)).map(|(&lo, &hi)| lo..hi)
+    }
+
+    /// Whether the number of combinations (a mention without choices counts
+    /// once) is at most `limit`.
+    fn combinations_within(&self, limit: u64) -> bool {
+        self.mention_ranges()
+            .try_fold(1u64, |combos, r| {
+                let combos = combos.saturating_mul(r.len().max(1) as u64);
+                (combos <= limit).then_some(combos)
+            })
+            .is_some_and(|combos| combos <= limit)
+    }
+
+    fn node_of(&self, choice: usize) -> Option<usize> {
+        self.choices.get(choice).map(|&(ni, _)| ni)
+    }
+
+    /// `sum` plus the mention-edge weights of `choices`, in order.
+    fn add_choices(&self, sum: f64, choices: Range<usize>) -> f64 {
+        self.choices.get(choices).unwrap_or_default().iter().fold(sum, |s, &(_, w)| s + w)
+    }
+
+    /// `sum` plus every listed edge whose two ends are chosen
+    /// (`count[node] > 0`: two mentions may choose the same node).
+    fn add_edges(&self, sum: f64, count: &[u32]) -> f64 {
+        let chosen = |ni: usize| count.get(ni).is_some_and(|&c| c > 0);
+        self.edges.iter().fold(sum, |s, &(a, b, w)| if chosen(a) && chosen(b) { s + w } else { s })
+    }
+
+    /// The objective of a full assignment (per mention, a choice index or
+    /// none). `count` is scratch of length `node_count`.
+    fn weight(&self, assignment: &[Option<usize>], count: &mut [u32]) -> f64 {
+        count.fill(0);
+        let mut sum = 0.0;
+        for &(ni, w) in assignment.iter().flatten().filter_map(|&c| self.choices.get(c)) {
+            sum += w;
+            if let Some(n) = count.get_mut(ni) {
+                *n += 1;
             }
         }
+        self.add_edges(sum, count)
     }
-    total
-}
 
-fn exhaustive(
-    graph: &MentionEntityGraph,
-    choices: &[Vec<usize>],
-    budget: &mut Budget,
-) -> Result<Vec<Option<usize>>, NedError> {
-    let m = choices.len();
-    let mut current: Vec<Option<usize>> = vec![None; m];
-    let mut best: Vec<Option<usize>> = vec![None; m];
-    let mut best_weight = f64::NEG_INFINITY;
-    fn recurse(
-        graph: &MentionEntityGraph,
-        choices: &[Vec<usize>],
-        mi: usize,
-        current: &mut Vec<Option<usize>>,
-        best: &mut Vec<Option<usize>>,
-        best_weight: &mut f64,
+    /// The enumeration levels and the fixed choices before the first.
+    fn levels(&self) -> (Range<usize>, Vec<Level>) {
+        let end = self.choices.len();
+        let mut head = 0..end;
+        let mut levels: Vec<Level> = Vec::new();
+        for choices in self.mention_ranges().filter(|r| r.len() >= 2) {
+            match levels.last_mut() {
+                Some(last) => last.tail.end = choices.start,
+                None => head.end = choices.start,
+            }
+            levels.push(Level { pick: choices.start, tail: choices.end..end, choices, sum: 0.0 });
+        }
+        (head, levels)
+    }
+
+    /// Visits every combination in the reference order (the last mention
+    /// varies fastest), charging one budget unit each, and passes `leaf`
+    /// the levels' picks and the combination's weight. Only the levels
+    /// branch — at most log2 of the combination count — so neither the
+    /// depth nor the stack grows with the mention count. The mention-edge
+    /// sum is carried down the levels, so a combination adds only its
+    /// last level's terms and the edges.
+    fn for_each_combination(
+        &self,
         budget: &mut Budget,
+        mut leaf: impl FnMut(&[Level], f64),
     ) -> Result<(), NedError> {
-        if mi == choices.len() {
-            budget.charge()?;
-            let w = assignment_weight(graph, current);
-            if w > *best_weight {
-                *best_weight = w;
-                best.clone_from(current);
+        let (head, mut levels) = self.levels();
+        let head_sum = self.add_choices(0.0, head.clone());
+        let mut count = vec![0u32; self.node_count];
+        let fixed = std::iter::once(head).chain(levels.iter().map(|l| l.tail.clone()));
+        for ni in fixed.flatten().filter_map(|c| self.node_of(c)) {
+            if let Some(n) = count.get_mut(ni) {
+                *n += 1;
             }
-            return Ok(());
         }
-        if choices[mi].is_empty() {
-            current[mi] = None;
-            return recurse(graph, choices, mi + 1, current, best, best_weight, budget);
+        let mut depth = 0usize;
+        loop {
+            let mut sum =
+                depth.checked_sub(1).and_then(|d| levels.get(d)).map_or(head_sum, |l| l.sum);
+            for level in levels.iter_mut().skip(depth) {
+                if let Some(&(ni, w)) = self.choices.get(level.pick) {
+                    if let Some(n) = count.get_mut(ni) {
+                        *n += 1;
+                    }
+                    sum = self.add_choices(sum + w, level.tail.clone());
+                }
+                level.sum = sum;
+            }
+            budget.charge()?;
+            leaf(&levels, self.add_edges(sum, &count));
+            // Advance the deepest level that has a next choice; the levels
+            // below it wrap to their first.
+            let next = levels.iter_mut().enumerate().rev().find_map(|(d, level)| {
+                if let Some(n) = self.node_of(level.pick).and_then(|ni| count.get_mut(ni)) {
+                    *n -= 1;
+                }
+                level.pick += 1;
+                if level.pick < level.choices.end {
+                    return Some(d);
+                }
+                level.pick = level.choices.start;
+                None
+            });
+            match next {
+                Some(d) => depth = d,
+                None => return Ok(()),
+            }
         }
-        for &ni in &choices[mi] {
-            current[mi] = Some(ni);
-            recurse(graph, choices, mi + 1, current, best, best_weight, budget)?;
-        }
-        Ok(())
     }
-    recurse(graph, choices, 0, &mut current, &mut best, &mut best_weight, budget)?;
-    Ok(best)
+
+    /// The node assignment that takes `picks` (one choice per level, in
+    /// order) and every fixed mention's only choice.
+    fn assignment(&self, picks: &[usize]) -> Vec<Option<usize>> {
+        let mut picks = picks.iter().copied();
+        self.mention_ranges()
+            .map(|r| {
+                let choice = if r.len() >= 2 { picks.next() } else { r.clone().next() };
+                choice.and_then(|c| self.node_of(c))
+            })
+            .collect()
+    }
+
+    /// Enumerates every combination and keeps the first of maximum weight.
+    /// When no weight beats −∞ (all NaN, say), every mention stays `None`.
+    fn exhaustive(&self, budget: &mut Budget) -> Result<Vec<Option<usize>>, NedError> {
+        let mut best: Option<Vec<usize>> = None;
+        let mut best_weight = f64::NEG_INFINITY;
+        self.for_each_combination(budget, |levels, weight| {
+            if weight > best_weight {
+                best_weight = weight;
+                let picks = best.get_or_insert_with(Vec::new);
+                picks.clear();
+                picks.extend(levels.iter().map(|l| l.pick));
+            }
+        })?;
+        Ok(match best {
+            Some(picks) => self.assignment(&picks),
+            None => vec![None; self.start.len().saturating_sub(1)],
+        })
+    }
+
+    /// Deterministic hill climbing from the per-mention best local weight
+    /// and from random restarts; one budget unit per move.
+    fn local_search(
+        &self,
+        config: &SolverConfig,
+        budget: &mut Budget,
+    ) -> Result<Vec<Option<usize>>, NedError> {
+        let mut rng = XorShift(config.seed | 1);
+        let mut count = vec![0u32; self.node_count];
+        let weight_of = |c: usize| self.choices.get(c).map_or(0.0, |&(_, w)| w);
+        let greedy_start: Vec<Option<usize>> = self
+            .mention_ranges()
+            .map(|r| r.max_by(|&a, &b| weight_of(a).total_cmp(&weight_of(b))))
+            .collect();
+        let mut best = greedy_start.clone();
+        let mut best_weight = self.weight(&best, &mut count);
+        let mut current = Vec::with_capacity(greedy_start.len());
+
+        const RESTARTS: usize = 4;
+        for restart in 0..RESTARTS {
+            current.clear();
+            if restart == 0 {
+                current.extend_from_slice(&greedy_start);
+            } else {
+                // Random restart: candidates sampled uniformly.
+                current.extend(
+                    self.mention_ranges()
+                        .map(|r| (!r.is_empty()).then(|| r.start + rng.below(r.len()))),
+                );
+            }
+            let mut current_weight = self.weight(&current, &mut count);
+            // Hill climbing: sweep mentions, trying each candidate. A
+            // rejected move restores the mention's choice from before the
+            // sweep reached it, as the reference does.
+            for _ in 0..config.local_search_iterations {
+                let mut improved = false;
+                for (mi, choices) in self.mention_ranges().enumerate() {
+                    if choices.len() < 2 {
+                        continue;
+                    }
+                    let original = current.get(mi).copied().flatten();
+                    let original_node = original.and_then(|c| self.node_of(c));
+                    for c in choices.filter(|&c| self.node_of(c) != original_node) {
+                        budget.charge()?;
+                        set_choice(&mut current, mi, Some(c));
+                        let w = self.weight(&current, &mut count);
+                        if w > current_weight {
+                            current_weight = w;
+                            improved = true;
+                        } else {
+                            set_choice(&mut current, mi, original);
+                        }
+                    }
+                }
+                if !improved {
+                    break;
+                }
+            }
+            if current_weight > best_weight {
+                best_weight = current_weight;
+                best.clone_from(&current);
+            }
+        }
+        Ok(best.iter().map(|c| c.and_then(|c| self.node_of(c))).collect())
+    }
+}
+
+fn set_choice(assignment: &mut [Option<usize>], mi: usize, choice: Option<usize>) {
+    if let Some(slot) = assignment.get_mut(mi) {
+        *slot = choice;
+    }
 }
 
 /// xorshift64* generator for deterministic restarts.
@@ -465,77 +678,182 @@ impl XorShift {
     }
 }
 
-fn local_search(
-    graph: &MentionEntityGraph,
-    choices: &[Vec<usize>],
-    config: &SolverConfig,
-    budget: &mut Budget,
-) -> Result<Vec<Option<usize>>, NedError> {
-    let m = choices.len();
-    let mut rng = XorShift(config.seed | 1);
-    // Start from per-mention best local weight.
-    let greedy_start: Vec<Option<usize>> = choices
-        .iter()
-        .enumerate()
-        .map(|(mi, cands)| {
-            cands.iter().copied().max_by(|&a, &b| {
-                mention_edge_weight(graph, a, mi).total_cmp(&mention_edge_weight(graph, b, mi))
-            })
-        })
-        .collect();
-    let mut best = greedy_start.clone();
-    let mut best_weight = assignment_weight(graph, &best);
+/// The per-assignment post-processing the solver used before [`Objective`]:
+/// every combination and every local-search move recomputed by
+/// `assignment_weight`, one stack frame per mention. Kept as the reference
+/// the objective must match bit for bit, budget charges included.
+#[cfg(test)]
+mod reference {
+    use super::*;
 
-    const RESTARTS: usize = 4;
-    for restart in 0..RESTARTS {
-        let mut current = if restart == 0 {
-            greedy_start.clone()
-        } else {
-            // Random restart: candidates sampled uniformly.
-            choices
-                .iter()
-                .map(|cands| (!cands.is_empty()).then(|| cands[rng.below(cands.len())]))
-                .collect()
-        };
-        let mut current_weight = assignment_weight(graph, &current);
-        // Hill climbing: sweep mentions, trying each candidate.
-        for _ in 0..config.local_search_iterations {
-            let mut improved = false;
-            for mi in 0..m {
-                if choices[mi].len() < 2 {
-                    continue;
-                }
-                let original = current[mi];
-                for &ni in &choices[mi] {
-                    if Some(ni) == original {
-                        continue;
-                    }
-                    budget.charge()?;
-                    current[mi] = Some(ni);
-                    let w = assignment_weight(graph, &current);
-                    if w > current_weight {
-                        current_weight = w;
-                        improved = true;
-                    } else {
-                        current[mi] = original;
-                    }
-                }
-            }
-            if !improved {
+    pub(super) fn postprocess(
+        graph: &MentionEntityGraph,
+        active: &[bool],
+        config: &SolverConfig,
+        budget: &mut Budget,
+    ) -> Result<Vec<Option<usize>>, NedError> {
+        let choices: Vec<Vec<usize>> = graph
+            .mention_candidates
+            .iter()
+            .map(|cands| cands.iter().copied().filter(|&ni| active[ni]).collect::<Vec<_>>())
+            .collect();
+        // Combination count with saturation.
+        let mut combos: u64 = 1;
+        for c in &choices {
+            combos = combos.saturating_mul(c.len().max(1) as u64);
+            if combos > config.exhaustive_limit {
                 break;
             }
         }
-        if current_weight > best_weight {
-            best_weight = current_weight;
-            best = current;
+        if combos <= config.exhaustive_limit {
+            exhaustive(graph, &choices, budget)
+        } else {
+            local_search(graph, &choices, config, budget)
         }
     }
-    Ok(best)
+
+    /// Total objective of a full assignment: chosen mention-edge weights
+    /// plus entity-edge weights between distinct chosen nodes (each pair
+    /// once).
+    pub(super) fn assignment_weight(
+        graph: &MentionEntityGraph,
+        assignment: &[Option<usize>],
+    ) -> f64 {
+        let mut total = 0.0;
+        let mut chosen: Vec<usize> = Vec::with_capacity(assignment.len());
+        for (mi, &a) in assignment.iter().enumerate() {
+            if let Some(ni) = a {
+                total += mention_edge_weight(graph, ni, mi);
+                chosen.push(ni);
+            }
+        }
+        chosen.sort_unstable();
+        chosen.dedup();
+        for (i, &a) in chosen.iter().enumerate() {
+            for &(b, w) in &graph.nodes[a].entity_edges {
+                if chosen[i + 1..].binary_search(&b).is_ok() {
+                    total += w;
+                }
+            }
+        }
+        total
+    }
+
+    fn exhaustive(
+        graph: &MentionEntityGraph,
+        choices: &[Vec<usize>],
+        budget: &mut Budget,
+    ) -> Result<Vec<Option<usize>>, NedError> {
+        let m = choices.len();
+        let mut current: Vec<Option<usize>> = vec![None; m];
+        let mut best: Vec<Option<usize>> = vec![None; m];
+        let mut best_weight = f64::NEG_INFINITY;
+        fn recurse(
+            graph: &MentionEntityGraph,
+            choices: &[Vec<usize>],
+            mi: usize,
+            current: &mut Vec<Option<usize>>,
+            best: &mut Vec<Option<usize>>,
+            best_weight: &mut f64,
+            budget: &mut Budget,
+        ) -> Result<(), NedError> {
+            if mi == choices.len() {
+                budget.charge()?;
+                let w = assignment_weight(graph, current);
+                if w > *best_weight {
+                    *best_weight = w;
+                    best.clone_from(current);
+                }
+                return Ok(());
+            }
+            if choices[mi].is_empty() {
+                current[mi] = None;
+                return recurse(graph, choices, mi + 1, current, best, best_weight, budget);
+            }
+            for &ni in &choices[mi] {
+                current[mi] = Some(ni);
+                recurse(graph, choices, mi + 1, current, best, best_weight, budget)?;
+            }
+            Ok(())
+        }
+        recurse(graph, choices, 0, &mut current, &mut best, &mut best_weight, budget)?;
+        Ok(best)
+    }
+
+    fn local_search(
+        graph: &MentionEntityGraph,
+        choices: &[Vec<usize>],
+        config: &SolverConfig,
+        budget: &mut Budget,
+    ) -> Result<Vec<Option<usize>>, NedError> {
+        let m = choices.len();
+        let mut rng = XorShift(config.seed | 1);
+        // Start from per-mention best local weight.
+        let greedy_start: Vec<Option<usize>> = choices
+            .iter()
+            .enumerate()
+            .map(|(mi, cands)| {
+                cands.iter().copied().max_by(|&a, &b| {
+                    mention_edge_weight(graph, a, mi).total_cmp(&mention_edge_weight(graph, b, mi))
+                })
+            })
+            .collect();
+        let mut best = greedy_start.clone();
+        let mut best_weight = assignment_weight(graph, &best);
+
+        const RESTARTS: usize = 4;
+        for restart in 0..RESTARTS {
+            let mut current = if restart == 0 {
+                greedy_start.clone()
+            } else {
+                // Random restart: candidates sampled uniformly.
+                choices
+                    .iter()
+                    .map(|cands| (!cands.is_empty()).then(|| cands[rng.below(cands.len())]))
+                    .collect()
+            };
+            let mut current_weight = assignment_weight(graph, &current);
+            // Hill climbing: sweep mentions, trying each candidate.
+            for _ in 0..config.local_search_iterations {
+                let mut improved = false;
+                for mi in 0..m {
+                    if choices[mi].len() < 2 {
+                        continue;
+                    }
+                    let original = current[mi];
+                    for &ni in &choices[mi] {
+                        if Some(ni) == original {
+                            continue;
+                        }
+                        budget.charge()?;
+                        current[mi] = Some(ni);
+                        let w = assignment_weight(graph, &current);
+                        if w > current_weight {
+                            current_weight = w;
+                            improved = true;
+                        } else {
+                            current[mi] = original;
+                        }
+                    }
+                }
+                if !improved {
+                    break;
+                }
+            }
+            if current_weight > best_weight {
+                best_weight = current_weight;
+                best = current;
+            }
+        }
+        Ok(best)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::assignment_weight;
     use super::*;
+    use crate::graph::EntityNode;
     use ned_kb::EntityId;
     use ned_relatedness::Relatedness;
 
@@ -722,5 +1040,186 @@ mod tests {
             .map(|&(_, w)| w)
             .unwrap();
         assert!((w - (me + ee)).abs() < 1e-12);
+    }
+
+    /// 20,000 mentions with one candidate each: one combination, solved
+    /// on a 256 KiB stack, an eighth of a default thread's. The solver must
+    /// not take a stack frame per mention: an overflow aborts the process
+    /// instead of panicking the document.
+    #[test]
+    fn deep_document_solves_on_a_small_stack() {
+        let local: Vec<Vec<(EntityId, f64)>> =
+            (0..20_000u32).map(|i| vec![(e(i), 0.5 + f64::from(i % 7) * 0.01)]).collect();
+        let graph = MentionEntityGraph::build(&local, None, 0.0);
+        let solution = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let solution = solve(&graph, &SolverConfig::default());
+                (graph, solution)
+            })
+            .unwrap()
+            .join();
+        let (graph, solution) = solution.expect("the solver thread finished");
+        assert_eq!(solution.len(), 20_000);
+        for (mi, (chosen, cands)) in solution.iter().zip(&graph.mention_candidates).enumerate() {
+            assert_eq!(*chosen, cands.first().copied(), "mention {mi}");
+        }
+    }
+
+    /// A weight for the random graphs: ordinary values in [0, 1), zero,
+    /// subnormals, +∞ and NaN.
+    fn random_weight(rng: &mut XorShift) -> f64 {
+        match rng.below(10) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::MIN_POSITIVE / 3.0,
+            3 => f64::from_bits(1),
+            4 => 0.0,
+            _ => (rng.next() >> 11) as f64 / (1u64 << 53) as f64,
+        }
+    }
+
+    /// A random graph and active set: 0–12 mentions with 0–4 candidates
+    /// each, drawn with replacement from a pool of up to 8 nodes (so nodes
+    /// are shared across mentions and may repeat within one), and entity
+    /// edges in random order, duplicates and self-loops included.
+    fn random_graph(seed: u64) -> (MentionEntityGraph, Vec<bool>) {
+        let mut rng = XorShift(seed);
+        let node_count = 1 + rng.below(8);
+        let mention_count = rng.below(13);
+        let mut nodes: Vec<EntityNode> = (0..node_count)
+            .map(|ni| EntityNode {
+                entity: e(ni as u32),
+                mention_edges: Vec::new(),
+                entity_edges: Vec::new(),
+            })
+            .collect();
+        let mut mention_candidates = Vec::with_capacity(mention_count);
+        for mi in 0..mention_count {
+            let cands: Vec<usize> = (0..rng.below(5)).map(|_| rng.below(node_count)).collect();
+            for &ni in &cands {
+                let w = random_weight(&mut rng);
+                nodes[ni].mention_edges.push((mi, w));
+            }
+            mention_candidates.push(cands);
+        }
+        for _ in 0..rng.below(4 * node_count + 1) {
+            let (a, b) = (rng.below(node_count), rng.below(node_count));
+            let w = random_weight(&mut rng);
+            nodes[a].entity_edges.push((b, w));
+            if a != b {
+                nodes[b].entity_edges.push((a, w));
+            }
+        }
+        let active = (0..node_count).map(|_| rng.below(4) != 0).collect();
+        (MentionEntityGraph { mention_count, nodes, mention_candidates }, active)
+    }
+
+    type Postprocess =
+        fn(&MentionEntityGraph, &[bool], &SolverConfig, &mut Budget) -> PostprocessResult;
+    type PostprocessResult = Result<Vec<Option<usize>>, NedError>;
+
+    /// Runs one post-processing path; returns its result (errors by their
+    /// debug form) and the budget it spent.
+    fn run_postprocess(
+        postprocess: Postprocess,
+        graph: &MentionEntityGraph,
+        active: &[bool],
+        config: &SolverConfig,
+    ) -> (Result<Vec<Option<usize>>, String>, u64) {
+        let mut budget = Budget::new(config, &Clock::null());
+        let result = postprocess(graph, active, config, &mut budget);
+        (result.map_err(|err| format!("{err:?}")), budget.spent)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Any assignment, a mention without a choice included, weighs the
+        /// same bits through the objective as through the reference.
+        #[test]
+        fn objective_weight_is_bitwise_the_reference(seed in proptest::prelude::any::<u64>()) {
+            let (graph, active) = random_graph(seed);
+            let objective = Objective::new(&graph, &active);
+            let mut rng = XorShift(seed.rotate_left(29));
+            let mut count = vec![0; objective.node_count];
+            for _ in 0..8 {
+                let assignment: Vec<Option<usize>> = objective
+                    .mention_ranges()
+                    .map(|r| {
+                        let pick = !r.is_empty() && rng.below(8) != 0;
+                        pick.then(|| r.start + rng.below(r.len()))
+                    })
+                    .collect();
+                let nodes: Vec<Option<usize>> =
+                    assignment.iter().map(|c| c.and_then(|c| objective.node_of(c))).collect();
+                proptest::prop_assert_eq!(
+                    objective.weight(&assignment, &mut count).to_bits(),
+                    assignment_weight(&graph, &nodes).to_bits()
+                );
+            }
+        }
+
+        /// Every combination of the enumeration carries the reference's
+        /// weight bits, and each costs one budget unit.
+        #[test]
+        fn every_combination_weighs_as_the_reference(seed in proptest::prelude::any::<u64>()) {
+            let (graph, active) = random_graph(seed);
+            let objective = Objective::new(&graph, &active);
+            if objective.combinations_within(SolverConfig::default().exhaustive_limit) {
+                let mut budget = Budget::new(&SolverConfig::default(), &Clock::null());
+                let (mut combinations, mut mismatches) = (0u64, Vec::new());
+                objective
+                    .for_each_combination(&mut budget, |levels, weight| {
+                        let picks: Vec<usize> = levels.iter().map(|l| l.pick).collect();
+                        let nodes = objective.assignment(&picks);
+                        if weight.to_bits() != assignment_weight(&graph, &nodes).to_bits() {
+                            mismatches.push(nodes);
+                        }
+                        combinations += 1;
+                    })
+                    .unwrap();
+                proptest::prop_assert!(mismatches.is_empty(), "{mismatches:?}");
+                proptest::prop_assert_eq!(budget.spent, combinations);
+            }
+        }
+
+        /// Post-processing picks the reference's nodes with the reference's
+        /// spend, in the exhaustive branch and in local search (forced by
+        /// `exhaustive_limit: 0`), and a budget below that spend runs out
+        /// at the same unit on both sides.
+        #[test]
+        fn postprocess_is_bitwise_the_reference(
+            seed in proptest::prelude::any::<u64>(),
+            branch in 0usize..3,
+        ) {
+            let (graph, active) = random_graph(seed);
+            let config = SolverConfig {
+                exhaustive_limit: [20_000, 0, 16][branch],
+                local_search_iterations: 1 + (seed % 6) as usize,
+                seed: seed.rotate_left(13),
+                ..SolverConfig::default()
+            };
+            let (expected, spent) =
+                run_postprocess(reference::postprocess, &graph, &active, &config);
+            proptest::prop_assert!(expected.is_ok());
+            proptest::prop_assert_eq!(
+                run_postprocess(postprocess, &graph, &active, &config),
+                (expected, spent)
+            );
+            if spent > 0 {
+                let starved = SolverConfig { max_iterations: seed % spent, ..config };
+                let (expected, spent) =
+                    run_postprocess(reference::postprocess, &graph, &active, &starved);
+                proptest::prop_assert!(
+                    expected.as_ref().is_err_and(|err| err.starts_with("BudgetExhausted")),
+                    "{expected:?}"
+                );
+                proptest::prop_assert_eq!(
+                    run_postprocess(postprocess, &graph, &active, &starved),
+                    (expected, spent)
+                );
+            }
+        }
     }
 }
