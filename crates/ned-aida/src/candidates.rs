@@ -6,12 +6,11 @@
 //! (§3.3.4).
 
 use ned_kb::{EntityId, KbView, WordId};
-use ned_text::Mention;
 
 use crate::config::KeywordWeighting;
 use crate::obs::PipelineObs;
 use crate::scratch::with_scratch;
-use crate::similarity::simscores_batch_arena;
+use crate::similarity::simscores_batch;
 
 /// Local (per-mention) features of one candidate entity.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,39 +26,19 @@ pub struct CandidateFeatures {
     pub sim_normalized: f64,
 }
 
-/// Retrieves candidates for `mention` and computes their local features
+/// Retrieves the candidates of `surface` and computes their local features
 /// against `context` (the mention's context words, position-sorted).
-pub fn candidate_features<K: KbView + ?Sized>(
-    kb: &K,
-    mention: &Mention,
-    context: &[(usize, WordId)],
-    weighting: KeywordWeighting,
-) -> Vec<CandidateFeatures> {
-    candidate_features_for_surface(kb, &mention.surface, context, weighting)
-}
-
-/// Like [`candidate_features`], but with an explicit lookup surface — used
-/// by document-internal mention expansion, where a short mention borrows a
-/// longer co-occurring mention's surface for candidate retrieval.
-pub fn candidate_features_for_surface<K: KbView + ?Sized>(
-    kb: &K,
-    surface: &str,
-    context: &[(usize, WordId)],
-    weighting: KeywordWeighting,
-) -> Vec<CandidateFeatures> {
-    candidate_features_observed(kb, surface, context, weighting, &PipelineObs::default())
-}
-
-/// [`candidate_features_for_surface`] with pipeline work counters
-/// (candidates considered, similarity plan/scan accounting).
+///
+/// `surface` is the mention's own surface, or — under document-internal
+/// mention expansion — a longer co-occurring mention's surface it borrows
+/// for candidate retrieval. `obs` counts the candidates considered and the
+/// similarity work; pass [`PipelineObs::default`] to count nothing.
 ///
 /// All candidates of the mention are scored in one batched pass over the
-/// keyphrase inverted index, against one worker-local scratch arena — no
-/// per-candidate allocation and no nested parallel fan-out (parallelism
-/// splits at the document level, where chunks are coarse enough to pay for
-/// themselves). The batched pass is verified bit-identical to per-candidate
-/// scoring, so features are the same as a sequential scan.
-pub fn candidate_features_observed<K: KbView + ?Sized>(
+/// keyphrase inverted index, in the calling thread's scratch arena — no
+/// per-candidate allocation and no fan-out (parallelism splits at the
+/// document level, where chunks are coarse enough to pay for themselves).
+pub fn candidate_features<K: KbView + ?Sized>(
     kb: &K,
     surface: &str,
     context: &[(usize, WordId)],
@@ -72,13 +51,7 @@ pub fn candidate_features_observed<K: KbView + ?Sized>(
         return Vec::new();
     }
     with_scratch(|scratch| {
-        // One index query set for all candidates of this mention, built in
-        // the arena (same sort+dedup as `context_word_set`).
-        scratch.context_words.clear();
-        scratch.context_words.extend(context.iter().map(|&(_, w)| w));
-        scratch.context_words.sort_unstable();
-        scratch.context_words.dedup();
-        simscores_batch_arena(
+        simscores_batch(
             kb,
             cands.len(),
             |i| cands[i].entity, // ned-lint: allow(p1) — i < cands.len() by construction
@@ -89,7 +62,7 @@ pub fn candidate_features_observed<K: KbView + ?Sized>(
         );
         let mut features: Vec<CandidateFeatures> = cands
             .iter()
-            .zip(scratch.sims.iter())
+            .zip(scratch.sims())
             .map(|(c, &sim)| CandidateFeatures {
                 entity: c.entity,
                 prior: kb.prior(surface, c.entity),
@@ -112,7 +85,7 @@ mod tests {
     use super::*;
     use crate::context::DocumentContext;
     use ned_kb::{EntityKind, FrozenKb, KbBuilder};
-    use ned_text::tokenize;
+    use ned_text::{tokenize, Mention};
 
     fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
@@ -132,7 +105,13 @@ mod tests {
         let tokens = tokenize("They performed Kashmir with unusual chords.");
         let ctx = DocumentContext::build(&kb, &tokens);
         let m = Mention::new("Kashmir", 2, 3);
-        let feats = candidate_features(&kb, &m, &ctx.for_mention(&m), KeywordWeighting::Npmi);
+        let feats = candidate_features(
+            &kb,
+            &m.surface,
+            &ctx.for_mention(&m),
+            KeywordWeighting::Npmi,
+            &PipelineObs::default(),
+        );
         assert_eq!(feats.len(), 2);
         let song = kb.entity_by_name("Kashmir (song)").unwrap();
         let region = kb.entity_by_name("Kashmir (region)").unwrap();
@@ -147,16 +126,16 @@ mod tests {
     #[test]
     fn unknown_mention_has_no_candidates() {
         let kb = kb();
-        let m = Mention::new("Snowden", 0, 1);
-        let feats = candidate_features(&kb, &m, &[], KeywordWeighting::Npmi);
+        let none = PipelineObs::default();
+        let feats = candidate_features(&kb, "Snowden", &[], KeywordWeighting::Npmi, &none);
         assert!(feats.is_empty());
     }
 
     #[test]
     fn zero_context_gives_zero_normalized_sim() {
         let kb = kb();
-        let m = Mention::new("Kashmir", 0, 1);
-        let feats = candidate_features(&kb, &m, &[], KeywordWeighting::Npmi);
+        let none = PipelineObs::default();
+        let feats = candidate_features(&kb, "Kashmir", &[], KeywordWeighting::Npmi, &none);
         assert!(feats.iter().all(|f| f.sim == 0.0 && f.sim_normalized == 0.0));
         // Priors still sum to 1 over the candidates.
         let p: f64 = feats.iter().map(|f| f.prior).sum();

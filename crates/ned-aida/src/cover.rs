@@ -10,9 +10,11 @@
 use ned_kb::fx::FxHashMap;
 use ned_kb::WordId;
 
-/// The cover of a phrase in a document context.
+/// The cover of a phrase in a document context, as the reference
+/// [`shortest_cover`] returns it.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct Cover {
+pub(crate) struct Cover {
     /// Number of distinct phrase words inside the cover (the maximum
     /// achievable in the context).
     pub matched_words: usize,
@@ -22,9 +24,10 @@ pub struct Cover {
     pub words: Vec<WordId>,
 }
 
+#[cfg(test)]
 impl Cover {
     /// The proximity factor `z = matched words / cover length`.
-    pub fn z(&self) -> f64 {
+    pub(crate) fn z(&self) -> f64 {
         if self.length == 0 {
             return 0.0;
         }
@@ -34,20 +37,20 @@ impl Cover {
 
 /// The shape of a cover without its word list: enough to compute `z`.
 ///
-/// Produced by the scratch-based cover functions, which leave the distinct
-/// matched words in the [`CoverScratch`] instead of allocating a fresh
-/// vector per call.
+/// Produced by [`shortest_cover_into`], which leaves the distinct matched
+/// words in the [`CoverScratch`] instead of allocating a fresh vector per
+/// call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoverShape {
+pub(crate) struct CoverShape {
     /// Number of distinct phrase words inside the cover.
-    pub matched_words: usize,
+    pub(crate) matched_words: usize,
     /// Window length in tokens.
-    pub length: usize,
+    pub(crate) length: usize,
 }
 
 impl CoverShape {
     /// The proximity factor `z = matched words / cover length`.
-    pub fn z(&self) -> f64 {
+    pub(crate) fn z(&self) -> f64 {
         if self.length == 0 {
             return 0.0;
         }
@@ -69,8 +72,6 @@ pub struct CoverScratch {
     counts: FxHashMap<WordId, u32>,
     /// Distinct words of the last cover found (sorted, deduplicated).
     words: Vec<WordId>,
-    /// Sorted-deduplicated membership set for unsorted phrase word lists.
-    phrase_set: Vec<WordId>,
 }
 
 impl CoverScratch {
@@ -80,22 +81,26 @@ impl CoverScratch {
     }
 
     /// The sorted, deduplicated word ids of the most recent cover — valid
-    /// after a [`shortest_cover_into`] / [`shortest_cover_unsorted_into`]
-    /// call that returned `Some`.
-    pub fn cover_words(&self) -> &[WordId] {
+    /// after a [`shortest_cover_into`] call that returned `Some`.
+    pub(crate) fn cover_words(&self) -> &[WordId] {
         &self.words
     }
 }
 
-/// Scratch-based [`shortest_cover`]: identical result, zero steady-state
-/// allocations. `phrase_words` must be sorted and deduplicated (e.g. a
-/// precomputed phrase run) — membership via binary search over the sorted
-/// set is equivalent to the reference's linear `contains` scan, so the
-/// occurrence list, the window scan, and the final cover are the same. On
-/// success the cover's distinct words are left in the scratch
-/// ([`CoverScratch::cover_words`]).
+/// The shortest cover of a phrase in the context, computed in reusable
+/// buffers: zero steady-state allocations. `phrase_words` must be sorted
+/// and deduplicated (a precomputed phrase run, or an emerging-entity
+/// phrase's word set). On success the cover's distinct words are left in
+/// the scratch ([`CoverScratch::cover_words`]).
+///
+/// Identical to the reference `shortest_cover` (test-only): membership by
+/// binary search over the sorted set decides like the reference's linear
+/// `contains` scan, so the occurrence list and the window scan are the
+/// same. Improving windows are recorded as `(left, right, length)` indices
+/// and the word list is materialized once, for the final best window,
+/// instead of on every improvement.
 // ned-lint: hot
-pub fn shortest_cover_into(
+pub(crate) fn shortest_cover_into(
     context: &[(usize, WordId)],
     phrase_words: &[WordId],
     scratch: &mut CoverScratch,
@@ -104,44 +109,10 @@ pub fn shortest_cover_into(
         phrase_words.windows(2).all(|p| p[0] < p[1]), // ned-lint: allow(p1) — windows(2) pairs
         "phrase_words must be sorted and deduplicated"
     );
-    let CoverScratch { occurrences, counts, words, .. } = scratch;
-    cover_core(context, occurrences, counts, words, |w| {
-        phrase_words.binary_search(&w).is_ok()
-    })
-}
-
-/// [`shortest_cover_into`] for unsorted phrase word lists (e.g. the raw word
-/// sequence of an emerging-entity keyphrase): sorts a scratch-resident copy
-/// for the membership tests, then runs the same window scan.
-// ned-lint: hot
-pub fn shortest_cover_unsorted_into(
-    context: &[(usize, WordId)],
-    phrase_words: &[WordId],
-    scratch: &mut CoverScratch,
-) -> Option<CoverShape> {
-    let CoverScratch { occurrences, counts, words, phrase_set } = scratch;
-    phrase_set.clear();
-    phrase_set.extend_from_slice(phrase_words);
-    phrase_set.sort_unstable();
-    phrase_set.dedup();
-    cover_core(context, occurrences, counts, words, |w| phrase_set.binary_search(&w).is_ok())
-}
-
-/// The sliding-window scan shared by the scratch-based entry points.
-///
-/// Bit-identical to [`shortest_cover`]: the window logic is the same; the
-/// only difference is that improving windows are recorded as `(left, right,
-/// length)` indices and the word list is materialized once, for the final
-/// best window, instead of on every improvement.
-fn cover_core(
-    context: &[(usize, WordId)],
-    occurrences: &mut Vec<(usize, WordId)>,
-    counts: &mut FxHashMap<WordId, u32>,
-    words: &mut Vec<WordId>,
-    is_phrase_word: impl Fn(WordId) -> bool,
-) -> Option<CoverShape> {
+    let CoverScratch { occurrences, counts, words } = scratch;
     occurrences.clear();
-    occurrences.extend(context.iter().copied().filter(|&(_, w)| is_phrase_word(w)));
+    occurrences
+        .extend(context.iter().copied().filter(|(_, w)| phrase_words.binary_search(w).is_ok()));
     if occurrences.is_empty() {
         return None;
     }
@@ -198,10 +169,14 @@ fn cover_core(
 ///
 /// Returns `None` when no phrase word occurs in the context.
 ///
-/// This is the reference implementation, allocating its buffers per call;
-/// the hot path uses [`shortest_cover_into`] with a reusable
+/// This is the test-only reference implementation, allocating its buffers
+/// per call; the hot path uses [`shortest_cover_into`] with a reusable
 /// [`CoverScratch`] and is verified bit-identical against it.
-pub fn shortest_cover(context: &[(usize, WordId)], phrase_words: &[WordId]) -> Option<Cover> {
+#[cfg(test)]
+pub(crate) fn shortest_cover(
+    context: &[(usize, WordId)],
+    phrase_words: &[WordId],
+) -> Option<Cover> {
     // Occurrences of phrase words in the context, in position order.
     let occurrences: Vec<(usize, WordId)> = context
         .iter()
@@ -325,7 +300,9 @@ mod tests {
     }
 
     /// One scratch reused across every case must reproduce the reference
-    /// exactly — shape, words, and the `z` bits.
+    /// exactly — shape, words, and the `z` bits. The reference takes the raw
+    /// phrase word list (unsorted, with repeats); the scratch entry its
+    /// sorted-deduplicated set.
     #[test]
     fn scratch_cover_matches_reference_across_reuse() {
         type Case = (Vec<(usize, WordId)>, Vec<WordId>);
@@ -342,9 +319,11 @@ mod tests {
         let mut scratch = CoverScratch::new();
         for (context, phrase) in &cases {
             let reference = shortest_cover(context, phrase);
-            // Unsorted entry point takes the raw phrase word list.
-            let via_unsorted = shortest_cover_unsorted_into(context, phrase, &mut scratch);
-            match (&reference, &via_unsorted) {
+            let mut sorted = phrase.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let via_scratch = shortest_cover_into(context, &sorted, &mut scratch);
+            match (&reference, &via_scratch) {
                 (None, None) => {}
                 (Some(c), Some(s)) => {
                     assert_eq!(c.matched_words, s.matched_words);
@@ -353,15 +332,6 @@ mod tests {
                     assert_eq!(c.z().to_bits(), s.z().to_bits());
                 }
                 other => panic!("reference and scratch disagree: {other:?}"),
-            }
-            // Sorted entry point takes the deduplicated sorted set.
-            let mut sorted = phrase.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            let via_sorted = shortest_cover_into(context, &sorted, &mut scratch);
-            assert_eq!(via_unsorted, via_sorted);
-            if let Some(c) = &reference {
-                assert_eq!(c.words, scratch.cover_words());
             }
         }
     }

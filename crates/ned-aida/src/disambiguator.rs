@@ -9,7 +9,7 @@ use ned_relatedness::Relatedness;
 use ned_text::{Mention, Token};
 
 use crate::algorithm::{solve_budgeted_observed, SolverConfig};
-use crate::candidates::{candidate_features_observed, CandidateFeatures};
+use crate::candidates::{candidate_features, CandidateFeatures};
 use crate::coherence::{CoherenceTable, PairCoherence};
 use crate::expansion::expansion_targets;
 use crate::config::AidaConfig;
@@ -134,7 +134,7 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
         };
         let score_mention = |i: usize| {
             let m = &mentions[i]; // ned-lint: allow(p1) — i < mentions.len() by construction
-            let mut features = candidate_features_observed(
+            let mut features = candidate_features(
                 &self.kb,
                 &mentions[targets[i]].surface, // ned-lint: allow(p1) — targets is index-aligned with mentions
                 &ctx.for_mention(m),
@@ -144,7 +144,7 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             if features.is_empty() && targets[i] != i { // ned-lint: allow(p1) — i < targets.len() by construction
                 // The expanded surface is unknown to the dictionary:
                 // fall back to the mention's own surface.
-                features = candidate_features_observed(
+                features = candidate_features(
                     &self.kb,
                     &m.surface,
                     &ctx.for_mention(m),
@@ -267,7 +267,7 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
             .map(|(f, local)| {
                 if should_fix_mention(f, &self.config) {
                     self.obs.mentions_fixed.inc();
-                    argmax_index(local).and_then(|i| local.get(i)).into_iter().copied().collect()
+                    argmax(local).into_iter().copied().collect()
                 } else {
                     local.clone()
                 }
@@ -346,18 +346,18 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
     }
 }
 
-fn argmax_index(cands: &[(EntityId, f64)]) -> Option<usize> {
-    (0..cands.len()).max_by(|&a, &b| {
-        cands[a]
-            .1
-            .total_cmp(&cands[b].1)
+/// The best local candidate: the highest score, ties broken toward the
+/// lower entity id. `None` for a mention without candidates.
+fn argmax(cands: &[(EntityId, f64)]) -> Option<&(EntityId, f64)> {
+    cands.iter().max_by(|a, b| {
+        a.1.total_cmp(&b.1)
             // Deterministic tie-break on entity id.
-            .then(cands[b].0.cmp(&cands[a].0))
+            .then(b.0.cmp(&a.0))
     })
 }
 
 fn argmax_entity(cands: &[(EntityId, f64)]) -> Option<EntityId> {
-    argmax_index(cands).map(|i| cands[i].0)
+    argmax(cands).map(|&(e, _)| e)
 }
 
 impl<K: KbView, R: Relatedness> NedMethod for Disambiguator<K, R> {

@@ -31,7 +31,8 @@ use crate::cover::CoverScratch;
 pub struct ScoringScratch {
     /// Shortest-cover buffers (occurrences, window counts, cover words).
     pub cover: CoverScratch,
-    /// Sorted-deduplicated context word set of the current mention.
+    /// Sorted-deduplicated context word set of the current mention, built
+    /// by `simscores_batch`.
     pub(crate) context_words: Vec<WordId>,
     /// Matching phrase ids of the candidate currently being scored.
     pub(crate) matching: Vec<PhraseId>,
@@ -49,6 +50,13 @@ impl ScoringScratch {
     /// Creates an empty arena.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The scores of the last
+    /// [`simscores_batch`](crate::similarity::simscores_batch) call, in
+    /// candidate order.
+    pub fn sims(&self) -> &[f64] {
+        &self.sims
     }
 }
 

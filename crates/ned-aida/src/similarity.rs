@@ -8,69 +8,74 @@
 //!
 //! `weight(w)` is either the entity-specific NPMI or the global IDF,
 //! selected by [`KeywordWeighting`].
+//!
+//! One path computes it. [`simscores_batch`] scores every candidate of a
+//! mention in the caller's [`ScoringScratch`]; [`cover_z_ratio`] is the
+//! Eq. 3.4 kernel it shares with the emerging-entity models of Chapter 5.
+//! The reference implementations — `phrase_score`, which re-derives every
+//! intermediate per call, and `simscore_exhaustive`, which scans all of
+//! KP(e) — exist only in test builds, where proptests hold the production
+//! path against them bit for bit.
 
 use ned_kb::{EntityId, KbView, PhraseId, WordId};
 
 use crate::config::KeywordWeighting;
-use crate::cover::{shortest_cover, shortest_cover_into, CoverScratch};
+use crate::cover::{shortest_cover_into, CoverScratch};
 use crate::obs::SimObs;
-use crate::scratch::{with_scratch, ScoringScratch};
+use crate::scratch::ScoringScratch;
 
-/// Computes `score(q)` (Eq. 3.4) for one keyphrase of `e` against a mention
-/// context given as position-sorted `(pos, word)` pairs.
+/// The Eq. 3.4 kernel for one keyphrase: the shortest cover of `run` in
+/// `context` (position-sorted `(pos, word)` pairs) and the cover's share
+/// of the phrase's weight mass.
 ///
-/// This is the reference implementation: it re-derives the deduplicated
-/// phrase word set and its weight mass on every call. The hot path uses
-/// [`phrase_score_run`], which reads both from the KB's precomputed
-/// [`PhraseRuns`](ned_kb::PhraseRuns) and is verified bit-identical.
-pub fn phrase_score<K: KbView + ?Sized>(
-    kb: &K,
-    e: EntityId,
-    phrase_words: &[WordId],
+/// `run` is the phrase's word set, sorted and deduplicated; `phrase_mass`
+/// is the sum of `weight` over it. Returns `(z, ratio)` with `ratio =
+/// (cover mass / phrase mass).min(1.0)`, or `None` when the phrase scores
+/// nothing: a non-positive phrase mass, no phrase word in the context, or a
+/// non-positive cover mass. The phrase's score is `z · ratio²`. Each caller
+/// does that multiplication itself, in its own order, because
+/// `w · z · r · r` and `w · (z · r · r)` are different floats.
+///
+/// The cover mass is an indexed fold over the cover words in ascending
+/// word-id order, starting at `+0.0`. `Iterator::sum` starts at `-0.0`; the
+/// two differ only when every term is a signed zero, and then both take the
+/// `cover mass <= 0.0` exit.
+pub fn cover_z_ratio(
     context: &[(usize, WordId)],
-    weighting: KeywordWeighting,
-) -> f64 {
-    let weight = |w: WordId| -> f64 {
-        match weighting {
-            KeywordWeighting::Npmi => kb.weights().keyword_npmi(e, w),
-            KeywordWeighting::Idf => kb.weights().word_idf(w),
-        }
-    };
-    let phrase_mass: f64 = {
-        let mut ws: Vec<WordId> = phrase_words.to_vec();
-        ws.sort_unstable();
-        ws.dedup();
-        ws.iter().map(|&w| weight(w)).sum()
-    };
+    run: &[WordId],
+    phrase_mass: f64,
+    weight: impl Fn(WordId) -> f64,
+    cover: &mut CoverScratch,
+) -> Option<(f64, f64)> {
     if phrase_mass <= 0.0 {
-        return 0.0;
+        return None;
     }
-    let Some(cover) = shortest_cover(context, phrase_words) else {
-        return 0.0;
-    };
-    let cover_mass: f64 = cover.words.iter().map(|&w| weight(w)).sum();
+    let shape = shortest_cover_into(context, run, cover)?;
+    // Iterator-free indexed fold over the cover words so the compiler can
+    // keep the weight lookups in a tight loop.
+    let cw = cover.cover_words();
+    let mut cover_mass = 0.0f64;
+    let mut i = 0usize;
+    while i < cw.len() {
+        cover_mass += weight(cw[i]); // ned-lint: allow(p1) — i < len by loop bound
+        i += 1;
+    }
     if cover_mass <= 0.0 {
-        return 0.0;
+        return None;
     }
     let ratio = (cover_mass / phrase_mass).min(1.0);
-    cover.z() * ratio * ratio
+    Some((shape.z(), ratio))
 }
 
-/// [`phrase_score`] for an interned keyphrase, reading the precomputed
-/// deduplicated word run and weight masses from the KB's
-/// [`PhraseRuns`](ned_kb::PhraseRuns) and reusing the caller's cover
-/// buffers. Bit-identical to the reference:
-///
-/// - the precomputed masses were summed with the exact reference expression
-///   over the exact reference word order (sorted, deduplicated);
-/// - the scratch cover scan finds the same window and word set (membership
-///   over the sorted run is set-equivalent to `contains` on the raw words);
-/// - the cover mass is accumulated in the same ascending-word-id order. The
-///   accumulator starts at `+0.0` where `Iterator::sum` starts at `-0.0`,
-///   which can only differ when every term is a signed zero — and then both
-///   paths take the `cover_mass <= 0.0` early return.
+/// `score(q)` (Eq. 3.4) of the interned keyphrase `p` for entity `e`,
+/// reading the deduplicated word run and the weight masses precomputed in
+/// the KB's [`PhraseRuns`](ned_kb::PhraseRuns). Bit-identical to the
+/// reference `phrase_score`: the precomputed masses were summed with the
+/// reference expression over the reference word order (sorted,
+/// deduplicated), and [`cover_z_ratio`] finds the same cover and sums its
+/// mass in the same ascending word-id order.
 // ned-lint: hot
-pub fn phrase_score_run<K: KbView + ?Sized>(
+fn phrase_score_run<K: KbView + ?Sized>(
     kb: &K,
     e: EntityId,
     p: PhraseId,
@@ -79,210 +84,53 @@ pub fn phrase_score_run<K: KbView + ?Sized>(
     cover: &mut CoverScratch,
 ) -> f64 {
     let runs = kb.phrase_runs();
+    let weights = kb.weights();
     let run = runs.run(p);
     let phrase_mass = match weighting {
         KeywordWeighting::Npmi => runs.npmi_mass(e, p).unwrap_or_else(|| {
             // Not an own phrase of `e` (no precomputed row entry): fall back
             // to the reference expression over the run.
-            run.iter().map(|&w| kb.weights().keyword_npmi(e, w)).sum()
+            run.iter().map(|&w| weights.keyword_npmi(e, w)).sum()
         }),
         KeywordWeighting::Idf => runs.idf_mass(p),
     };
-    if phrase_mass <= 0.0 {
-        return 0.0;
-    }
-    let Some(shape) = shortest_cover_into(context, run, cover) else {
-        return 0.0;
+    let weight = |w: WordId| match weighting {
+        KeywordWeighting::Npmi => weights.keyword_npmi(e, w),
+        KeywordWeighting::Idf => weights.word_idf(w),
     };
-    // Iterator-free indexed fold over the cover words so the compiler can
-    // keep the weight lookups in a tight loop.
-    let cw = cover.cover_words();
-    let mut cover_mass = 0.0f64;
-    let mut i = 0usize;
-    while i < cw.len() {
-        let w = cw[i]; // ned-lint: allow(p1) — i < len by loop bound
-        cover_mass += match weighting {
-            KeywordWeighting::Npmi => kb.weights().keyword_npmi(e, w),
-            KeywordWeighting::Idf => kb.weights().word_idf(w),
-        };
-        i += 1;
+    match cover_z_ratio(context, run, phrase_mass, weight, cover) {
+        Some((z, ratio)) => z * ratio * ratio,
+        None => 0.0,
     }
-    if cover_mass <= 0.0 {
-        return 0.0;
-    }
-    let ratio = (cover_mass / phrase_mass).min(1.0);
-    shape.z() * ratio * ratio
 }
 
-/// `simscore(m, e)` (Eq. 3.6): the sum of phrase scores over all keyphrases
-/// of `e`.
+/// `simscore(m, e)` (Eq. 3.6) for every candidate of one mention: scores
+/// the candidates `entity_at(0..n)` against the same `context`
+/// (position-sorted `(pos, word)` pairs) and leaves the scores in
+/// [`ScoringScratch::sims`], in candidate order. With a warmed arena a call
+/// performs zero heap allocations.
 ///
-/// Uses the knowledge base's keyphrase inverted index to visit only the
-/// phrases sharing at least one word with the context. The pruning is exact:
-/// a phrase with no context word has no shortest cover and scores exactly
-/// 0.0, so the result is bit-identical to [`simscore_exhaustive`] (both sum
-/// the surviving phrases in ascending phrase-id order, and adding a +0.0
-/// term never changes an IEEE sum of non-negative terms).
-pub fn simscore<K: KbView + ?Sized>(
-    kb: &K,
-    e: EntityId,
-    context: &[(usize, WordId)],
-    weighting: KeywordWeighting,
-) -> f64 {
-    simscore_indexed(kb, e, context, &context_word_set(context), weighting)
-}
-
-/// The distinct words of a context window, sorted — the query set for the
-/// keyphrase inverted index. Callers scoring many candidates against the
-/// same context should compute this once and use [`simscore_indexed`].
-pub fn context_word_set(context: &[(usize, WordId)]) -> Vec<WordId> {
-    let mut ws: Vec<WordId> = context.iter().map(|&(_, w)| w).collect();
-    ws.sort_unstable();
-    ws.dedup();
-    ws
-}
-
-/// [`simscore`] with the context's word set precomputed; bit-identical to
-/// `simscore`. `context_words` must be sorted and deduplicated (as produced
-/// by [`context_word_set`]).
-pub fn simscore_indexed<K: KbView + ?Sized>(
-    kb: &K,
-    e: EntityId,
-    context: &[(usize, WordId)],
-    context_words: &[WordId],
-    weighting: KeywordWeighting,
-) -> f64 {
-    simscore_observed(kb, e, context, context_words, weighting, &SimObs::default())
-}
-
-/// [`simscore_indexed`] with work counters: which query plan was chosen,
-/// how many index postings were scanned, and how many phrases survived
-/// pruning. The counters never influence the score — passing
-/// [`SimObs::default`] (disabled handles) is bit-identical to
-/// [`simscore_indexed`].
-pub fn simscore_observed<K: KbView + ?Sized>(
-    kb: &K,
-    e: EntityId,
-    context: &[(usize, WordId)],
-    context_words: &[WordId],
-    weighting: KeywordWeighting,
-    obs: &SimObs,
-) -> f64 {
-    with_scratch(|scratch| {
-        simscore_with_arena(kb, e, context, context_words, weighting, obs, scratch)
-    })
-}
-
-/// [`simscore_observed`] against an explicit scoring arena — the inner form
-/// used once a scratch is already held (the batched candidate pass, the
-/// thread-local wrapper).
-pub(crate) fn simscore_with_arena<K: KbView + ?Sized>(
-    kb: &K,
-    e: EntityId,
-    context: &[(usize, WordId)],
-    context_words: &[WordId],
-    weighting: KeywordWeighting,
-    obs: &SimObs,
-    scratch: &mut ScoringScratch,
-) -> f64 {
-    let ScoringScratch { cover, matching, .. } = scratch;
-    obs.evaluations.inc();
-    // Adaptive query plan: enumerate the phrases sharing ≥ 1 word with the
-    // context from whichever side is smaller — probe the inverted index per
-    // context word, or scan KP(e) testing each phrase word against the
-    // sorted context word set. Both yield the same phrases in ascending
-    // phrase-id order, so the score is bitwise independent of the plan.
-    let kp = kb.keyphrases(e);
-    if kp.len() <= context_words.len() {
-        obs.plan_entity_side.inc();
-        matching.clear();
-        // The precomputed run is the deduplicated word set of the phrase;
-        // `any` over it decides exactly like `any` over the raw word list.
-        matching.extend(
-            kp.iter()
-                .filter(|ep| {
-                    kb.phrase_runs()
-                        .run(ep.phrase)
-                        .iter()
-                        .any(|w| context_words.binary_search(w).is_ok())
-                })
-                .map(|ep| ep.phrase),
-        );
-    } else {
-        obs.plan_word_side.inc();
-        let scanned = kb.keyphrase_index().matching_phrases_into(e, context_words, matching);
-        obs.postings_scanned.add(scanned);
-    }
-    obs.phrases_matched.add(matching.len() as u64);
-    // fold(0.0) rather than sum(): Iterator::sum's identity is -0.0, which
-    // would make an empty phrase set differ in sign bit from an exhaustive
-    // sum of zeros.
-    matching
-        .iter()
-        .fold(0.0, |acc, &p| acc + phrase_score_run(kb, e, p, context, weighting, cover))
-}
-
-/// Batched `simscore` over every candidate of one mention: scores all
-/// `entities` against the same context in one pass and returns the scores in
-/// input order. Bit-identical to calling [`simscore_indexed`] per entity —
-/// the batching only changes *when* each candidate's postings are gathered,
-/// never which postings, their per-candidate order, or the summation order.
+/// The pass builds the context's sorted, deduplicated word set in the arena
+/// and scores only the phrases sharing at least one word with it. The
+/// pruning is exact: a phrase with no context word has no shortest cover
+/// and scores exactly 0.0. Each candidate's surviving phrases are summed
+/// in ascending phrase-id order with a `fold(0.0, +)`, the order of an
+/// exhaustive scan over KP(e) (`Iterator::sum` seeds with −0.0, which would
+/// flip the sign bit of an empty sum), so the scores equal the exhaustive
+/// scan bit for bit.
+///
+/// Query plan, per candidate: when KP(e) is no larger than the context word
+/// set, test each phrase's run against the set (entity side); otherwise
+/// probe the inverted index (word side). Word-side candidates share one
+/// entity-sorted merge over each context word's postings. Both plans yield
+/// the same phrases in the same order, so the score does not depend on the
+/// plan.
+///
+/// Counters: every candidate records one evaluation and one plan decision;
+/// postings scanned and phrases matched are recorded per candidate. The
+/// totals do not depend on how candidates are grouped into calls.
 // ned-lint: hot
 pub fn simscores_batch<K: KbView + ?Sized>(
-    kb: &K,
-    entities: &[EntityId],
-    context: &[(usize, WordId)],
-    weighting: KeywordWeighting,
-    obs: &SimObs,
-) -> Vec<f64> {
-    let mut out = Vec::new(); // ned-lint: allow(h1) — compat wrapper returns an owned Vec by contract; the zero-alloc path is simscores_batch_into
-    simscores_batch_into(kb, entities, context, weighting, obs, &mut out);
-    out
-}
-
-/// [`simscores_batch`] writing into a caller-owned buffer (cleared first).
-/// With a warmed per-thread arena and a reused `out` buffer, a steady-state
-/// call performs zero heap allocations — this is the entry point the bench
-/// harness uses to certify the allocation-free hot path.
-// ned-lint: hot
-pub fn simscores_batch_into<K: KbView + ?Sized>(
-    kb: &K,
-    entities: &[EntityId],
-    context: &[(usize, WordId)],
-    weighting: KeywordWeighting,
-    obs: &SimObs,
-    out: &mut Vec<f64>,
-) {
-    with_scratch(|scratch| {
-        scratch.context_words.clear();
-        scratch.context_words.extend(context.iter().map(|&(_, w)| w));
-        scratch.context_words.sort_unstable();
-        scratch.context_words.dedup();
-        simscores_batch_arena(
-            kb,
-            entities.len(),
-            |i| entities[i], // ned-lint: allow(p1) — i < entities.len() by construction
-            context,
-            weighting,
-            obs,
-            scratch,
-        );
-        out.clear();
-        out.extend_from_slice(&scratch.sims);
-    });
-}
-
-/// The batched scoring pass. Requires `scratch.context_words` to already
-/// hold the sorted-deduplicated context word set; leaves the scores in
-/// `scratch.sims`, in candidate order.
-///
-/// Counter identity with the per-candidate path: every candidate records one
-/// evaluation and one plan decision in candidate order; word-side postings
-/// and matched-phrase counts are recorded per candidate during the merge
-/// phases. All counters are atomic adds, so the totals are independent of
-/// the recording order.
-// ned-lint: hot
-pub(crate) fn simscores_batch_arena<K: KbView + ?Sized>(
     kb: &K,
     n: usize,
     entity_at: impl Fn(usize) -> EntityId,
@@ -292,6 +140,10 @@ pub(crate) fn simscores_batch_arena<K: KbView + ?Sized>(
     scratch: &mut ScoringScratch,
 ) {
     let ScoringScratch { cover, context_words, matching, word_side, phrase_bufs, sims } = scratch;
+    context_words.clear();
+    context_words.extend(context.iter().map(|&(_, w)| w));
+    context_words.sort_unstable();
+    context_words.dedup();
     let context_words: &[WordId] = context_words;
     sims.clear();
     word_side.clear();
@@ -308,6 +160,9 @@ pub(crate) fn simscores_batch_arena<K: KbView + ?Sized>(
         if kp.len() <= context_words.len() {
             obs.plan_entity_side.inc();
             matching.clear();
+            // The precomputed run is the deduplicated word set of the
+            // phrase; `any` over it decides exactly like `any` over the raw
+            // word list.
             matching.extend(
                 kp.iter()
                     .filter(|ep| {
@@ -334,8 +189,8 @@ pub(crate) fn simscores_batch_arena<K: KbView + ?Sized>(
 
     // Phase B — entity-major order for the merge. Duplicate candidate
     // entities (not produced by the dictionary, but allowed by the API)
-    // fall back to the per-candidate probe so each occurrence does — and
-    // records — its own work, exactly like the unbatched path.
+    // fall back to one index probe per occurrence, so each occurrence does
+    // — and records — its own work, exactly as in a call of its own.
     word_side.sort_unstable();
     let has_duplicate = word_side.windows(2).any(|p| p[0].0 == p[1].0); // ned-lint: allow(p1) — windows(2) pairs
     if has_duplicate {
@@ -356,8 +211,8 @@ pub(crate) fn simscores_batch_arena<K: KbView + ?Sized>(
     // cursor localizes each binary search to the unconsumed suffix; the
     // slices found are exactly `entity_postings(e, w)`. For a fixed
     // candidate, pushes happen in context-word order — the per-candidate
-    // probe order — so phase D's sort+dedup reproduces
-    // `matching_phrases_counted` exactly.
+    // probe order — so phase D's sort+dedup reproduces the index probe
+    // (`matching_phrases_into`) exactly.
     while phrase_bufs.len() < word_side.len() {
         phrase_bufs.push(Vec::new()); // ned-lint: allow(h1) — arena warmup growth; steady state reuses these buffers and the alloc ratchet counts the warmup
     }
@@ -389,10 +244,51 @@ pub(crate) fn simscores_batch_arena<K: KbView + ?Sized>(
     }
 }
 
-/// Reference implementation of `simscore(m, e)` scanning all of KP(e)
-/// without the inverted index. Kept for tests asserting the index prunes
-/// exactly.
-pub fn simscore_exhaustive<K: KbView + ?Sized>(
+/// Computes `score(q)` (Eq. 3.4) for one keyphrase of `e` against a mention
+/// context given as position-sorted `(pos, word)` pairs.
+///
+/// The test-only reference: it re-derives the deduplicated phrase word set
+/// and its weight mass on every call, and finds the cover with the
+/// allocating `shortest_cover`. Production scoring goes through
+/// [`phrase_score_run`] and [`cover_z_ratio`], held bit-identical to it.
+#[cfg(test)]
+pub(crate) fn phrase_score<K: KbView + ?Sized>(
+    kb: &K,
+    e: EntityId,
+    phrase_words: &[WordId],
+    context: &[(usize, WordId)],
+    weighting: KeywordWeighting,
+) -> f64 {
+    let weight = |w: WordId| -> f64 {
+        match weighting {
+            KeywordWeighting::Npmi => kb.weights().keyword_npmi(e, w),
+            KeywordWeighting::Idf => kb.weights().word_idf(w),
+        }
+    };
+    let phrase_mass: f64 = {
+        let mut ws: Vec<WordId> = phrase_words.to_vec();
+        ws.sort_unstable();
+        ws.dedup();
+        ws.iter().map(|&w| weight(w)).sum()
+    };
+    if phrase_mass <= 0.0 {
+        return 0.0;
+    }
+    let Some(cover) = crate::cover::shortest_cover(context, phrase_words) else {
+        return 0.0;
+    };
+    let cover_mass: f64 = cover.words.iter().map(|&w| weight(w)).sum();
+    if cover_mass <= 0.0 {
+        return 0.0;
+    }
+    let ratio = (cover_mass / phrase_mass).min(1.0);
+    cover.z() * ratio * ratio
+}
+
+/// Test-only reference `simscore(m, e)`: [`phrase_score`] summed over all
+/// of KP(e), without the inverted index or the phrase runs.
+#[cfg(test)]
+pub(crate) fn simscore_exhaustive<K: KbView + ?Sized>(
     kb: &K,
     e: EntityId,
     context: &[(usize, WordId)],
@@ -406,10 +302,17 @@ pub fn simscore_exhaustive<K: KbView + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::context::DocumentContext;
-    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
+    use crate::cover::shortest_cover;
+    use ned_kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder};
+    use ned_obs::Metrics;
     use ned_text::tokenize;
+    use proptest::prelude::*;
+
+    const WEIGHTINGS: [KeywordWeighting; 2] = [KeywordWeighting::Npmi, KeywordWeighting::Idf];
 
     /// Jimmy Page vs Larry Page with distinctive keyphrases.
     fn kb() -> (FrozenKb, EntityId, EntityId) {
@@ -424,8 +327,44 @@ mod tests {
         (FrozenKb::freeze(&b.build()), jimmy, larry)
     }
 
-    fn context_of(kb: &FrozenKb, text: &str) -> Vec<(usize, WordId)> {
+    fn context_of<K: KbView + ?Sized>(kb: &K, text: &str) -> Vec<(usize, WordId)> {
         DocumentContext::build(kb, &tokenize(text)).words
+    }
+
+    /// [`simscores_batch`] over `entities` in `scratch`, copied out.
+    fn batch<K: KbView + ?Sized>(
+        kb: &K,
+        entities: &[EntityId],
+        context: &[(usize, WordId)],
+        weighting: KeywordWeighting,
+        obs: &SimObs,
+        scratch: &mut ScoringScratch,
+    ) -> Vec<f64> {
+        simscores_batch(kb, entities.len(), |i| entities[i], context, weighting, obs, scratch);
+        scratch.sims().to_vec()
+    }
+
+    /// `simscore(m, e)` for one candidate, in a fresh arena.
+    fn simscore<K: KbView + ?Sized>(
+        kb: &K,
+        e: EntityId,
+        context: &[(usize, WordId)],
+        weighting: KeywordWeighting,
+    ) -> f64 {
+        let scores =
+            batch(kb, &[e], context, weighting, &SimObs::default(), &mut ScoringScratch::new());
+        scores[0]
+    }
+
+    /// The five similarity counters, in declaration order.
+    fn counters(obs: &SimObs) -> [u64; 5] {
+        [
+            obs.evaluations.value(),
+            obs.plan_entity_side.value(),
+            obs.plan_word_side.value(),
+            obs.postings_scanned.value(),
+            obs.phrases_matched.value(),
+        ]
     }
 
     #[test]
@@ -476,12 +415,13 @@ mod tests {
             "played unusual chords on his Gibson guitar",
             "search engine built at Stanford university",
             "hard rock guitar award",
+            "guitar",
             "nothing in common with anyone",
             "",
         ] {
             let ctx = context_of(&kb, text);
             for e in [jimmy, larry] {
-                for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
+                for weighting in WEIGHTINGS {
                     let fast = simscore(&kb, e, &ctx, weighting);
                     let slow = simscore_exhaustive(&kb, e, &ctx, weighting);
                     assert_eq!(fast.to_bits(), slow.to_bits(), "{text:?}");
@@ -525,7 +465,7 @@ mod tests {
     #[test]
     fn run_phrase_score_matches_reference_bitwise() {
         let (kb, jimmy, larry) = kb();
-        let mut cover = crate::cover::CoverScratch::new();
+        let mut cover = CoverScratch::new();
         for text in [
             "played unusual chords on his Gibson guitar",
             "Grammy winner at Stanford university",
@@ -536,7 +476,7 @@ mod tests {
             for e in [jimmy, larry] {
                 for scored in [jimmy, larry] {
                     for ep in kb.keyphrases(scored) {
-                        for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
+                        for weighting in WEIGHTINGS {
                             let reference = phrase_score(
                                 &kb,
                                 e,
@@ -559,55 +499,211 @@ mod tests {
         }
     }
 
-    /// The batched multi-candidate pass must equal per-candidate
-    /// `simscore_indexed` bitwise, with the same counter totals.
+    /// Scoring several candidates in one call equals one call per
+    /// candidate, bitwise, with the same counter totals — through the
+    /// word-side merge and, with a repeated candidate, through the
+    /// duplicate fallback.
     #[test]
-    fn batched_simscores_match_per_candidate_bitwise() {
+    fn batched_simscores_match_one_call_per_candidate_bitwise() {
         let (kb, jimmy, larry) = kb();
         for text in [
             "played unusual chords on his Gibson guitar",
             "search engine built at Stanford university",
             "hard rock guitar award winner at a search engine",
+            "Gibson guitar",
+            "guitar",
             "nothing in common with anyone",
             "",
         ] {
             let ctx = context_of(&kb, text);
-            let words = context_word_set(&ctx);
             for entities in [
                 vec![jimmy, larry],
                 vec![larry, jimmy],
                 vec![jimmy],
-                vec![jimmy, larry, jimmy], // duplicate → per-candidate fallback
+                vec![jimmy, larry, jimmy], // duplicate → per-occurrence fallback
             ] {
-                for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
-                    let batch_obs = SimObs::new(&ned_obs::Metrics::new());
-                    let single_obs = SimObs::new(&ned_obs::Metrics::new());
-                    let batched = simscores_batch(&kb, &entities, &ctx, weighting, &batch_obs);
+                for weighting in WEIGHTINGS {
+                    let batch_obs = SimObs::new(&Metrics::new());
+                    let single_obs = SimObs::new(&Metrics::new());
+                    let mut scratch = ScoringScratch::new();
+                    let batched = batch(&kb, &entities, &ctx, weighting, &batch_obs, &mut scratch);
                     let singles: Vec<f64> = entities
                         .iter()
-                        .map(|&e| {
-                            simscore_observed(&kb, e, &ctx, &words, weighting, &single_obs)
-                        })
+                        .flat_map(|e| batch(&kb, &[*e], &ctx, weighting, &single_obs, &mut scratch))
                         .collect();
                     assert_eq!(batched.len(), singles.len());
                     for (b, s) in batched.iter().zip(singles.iter()) {
                         assert_eq!(b.to_bits(), s.to_bits(), "{text:?} {entities:?}");
                     }
                     assert_eq!(
-                        batch_obs.evaluations.value(),
-                        single_obs.evaluations.value(),
-                        "evaluation counts diverge"
+                        counters(&batch_obs),
+                        counters(&single_obs),
+                        "counters diverge on {text:?} {entities:?}"
                     );
-                    assert_eq!(batch_obs.plan_entity_side.value(), single_obs.plan_entity_side.value());
-                    assert_eq!(batch_obs.plan_word_side.value(), single_obs.plan_word_side.value());
-                    assert_eq!(
-                        batch_obs.postings_scanned.value(),
-                        single_obs.postings_scanned.value(),
-                        "scanned counts diverge on {text:?}"
-                    );
-                    assert_eq!(batch_obs.phrases_matched.value(), single_obs.phrases_matched.value());
                 }
             }
+        }
+    }
+
+    /// (keyphrases per entity, context words) of a random world.
+    type WorldSpec = (Vec<Vec<(Vec<String>, u64)>>, Vec<String>);
+
+    /// Random worlds: up to 8 entities with up to 4 keyphrases each, drawn
+    /// from a small vocabulary so phrases share words, and a context short
+    /// enough that both query plans fire.
+    fn world_strategy() -> impl Strategy<Value = WorldSpec> {
+        let phrase = (proptest::collection::vec("[a-e]{1,4}", 1..4), 1u64..6);
+        (
+            proptest::collection::vec(proptest::collection::vec(phrase, 0..5), 1..9),
+            proptest::collection::vec("[a-g]{1,4}", 0..12),
+        )
+    }
+
+    /// The frozen KB of a spec, the same KB behind an overlay of no
+    /// mutations, and the spec's context.
+    fn build_world(spec: &WorldSpec) -> (Arc<FrozenKb>, DeltaKb, Vec<(usize, WordId)>) {
+        let (entities, context) = spec;
+        let mut builder = KbBuilder::new();
+        for (i, phrases) in entities.iter().enumerate() {
+            let e = builder.add_entity(&format!("E{i}"), EntityKind::Other);
+            for (words, count) in phrases {
+                builder.add_keyphrase(e, &words.join(" "), *count);
+            }
+        }
+        let frozen = Arc::new(FrozenKb::freeze(&builder.build()));
+        let overlay = DeltaKb::build(Arc::clone(&frozen), Vec::new()).unwrap();
+        let ctx = context_of(&*frozen, &context.join(" "));
+        (frozen, overlay, ctx)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The inverted index only skips keyphrases whose score is exactly
+        /// 0.0 (no word in context ⇒ no shortest cover), so every candidate
+        /// scored alone or with all the others equals the exhaustive scan,
+        /// on the frozen KB and on the overlay, under both weightings.
+        #[test]
+        fn indexed_scores_match_the_exhaustive_scan(spec in world_strategy()) {
+            let (frozen, overlay, ctx) = build_world(&spec);
+            let entities: Vec<EntityId> = frozen.entity_ids().collect();
+            let obs = SimObs::default();
+            let mut scratch = ScoringScratch::new();
+            for weighting in WEIGHTINGS {
+                let reference: Vec<u64> = entities
+                    .iter()
+                    .map(|&e| simscore_exhaustive(&*frozen, e, &ctx, weighting).to_bits())
+                    .collect();
+                let backends: [&dyn KbView; 2] = [&*frozen, &overlay];
+                for kb in backends {
+                    let all: Vec<u64> = batch(kb, &entities, &ctx, weighting, &obs, &mut scratch)
+                        .iter()
+                        .map(|s| s.to_bits())
+                        .collect();
+                    prop_assert_eq!(&all, &reference);
+                    for (&e, &r) in entities.iter().zip(&reference) {
+                        let alone = batch(kb, &[e], &ctx, weighting, &obs, &mut scratch);
+                        prop_assert_eq!(alone[0].to_bits(), r, "{:?} scored alone", e);
+                    }
+                }
+            }
+        }
+
+        /// Arena reuse changes nothing: one dirty arena serves two passes
+        /// over both backends and both weightings. Batched scores (through
+        /// the merge, and through the duplicate fallback when every
+        /// candidate appears twice) and `phrase_score_run` on every
+        /// (entity, phrase) pair — foreign phrases included — equal the
+        /// reference bit for bit, and the fallback records the counters of
+        /// one call per candidate.
+        #[test]
+        fn dirty_arena_scores_match_the_reference(spec in world_strategy()) {
+            let (frozen, overlay, ctx) = build_world(&spec);
+            let entities: Vec<EntityId> = frozen.entity_ids().collect();
+            let doubled: Vec<EntityId> = entities.iter().chain(entities.iter()).copied().collect();
+            let mut scratch = ScoringScratch::new();
+            for weighting in WEIGHTINGS {
+                let reference: Vec<u64> = doubled
+                    .iter()
+                    .map(|&e| simscore_exhaustive(&*frozen, e, &ctx, weighting).to_bits())
+                    .collect();
+                let backends: [&dyn KbView; 2] = [&*frozen, &overlay];
+                for _pass in 0..2 {
+                    for kb in backends {
+                        let obs = SimObs::default();
+                        let merged: Vec<u64> =
+                            batch(kb, &entities, &ctx, weighting, &obs, &mut scratch)
+                                .iter()
+                                .map(|s| s.to_bits())
+                                .collect();
+                        prop_assert_eq!(merged.as_slice(), &reference[..entities.len()]);
+
+                        let batch_obs = SimObs::new(&Metrics::new());
+                        let single_obs = SimObs::new(&Metrics::new());
+                        let fallback: Vec<u64> =
+                            batch(kb, &doubled, &ctx, weighting, &batch_obs, &mut scratch)
+                                .iter()
+                                .map(|s| s.to_bits())
+                                .collect();
+                        prop_assert_eq!(&fallback, &reference);
+                        for &e in &doubled {
+                            batch(kb, &[e], &ctx, weighting, &single_obs, &mut scratch);
+                        }
+                        prop_assert_eq!(counters(&batch_obs), counters(&single_obs));
+
+                        for &e in &entities {
+                            for pi in 0..frozen.phrase_count() {
+                                let p = PhraseId::from_index(pi);
+                                let fresh = phrase_score(
+                                    &*frozen, e, frozen.phrase_words(p), &ctx, weighting,
+                                );
+                                let run =
+                                    phrase_score_run(kb, e, p, &ctx, weighting, &mut scratch.cover);
+                                prop_assert_eq!(run.to_bits(), fresh.to_bits(), "{:?} {:?}", e, p);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The kernel against the reference cover: for a raw phrase word
+        /// list (unsorted, with repeats) and arbitrary non-negative word
+        /// weights (zeros included), `cover_z_ratio` on the sorted set
+        /// returns the reference cover's `z` and mass ratio bit for bit, and
+        /// nothing exactly when the reference scores the phrase 0.
+        #[test]
+        fn kernel_matches_the_reference_cover(
+            context in proptest::collection::vec((1usize..4, 0u32..12), 0..30),
+            phrase in proptest::collection::vec(0u32..12, 1..6),
+            weights in proptest::collection::vec(0u32..5, 12..13),
+        ) {
+            // Strictly increasing positions with gaps, so covers vary in
+            // length.
+            let mut pos = 0usize;
+            let context: Vec<(usize, WordId)> = context
+                .iter()
+                .map(|&(gap, w)| {
+                    pos += gap;
+                    (pos, WordId(w))
+                })
+                .collect();
+            let phrase: Vec<WordId> = phrase.into_iter().map(WordId).collect();
+            let weight = |w: WordId| f64::from(weights[w.0 as usize]) * 0.375;
+            let mut run = phrase.clone();
+            run.sort_unstable();
+            run.dedup();
+            let phrase_mass: f64 = run.iter().map(|&w| weight(w)).sum();
+
+            let mut cover = CoverScratch::new();
+            let got = cover_z_ratio(&context, &run, phrase_mass, weight, &mut cover);
+            let reference = shortest_cover(&context, &phrase).and_then(|c| {
+                let cover_mass: f64 = c.words.iter().map(|&w| weight(w)).sum();
+                (phrase_mass > 0.0 && cover_mass > 0.0)
+                    .then(|| (c.z(), (cover_mass / phrase_mass).min(1.0)))
+            });
+            let bits = |r: Option<(f64, f64)>| r.map(|(z, ratio)| (z.to_bits(), ratio.to_bits()));
+            prop_assert_eq!(bits(got), bits(reference));
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Criterion benches for the hashing substrate: min-hash sketching, LSH
-//! banding, and the similarity cover computation.
+//! banding, and the Eq. 3.4 cover kernel of the keyphrase similarity.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ned_aida::cover::shortest_cover;
+use ned_aida::cover::CoverScratch;
+use ned_aida::similarity::cover_z_ratio;
 use ned_kb::WordId;
 use ned_relatedness::lsh::Banding;
 use ned_relatedness::minhash::{mix64, MinHasher};
@@ -37,8 +38,11 @@ fn bench_cover(c: &mut Criterion) {
     let context: Vec<(usize, WordId)> =
         (0..300).map(|i| (i, WordId((i % 40) as u32))).collect();
     let phrase = [WordId(3), WordId(17), WordId(39)];
-    c.bench_function("shortest_cover_300_tokens", |b| {
-        b.iter(|| black_box(shortest_cover(&context, &phrase)))
+    let weight = |w: WordId| 1.0 + f64::from(w.0 % 3);
+    let phrase_mass: f64 = phrase.iter().map(|&w| weight(w)).sum();
+    let mut cover = CoverScratch::new();
+    c.bench_function("cover_kernel_300_tokens", |b| {
+        b.iter(|| black_box(cover_z_ratio(&context, &phrase, phrase_mass, weight, &mut cover)))
     });
 }
 

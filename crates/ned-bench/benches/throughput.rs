@@ -1,5 +1,5 @@
 //! Criterion benches for the parallel engine: corpus throughput at several
-//! thread counts and indexed vs exhaustive keyphrase similarity.
+//! thread counts and batched keyphrase similarity over every mention.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -7,8 +7,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ned_aida::context::DocumentContext;
-use ned_aida::similarity::{context_word_set, simscore_exhaustive, simscore_indexed};
-use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting};
+use ned_aida::scratch::with_scratch;
+use ned_aida::similarity::simscores_batch;
+use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting, SimObs};
 use ned_bench::runner::run_method_with_threads;
 use ned_eval::gold::GoldDoc;
 use ned_kb::FrozenKb;
@@ -53,7 +54,7 @@ fn bench_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_similarity_index(c: &mut Criterion) {
+fn bench_similarity(c: &mut Criterion) {
     let (exported, docs) = setup();
     let kb = &FrozenKb::freeze(&exported.kb);
     // Every mention context with its candidate entities.
@@ -74,25 +75,23 @@ fn bench_similarity_index(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("simscore_corpus");
     group.sample_size(10);
-    group.bench_function("indexed", |b| {
+    let obs = SimObs::default();
+    group.bench_function("batched", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for (ctx, cands) in &cases {
-                let words = context_word_set(ctx);
-                for &e in cands {
-                    acc += simscore_indexed(kb, e, ctx, &words, KeywordWeighting::Npmi);
-                }
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("exhaustive", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for (ctx, cands) in &cases {
-                for &e in cands {
-                    acc += simscore_exhaustive(kb, e, ctx, KeywordWeighting::Npmi);
-                }
+                acc = with_scratch(|scratch| {
+                    simscores_batch(
+                        kb,
+                        cands.len(),
+                        |i| cands[i],
+                        ctx,
+                        KeywordWeighting::Npmi,
+                        &obs,
+                        scratch,
+                    );
+                    scratch.sims().iter().fold(acc, |a, &s| a + s)
+                });
             }
             black_box(acc)
         })
@@ -100,5 +99,5 @@ fn bench_similarity_index(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_thread_scaling, bench_similarity_index);
+criterion_group!(benches, bench_thread_scaling, bench_similarity);
 criterion_main!(benches);

@@ -1,15 +1,15 @@
-//! Throughput benchmark of the parallel disambiguation engine.
+//! Throughput benchmark of the parallel disambiguation engine: its
+//! deterministic outputs.
 //!
 //! Runs full AIDA (with a cached Milne–Witten measure) over the CoNLL-like
-//! corpus at several thread counts and reports docs/sec and mentions/sec per
-//! count, the speedup relative to one thread, and the relatedness-cache hit
-//! rate. The sweep runs through the `Arc<FrozenKb>` read path (the service
-//! configuration). Also measures the algorithmic speedup of the keyphrase
-//! inverted index (indexed vs exhaustive `simscore` over every
-//! mention–candidate pair) and asserts that every thread count produces
-//! byte-identical outcomes. Results are printed as a table and written to
-//! `BENCH_throughput.json`, `BENCH_kb_memory.json`, and `metrics.json` in
-//! the working directory.
+//! corpus at 1/2/4/8 threads through the `Arc<FrozenKb>` read path (the
+//! service configuration) and asserts that every thread count produces
+//! byte-identical outcomes. It reports per-count failure accounting, the
+//! relatedness-cache hit rate, allocation events, a cache sweep and the
+//! frozen KB's footprint — no wall-clock figures: the perfbench workloads
+//! (`perfbench/`) measure speed, with repeated runs. Results are printed as
+//! a table and written to `BENCH_throughput.json`, `BENCH_kb_memory.json`,
+//! and `metrics.json` in the working directory.
 //!
 //! Each sweep run carries its own [`ned_obs::Metrics`] registry; the bench
 //! asserts that the full metrics snapshot — every counter and histogram
@@ -20,20 +20,17 @@
 //!
 //! Because the harness installs the counting allocator (see
 //! `ned_obs::alloc`), every stage also reports its allocation-event count:
-//! per-run `allocs_per_doc` columns, and a dedicated batched-scoring stage
-//! that certifies the steady-state hot path allocates ~nothing per mention.
+//! per-run `allocs_per_doc` columns, and a batched-scoring stage that
+//! certifies the steady-state hot path allocates ~nothing per mention.
 //! The single-threaded stage figures feed the shrink-only `alloc.toml`
 //! ratchet (checked by the `alloc_check` binary in CI).
-
-use std::time::Instant;
 
 use ned_kb::FrozenKbStats;
 use ned_obs::{names as obs_names, Metrics, MetricsSnapshot};
 
 use ned_aida::context::DocumentContext;
-use ned_aida::similarity::{
-    context_word_set, simscore_exhaustive, simscore_indexed, simscores_batch_into,
-};
+use ned_aida::scratch::with_scratch;
+use ned_aida::similarity::simscores_batch;
 use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting, SimObs};
 use ned_eval::report::{num, Table};
 use ned_relatedness::{CacheConfig, CachedRelatedness, EvictionPolicy, MilneWitten};
@@ -45,19 +42,10 @@ use crate::setup::{Env, Scale};
 /// A mention's context window plus its candidate entities.
 type SimCase = (Vec<(usize, ned_kb::WordId)>, Vec<ned_kb::EntityId>);
 
-/// 1-thread pipeline cost measured at the PR-5 tip (observability layer),
-/// pinned so the before/after trajectory stays visible in the JSON report:
-/// 0.148064 s / 200 docs on the quick scale.
-const PINNED_BASELINE_1T_NS_PER_DOC: f64 = 740_320.0;
-
-/// One thread-count measurement.
+/// One thread-count run.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     threads: usize,
-    seconds: f64,
-    docs_per_sec: f64,
-    mentions_per_sec: f64,
-    speedup: f64,
     cache_hit_rate: f64,
     failed_docs: usize,
     degraded_docs: usize,
@@ -145,10 +133,8 @@ pub fn run(scale: &Scale) {
         let aida = Disambiguator::new(env.frozen.clone(), &cached, AidaConfig::full())
             .with_metrics(&metrics);
         let alloc_before = alloc_events();
-        let start = Instant::now();
         let eval = run_method_with_threads(&aida, docs, threads)
             .unwrap_or_else(|e| panic!("cannot build {threads}-thread pool: {e}"));
-        let seconds = start.elapsed().as_secs_f64();
         let run_allocs = alloc_events() - alloc_before;
         eval.record_metrics(&metrics);
         let failed_docs = eval.failed_count();
@@ -170,13 +156,8 @@ pub fn run(scale: &Scale) {
                 }
             }
         }
-        let speedup = runs.first().map_or(1.0, |r0| r0.seconds / seconds);
         runs.push(Run {
             threads,
-            seconds,
-            docs_per_sec: docs.len() as f64 / seconds,
-            mentions_per_sec: mention_count as f64 / seconds,
-            speedup,
             cache_hit_rate: cached.hit_rate(),
             failed_docs,
             degraded_docs,
@@ -188,26 +169,17 @@ pub fn run(scale: &Scale) {
     assert!(metrics_deterministic, "thread counts produced diverging metrics snapshots");
 
     // Zero-overhead contract: a disabled registry must not change a single
-    // output bit, and its wall time bounds the instrumentation cost.
-    let metrics_off_seconds = {
+    // output bit.
+    {
         let cached = CachedRelatedness::new(MilneWitten::new(env.frozen.clone()));
         let aida = Disambiguator::new(env.frozen.clone(), &cached, AidaConfig::full());
-        let start = Instant::now();
         let eval = run_method_with_threads(&aida, docs, 1)
             .unwrap_or_else(|e| panic!("cannot build 1-thread pool: {e}"));
-        let seconds = start.elapsed().as_secs_f64();
         let Some(b) = baseline.as_ref() else {
             unreachable!("the thread sweep runs at least once")
         };
         assert!(identical(b, &eval), "disabled metrics changed annotation output");
-        seconds
-    };
-    let metrics_on_seconds = runs.first().map_or(0.0, |r| r.seconds);
-    let metrics_overhead = if metrics_off_seconds > 0.0 {
-        metrics_on_seconds / metrics_off_seconds
-    } else {
-        1.0
-    };
+    }
 
     // Hit-rate-vs-memory-cap sweep: single-threaded runs per eviction
     // policy and byte cap, each executed twice — the metrics snapshots
@@ -282,9 +254,8 @@ pub fn run(scale: &Scale) {
         "a bounded cache changed annotation outcomes"
     );
 
-    // Algorithmic speedup of the keyphrase inverted index: score every
-    // mention–candidate pair with and without the index, over the frozen
-    // read path.
+    // Every mention's context window and candidates, over the frozen read
+    // path.
     let fkb = &env.frozen;
     let contexts: Vec<SimCase> = docs
         .iter()
@@ -300,29 +271,6 @@ pub fn run(scale: &Scale) {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let pair_count: usize = contexts.iter().map(|(_, cands)| cands.len()).sum();
-    let time_sim = |indexed: bool| -> (f64, u64) {
-        let alloc_before = alloc_events();
-        let start = Instant::now();
-        let mut acc = 0.0;
-        for (ctx, cands) in &contexts {
-            // As in the engine: one index query set per mention, shared by
-            // all of its candidates.
-            let words = context_word_set(ctx);
-            for &e in cands {
-                acc += if indexed {
-                    simscore_indexed(fkb, e, ctx, &words, KeywordWeighting::Npmi)
-                } else {
-                    simscore_exhaustive(fkb, e, ctx, KeywordWeighting::Npmi)
-                };
-            }
-        }
-        std::hint::black_box(acc);
-        (start.elapsed().as_secs_f64(), alloc_events() - alloc_before)
-    };
-    let (exhaustive_s, exhaustive_allocs) = time_sim(false);
-    let (indexed_s, indexed_allocs) = time_sim(true);
-    let index_speedup = if indexed_s > 0.0 { exhaustive_s / indexed_s } else { 1.0 };
 
     // The batched scorer, run twice over the whole corpus on one thread:
     // the first pass grows the per-thread arena to its high-water mark, the
@@ -331,32 +279,36 @@ pub fn run(scale: &Scale) {
     // passes must agree bitwise (scratch reuse cannot change a bit).
     let batched_metrics = Metrics::new();
     let batched_obs = SimObs::new(&batched_metrics);
-    let mut batched_out: Vec<f64> = Vec::new();
-    let time_batched = |out: &mut Vec<f64>| -> (f64, u64, f64) {
+    let score_corpus = || -> (u64, f64) {
         let alloc_before = alloc_events();
-        let start = Instant::now();
         let mut acc = 0.0;
         for (ctx, cands) in &contexts {
-            simscores_batch_into(fkb, cands, ctx, KeywordWeighting::Npmi, &batched_obs, out);
-            acc = out.iter().fold(acc, |a, &s| a + s);
+            acc = with_scratch(|scratch| {
+                simscores_batch(
+                    fkb,
+                    cands.len(),
+                    |i| cands[i],
+                    ctx,
+                    KeywordWeighting::Npmi,
+                    &batched_obs,
+                    scratch,
+                );
+                scratch.sims().iter().fold(acc, |a, &s| a + s)
+            });
         }
         std::hint::black_box(acc);
-        (start.elapsed().as_secs_f64(), alloc_events() - alloc_before, acc)
+        (alloc_events() - alloc_before, acc)
     };
-    let (_batched_warm_s, batched_warm_allocs, warm_acc) = time_batched(&mut batched_out);
-    let (batched_steady_s, batched_steady_allocs, steady_acc) = time_batched(&mut batched_out);
+    let (batched_warm_allocs, warm_acc) = score_corpus();
+    let (batched_steady_allocs, steady_acc) = score_corpus();
     assert!(
         warm_acc.to_bits() == steady_acc.to_bits(),
         "scratch reuse changed batched scores: {warm_acc} vs {steady_acc}"
     );
-    let batched_speedup = if batched_steady_s > 0.0 { indexed_s / batched_steady_s } else { 1.0 };
-    let steady_sim_allocs_per_mention = if contexts.is_empty() {
-        0.0
-    } else {
-        batched_steady_allocs as f64 / contexts.len() as f64
-    };
+    let per_mention =
+        |events: u64| if contexts.is_empty() { 0.0 } else { events as f64 / contexts.len() as f64 };
+    let steady_sim_allocs_per_mention = per_mention(batched_steady_allocs);
 
-    let per = |events: u64, n: usize| if n == 0 { 0.0 } else { events as f64 / n as f64 };
     let alloc_stages = [
         StageAlloc {
             stage: "pipeline_1_thread",
@@ -365,22 +317,10 @@ pub fn run(scale: &Scale) {
             per_unit: runs.first().map_or(0.0, |r| r.allocs_per_doc),
         },
         StageAlloc {
-            stage: "sim_exhaustive",
-            alloc_events: exhaustive_allocs,
-            unit: "pair",
-            per_unit: per(exhaustive_allocs, pair_count),
-        },
-        StageAlloc {
-            stage: "sim_indexed",
-            alloc_events: indexed_allocs,
-            unit: "pair",
-            per_unit: per(indexed_allocs, pair_count),
-        },
-        StageAlloc {
             stage: "sim_batched_warmup",
             alloc_events: batched_warm_allocs,
             unit: "mention",
-            per_unit: per(batched_warm_allocs, contexts.len()),
+            per_unit: per_mention(batched_warm_allocs),
         },
         StageAlloc {
             stage: "sim_batched_steady",
@@ -391,26 +331,12 @@ pub fn run(scale: &Scale) {
     ];
 
     let mut table = Table::new(
-        "Throughput — full AIDA over the CoNLL-like corpus",
-        &[
-            "threads",
-            "seconds",
-            "docs/s",
-            "mentions/s",
-            "speedup",
-            "cache hit rate",
-            "failed",
-            "degraded",
-            "allocs/doc",
-        ],
+        "Thread sweep — full AIDA over the CoNLL-like corpus",
+        &["threads", "cache hit rate", "failed", "degraded", "allocs/doc"],
     );
     for r in &runs {
         table.add_row(vec![
             r.threads.to_string(),
-            num(r.seconds, 3),
-            num(r.docs_per_sec, 1),
-            num(r.mentions_per_sec, 1),
-            num(r.speedup, 2),
             num(r.cache_hit_rate, 3),
             r.failed_docs.to_string(),
             r.degraded_docs.to_string(),
@@ -434,64 +360,27 @@ pub fn run(scale: &Scale) {
         ]);
     }
     print!("{}", cache_table.render());
-    println!(
-        "keyphrase index: exhaustive {:.3}s vs indexed {:.3}s ({index_speedup:.2}x) vs \
-         batched {:.3}s ({batched_speedup:.2}x over indexed); \
-         deterministic across thread counts: {deterministic}",
-        exhaustive_s, indexed_s, batched_steady_s
-    );
+    println!("deterministic across thread counts: {deterministic}");
     println!(
         "allocations: steady-state batched scoring {batched_steady_allocs} events over {} \
          mentions ({steady_sim_allocs_per_mention:.4}/mention; warmup pass {batched_warm_allocs})",
         contexts.len()
     );
-    let measured_ns_per_doc = runs
-        .first()
-        .map_or(0.0, |r| r.seconds * 1e9 / docs.len().max(1) as f64);
-    let pinned_speedup = if measured_ns_per_doc > 0.0 {
-        PINNED_BASELINE_1T_NS_PER_DOC / measured_ns_per_doc
-    } else {
-        1.0
-    };
-    println!(
-        "pinned baseline: 1-thread {measured_ns_per_doc:.0} ns/doc vs \
-         {PINNED_BASELINE_1T_NS_PER_DOC:.0} ns/doc at the PR-5 tip ({pinned_speedup:.2}x)"
-    );
-    println!(
-        "metrics: snapshot identical across thread counts: {metrics_deterministic}; \
-         metrics-off 1-thread {metrics_off_seconds:.3}s vs on {metrics_on_seconds:.3}s \
-         ({metrics_overhead:.2}x)"
-    );
+    println!("metrics: snapshot identical across thread counts: {metrics_deterministic}");
 
     let Some(snapshot) = snapshot else {
         unreachable!("the thread sweep runs at least once")
     };
     let kb_stats = *env.frozen.stats();
-    let sim_timings = SimTimings {
-        exhaustive_s,
-        indexed_s,
-        index_speedup,
-        batched_s: batched_steady_s,
-        batched_speedup,
-    };
-    let pinned = PinnedBaseline {
-        baseline_ns_per_doc: PINNED_BASELINE_1T_NS_PER_DOC,
-        measured_ns_per_doc,
-        speedup_vs_pinned: pinned_speedup,
-    };
     let json = render_json(
         docs.len(),
         mention_count,
         &runs,
-        &sim_timings,
         deterministic,
         &kb_stats,
         &snapshot,
         metrics_deterministic,
-        metrics_off_seconds,
-        metrics_overhead,
         &alloc_stages,
-        &pinned,
         &cache_rows,
     );
     let path = "BENCH_throughput.json";
@@ -555,39 +444,16 @@ fn metrics_counters_json(snapshot: &MetricsSnapshot, indent: &str) -> String {
     out
 }
 
-/// Wall-clock figures of the per-pair scoring comparison.
-#[derive(Debug, Clone, Copy)]
-struct SimTimings {
-    exhaustive_s: f64,
-    indexed_s: f64,
-    index_speedup: f64,
-    batched_s: f64,
-    batched_speedup: f64,
-}
-
-/// The pinned before/after comparison row (see
-/// [`PINNED_BASELINE_1T_NS_PER_DOC`]).
-#[derive(Debug, Clone, Copy)]
-struct PinnedBaseline {
-    baseline_ns_per_doc: f64,
-    measured_ns_per_doc: f64,
-    speedup_vs_pinned: f64,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     doc_count: usize,
     mention_count: usize,
     runs: &[Run],
-    sim: &SimTimings,
     deterministic: bool,
     kb_stats: &FrozenKbStats,
     snapshot: &MetricsSnapshot,
     metrics_deterministic: bool,
-    metrics_off_seconds: f64,
-    metrics_overhead: f64,
     alloc_stages: &[StageAlloc],
-    pinned: &PinnedBaseline,
     cache_rows: &[CacheSweepRow],
 ) -> String {
     let mut out = String::from("{\n");
@@ -601,15 +467,9 @@ fn render_json(
     out.push_str("  \"runs\": [\n");
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"threads\": {}, \"seconds\": {:.6}, \"docs_per_sec\": {:.3}, \
-             \"mentions_per_sec\": {:.3}, \"speedup_vs_1_thread\": {:.3}, \
-             \"cache_hit_rate\": {:.4}, \"failed_docs\": {}, \"degraded_docs\": {}, \
-             \"alloc_events\": {}, \"allocs_per_doc\": {:.1}}}{}\n",
+            "    {{\"threads\": {}, \"cache_hit_rate\": {:.4}, \"failed_docs\": {}, \
+             \"degraded_docs\": {}, \"alloc_events\": {}, \"allocs_per_doc\": {:.1}}}{}\n",
             r.threads,
-            r.seconds,
-            r.docs_per_sec,
-            r.mentions_per_sec,
-            r.speedup,
             r.cache_hit_rate,
             r.failed_docs,
             r.degraded_docs,
@@ -619,17 +479,6 @@ fn render_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"pinned_baseline_1_thread\": {{\"baseline_ns_per_doc\": {:.0}, \
-         \"measured_ns_per_doc\": {:.0}, \"speedup_vs_pinned\": {:.3}}},\n",
-        pinned.baseline_ns_per_doc, pinned.measured_ns_per_doc, pinned.speedup_vs_pinned
-    ));
-    out.push_str(&format!(
-        "  \"keyphrase_index\": {{\"exhaustive_seconds\": {:.6}, \
-         \"indexed_seconds\": {:.6}, \"speedup\": {:.3}, \
-         \"batched_seconds\": {:.6}, \"batched_speedup_vs_indexed\": {:.3}}},\n",
-        sim.exhaustive_s, sim.indexed_s, sim.index_speedup, sim.batched_s, sim.batched_speedup
-    ));
     out.push_str("  \"allocations\": {\n    \"stages\": [\n");
     for (i, s) in alloc_stages.iter().enumerate() {
         out.push_str(&format!(
@@ -653,11 +502,6 @@ fn render_json(
     out.push_str("  \"frozen_kb\": {\n");
     out.push_str(&kb_stats_json(kb_stats, "    "));
     out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"metrics_overhead\": {{\"on_seconds\": {:.6}, \"off_seconds\": \
-         {metrics_off_seconds:.6}, \"ratio\": {metrics_overhead:.3}}},\n",
-        runs.first().map_or(0.0, |r| r.seconds)
-    ));
     out.push_str("  \"metrics\": {\n");
     out.push_str(&metrics_counters_json(snapshot, "    "));
     out.push_str("  },\n");
@@ -711,10 +555,6 @@ mod tests {
         let runs = vec![
             Run {
                 threads: 1,
-                seconds: 2.0,
-                docs_per_sec: 10.0,
-                mentions_per_sec: 50.0,
-                speedup: 1.0,
                 cache_hit_rate: 0.5,
                 failed_docs: 2,
                 degraded_docs: 1,
@@ -723,10 +563,6 @@ mod tests {
             },
             Run {
                 threads: 4,
-                seconds: 1.0,
-                docs_per_sec: 20.0,
-                mentions_per_sec: 100.0,
-                speedup: 2.0,
                 cache_hit_rate: 0.5,
                 failed_docs: 2,
                 degraded_docs: 1,
@@ -739,13 +575,6 @@ mod tests {
         metrics.counter("aida_docs").add(20);
         metrics.counter("doc_status_ok").add(18);
         let snapshot = metrics.snapshot();
-        let sim = SimTimings {
-            exhaustive_s: 2.0,
-            indexed_s: 1.0,
-            index_speedup: 2.0,
-            batched_s: 0.5,
-            batched_speedup: 2.0,
-        };
         let stages = [
             StageAlloc {
                 stage: "pipeline_1_thread",
@@ -760,11 +589,6 @@ mod tests {
                 per_unit: 0.0,
             },
         ];
-        let pinned = PinnedBaseline {
-            baseline_ns_per_doc: 740_320.0,
-            measured_ns_per_doc: 500_000.0,
-            speedup_vs_pinned: 1.48,
-        };
         let cache_rows = vec![
             CacheSweepRow {
                 policy: "lru",
@@ -801,10 +625,7 @@ mod tests {
                 outcomes_match_unbounded: true,
             },
         ];
-        let json = render_json(
-            20, 100, &runs, &sim, true, &stats, &snapshot, true, 1.9, 1.05, &stages, &pinned,
-            &cache_rows,
-        );
+        let json = render_json(20, 100, &runs, true, &stats, &snapshot, true, &stages, &cache_rows);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"cache_sweep\""));
         assert!(json.contains("\"entry_bytes\": 96"));
@@ -825,9 +646,10 @@ mod tests {
         assert!(json.contains("\"metrics_deterministic_across_thread_counts\": true"));
         assert!(json.contains("\"aida_docs\": 20"));
         assert!(json.contains("\"doc_status_ok\": 18"));
-        assert!(json.contains("\"off_seconds\": 1.900000"));
-        assert!(json.contains("\"baseline_ns_per_doc\": 740320"));
-        assert!(json.contains("\"batched_seconds\": 0.500000"));
+        // No wall-clock figures: perfbench measures speed.
+        for timing in ["seconds", "per_sec", "speedup", "pinned_baseline", "keyphrase_index"] {
+            assert!(!json.contains(timing), "{timing} in {json}");
+        }
         assert!(json.contains("\"stage\": \"sim_batched_steady\""));
         assert!(json.contains("\"steady_state_sim_allocs_per_mention\": 0.0000"));
         // No trailing comma at the end of the embedded counters object.

@@ -24,7 +24,9 @@
 //! `--write-budgets` regenerates `alloc.toml` at `measured × 1.25`
 //! headroom, but never *raises* an existing budget — the ratchet only
 //! tightens; loosening is a hand edit that shows up in review. Pinned
-//! budgets are carried through regeneration unchanged, marker included.
+//! budgets are carried through regeneration unchanged, marker included,
+//! and so is the reviewed comment block directly above each budget line;
+//! a budget whose stage is gone is dropped together with its block.
 //!
 //! Budgets are calibrated on the quick-scale CI run. Only single-threaded
 //! stages are budgeted: multi-thread allocation counts depend on how the
@@ -83,31 +85,36 @@ fn parse_stages(json: &str) -> Option<Vec<(String, f64)>> {
 }
 
 /// One parsed budget line.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Budget {
     /// Allowed allocation events per unit of work.
     value: f64,
     /// `# ned-alloc: pinned` — reviewed headroom exempt from the stale
     /// check (but not from the exceeded check).
     pinned: bool,
+    /// The comment block directly above the budget line (no blank line
+    /// between), one `#` line per line of text, each ending in `\n`.
+    comment: String,
 }
 
 /// Parses the `[budgets]` table of `alloc.toml`: lines of the form
-/// `"stage" = 12.34`, optionally trailed by a comment. A
-/// `# ned-alloc: pinned` marker on the budget line, or anywhere in the
-/// comment block directly above it (no blank line between), pins the
-/// budget. Returns `None` on any malformed entry.
+/// `"stage" = 12.34`, optionally trailed by a comment. The comment block
+/// directly above a budget line (no blank line between) belongs to that
+/// budget. A `# ned-alloc: pinned` marker on the budget line, or anywhere
+/// in its comment block, pins the budget. Returns `None` on any malformed
+/// entry.
 fn parse_budgets(toml: &str) -> Option<BTreeMap<String, Budget>> {
     let mut out = BTreeMap::new();
-    let mut pending_pin = false;
+    let mut comment = String::new();
     for line in toml.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('[') {
-            pending_pin = false;
+            comment.clear();
             continue;
         }
         if line.starts_with('#') {
-            pending_pin = pending_pin || line.contains(PIN_MARKER);
+            comment.push_str(line);
+            comment.push('\n');
             continue;
         }
         let (key, value) = line.split_once('=')?;
@@ -117,9 +124,8 @@ fn parse_budgets(toml: &str) -> Option<BTreeMap<String, Budget>> {
             None => (value, ""),
         };
         let value: f64 = value.trim().parse().ok()?;
-        let pinned = pending_pin || trailing.contains(PIN_MARKER);
-        pending_pin = false;
-        out.insert(key, Budget { value, pinned });
+        let pinned = comment.contains(PIN_MARKER) || trailing.contains(PIN_MARKER);
+        out.insert(key, Budget { value, pinned, comment: std::mem::take(&mut comment) });
     }
     Some(out)
 }
@@ -174,7 +180,9 @@ fn check(
 /// budget when one exists (tighten-only), with a small positive floor so a
 /// zero-allocation stage still has a budget the gate can enforce. Pinned
 /// budgets pass through unchanged, marker included — regeneration must not
-/// silently unpin reviewed headroom.
+/// silently unpin reviewed headroom. Each measured stage keeps the comment
+/// block of its old budget; the blocks of stages no longer measured go
+/// with their budget lines.
 fn render_budgets(stages: &[(String, f64)], old: &BTreeMap<String, Budget>) -> String {
     let mut out = String::from(
         "# Allocation ratchet — shrink-only per-stage budgets on allocation events\n\
@@ -197,16 +205,21 @@ fn render_budgets(stages: &[(String, f64)], old: &BTreeMap<String, Budget>) -> S
     let mut entries: BTreeMap<&str, Budget> = BTreeMap::new();
     for (stage, measured) in stages {
         let budget = match old.get(stage) {
-            Some(b) if b.pinned => *b,
+            Some(b) if b.pinned => b.clone(),
             other => {
                 let fresh = ((measured * HEADROOM * 100.0).ceil() / 100.0).max(0.01);
-                Budget { value: other.map_or(fresh, |b| fresh.min(b.value)), pinned: false }
+                Budget {
+                    value: other.map_or(fresh, |b| fresh.min(b.value)),
+                    pinned: false,
+                    comment: other.map_or_else(String::new, |b| b.comment.clone()),
+                }
             }
         };
         entries.insert(stage, budget);
     }
     for (stage, budget) in entries {
-        if budget.pinned {
+        out.push_str(&budget.comment);
+        if budget.pinned && !budget.comment.contains(PIN_MARKER) {
             out.push_str(&format!("\"{stage}\" = {:.2} # {PIN_MARKER}\n", budget.value));
         } else {
             out.push_str(&format!("\"{stage}\" = {:.2}\n", budget.value));
@@ -437,6 +450,83 @@ mod tests {
         // Round-trips through the parser, and the header documents the rules.
         assert!(rendered.contains("[budgets]"));
         assert!(rendered.contains("shrink-only"));
+    }
+
+    /// `alloc.toml` as it stood before the `sim_exhaustive` and
+    /// `sim_indexed` stages were retired, reviewed rationale included.
+    const ALLOC_TOML_WITH_RETIRED_STAGES: &str = "\
+# Allocation ratchet — shrink-only per-stage budgets on allocation events
+# per unit of work, measured by the counting allocator installed in the
+# ned-bench harness (see ned_obs::alloc and DESIGN.md \u{a7}12).
+#
+# Checked in CI by `alloc_check BENCH_throughput.json alloc.toml --ratchet`
+# against the quick-scale bench report. Semantics mirror lint.toml:
+#   exceeded  measured > budget                          -> fail
+#   absorb    measured stage without a budget line       -> fail (write it down)
+#   stale     budget > 2 x max(measured, 0.5), budget > 1 -> fail under --ratchet
+# A `# ned-alloc: pinned` marker on (or directly above) a budget line
+# exempts it from the stale check only — reviewed cold-start headroom.
+# Regenerate with `cargo run -p ned-bench --bin alloc_check --
+#   BENCH_throughput.json alloc.toml --write-budgets` — regeneration never
+# raises an existing budget; loosening is a reviewed hand edit.
+
+[budgets]
+\"pipeline_1_thread\" = 1012.38
+\"sim_batched_steady\" = 0.01
+# Warmup legitimately grows the arena to its high-water mark; it measures
+# near zero today only because earlier bench stages pre-warm the thread, so
+# it keeps cold-start headroom instead of the generated 0.01.
+\"sim_batched_warmup\" = 1.00 # ned-alloc: pinned
+\"sim_exhaustive\" = 41.15
+\"sim_indexed\" = 0.51
+";
+
+    /// Regenerating after two stages retire keeps the reviewed rationale
+    /// above the pinned warmup budget and drops only the retired lines.
+    #[test]
+    fn write_budgets_keeps_reviewed_comments() {
+        let stages = vec![
+            ("pipeline_1_thread".to_string(), 900.0),
+            ("sim_batched_steady".to_string(), 0.0),
+            ("sim_batched_warmup".to_string(), 0.0),
+        ];
+        let old = budgets(ALLOC_TOML_WITH_RETIRED_STAGES);
+        let rendered = render_budgets(&stages, &old);
+        let expected = ALLOC_TOML_WITH_RETIRED_STAGES
+            .replace("\"sim_exhaustive\" = 41.15\n", "")
+            .replace("\"sim_indexed\" = 0.51\n", "");
+        assert_eq!(rendered, expected);
+    }
+
+    /// A retired stage's comment block goes with its budget line; the
+    /// blocks of surviving stages stay, in stage order.
+    #[test]
+    fn retired_stages_drop_their_comment_blocks() {
+        let old = budgets(
+            "[budgets]\n\
+             # why a is loose\n\
+             \"a\" = 2.0\n\
+             # why old existed\n\
+             # ned-alloc: pinned\n\
+             \"old\" = 9.0\n",
+        );
+        let stages = vec![("a".to_string(), 2.0), ("new".to_string(), 1.0)];
+        let rendered = render_budgets(&stages, &old);
+        assert!(rendered.contains("# why a is loose\n\"a\" = 2.00\n"), "{rendered}");
+        assert!(rendered.contains("\n\"new\" = 1.25\n"), "{rendered}");
+        assert!(!rendered.contains("why old existed"), "{rendered}");
+        assert!(!rendered.contains("\"old\""), "{rendered}");
+    }
+
+    /// The checked-in `alloc.toml` is what regeneration writes when every
+    /// stage measures its budget: no hand repair after `--write-budgets`.
+    #[test]
+    fn checked_in_budgets_are_a_regeneration_fixed_point() {
+        let text = include_str!("../../../../alloc.toml");
+        let old = budgets(text);
+        let stages: Vec<(String, f64)> =
+            old.iter().map(|(stage, b)| (stage.clone(), b.value)).collect();
+        assert_eq!(render_budgets(&stages, &old), text);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use ned_aida::candidates::CandidateFeatures;
 use ned_aida::config::AidaConfig;
-use ned_aida::cover::shortest_cover_unsorted_into;
 use ned_aida::scratch::with_scratch;
+use ned_aida::similarity::cover_z_ratio;
 use ned_aida::{DisambiguationResult, Disambiguator};
 use ned_eval::gold::Label;
 use ned_kb::{EntityId, KbView, WordId};
@@ -75,34 +75,27 @@ impl Default for EeConfig {
 /// Keyphrase-based similarity of an EE model against a mention context
 /// (the analogue of Eq. 3.6 for placeholder entities), using IDF keyword
 /// weights and the phrase salience weights of the model.
+///
+/// Each phrase is scored by the Eq. 3.4 kernel the in-KB candidates use
+/// ([`cover_z_ratio`]); `EePhrase::words` is sorted and deduplicated, as
+/// the kernel requires.
 pub fn ee_simscore<K: KbView + ?Sized>(
     kb: &K,
     model: &EeModel,
     context: &[(usize, WordId)],
 ) -> f64 {
     let weights = kb.weights();
-    // One worker-local cover scratch serves every phrase of the model: the
-    // scratch-based cover is bit-identical to the reference
-    // `shortest_cover`, and the phrase/cover mass expressions are unchanged.
+    let idf = |w: WordId| weights.word_idf(w);
+    // One worker-local cover scratch serves every phrase of the model.
     with_scratch(|scratch| {
         let mut total = 0.0;
         for phrase in &model.phrases {
-            let phrase_mass: f64 = phrase.words.iter().map(|&w| weights.word_idf(w)).sum();
-            if phrase_mass <= 0.0 {
-                continue;
+            let phrase_mass: f64 = phrase.words.iter().map(|&w| idf(w)).sum();
+            if let Some((z, ratio)) =
+                cover_z_ratio(context, &phrase.words, phrase_mass, idf, &mut scratch.cover)
+            {
+                total += phrase.weight * z * ratio * ratio;
             }
-            let Some(shape) =
-                shortest_cover_unsorted_into(context, &phrase.words, &mut scratch.cover)
-            else {
-                continue;
-            };
-            let cover_mass: f64 =
-                scratch.cover.cover_words().iter().map(|&w| weights.word_idf(w)).sum();
-            if cover_mass <= 0.0 {
-                continue;
-            }
-            let ratio = (cover_mass / phrase_mass).min(1.0);
-            total += phrase.weight * shape.z() * ratio * ratio;
         }
         total
     })
@@ -519,5 +512,101 @@ mod tests {
         assert_eq!(to_label(Some(ee_id(3))), None);
         assert_eq!(to_label(Some(EntityId(7))), Some(EntityId(7)));
         assert_eq!(to_label(None), None);
+    }
+
+    /// A KB whose keyphrase words recur across entities, so their IDF
+    /// weights differ.
+    fn ee_kb() -> FrozenKb {
+        let mut b = KbBuilder::new();
+        let band = b.add_entity("Prism (band)", EntityKind::Organization);
+        b.add_keyphrase(band, "progressive rock band", 5);
+        b.add_keyphrase(band, "stadium tour", 2);
+        let gov = b.add_entity("US Government", EntityKind::Organization);
+        b.add_keyphrase(gov, "federal agency budget", 4);
+        b.add_keyphrase(gov, "secret surveillance", 2);
+        let fest = b.add_entity("Rock Festival", EntityKind::Other);
+        b.add_keyphrase(fest, "rock stadium", 3);
+        b.add_keyphrase(fest, "summer tour", 1);
+        let agency = b.add_entity("Agency X", EntityKind::Organization);
+        b.add_keyphrase(agency, "secret agency", 2);
+        FrozenKb::freeze(&b.build())
+    }
+
+    /// `ee_simscore` result bits on fixed models and contexts, pinned: the
+    /// contexts repeat words, miss a phrase word ("budget" in the first),
+    /// are empty, or match no phrase of the model.
+    #[test]
+    fn ee_simscore_bits_are_pinned() {
+        let kb = ee_kb();
+        let id = |w: &str| kb.word_id(w).unwrap();
+        let phrase = |surface: &str, weight: f64| {
+            let mut words: Vec<WordId> = surface.split_whitespace().map(id).collect();
+            words.sort_unstable();
+            words.dedup();
+            EePhrase { surface: surface.into(), words, weight }
+        };
+        let models = [
+            EeModel {
+                name: "Prism".into(),
+                phrases: vec![
+                    phrase("secret surveillance", 1.0),
+                    phrase("federal agency budget", 0.6),
+                    phrase("summer tour", 0.25),
+                ],
+                occurrences: 4,
+            },
+            EeModel {
+                name: "Tour".into(),
+                phrases: vec![
+                    phrase("stadium tour", 0.8),
+                    phrase("progressive rock band", 0.45),
+                    phrase("rock", 0.3),
+                ],
+                occurrences: 2,
+            },
+        ];
+        let context = |words: &[(usize, &str)]| -> Vec<(usize, WordId)> {
+            words.iter().map(|&(pos, w)| (pos, id(w))).collect()
+        };
+        let contexts = [
+            context(&[
+                (0, "secret"),
+                (1, "surveillance"),
+                (4, "agency"),
+                (9, "federal"),
+                (12, "secret"),
+                (15, "tour"),
+            ]),
+            context(&[
+                (2, "stadium"),
+                (3, "stadium"),
+                (7, "tour"),
+                (8, "rock"),
+                (20, "band"),
+                (21, "tour"),
+                (30, "progressive"),
+            ]),
+            Vec::new(),
+            context(&[(0, "summer"), (5, "summer"), (6, "budget")]),
+        ];
+        let bits: Vec<u64> = models
+            .iter()
+            .flat_map(|m| contexts.iter().map(move |c| (m, c)))
+            .map(|(m, c)| ee_simscore(&kb, m, c).to_bits())
+            .collect();
+        // Model-major: (Prism, Tour) × the four contexts.
+        assert_eq!(
+            bits,
+            [
+                0x3ff1_98b0_9546_c510,
+                0x3f9c_71c7_1c71_c71c,
+                0x0000_0000_0000_0000,
+                0x3fca_829d_ec6e_230b,
+                0x3fc9_9999_9999_999a,
+                0x3fe5_b7df_f1c0_c776,
+                0x0000_0000_0000_0000,
+                0x0000_0000_0000_0000,
+            ]
+        );
     }
 }

@@ -15,18 +15,19 @@ pub fn tokenize(text: &str) -> Vec<Token> {
     let mut tokens = Vec::with_capacity(text.len() / 5);
     let bytes = text.char_indices().collect::<Vec<_>>();
     let mut i = 0;
-    while i < bytes.len() {
-        let (pos, ch) = bytes[i];
+    while let Some(&(pos, ch)) = bytes.get(i) {
         if ch.is_whitespace() {
             i += 1;
             continue;
         }
         if ch.is_alphabetic() {
-            while i < bytes.len() && is_word_char(bytes[i].1, lookahead(&bytes, i)) {
+            while bytes.get(i).is_some_and(|&(_, c)| is_word_char(c, lookahead(&bytes, i))) {
                 i += 1;
             }
             let end_pos = end_of(&bytes, i, text);
-            let word = &text[pos..end_pos];
+            // `char_indices` positions are char boundaries, so the slice
+            // always exists.
+            let Some(word) = text.get(pos..end_pos) else { continue };
             // Possessive clitic: split "'s" off the preceding word.
             if let Some(stripped) = word.strip_suffix("'s") {
                 if !stripped.is_empty() {
@@ -47,14 +48,15 @@ pub fn tokenize(text: &str) -> Vec<Token> {
             }
             tokens.push(Token { text: word.to_string(), start: pos, end: end_pos, kind: TokenKind::Word });
         } else if ch.is_ascii_digit() {
-            while i < bytes.len() && is_number_char(bytes[i].1, lookahead(&bytes, i)) {
+            while bytes.get(i).is_some_and(|&(_, c)| is_number_char(c, lookahead(&bytes, i))) {
                 i += 1;
             }
             // A separator (',' / '.') is only consumed when a digit follows,
             // so the scanned slice can never end in a separator.
             let end_pos = end_of(&bytes, i, text);
+            let Some(number) = text.get(pos..end_pos) else { continue };
             tokens.push(Token {
-                text: text[pos..end_pos].to_string(),
+                text: number.to_string(),
                 start: pos,
                 end: end_pos,
                 kind: TokenKind::Number,
@@ -77,11 +79,7 @@ fn lookahead(bytes: &[(usize, char)], i: usize) -> Option<char> {
 }
 
 fn end_of(bytes: &[(usize, char)], i: usize, text: &str) -> usize {
-    if i < bytes.len() {
-        bytes[i].0
-    } else {
-        text.len()
-    }
+    bytes.get(i).map_or(text.len(), |&(pos, _)| pos)
 }
 
 /// A character continues a word if it is alphanumeric, or a hyphen,

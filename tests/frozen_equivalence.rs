@@ -6,23 +6,25 @@
 //! weights — must be *identical* to the build-time [`KnowledgeBase`]'s own
 //! accessors, down to the bit pattern of every float. The indexes the
 //! frozen KB builds for itself (keyphrase postings, phrase runs) are
-//! checked against the reference scorers `phrase_score` and
-//! `simscore_exhaustive`, and full joint disambiguation through an overlay
-//! of no mutations must match the frozen KB bit for bit. These properties
-//! drive randomly built worlds through every representation side by side.
+//! checked against the store's keyphrase rows, batched similarity through
+//! an overlay of no mutations and through a fresh arena must match the
+//! frozen KB's scores bit for bit, and so must full joint disambiguation.
+//! These properties drive randomly built worlds through every
+//! representation side by side. (The similarity reference scorers are
+//! test-only; `ned-aida`'s own proptests hold the scorer against them.)
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::Arc;
 
 use aida_ned::aida::context::DocumentContext;
-use aida_ned::aida::cover::CoverScratch;
-use aida_ned::aida::similarity::{
-    phrase_score, phrase_score_run, simscore, simscore_exhaustive, simscores_batch,
-};
+use aida_ned::aida::scratch::{with_scratch, ScoringScratch};
+use aida_ned::aida::similarity::simscores_batch;
 use aida_ned::aida::{AidaConfig, Disambiguator, KeywordWeighting, NedMethod, SimObs};
 use aida_ned::kb::snapshot::encode;
-use aida_ned::kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase, WordId};
+use aida_ned::kb::{
+    DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase, PhraseId, WordId,
+};
 use aida_ned::obs::Metrics;
 use aida_ned::relatedness::MilneWitten;
 use aida_ned::text::{tokenize, Mention};
@@ -96,14 +98,38 @@ fn build_world(spec: &WorldSpec) -> (KnowledgeBase, Vec<String>) {
     (builder.build(), name_pool)
 }
 
+/// The similarity counters of `obs`, in declaration order.
+fn sim_counters(obs: &SimObs) -> [u64; 5] {
+    [
+        obs.evaluations.value(),
+        obs.plan_entity_side.value(),
+        obs.plan_word_side.value(),
+        obs.postings_scanned.value(),
+        obs.phrases_matched.value(),
+    ]
+}
+
+/// Batched similarity of `entities` on `kb` in `scratch`, as score bits.
+fn batch_bits<K: KbView + ?Sized>(
+    kb: &K,
+    entities: &[EntityId],
+    ctx: &[(usize, WordId)],
+    weighting: KeywordWeighting,
+    obs: &SimObs,
+    scratch: &mut ScoringScratch,
+) -> Vec<u64> {
+    simscores_batch(kb, entities.len(), |i| entities[i], ctx, weighting, obs, scratch);
+    scratch.sims().iter().map(|s| s.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every primitive read answer of the frozen KB agrees with the store's
     /// own accessors: entities, dictionary (candidates + priors + iteration
     /// order), link neighborhoods, keyphrase sets, interners, and weights.
-    /// The keyphrase index the frozen KB builds for itself is checked
-    /// through indexed similarity, which must equal the exhaustive scan.
+    /// The keyphrase index the frozen KB builds for itself lists, for every
+    /// word, exactly the store's keyphrase entries containing it.
     #[test]
     fn frozen_reads_match_legacy(spec in world_strategy()) {
         let (kb, name_pool) = build_world(&spec);
@@ -157,16 +183,20 @@ proptest! {
         // Weights survive freezing bit for bit.
         prop_assert_eq!(encode(frozen.weights()).unwrap(), encode(kb.weights()).unwrap());
 
-        // Similarity: the kp-index visits exactly the phrases that can
-        // score, so the indexed score equals the exhaustive scan.
-        let tokens = tokenize(&spec.context.join(" "));
-        let ctx = DocumentContext::build(&frozen, &tokens).words;
-        for e in kb.entity_ids() {
-            for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
-                let f = simscore(&frozen, e, &ctx, weighting);
-                let x = simscore_exhaustive(&frozen, e, &ctx, weighting);
-                prop_assert_eq!(f.to_bits(), x.to_bits(), "simscore({:?}) {} vs {}", e, f, x);
-            }
+        // Keyphrase inverted index: each word's postings are the store's
+        // (entity, phrase) entries whose phrase contains the word, sorted
+        // and deduplicated. Similarity scores only the phrases the index
+        // lists, so this is what makes the frozen KB's scores exact.
+        for wi in 0..kb.word_interner().len() {
+            let w = WordId::from_index(wi);
+            let mut want: Vec<(EntityId, PhraseId)> = kb
+                .entity_ids()
+                .flat_map(|e| kb.keyphrases(e).iter().map(move |ep| (e, ep.phrase)))
+                .filter(|&(_, p)| kb.phrase_words(p).contains(&w))
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(frozen.keyphrase_index().postings(w), want.as_slice());
         }
     }
 
@@ -200,11 +230,12 @@ proptest! {
         }
     }
 
-    /// Scratch-arena reuse and batching change nothing: scoring through the
-    /// reused per-thread arena (run-based phrase scores, batched candidate
-    /// scoring — including a second pass over buffers the first call
-    /// dirtied, and across the frozen KB and an overlay of no mutations)
-    /// is bit-identical to the fresh-allocation reference implementations.
+    /// Scratch-arena reuse and batching change nothing: batched similarity
+    /// in the reused per-thread arena — dirtied by the previous call, and
+    /// across proptest cases — equals scoring in a fresh arena, bit for bit
+    /// and counter for counter, on the frozen KB and on an overlay of no
+    /// mutations. Both the shared merge and the duplicate-candidate
+    /// fallback run (every candidate listed twice).
     #[test]
     fn scratch_reuse_and_batching_match_fresh_scoring(spec in world_strategy()) {
         let (kb, _) = build_world(&spec);
@@ -213,43 +244,29 @@ proptest! {
         let frozen = &*frozen;
         let tokens = tokenize(&spec.context.join(" "));
         let ctx = DocumentContext::build(frozen, &tokens).words;
-        let entities: Vec<_> = frozen.entity_ids().collect();
-        let metrics = Metrics::new();
-        let obs = SimObs::new(&metrics);
-        // One cover scratch reused across every phrase, entity, weighting,
-        // and backend below — maximally dirty between calls. The batch path
-        // reuses the thread-local arena, which also persists across
-        // proptest cases in this thread.
-        let mut cover = CoverScratch::new();
+        let entities: Vec<EntityId> = frozen.entity_ids().collect();
+        let doubled: Vec<EntityId> = entities.iter().chain(&entities).copied().collect();
         for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
-            let reference: Vec<f64> = entities
-                .iter()
-                .map(|&e| simscore_exhaustive(frozen, e, &ctx, weighting))
-                .collect();
-            for pass in 0..2 {
-                let batched = simscores_batch(frozen, &entities, &ctx, weighting, &obs);
-                prop_assert_eq!(batched.len(), reference.len());
-                for (i, (b, r)) in batched.iter().zip(&reference).enumerate() {
-                    prop_assert_eq!(
-                        b.to_bits(), r.to_bits(),
-                        "batched pass {} entity #{}: {} vs {}", pass, i, b, r
-                    );
-                }
-            }
-            let overlay_batched = simscores_batch(&overlay, &entities, &ctx, weighting, &obs);
-            for (b, r) in overlay_batched.iter().zip(&reference) {
-                prop_assert_eq!(b.to_bits(), r.to_bits());
-            }
-            for &e in &entities {
-                for ep in frozen.keyphrases(e) {
-                    let fresh =
-                        phrase_score(frozen, e, frozen.phrase_words(ep.phrase), &ctx, weighting);
-                    let run_frozen =
-                        phrase_score_run(frozen, e, ep.phrase, &ctx, weighting, &mut cover);
-                    let run_overlay =
-                        phrase_score_run(&overlay, e, ep.phrase, &ctx, weighting, &mut cover);
-                    prop_assert_eq!(run_frozen.to_bits(), fresh.to_bits());
-                    prop_assert_eq!(run_overlay.to_bits(), fresh.to_bits());
+            for candidates in [&entities, &doubled] {
+                let fresh_obs = SimObs::new(&Metrics::new());
+                let fresh = batch_bits(
+                    frozen, candidates, &ctx, weighting, &fresh_obs, &mut ScoringScratch::new(),
+                );
+                prop_assert_eq!(fresh.len(), candidates.len());
+                for pass in 0..2 {
+                    let frozen_obs = SimObs::new(&Metrics::new());
+                    let reused = with_scratch(|scratch| {
+                        batch_bits(frozen, candidates, &ctx, weighting, &frozen_obs, scratch)
+                    });
+                    prop_assert_eq!(&reused, &fresh, "frozen, reused arena, pass {}", pass);
+                    prop_assert_eq!(sim_counters(&frozen_obs), sim_counters(&fresh_obs));
+
+                    let overlay_obs = SimObs::new(&Metrics::new());
+                    let through_overlay = with_scratch(|scratch| {
+                        batch_bits(&overlay, candidates, &ctx, weighting, &overlay_obs, scratch)
+                    });
+                    prop_assert_eq!(&through_overlay, &fresh, "overlay, pass {}", pass);
+                    prop_assert_eq!(sim_counters(&overlay_obs), sim_counters(&fresh_obs));
                 }
             }
         }

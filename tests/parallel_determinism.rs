@@ -1,27 +1,24 @@
 //! The parallel engine must be a pure speedup: running the disambiguator
-//! over a corpus with any thread count produces byte-identical outcomes,
-//! and the keyphrase inverted index prunes the similarity scan without
-//! changing a single bit of any score. This must hold on the degraded
-//! rungs of the fault-tolerance ladder too: a solver budget that forces
-//! fallbacks fires at deterministic algorithmic points, so degraded runs
-//! are just as reproducible. Every run goes through the service
-//! configuration: one frozen KB behind a shared `Arc` handle.
+//! over a corpus with any thread count produces byte-identical outcomes.
+//! This must hold on the degraded rungs of the fault-tolerance ladder too:
+//! a solver budget that forces fallbacks fires at deterministic algorithmic
+//! points, so degraded runs are just as reproducible. Every run goes
+//! through the service configuration: one frozen KB behind a shared `Arc`
+//! handle. (That the keyphrase inverted index prunes the similarity scan
+//! without changing a bit is a proptest in `ned-aida`'s `similarity`
+//! module, next to the test-only exhaustive scan it compares against.)
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::Arc;
 
-use aida_ned::aida::context::DocumentContext;
-use aida_ned::aida::similarity::{simscore, simscore_exhaustive};
-use aida_ned::aida::{AidaConfig, Disambiguator, KeywordWeighting};
-use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
+use aida_ned::aida::{AidaConfig, Disambiguator};
+use aida_ned::kb::FrozenKb;
 use aida_ned::relatedness::{CachedRelatedness, MilneWitten};
-use aida_ned::text::tokenize;
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::corpus::conll_like;
 use aida_ned::wikigen::{ExportedKb, World};
 use ned_bench::runner::{run_method_with_threads, Evaluation};
-use proptest::prelude::*;
 
 /// Outcomes are equal down to the sign bit of every confidence value.
 fn assert_identical(a: &Evaluation, b: &Evaluation, threads: usize) {
@@ -93,46 +90,5 @@ fn degraded_runs_are_deterministic_across_thread_counts() {
         let parallel =
             run_method_with_threads(&method, &corpus.docs, threads).expect("thread pool");
         assert_identical(&baseline, &parallel, threads);
-    }
-}
-
-proptest! {
-    /// The inverted index only skips keyphrases whose score is exactly
-    /// 0.0 (no word in context ⇒ no shortest cover), so the indexed and
-    /// exhaustive similarity scores agree bitwise.
-    #[test]
-    fn indexed_similarity_matches_exhaustive(
-        phrases in proptest::collection::vec(
-            proptest::collection::vec("[a-e]{1,4}", 1..4),
-            1..8,
-        ),
-        context in proptest::collection::vec("[a-g]{1,4}", 0..20),
-    ) {
-        let mut builder = KbBuilder::new();
-        let mut entities = Vec::new();
-        for (i, words) in phrases.iter().enumerate() {
-            let e = builder.add_entity(&format!("E{i}"), EntityKind::Other);
-            builder.add_name(e, &format!("E{i}"), 1);
-            builder.add_keyphrase(e, &words.join(" "), (i % 5 + 1) as u64);
-            entities.push(e);
-        }
-        let kb = FrozenKb::freeze(&builder.build());
-
-        let tokens = tokenize(&context.join(" "));
-        let ctx = DocumentContext::build(&kb, &tokens);
-        let window = ctx.words.clone();
-        for &e in &entities {
-            for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
-                let fast = simscore(&kb, e, &window, weighting);
-                let slow = simscore_exhaustive(&kb, e, &window, weighting);
-                prop_assert_eq!(
-                    fast.to_bits(),
-                    slow.to_bits(),
-                    "indexed {} vs exhaustive {}",
-                    fast,
-                    slow
-                );
-            }
-        }
     }
 }

@@ -11,6 +11,67 @@ use aida_ned::relatedness::{Kore, MilneWitten, Relatedness};
 use aida_ned::text::normalize::{match_key, names_match};
 use aida_ned::text::tokenize;
 
+/// Text pieces that exercise the tokenizer's special cases: curly and
+/// straight apostrophes, the possessive clitic, number separators,
+/// acronym periods, hyphenated words, non-ASCII digits and letters,
+/// combining marks, joiners, and every Unicode `White_Space` character.
+const TOKENIZER_PIECES: &[&str] = &[
+    "’", "'s", "'", "Dylan's", "Dylan’s", "s'", "34,956", "82.03", "1976.", "1,", "U.S.",
+    "U.S", "rock-and-roll", "-", ".", ",", "(", ")", "٣٤", "١٢,٥", "१२३", "𝟙𝟚", "Ⅻ", "½",
+    "ß", "İ", "Σς", "日本語", "é", "e\u{301}", "\u{301}", "\u{20dd}", "a\u{200d}b", "😀",
+    "\u{feff}", "\u{200b}", "\t", "\n", "\u{b}", "\u{c}", "\r", " ", "\u{85}", "\u{a0}",
+    "\u{1680}", "\u{2000}", "\u{2001}", "\u{2002}", "\u{2003}", "\u{2004}", "\u{2005}",
+    "\u{2006}", "\u{2007}", "\u{2008}", "\u{2009}", "\u{200a}", "\u{2028}", "\u{2029}",
+    "\u{202f}", "\u{205f}", "\u{3000}",
+];
+
+/// Builds a text from `(kind, value)` draws: a special piece, an ASCII
+/// character, a BMP character, or any Unicode scalar value. Draws that are
+/// not scalar values (surrogates) are skipped.
+fn unicode_text(draws: &[(u32, u32)]) -> String {
+    let mut text = String::new();
+    for &(kind, value) in draws {
+        let code = match kind {
+            0 | 1 => {
+                text.push_str(TOKENIZER_PIECES[value as usize % TOKENIZER_PIECES.len()]);
+                continue;
+            }
+            2 => value % 0x80,
+            3 => value % 0x1_0000,
+            _ => value,
+        };
+        text.extend(char::from_u32(code));
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The tokenizer's documented guarantees hold on arbitrary Unicode:
+    /// it does not panic, spans are non-empty, strictly increasing and
+    /// non-overlapping, and every token's text is its span of the input.
+    /// The tokens split on whitespace only: together they hold every
+    /// non-whitespace character of the input, in order, and nothing else.
+    #[test]
+    fn tokenizer_spans_hold_on_arbitrary_unicode(
+        draws in proptest::collection::vec((0u32..5, 0u32..0x11_0000), 0..80),
+    ) {
+        let input = unicode_text(&draws);
+        let tokens = tokenize(&input);
+        for t in &tokens {
+            prop_assert!(t.start < t.end, "empty span {:?} in {:?}", t, input);
+            prop_assert_eq!(input.get(t.start..t.end), Some(t.text.as_str()), "{:?}", input);
+        }
+        for w in tokens.windows(2) {
+            prop_assert!(w[0].end <= w[1].start, "overlap {:?} {:?} in {:?}", w[0], w[1], input);
+        }
+        let joined: String = tokens.iter().map(|t| t.text.as_str()).collect();
+        let kept: String = input.chars().filter(|c| !c.is_whitespace()).collect();
+        prop_assert_eq!(joined, kept, "{:?}", input);
+    }
+}
+
 proptest! {
     /// Token spans always slice back to the token text.
     #[test]

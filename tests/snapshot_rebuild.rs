@@ -12,8 +12,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use aida_ned::aida::context::DocumentContext;
-use aida_ned::aida::similarity::{simscore, simscore_exhaustive};
-use aida_ned::aida::KeywordWeighting;
+use aida_ned::aida::scratch::ScoringScratch;
+use aida_ned::aida::similarity::simscores_batch;
+use aida_ned::aida::{KeywordWeighting, SimObs};
 use aida_ned::kb::snapshot::{
     read_frozen_snapshot, read_snapshot, write_frozen_snapshot, write_snapshot,
 };
@@ -42,10 +43,26 @@ fn sample_kb() -> KnowledgeBase {
     builder.build()
 }
 
-/// The context window used for the similarity probes.
-fn window_for<K: KbView + ?Sized>(kb: &K) -> Vec<(usize, WordId)> {
-    let tokens = tokenize("the hard rock band played unusual chords near the Himalaya mountains");
-    DocumentContext::build(kb, &tokens).words
+/// The context windows of the similarity probes: a long one, where every
+/// candidate is scored from its own keyphrase list, and a one-word one,
+/// where candidates with more keyphrases than context words probe the
+/// inverted index.
+fn windows_for<K: KbView + ?Sized>(kb: &K) -> [Vec<(usize, WordId)>; 2] {
+    let window = |text: &str| DocumentContext::build(kb, &tokenize(text)).words;
+    [window("the hard rock band played unusual chords near the Himalaya mountains"), window("rock")]
+}
+
+/// Batched similarity of every entity of `kb` against `window`.
+fn simscores<K: KbView + ?Sized>(
+    kb: &K,
+    window: &[(usize, WordId)],
+    weighting: KeywordWeighting,
+) -> Vec<f64> {
+    let entities: Vec<_> = kb.entity_ids().collect();
+    let mut scratch = ScoringScratch::new();
+    let obs = SimObs::default();
+    simscores_batch(kb, entities.len(), |i| entities[i], window, weighting, &obs, &mut scratch);
+    scratch.sims().to_vec()
 }
 
 /// Asserts the two transient indexes answer correctly on `kb`, comparing
@@ -62,34 +79,28 @@ fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &FrozenKb, p
     assert_eq!(kb.entity_by_name("No Quarter"), None, "{path}: phantom entity");
 
     // `kp_index` (serde(skip)): the index-pruned similarity must agree
-    // bitwise with the exhaustive scan AND with the pre-snapshot score. An
-    // empty rebuilt index would score 0.0 here while exhaustive scores > 0.
-    let window = window_for(kb);
-    let ref_window = window_for(reference);
-    assert_eq!(window, ref_window, "{path}: context window diverged");
-    for e in kb.entity_ids() {
+    // bitwise with the pre-snapshot KB freshly frozen. An empty rebuilt
+    // index would score 0.0 on the one-word window where the reference
+    // scores > 0.
+    let windows = windows_for(kb);
+    assert_eq!(windows, windows_for(reference), "{path}: context windows diverged");
+    for window in &windows {
         for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
-            let loaded = simscore(kb, e, &window, weighting);
-            let exhaustive = simscore_exhaustive(kb, e, &window, weighting);
-            let expected = simscore(reference, e, &ref_window, weighting);
+            let loaded = simscores(kb, window, weighting);
+            let expected = simscores(reference, window, weighting);
+            let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                loaded.to_bits(),
-                exhaustive.to_bits(),
-                "{path}: kp-index pruning changed simscore for {e:?}"
+                bits(&loaded),
+                bits(&expected),
+                "{path}: simscore diverged from pre-snapshot KB on {window:?}"
             );
-            assert_eq!(
-                loaded.to_bits(),
-                expected.to_bits(),
-                "{path}: simscore diverged from pre-snapshot KB for {e:?}"
+            // The probe is only meaningful if some entity actually matches.
+            assert!(
+                expected.iter().any(|&s| s > 0.0),
+                "{path}: similarity probe matched nothing on {window:?}"
             );
         }
     }
-    // The probe is only meaningful if some entity actually matches.
-    let scored = kb
-        .entity_ids()
-        .filter(|&e| simscore(kb, e, &window, KeywordWeighting::Npmi) > 0.0)
-        .count();
-    assert!(scored > 0, "{path}: similarity probe matched nothing");
 }
 
 #[test]
