@@ -142,12 +142,12 @@ mod tests {
         let mut tax = Taxonomy::new(kb.entity_count());
         let person = tax.add_type("person");
         let m = tax.add_type("musician");
-        tax.add_subclass(m, person);
+        tax.add_subclass(m, person).unwrap();
         let location = tax.add_type("location");
         let c = tax.add_type("city");
-        tax.add_subclass(c, location);
-        tax.assign(musician, m);
-        tax.assign(city, c);
+        tax.add_subclass(c, location).unwrap();
+        tax.assign(musician, m).unwrap();
+        tax.assign(city, c).unwrap();
         (kb, tax)
     }
 
@@ -158,12 +158,12 @@ mod tests {
         let tokens = tokenize("the river harbor near Dylan was busy");
         let mention = Mention::new("Dylan", 4, 5);
         let best = clf.best_type(&tokens, &mention).unwrap();
-        assert_eq!(tax.name(best), "city");
+        assert_eq!(tax.name(best), Some("city"));
         // Music context flips it.
         let tokens = tokenize("the folk singer Dylan released a studio album");
         let mention = Mention::new("Dylan", 3, 4);
         let best = clf.best_type(&tokens, &mention).unwrap();
-        assert_eq!(tax.name(best), "musician");
+        assert_eq!(tax.name(best), Some("musician"));
     }
 
     #[test]
@@ -173,7 +173,7 @@ mod tests {
         let tokens = tokenize("Dylan appeared");
         let mention = Mention::new("Dylan", 0, 1);
         let best = clf.best_type(&tokens, &mention).unwrap();
-        assert_eq!(tax.name(best), "musician");
+        assert_eq!(tax.name(best), Some("musician"));
     }
 
     #[test]

@@ -184,8 +184,8 @@ fn main() {
         for a in &annotations {
             let ty = classifier
                 .best_type(&tokens, &a.mention)
-                .map(|t| exported.taxonomy.name(t).to_string())
-                .unwrap_or_else(|| "?".into());
+                .and_then(|t| exported.taxonomy.name(t))
+                .unwrap_or("?");
             println!(
                 "  {:<20} → {:<26} [{:<18}] conf {:.2}",
                 a.mention.surface,

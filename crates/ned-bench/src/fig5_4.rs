@@ -69,8 +69,8 @@ pub fn run(scale: &Scale) {
         let (p, r) = ee_metrics(&env.frozen, &models, &test_docs);
 
         // Enriched: first harvest high-confidence keyphrases for existing
-        // entities from the same window, rebuild the KB, then build models
-        // against the enriched KB (which subtracts more, keeping the EE
+        // entities from the same window, add them through an overlay, then
+        // build models against the enriched KB (which subtracts more, keeping the EE
         // models crisp and the existing entities competitive).
         let aida = Disambiguator::new(
             env.frozen.clone(),
@@ -79,7 +79,8 @@ pub fn run(scale: &Scale) {
         );
         let assessor = ConfAssessor::new(ConfidenceMethod::Normalized);
         let report = harvest_confident(&aida, &assessor, &window, 0.95);
-        let enriched = enrich_kb(&env.frozen, &report);
+        let enriched = enrich_kb(env.frozen.clone(), &report)
+            .unwrap_or_else(|e| panic!("enrichment mutations apply: {e}"));
         let models_e = NameModels::build(&enriched, &window, 2, &EeModelConfig::default());
         let (pe, re) = ee_metrics(&enriched, &models_e, &test_docs);
 

@@ -11,7 +11,7 @@ use crate::setup::{Env, Scale};
 pub fn run(scale: &Scale) {
     let env = Env::build(scale);
     let corpus = env.conll(scale);
-    let kb = &env.exported.kb;
+    let kb = &env.frozen;
 
     let articles = corpus.docs.len();
     let mentions: usize = corpus.docs.iter().map(|d| d.mentions.len()).sum();
@@ -60,7 +60,7 @@ pub fn run(scale: &Scale) {
     ]);
     print!("{}", t.render());
 
-    let stats = KbStats::of(kb);
+    let stats = KbStats::of(&**kb);
     let mut k = Table::new("Knowledge base properties", &["property", "value"]);
     k.add_row(vec!["entities".into(), stats.entities.to_string()]);
     k.add_row(vec!["names".into(), stats.names.to_string()]);

@@ -2,6 +2,8 @@
 //! stream — explicit EE modeling (EEsim / EEcoh) against the
 //! score-thresholding baselines, plus NED-EE as a preprocessing stage.
 
+use std::sync::Arc;
+
 use ned_aida::baselines::LocalLinker;
 use ned_aida::{AidaConfig, Disambiguator, NedMethod};
 use ned_eval::ee_measures::ee_averages;
@@ -121,7 +123,7 @@ pub fn run(scale: &Scale) {
     // §5.7.2: the EE methods include *harvested keyphrases for existing
     // entities* — enrich the KB from each target day's harvest window, then
     // build the EE models against the enriched KB (which subtracts more).
-    let enrich_for = |target_day: u32| -> ned_kb::FrozenKb {
+    let enrich_for = |target_day: u32| -> ned_kb::DeltaKb {
         let window: Vec<&GoldDoc> = stream
             .docs
             .iter()
@@ -139,7 +141,8 @@ pub fn run(scale: &Scale) {
             report.confident_mentions,
             report.phrase_observations()
         );
-        ned_emerging::enrich::enrich_kb(kb, &report)
+        ned_emerging::enrich::enrich_kb(Arc::clone(kb), &report)
+            .unwrap_or_else(|e| panic!("enrichment mutations apply: {e}"))
     };
     let enriched_val = enrich_for(validation_day);
     let enriched_test = enrich_for(eval_day_idx);

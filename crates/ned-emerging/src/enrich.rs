@@ -6,12 +6,19 @@
 //! §5.7.3). Phrases harvested around mentions that were disambiguated with
 //! confidence ≥ 95% are accurate for ~98% of mentions (Table 5.1), so they
 //! can be added to the entity's keyphrase model with little noise.
+//!
+//! The enriched KB is a [`DeltaKb`] overlay: one
+//! [`KbMutation::AddKeyphrase`] per harvested phrase over the shared
+//! frozen base, the same write path live promotion uses
+//! ([`crate::policy`]).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ned_aida::Disambiguator;
+use ned_core::NedError;
 use ned_eval::gold::GoldDoc;
-use ned_kb::{EntityId, FrozenKb, KbBuilder, KbView};
+use ned_kb::{DeltaKb, EntityId, FrozenKb, KbMutation, KbView};
 use ned_relatedness::Relatedness;
 
 use crate::confidence::ConfAssessor;
@@ -49,10 +56,11 @@ pub fn harvest_confident<K: KbView, R: Relatedness>(
         let features = aida.features(&doc.tokens, &mentions);
         let result = aida.disambiguate_features(&features);
         let confidences = assessor.assess(aida, &features, &result);
-        for (i, mention) in mentions.iter().enumerate() {
-            report.total_mentions += 1;
-            let Some(entity) = result.assignments[i].entity else { continue };
-            if confidences[i] < min_confidence {
+        report.total_mentions += mentions.len();
+        let assessed = mentions.iter().zip(&result.assignments).zip(&confidences);
+        for ((mention, assignment), &confidence) in assessed {
+            let Some(entity) = assignment.entity else { continue };
+            if confidence < min_confidence {
                 continue;
             }
             report.confident_mentions += 1;
@@ -66,26 +74,31 @@ pub fn harvest_confident<K: KbView, R: Relatedness>(
     report
 }
 
-/// Rebuilds the knowledge base with the harvested phrases added (weights
-/// are recomputed), returning the enriched KB frozen for reading. Accepts
-/// any [`KbView`] (a frozen KB or an overlay).
-pub fn enrich_kb<K: KbView + ?Sized>(kb: &K, report: &EnrichmentReport) -> FrozenKb {
-    let mut builder = KbBuilder::from_kb(kb);
-    // Insert in sorted (entity, surface) order: keyphrase ids are assigned
-    // in insertion order, so hash-map iteration order here would otherwise
+/// Adds the harvested phrases to the knowledge base: one
+/// [`KbMutation::AddKeyphrase`] per (entity, phrase), applied through a
+/// [`DeltaKb`] overlay over `base`, so the weights are recomputed over the
+/// enriched KB without copying the base. A harvested entity the base does
+/// not hold, or an empty phrase, is a typed error.
+pub fn enrich_kb(base: Arc<FrozenKb>, report: &EnrichmentReport) -> Result<DeltaKb, NedError> {
+    // Emit in sorted (entity, surface) order: keyphrase ids are assigned in
+    // insertion order, so hash-map iteration order here would otherwise
     // leak into the enriched KB's id space and its snapshots.
-    let mut entities: Vec<&EntityId> = report.harvested.keys().collect();
-    entities.sort_unstable();
-    for &entity in entities {
-        let Some(phrases) = report.harvested.get(&entity) else { continue };
-        let mut surfaces: Vec<&String> = phrases.keys().collect();
-        surfaces.sort_unstable();
-        for surface in surfaces {
-            let Some(&count) = phrases.get(surface) else { continue };
-            builder.add_keyphrase(entity, surface, count);
+    let mut by_entity: Vec<(&EntityId, &HashMap<String, u64>)> =
+        report.harvested.iter().collect();
+    by_entity.sort_unstable_by_key(|&(&entity, _)| entity);
+    let mut mutations = Vec::new();
+    for (&entity, phrases) in by_entity {
+        if entity.index() >= base.entity_count() {
+            return Err(NedError::Lookup { what: "entity id", key: entity.index().to_string() });
         }
+        let name = base.entity(entity).canonical_name.clone();
+        let mut surfaces: Vec<(&String, &u64)> = phrases.iter().collect();
+        surfaces.sort_unstable();
+        mutations.extend(surfaces.into_iter().map(|(surface, &count)| {
+            KbMutation::AddKeyphrase { entity: name.clone(), surface: surface.clone(), count }
+        }));
     }
-    FrozenKb::freeze(&builder.build())
+    DeltaKb::build(base, mutations)
 }
 
 #[cfg(test)]
@@ -94,11 +107,11 @@ mod tests {
     use crate::confidence::{ConfAssessor, ConfidenceMethod};
     use ned_aida::AidaConfig;
     use ned_eval::gold::LabeledMention;
-    use ned_kb::EntityKind;
+    use ned_kb::{EntityKind, KbBuilder};
     use ned_relatedness::MilneWitten;
     use ned_text::{tokenize, Mention};
 
-    fn kb() -> FrozenKb {
+    fn kb() -> Arc<FrozenKb> {
         let mut b = KbBuilder::new();
         let may = b.add_entity("Theresa May", EntityKind::Person);
         b.add_name(may, "May", 10);
@@ -110,7 +123,7 @@ mod tests {
         b.add_keyphrase(pad, "chief suspect investigation", 1);
         let other = b.add_entity("Other", EntityKind::Other);
         b.add_keyphrase(other, "completely unrelated affairs", 1);
-        FrozenKb::freeze(&b.build())
+        Arc::new(FrozenKb::freeze(&b.build()))
     }
 
     fn docs() -> Vec<GoldDoc> {
@@ -157,7 +170,8 @@ mod tests {
         let docs = docs();
         let refs: Vec<&GoldDoc> = docs.iter().collect();
         let report = harvest_confident(&aida, &assessor, &refs, 0.95);
-        let enriched = enrich_kb(&kb, &report);
+        let enriched = enrich_kb(Arc::clone(&kb), &report).unwrap();
+        assert!(Arc::ptr_eq(enriched.base(), &kb), "the overlay shares the base");
         assert!(enriched.keyphrases(may).len() > kb.keyphrases(may).len());
         // The new phrases participate in similarity: "chief suspect" words
         // now belong to the entity.
@@ -170,9 +184,17 @@ mod tests {
         let kb = kb();
         let may = kb.entity_by_name("Theresa May").unwrap();
         let report = EnrichmentReport::default();
-        let enriched = enrich_kb(&kb, &report);
+        let enriched = enrich_kb(Arc::clone(&kb), &report).unwrap();
         assert_eq!(enriched.entity_count(), kb.entity_count());
         assert_eq!(enriched.keyphrases(may).len(), kb.keyphrases(may).len());
         assert_eq!(enriched.candidates("May").len(), 1);
+    }
+
+    #[test]
+    fn harvest_for_an_entity_outside_the_base_is_a_typed_error() {
+        let mut report = EnrichmentReport::default();
+        report.harvested.entry(EntityId(99)).or_default().insert("chief suspect".into(), 1);
+        let err = enrich_kb(kb(), &report).unwrap_err();
+        assert!(matches!(err, NedError::Lookup { what: "entity id", .. }), "{err}");
     }
 }

@@ -21,10 +21,14 @@
 //! - [`discover`]: the NED-EE discovery algorithm (Algorithm 3, §5.6) plus
 //!   the score-thresholding baselines it is compared against.
 //! - [`enrich`]: KB maintenance — harvesting additional keyphrases for
-//!   existing entities from high-confidence disambiguations (§5.5.1).
-//! - [`policy`]: the incremental promotion policy — support + confidence
-//!   thresholds that turn accumulated EE evidence into WAL-ready
-//!   [`ned_kb::KbMutation`] sequences (§5.6, incremental variant).
+//!   existing entities from high-confidence disambiguations (§5.5.1),
+//!   added as [`ned_kb::KbMutation`]s through a [`ned_kb::DeltaKb`]
+//!   overlay.
+//! - [`policy`]: promotion (§5.6) — support + confidence thresholds that
+//!   turn accumulated EE evidence into WAL-ready [`ned_kb::KbMutation`]
+//!   sequences.
+//!
+//! Both ways of growing the KB write mutations: neither rebuilds it.
 
 pub mod confidence;
 pub mod discover;
@@ -32,10 +36,8 @@ pub mod ee_model;
 pub mod enrich;
 pub mod harvest;
 pub mod policy;
-pub mod promote;
 
 pub use confidence::{ConfAssessor, ConfidenceMethod};
 pub use discover::{EeConfig, EeDiscovery, ThresholdEe};
 pub use ee_model::{EeModel, NameModels};
 pub use policy::{Promotion, PromotionPolicy, PromotionTracker};
-pub use promote::promote_entity;

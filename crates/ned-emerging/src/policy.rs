@@ -3,11 +3,11 @@
 //! Discovery ([`crate::discover`]) labels mentions as out-of-KB, but §5.6
 //! wants more than labels: once an emerging entity has been seen often
 //! enough, with enough confidence, it "should be promoted … to a
-//! canonicalized entity". [`promote_entity`](crate::promote::promote_entity)
-//! does that by rebuilding the whole KB; this module is the *incremental*
-//! counterpart — it emits the equivalent [`KbMutation`] sequence so the
-//! entity can be appended to the WAL and served through a
-//! [`ned_kb::DeltaKb`] overlay without a rebuild.
+//! canonicalized entity". This module decides when, and emits the
+//! [`KbMutation`] sequence that promotes the entity, so it can be appended
+//! to the WAL and served through a [`ned_kb::DeltaKb`] overlay without a
+//! rebuild. Existing entity ids are untouched, so gold labels and indexes
+//! stay valid.
 //!
 //! The policy is deliberately simple and deterministic:
 //!
@@ -18,11 +18,10 @@
 //! - and the global name model for the surface must be non-empty (there is
 //!   distinctive keyphrase evidence to represent the entity with).
 //!
-//! The emitted mutations mirror the count arithmetic of
-//! [`promote_entity`](crate::promote::promote_entity) exactly — anchor
-//! count `support.max(1)`, keyphrase counts `(weight · 5).ceil().max(1)` —
-//! so a WAL-promoted entity and a rebuild-promoted entity are
-//! indistinguishable to the disambiguator.
+//! A promotion is one `AddEntity`, one `AddDictionarySurface` registering
+//! the ambiguous surface with the accumulated support as its anchor count
+//! (`support.max(1)`), and one `AddKeyphrase` per model phrase, its \[0, 1\]
+//! salience scaled to the count `(weight · 5).ceil().max(1)`.
 
 use std::collections::BTreeMap;
 
@@ -160,8 +159,8 @@ impl PromotionTracker {
                 canonical_name: canonical_name.clone(),
                 kind: policy.kind,
             });
-            // Same arithmetic as promote_entity: the accumulated support is
-            // the initial anchor count of the ambiguous name.
+            // The accumulated support is the initial anchor count of the
+            // ambiguous name.
             mutations.push(KbMutation::AddDictionarySurface {
                 entity: canonical_name.clone(),
                 surface: surface.clone(),
@@ -193,9 +192,15 @@ impl PromotionTracker {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::ee_model::{EeModel, EePhrase};
-    use ned_kb::{FrozenKb, KbBuilder};
+    use ned_aida::{AidaConfig, Disambiguator, NedMethod};
+    use ned_core::NedError;
+    use ned_kb::{DeltaKb, FrozenKb, KbBuilder};
+    use ned_relatedness::MilneWitten;
+    use ned_text::{tokenize, Mention};
 
     fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
@@ -284,9 +289,108 @@ mod tests {
         assert!(tracker.drain_promotions(&policy, &models, &kb, &metrics).is_empty());
     }
 
+    /// A band called Prism, plus a surveillance-program vocabulary that no
+    /// "Prism" candidate carries yet.
+    fn prism_kb() -> Arc<FrozenKb> {
+        let mut b = KbBuilder::new();
+        let band = b.add_entity("Prism (band)", EntityKind::Organization);
+        b.add_name(band, "Prism", 10);
+        b.add_keyphrase(band, "progressive rock band", 5);
+        let pad = b.add_entity("Pad", EntityKind::Other);
+        b.add_keyphrase(pad, "secret surveillance program", 1);
+        Arc::new(FrozenKb::freeze(&b.build()))
+    }
+
+    /// The mutations of every promotion `kb` triggers once "Prism" has
+    /// three confident EE mentions.
+    fn promote_prism(kb: &FrozenKb) -> Vec<KbMutation> {
+        let mut tracker = PromotionTracker::new();
+        for _ in 0..3 {
+            tracker.observe_ee("Prism", 0.8);
+        }
+        let promos = tracker.drain_promotions(
+            &PromotionPolicy::default(),
+            &models(kb),
+            kb,
+            &Metrics::disabled(),
+        );
+        promos.into_iter().flat_map(|p| p.mutations).collect()
+    }
+
+    #[test]
+    fn promoted_entity_wins_its_reading_and_the_band_keeps_its_own() {
+        let base = prism_kb();
+        let band = base.entity_by_name("Prism (band)").unwrap();
+        let delta = DeltaKb::build(Arc::clone(&base), promote_prism(&base)).unwrap();
+        let program = delta.entity_by_name("Prism (emerging)").unwrap();
+        assert_eq!(delta.entity_count(), base.entity_count() + 1);
+        assert_eq!(delta.candidates("Prism").len(), 2);
+        // The plain disambiguator resolves the program reading to the new
+        // entity — no EE machinery needed any more ...
+        let aida = Disambiguator::new(&delta, MilneWitten::new(&delta), AidaConfig::sim_only());
+        let tokens = tokenize("the secret surveillance program Prism was debated");
+        let labels = aida.disambiguate(&tokens, &[Mention::new("Prism", 3, 4)]).labels();
+        assert_eq!(labels[0], Some(program));
+        // ... while the band reading still resolves to the band.
+        let tokens = tokenize("the progressive rock band Prism played");
+        let labels = aida.disambiguate(&tokens, &[Mention::new("Prism", 4, 5)]).labels();
+        assert_eq!(labels[0], Some(band));
+    }
+
+    #[test]
+    fn base_entity_ids_survive_promotion() {
+        let base = prism_kb();
+        let delta = DeltaKb::build(Arc::clone(&base), promote_prism(&base)).unwrap();
+        for e in base.entity_ids() {
+            let name = &base.entity(e).canonical_name;
+            assert_eq!(delta.entity_by_name(name), Some(e));
+            assert_eq!(&delta.entity(e).canonical_name, name);
+        }
+        let program = delta.entity_by_name("Prism (emerging)").unwrap();
+        assert_eq!(program.index(), base.entity_count());
+    }
+
+    #[test]
+    fn a_taken_canonical_name_is_skipped_by_the_tracker_and_rejected_by_the_overlay() {
+        let base = prism_kb();
+        let promotion = promote_prism(&base);
+        let delta = DeltaKb::build(Arc::clone(&base), promotion.clone()).unwrap();
+        // Against a KB that already holds "Prism (emerging)", the tracker
+        // consumes the evidence and emits nothing.
+        let mut tracker = PromotionTracker::new();
+        for _ in 0..3 {
+            tracker.observe_ee("Prism", 0.8);
+        }
+        let promos = tracker.drain_promotions(
+            &PromotionPolicy::default(),
+            &models(&base),
+            &delta,
+            &Metrics::disabled(),
+        );
+        assert!(promos.is_empty());
+        assert_eq!(tracker.promoted_as("Prism"), Some("Prism (emerging)"));
+        // Replaying the batch twice is a typed error, never a panic.
+        let twice: Vec<KbMutation> = promotion.iter().chain(&promotion).cloned().collect();
+        let err = DeltaKb::build(base, twice).unwrap_err();
+        assert!(matches!(err, NedError::Config { what: "kb mutation", .. }), "{err}");
+    }
+
+    #[test]
+    fn an_empty_model_is_never_promoted() {
+        let kb = kb();
+        let mut models = NameModels::default();
+        models.insert(EeModel { name: "Prism".into(), phrases: vec![], occurrences: 7 });
+        let mut tracker = PromotionTracker::new();
+        for _ in 0..5 {
+            tracker.observe_ee("Prism", 1.0);
+        }
+        let policy = PromotionPolicy::default();
+        assert!(tracker.drain_promotions(&policy, &models, &kb, &Metrics::disabled()).is_empty());
+        assert_eq!(tracker.support("Prism"), 5);
+    }
+
     #[test]
     fn mutations_apply_cleanly_to_a_frozen_base() {
-        use std::sync::Arc;
         let kb = kb();
         let models = models(&kb);
         let metrics = Metrics::disabled();
@@ -299,7 +403,7 @@ mod tests {
         let base = Arc::new(kb);
         let muts: Vec<KbMutation> =
             promos.into_iter().flat_map(|p| p.mutations).collect();
-        let delta = ned_kb::DeltaKb::build(base, muts).unwrap();
+        let delta = DeltaKb::build(base, muts).unwrap();
         let id = delta.entity_by_name("Prism (emerging)").unwrap();
         assert!(delta.candidates("Prism").iter().any(|c| c.entity == id));
         assert!(!delta.keyphrases(id).is_empty());

@@ -33,45 +33,6 @@ impl KbBuilder {
         Self::default()
     }
 
-    /// Reconstructs a builder from an existing knowledge base (any
-    /// [`KbView`](crate::KbView): a frozen KB or an overlay), so the KB can
-    /// be extended (e.g. with harvested keyphrases or newly promoted entities)
-    /// and rebuilt with fresh weights — the KB maintenance life-cycle of
-    /// §5.6.
-    pub fn from_kb<K: crate::KbView + ?Sized>(kb: &K) -> Self {
-        let mut builder = KbBuilder::new();
-        for e in kb.entity_ids() {
-            let entity = kb.entity(e);
-            let id = builder.add_entity(&entity.canonical_name, entity.kind);
-            debug_assert_eq!(id, e, "entity ids must be stable across rebuilds");
-        }
-        // Dictionary: canonical names were re-added with count 1 by
-        // add_entity; transfer the remaining counts of every entry.
-        for (key, cands) in kb.dictionary().iter() {
-            for c in cands {
-                let already = if key
-                    == ned_text::normalize::match_key(&kb.entity(c.entity).canonical_name)
-                {
-                    1
-                } else {
-                    0
-                };
-                if c.count > already {
-                    builder.add_name(c.entity, key, c.count - already);
-                }
-            }
-        }
-        for e in kb.entity_ids() {
-            for &dst in kb.links().outlinks(e) {
-                builder.add_link(e, dst);
-            }
-            for ep in kb.keyphrases(e) {
-                builder.add_keyphrase(e, kb.phrase_surface(ep.phrase), ep.count);
-            }
-        }
-        builder
-    }
-
     /// Registers an entity with a unique canonical name.
     ///
     /// The canonical name is automatically added to the dictionary with an
@@ -227,39 +188,6 @@ pub(crate) mod tests {
         let mut b = KbBuilder::new();
         b.add_entity("X", EntityKind::Other);
         b.add_entity("X", EntityKind::Other);
-    }
-
-    #[test]
-    fn from_kb_roundtrips() {
-        let kb = example_kb();
-        let kb2 = KbBuilder::from_kb(&crate::FrozenKb::freeze(&kb)).build();
-        assert_eq!(kb2.entity_count(), kb.entity_count());
-        let page = kb.entity_by_name("Jimmy Page").unwrap();
-        assert_eq!(kb2.entity_by_name("Jimmy Page"), Some(page));
-        // Dictionary counts and priors survive.
-        assert_eq!(kb2.candidates("Kashmir").len(), kb.candidates("Kashmir").len());
-        let region = kb.entity_by_name("Kashmir (region)").unwrap();
-        assert!((kb2.prior("Kashmir", region) - kb.prior("Kashmir", region)).abs() < 1e-12);
-        // Links and keyphrases survive.
-        assert_eq!(kb2.links().edge_count(), kb.links().edge_count());
-        assert_eq!(kb2.keyphrases(page).len(), kb.keyphrases(page).len());
-        // Weights are recomputed identically.
-        let z = kb.word_id("zeppelin").unwrap();
-        let z2 = kb2.word_id("zeppelin").unwrap();
-        assert!(
-            (kb.weights().keyword_npmi(page, z) - kb2.weights().keyword_npmi(page, z2)).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
-    fn from_kb_allows_extension() {
-        let kb = example_kb();
-        let mut builder = KbBuilder::from_kb(&crate::FrozenKb::freeze(&kb));
-        let page = kb.entity_by_name("Jimmy Page").unwrap();
-        builder.add_keyphrase(page, "chief suspect", 3);
-        let kb2 = builder.build();
-        assert_eq!(kb2.keyphrases(page).len(), kb.keyphrases(page).len() + 1);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //!
 //! ## Semantics
 //!
-//! An overlay means what `merge` computes from scratch: thaw the frozen
-//! base back into a build-time [`KnowledgeBase`] (id-preserving: entity `i`
-//! stays entity `i`, phrase `p` stays phrase `p`), apply the mutations
-//! exactly as [`crate::builder::KbBuilder`] would have at build time,
-//! recompute the [`WeightModel`], and freeze the result, which builds the
-//! [`KeyphraseIndex`] and [`PhraseRuns`] afresh.
+//! An overlay means what a from-scratch build means: base-ops + mutations
+//! applied exactly as [`crate::builder::KbBuilder`] would have at build
+//! time (id-preserving: entity `i` stays entity `i`, phrase `p` stays
+//! phrase `p`), with the [`WeightModel`] recomputed and the
+//! [`KeyphraseIndex`] and [`PhraseRuns`] built afresh. The test-only
+//! `reference::merge` computes exactly that: it thaws the frozen base back
+//! into a build-time store and replays the log through it.
 //!
 //! [`DeltaKb::build`] reaches the same result without the thaw. It applies
 //! each mutation to the overlay itself, copying a base row into the overlay
@@ -29,10 +30,11 @@
 //! through to the base arrays with one hash-map miss of overhead; reads of
 //! touched rows hit the overlay.
 //!
-//! [`DeltaKb::compact`] folds base + mutations into a fresh [`FrozenKb`]
-//! through `merge`, so it is bitwise-identical to building the merged KB
-//! from scratch; the equivalence suite pins every overlay to its
-//! compaction.
+//! [`DeltaKb::compact`] copies the overlay's merged rows into a fresh
+//! [`FrozenKb`] and keeps its weights; nothing is replayed or recomputed
+//! but the index and the phrase runs. The equivalence suites pin its
+//! snapshot bytes to freezing the reference merge and a from-scratch
+//! build.
 
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
@@ -42,125 +44,16 @@ use ned_core::NedError;
 use ned_obs::{names, Metrics};
 use ned_text::normalize::{match_key, squash_whitespace};
 
-use crate::dictionary::{Candidate, Dictionary};
+use crate::dictionary::Candidate;
 use crate::entity::Entity;
 use crate::frozen::FrozenKb;
 use crate::fx::{FxHashMap, FxHasher};
 use crate::ids::{EntityId, PhraseId, WordId};
-use crate::keyphrase::{EntityPhrase, KeyphraseStore};
+use crate::keyphrase::EntityPhrase;
 use crate::kp_index::KeyphraseIndex;
-use crate::links::LinkGraph;
 use crate::mutation::KbMutation;
 use crate::phrase_runs::PhraseRuns;
-use crate::store::KnowledgeBase;
-use crate::vocab::{PhraseInterner, WordInterner};
 use crate::weights::{EntityWords, TermCounts, TermRows, TermSets, WeightModel};
-
-/// Reconstructs the legacy representation of a frozen KB, id-preserving:
-/// every entity, word, and phrase keeps its dense id, so mutations applied
-/// to the thawed KB mean the same thing they would have meant at build
-/// time.
-fn thaw(base: &FrozenKb) -> KnowledgeBase {
-    let n = base.entity_count();
-    let entities: Vec<Entity> =
-        (0..n).map(|i| base.entity(EntityId::from_index(i)).clone()).collect();
-    let words = WordInterner::from_words(
-        (0..base.word_count())
-            .map(|i| base.word_text(WordId::from_index(i)).to_string())
-            .collect(),
-    );
-    let phrases = PhraseInterner::from_parts(
-        (0..base.phrase_count())
-            .map(|i| base.phrase_words(PhraseId::from_index(i)).to_vec())
-            .collect(),
-        (0..base.phrase_count())
-            .map(|i| base.phrase_surface(PhraseId::from_index(i)).to_string())
-            .collect(),
-    );
-    let mut dictionary = Dictionary::new();
-    let frozen_dict = base.dictionary();
-    for i in 0..frozen_dict.name_count() {
-        // Frozen keys are already match-key normalized; insert them raw.
-        dictionary.insert_row(frozen_dict.key_at(i).to_string(), frozen_dict.candidates_at(i).to_vec());
-    }
-    let frozen_links = base.links();
-    let links = LinkGraph::from_rows(
-        (0..n).map(|i| frozen_links.inlinks(EntityId::from_index(i)).to_vec()).collect(),
-        (0..n).map(|i| frozen_links.outlinks(EntityId::from_index(i)).to_vec()).collect(),
-        frozen_links.edge_count(),
-    );
-    let keyphrases = KeyphraseStore::from_rows(
-        (0..n).map(|i| base.keyphrases(EntityId::from_index(i)).to_vec()).collect(),
-        base.total_phrase_observations(),
-    );
-    let by_name = entities
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.canonical_name.clone(), EntityId::from_index(i)))
-        .collect();
-    KnowledgeBase {
-        entities,
-        words,
-        phrases,
-        dictionary,
-        links,
-        keyphrases,
-        weights: WeightModel::default(),
-        by_name,
-    }
-}
-
-/// Resolves a canonical name against the merged-so-far KB.
-fn resolve(kb: &KnowledgeBase, name: &str) -> Result<EntityId, NedError> {
-    kb.by_name
-        .get(name)
-        .copied()
-        .ok_or_else(|| NedError::Lookup { what: "entity name", key: name.to_string() })
-}
-
-/// Applies one mutation to the thawed KB, mirroring the corresponding
-/// [`crate::builder::KbBuilder`] operation.
-fn apply(kb: &mut KnowledgeBase, m: &KbMutation) -> Result<(), NedError> {
-    match m {
-        KbMutation::AddEntity { canonical_name, kind } => {
-            if kb.by_name.contains_key(canonical_name) {
-                return Err(name_taken(canonical_name));
-            }
-            let id = EntityId::from_index(kb.entities.len());
-            kb.entities.push(Entity::new(canonical_name.clone(), *kind));
-            kb.by_name.insert(canonical_name.clone(), id);
-            kb.links.grow_to(kb.entities.len());
-            kb.keyphrases.grow_to(kb.entities.len());
-            // The builder registers the title itself as a name observation.
-            kb.dictionary.add(canonical_name, id, 1);
-        }
-        KbMutation::AddLink { src, dst } => {
-            let s = resolve(kb, src)?;
-            let d = resolve(kb, dst)?;
-            kb.links.add_link(s, d);
-        }
-        KbMutation::AddKeyphrase { entity, surface, count } => {
-            let e = resolve(kb, entity)?;
-            if surface.split_whitespace().next().is_none() {
-                return Err(empty_keyphrase(entity));
-            }
-            let p = kb.phrases.intern(surface, &mut kb.words);
-            kb.keyphrases.add(e, p, *count);
-        }
-        KbMutation::ReweightKeyphrase { entity, surface, delta } => {
-            let e = resolve(kb, entity)?;
-            let p = kb.phrases.get(surface, &kb.words).ok_or_else(|| unknown_phrase(surface))?;
-            kb.keyphrases
-                .reweight(e, p, *delta)
-                .ok_or_else(|| unknown_entity_phrase(entity, surface))?;
-        }
-        KbMutation::AddDictionarySurface { entity, surface, count } => {
-            let e = resolve(kb, entity)?;
-            kb.dictionary.add(surface, e, *count);
-        }
-    }
-    Ok(())
-}
 
 fn name_taken(canonical_name: &str) -> NedError {
     NedError::Config {
@@ -182,24 +75,6 @@ fn unknown_phrase(surface: &str) -> NedError {
 
 fn unknown_entity_phrase(entity: &str, surface: &str) -> NedError {
     NedError::Lookup { what: "entity keyphrase", key: format!("{entity} / {surface}") }
-}
-
-/// Thaws `base`, applies `mutations` in order, and finalizes into a fully
-/// consistent [`KnowledgeBase`] — exactly the KB a from-scratch build of
-/// base-ops + mutations would have produced. [`DeltaKb::compact`] freezes
-/// it; the overlay equivalence tests compare against it.
-pub(crate) fn merge(base: &FrozenKb, mutations: &[KbMutation]) -> Result<KnowledgeBase, NedError> {
-    let mut kb = thaw(base);
-    for m in mutations {
-        apply(&mut kb, m)?;
-    }
-    // Finalize is idempotent on untouched rows: the frozen arrays were
-    // stored in exactly the order these sorts produce.
-    kb.dictionary.finalize();
-    kb.links.finalize();
-    kb.keyphrases.finalize();
-    kb.weights = WeightModel::compute(&kb.keyphrases, &kb.links, &kb.phrases, kb.words.len());
-    Ok(kb)
 }
 
 /// What every overlay over one frozen base needs from it beyond its read
@@ -347,8 +222,9 @@ fn lowercase_into(word: &str, out: &mut String) {
     }
 }
 
-/// An immutable copy-on-write overlay: `base` + the effect of `mutations`,
-/// readable through [`crate::view::KbView`].
+/// An immutable copy-on-write overlay: `base` + the effect of a mutation
+/// sequence, readable through [`crate::view::KbView`]. It keeps the rows
+/// the mutations produced, not the mutations themselves.
 ///
 /// Untouched rows fall through to the frozen base; touched rows (and
 /// everything belonging to newly added entities) live in overlay maps.
@@ -357,7 +233,6 @@ fn lowercase_into(word: &str, out: &mut String) {
 #[derive(Debug)]
 pub struct DeltaKb {
     base: Arc<FrozenKb>,
-    mutations: Vec<KbMutation>,
     base_entity_count: usize,
     base_word_count: usize,
     base_phrase_count: usize,
@@ -416,7 +291,6 @@ impl DeltaKb {
         for m in &mutations {
             delta.apply(&mut st, m)?;
         }
-        delta.mutations = mutations;
         delta.finish(st);
         metrics.gauge(names::KB_DELTA_ENTITIES).set(delta.delta_entity_count() as u64);
         Ok(delta)
@@ -433,7 +307,6 @@ impl DeltaKb {
             merged_edge_count: base.links().edge_count(),
             total_phrase_observations: base.total_phrase_observations(),
             base,
-            mutations: Vec::new(),
             new_entities: Vec::new(),
             by_name_new: FxHashMap::default(),
             kp_rows: FxHashMap::default(),
@@ -452,8 +325,9 @@ impl DeltaKb {
     }
 
     /// Applies one mutation to the overlay with the arithmetic of the
-    /// thawed [`apply`]: rows are extended in the order the legacy stores
-    /// extend them and sorted once, in [`DeltaKb::finish`].
+    /// matching [`crate::builder::KbBuilder`] call: rows are extended in
+    /// the order the build-time stores extend them and sorted once, in
+    /// [`DeltaKb::finish`].
     fn apply(&mut self, st: &mut Staging<'_>, m: &KbMutation) -> Result<(), NedError> {
         let base = st.base;
         match m {
@@ -722,23 +596,22 @@ impl DeltaKb {
         &self.base
     }
 
-    /// The mutation sequence this overlay applies, in order.
-    pub fn mutations(&self) -> &[KbMutation] {
-        &self.mutations
-    }
-
     /// Number of entities the overlay adds on top of the base.
     pub fn delta_entity_count(&self) -> usize {
         self.new_entities.len()
     }
 
-    /// Folds base + mutations into a fresh [`FrozenKb`].
+    /// Folds base + mutations into a fresh [`FrozenKb`] by copying the
+    /// overlay's merged rows and its weight model: the cost is one pass
+    /// over the rows plus rebuilding the keyphrase index and phrase runs,
+    /// not a replay of the log.
     ///
-    /// Runs the from-scratch `merge` (thaw, apply, recompute), so the
-    /// result is bitwise-identical to freezing a from-scratch build of the
-    /// merged KB; the equivalence suite pins every overlay's reads to it.
+    /// The result is bitwise-identical (snapshot bytes) to freezing a
+    /// from-scratch build of base-ops + mutations; the equivalence suites
+    /// pin it at every prefix of a growing log. It does not fail: the
+    /// mutations were validated when the overlay was built.
     pub fn compact(&self) -> Result<FrozenKb, NedError> {
-        Ok(FrozenKb::freeze(&merge(&self.base, &self.mutations)?))
+        Ok(FrozenKb::from_view(self))
     }
 
     // --- read helpers shared with the view wrappers ---------------------
@@ -919,12 +792,168 @@ impl DeltaKb {
     }
 }
 
+/// The from-scratch reference for the overlay and its compaction: thaw the
+/// frozen base back into a build-time [`KnowledgeBase`], replay the log
+/// through the store, and recompute the weights.
+#[cfg(test)]
+pub(crate) mod reference {
+    use ned_core::NedError;
+
+    use super::{empty_keyphrase, name_taken, unknown_entity_phrase, unknown_phrase};
+    use crate::dictionary::Dictionary;
+    use crate::entity::Entity;
+    use crate::frozen::FrozenKb;
+    use crate::ids::{EntityId, PhraseId, WordId};
+    use crate::keyphrase::KeyphraseStore;
+    use crate::links::LinkGraph;
+    use crate::mutation::KbMutation;
+    use crate::store::KnowledgeBase;
+    use crate::vocab::{PhraseInterner, WordInterner};
+    use crate::weights::WeightModel;
+
+    /// Reconstructs the build-time representation of a frozen KB,
+    /// id-preserving: every entity, word, and phrase keeps its dense id, so
+    /// mutations applied to the thawed KB mean the same thing they would
+    /// have meant at build time.
+    fn thaw(base: &FrozenKb) -> KnowledgeBase {
+        let n = base.entity_count();
+        let entities: Vec<Entity> =
+            (0..n).map(|i| base.entity(EntityId::from_index(i)).clone()).collect();
+        let words = WordInterner::from_words(
+            (0..base.word_count())
+                .map(|i| base.word_text(WordId::from_index(i)).to_string())
+                .collect(),
+        );
+        let phrases = PhraseInterner::from_parts(
+            (0..base.phrase_count())
+                .map(|i| base.phrase_words(PhraseId::from_index(i)).to_vec())
+                .collect(),
+            (0..base.phrase_count())
+                .map(|i| base.phrase_surface(PhraseId::from_index(i)).to_string())
+                .collect(),
+        );
+        let mut dictionary = Dictionary::new();
+        let frozen_dict = base.dictionary();
+        for i in 0..frozen_dict.name_count() {
+            // Frozen keys are already match-key normalized; insert them raw.
+            dictionary.insert_row(
+                frozen_dict.key_at(i).to_string(),
+                frozen_dict.candidates_at(i).to_vec(),
+            );
+        }
+        let frozen_links = base.links();
+        let links = LinkGraph::from_rows(
+            (0..n).map(|i| frozen_links.inlinks(EntityId::from_index(i)).to_vec()).collect(),
+            (0..n).map(|i| frozen_links.outlinks(EntityId::from_index(i)).to_vec()).collect(),
+            frozen_links.edge_count(),
+        );
+        let keyphrases = KeyphraseStore::from_rows(
+            (0..n).map(|i| base.keyphrases(EntityId::from_index(i)).to_vec()).collect(),
+            base.total_phrase_observations(),
+        );
+        let by_name = entities
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.canonical_name.clone(), EntityId::from_index(i)))
+            .collect();
+        KnowledgeBase {
+            entities,
+            words,
+            phrases,
+            dictionary,
+            links,
+            keyphrases,
+            weights: WeightModel::default(),
+            by_name,
+        }
+    }
+
+    /// Resolves a canonical name against the merged-so-far KB.
+    fn resolve(kb: &KnowledgeBase, name: &str) -> Result<EntityId, NedError> {
+        kb.by_name
+            .get(name)
+            .copied()
+            .ok_or_else(|| NedError::Lookup { what: "entity name", key: name.to_string() })
+    }
+
+    /// Applies one mutation to the thawed KB, mirroring the corresponding
+    /// [`crate::builder::KbBuilder`] operation.
+    fn apply(kb: &mut KnowledgeBase, m: &KbMutation) -> Result<(), NedError> {
+        match m {
+            KbMutation::AddEntity { canonical_name, kind } => {
+                if kb.by_name.contains_key(canonical_name) {
+                    return Err(name_taken(canonical_name));
+                }
+                let id = EntityId::from_index(kb.entities.len());
+                kb.entities.push(Entity::new(canonical_name.clone(), *kind));
+                kb.by_name.insert(canonical_name.clone(), id);
+                kb.links.grow_to(kb.entities.len());
+                kb.keyphrases.grow_to(kb.entities.len());
+                // The builder registers the title itself as a name
+                // observation.
+                kb.dictionary.add(canonical_name, id, 1);
+            }
+            KbMutation::AddLink { src, dst } => {
+                let s = resolve(kb, src)?;
+                let d = resolve(kb, dst)?;
+                kb.links.add_link(s, d);
+            }
+            KbMutation::AddKeyphrase { entity, surface, count } => {
+                let e = resolve(kb, entity)?;
+                if surface.split_whitespace().next().is_none() {
+                    return Err(empty_keyphrase(entity));
+                }
+                let p = kb.phrases.intern(surface, &mut kb.words);
+                kb.keyphrases.add(e, p, *count);
+            }
+            KbMutation::ReweightKeyphrase { entity, surface, delta } => {
+                let e = resolve(kb, entity)?;
+                let p =
+                    kb.phrases.get(surface, &kb.words).ok_or_else(|| unknown_phrase(surface))?;
+                kb.keyphrases
+                    .reweight(e, p, *delta)
+                    .ok_or_else(|| unknown_entity_phrase(entity, surface))?;
+            }
+            KbMutation::AddDictionarySurface { entity, surface, count } => {
+                let e = resolve(kb, entity)?;
+                kb.dictionary.add(surface, e, *count);
+            }
+        }
+        Ok(())
+    }
+
+    /// Thaws `base`, applies `mutations` in order, and finalizes into a
+    /// fully consistent [`KnowledgeBase`] — exactly the KB a from-scratch
+    /// build of base-ops + mutations would have produced. Frozen, it is what
+    /// [`super::DeltaKb::compact`] must equal bit for bit.
+    pub(crate) fn merge(
+        base: &FrozenKb,
+        mutations: &[KbMutation],
+    ) -> Result<KnowledgeBase, NedError> {
+        let mut kb = thaw(base);
+        for m in mutations {
+            apply(&mut kb, m)?;
+        }
+        // Finalize is idempotent on untouched rows: the frozen arrays were
+        // stored in exactly the order these sorts produce.
+        kb.dictionary.finalize();
+        kb.links.finalize();
+        kb.keyphrases.finalize();
+        kb.weights =
+            WeightModel::compute(&kb.keyphrases, &kb.links, &kb.phrases, kb.words.len());
+        Ok(kb)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::merge;
     use super::*;
     use crate::builder::tests::example_kb;
     use crate::entity::EntityKind;
+    use crate::store::KnowledgeBase;
     use crate::view::KbView;
+    use proptest::prelude::*;
 
     fn sample_mutations() -> Vec<KbMutation> {
         vec![
@@ -1058,6 +1087,97 @@ mod tests {
         crate::snapshot::write_frozen_snapshot(&compacted, &mut a).unwrap();
         crate::snapshot::write_frozen_snapshot(&direct, &mut b).unwrap();
         assert_eq!(a, b, "compacted snapshot must be bitwise-identical to from-scratch");
+    }
+
+    /// The base entities of [`example_kb`].
+    const BASE_NAMES: [&str; 4] =
+        ["Jimmy Page", "Kashmir (song)", "Kashmir (region)", "Robert Plant"];
+
+    /// Decodes seeds into a valid log growing [`example_kb`]: new entities,
+    /// keyphrases of base and new words (one in another case), reweights
+    /// down to zero and past it, links into base entities, and dictionary
+    /// surfaces on base keys and new ones.
+    fn growing_log(seeds: &[(u8, u8, u8, u8)]) -> Vec<KbMutation> {
+        const PHRASES: [&str; 6] = [
+            "hard rock",
+            "Led Zeppelin",
+            "Himalaya mountains",
+            "HARD Rock",
+            "new wave band",
+            "studio master tape",
+        ];
+        const SURFACES: [&str; 5] = ["Kashmir", "Page", "Plant", "Zeppelin", "Black Dog"];
+        fn pick(i: u8, names: &[String]) -> String {
+            names[usize::from(i) % names.len()].clone()
+        }
+        let mut names: Vec<String> = BASE_NAMES.map(String::from).to_vec();
+        let mut pairs: Vec<(String, String)> = vec![
+            ("Jimmy Page".into(), "Led Zeppelin".into()),
+            ("Kashmir (region)".into(), "disputed territory".into()),
+        ];
+        let mut log = Vec::with_capacity(seeds.len());
+        for &(op, a, b, c) in seeds {
+            log.push(match op % 5 {
+                0 => {
+                    let name = format!("Emerging {}", names.len());
+                    names.push(name.clone());
+                    KbMutation::AddEntity { canonical_name: name, kind: EntityKind::Other }
+                }
+                1 => {
+                    let targets = if a % 2 == 0 { &names[..BASE_NAMES.len()] } else { &names };
+                    KbMutation::AddLink { src: pick(a, &names), dst: pick(b, targets) }
+                }
+                2 => {
+                    let entity = pick(a, &names);
+                    let surface = PHRASES[usize::from(b) % PHRASES.len()].to_string();
+                    pairs.push((entity.clone(), surface.clone()));
+                    KbMutation::AddKeyphrase { entity, surface, count: u64::from(c % 4) + 1 }
+                }
+                3 => KbMutation::AddDictionarySurface {
+                    entity: pick(a, &names),
+                    surface: SURFACES[usize::from(b) % SURFACES.len()].to_string(),
+                    count: u64::from(c % 5) + 1,
+                },
+                _ => {
+                    let (entity, surface) = pairs[usize::from(a) % pairs.len()].clone();
+                    let delta = match c % 3 {
+                        0 => -1_000_000,
+                        1 => -i64::from(b % 3),
+                        _ => i64::from(b % 5),
+                    };
+                    KbMutation::ReweightKeyphrase { entity, surface, delta }
+                }
+            });
+        }
+        log
+    }
+
+    fn snapshot_bytes(kb: &FrozenKb) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        crate::snapshot::write_frozen_snapshot(kb, &mut bytes).unwrap();
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Compaction copies the overlay's rows: at every prefix of a random
+        /// growing log, its v3 snapshot bytes equal freezing the reference
+        /// merge of the same prefix.
+        #[test]
+        fn compaction_equals_the_reference_merge_at_every_prefix(
+            seeds in proptest::collection::vec((0u8..255, 0u8..255, 0u8..255, 0u8..255), 1..32),
+        ) {
+            let base = Arc::new(FrozenKb::freeze(&example_kb()));
+            let log = growing_log(&seeds);
+            for cut in 0..=log.len() {
+                let prefix = &log[..cut];
+                let delta = DeltaKb::build(Arc::clone(&base), prefix.to_vec()).unwrap();
+                let compacted = snapshot_bytes(&delta.compact().unwrap());
+                let reference = snapshot_bytes(&FrozenKb::freeze(&merge(&base, prefix).unwrap()));
+                prop_assert!(compacted == reference, "prefix {cut} of {log:?}");
+            }
+        }
     }
 
     #[test]

@@ -94,8 +94,10 @@ impl Dictionary {
     }
 
     /// Inserts a full candidate row under an **already-normalized** key
-    /// (the thaw path of [`crate::delta`]): frozen dictionary keys went
-    /// through `match_key` once at build time and must not be re-normalized.
+    /// (the thaw of the test-only reference in `crate::delta`): frozen
+    /// dictionary keys went through `match_key` once at build time and must
+    /// not be re-normalized.
+    #[cfg(test)]
     pub(crate) fn insert_row(&mut self, key: String, cands: Vec<Candidate>) {
         self.pair_count += cands.len();
         self.entries.insert(key, cands);
@@ -159,7 +161,8 @@ mod tests {
         assert!((d.prior("Kashmir", e(1)) - 0.1).abs() < 1e-12);
         assert_eq!(d.prior("Kashmir", e(2)), 0.0);
         assert_eq!(d.prior("Unknown", e(0)), 0.0);
-        let dist = crate::frozen::FrozenDictionary::freeze(&d).prior_distribution("Kashmir");
+        let frozen = crate::frozen::FrozenDictionary::from_rows(d.iter(), d.pair_count());
+        let dist = frozen.prior_distribution("Kashmir");
         let sum: f64 = dist.iter().map(|(_, p)| p).sum();
         assert!((sum - 1.0).abs() < 1e-12);
     }

@@ -23,6 +23,10 @@
 //! arithmetic on `u64` anchor counts), so every read answer is
 //! byte-identical to the store's own; the store stays the test reference
 //! for [`FrozenKb::freeze`].
+//!
+//! Each section has one row-fed constructor (`from_rows`). Two sources
+//! feed them: the build-time store ([`FrozenKb::freeze`]) and a delta
+//! overlay's merged rows ([`DeltaKb::compact`]).
 
 use std::sync::OnceLock;
 
@@ -30,8 +34,8 @@ use serde::{Deserialize, Serialize};
 
 use ned_text::normalize::{match_key, squash_whitespace};
 
-use crate::delta::OverlayBase;
-use crate::dictionary::{Candidate, Dictionary};
+use crate::delta::{DeltaKb, OverlayBase};
+use crate::dictionary::Candidate;
 use crate::entity::Entity;
 use crate::fx::FxHashMap;
 use crate::ids::{EntityId, PhraseId, WordId};
@@ -39,6 +43,7 @@ use crate::keyphrase::EntityPhrase;
 use crate::kp_index::KeyphraseIndex;
 use crate::phrase_runs::PhraseRuns;
 use crate::store::KnowledgeBase;
+use crate::view::KbView;
 use crate::weights::WeightModel;
 
 /// Converts a length to a `u32` CSR offset.
@@ -67,14 +72,19 @@ pub struct FrozenDictionary {
 }
 
 impl FrozenDictionary {
-    /// Flattens a legacy dictionary (keys sorted ascending, as
-    /// [`Dictionary::iter`] yields them).
-    pub(crate) fn freeze(dict: &Dictionary) -> Self {
+    /// Lays out `(match key, candidates)` rows given in ascending key
+    /// order, as [`crate::dictionary::Dictionary::iter`] and
+    /// [`crate::DictView::iter`] yield them; `pair_count` sizes the
+    /// candidate array.
+    pub(crate) fn from_rows<'a>(
+        rows: impl Iterator<Item = (&'a str, &'a [Candidate])>,
+        pair_count: usize,
+    ) -> Self {
         let mut key_arena = String::new();
         let mut key_offsets = vec![0u32];
         let mut cand_offsets = vec![0u32];
-        let mut candidates = Vec::with_capacity(dict.pair_count());
-        for (key, cands) in dict.iter() {
+        let mut candidates = Vec::with_capacity(pair_count);
+        for (key, cands) in rows {
             key_arena.push_str(key);
             candidates.extend_from_slice(cands);
             key_offsets.push(offset(key_arena.len()));
@@ -183,29 +193,25 @@ pub struct FrozenLinks {
 }
 
 impl FrozenLinks {
-    /// Flattens a legacy link graph (adjacency already sorted ascending).
-    pub(crate) fn freeze(links: &crate::links::LinkGraph) -> Self {
-        let n = links.len();
-        let mut in_offsets = Vec::with_capacity(n + 1);
+    /// Lays out one `(in-links, out-links)` row per entity, in id order,
+    /// each sorted ascending.
+    pub(crate) fn from_rows<'a>(
+        rows: impl ExactSizeIterator<Item = (&'a [EntityId], &'a [EntityId])>,
+        edge_count: usize,
+    ) -> Self {
+        let mut in_offsets = Vec::with_capacity(rows.len() + 1);
         let mut in_data = Vec::new();
-        let mut out_offsets = Vec::with_capacity(n + 1);
+        let mut out_offsets = Vec::with_capacity(rows.len() + 1);
         let mut out_data = Vec::new();
         in_offsets.push(0);
         out_offsets.push(0);
-        for ei in 0..n {
-            let e = EntityId::from_index(ei);
-            in_data.extend_from_slice(links.inlinks(e));
-            out_data.extend_from_slice(links.outlinks(e));
+        for (inlinks, outlinks) in rows {
+            in_data.extend_from_slice(inlinks);
+            out_data.extend_from_slice(outlinks);
             in_offsets.push(offset(in_data.len()));
             out_offsets.push(offset(out_data.len()));
         }
-        FrozenLinks {
-            in_offsets,
-            in_data,
-            out_offsets,
-            out_data,
-            edge_count: links.edge_count() as u64,
-        }
+        FrozenLinks { in_offsets, in_data, out_offsets, out_data, edge_count: edge_count as u64 }
     }
 
     /// Number of entities.
@@ -280,27 +286,30 @@ pub struct FrozenPhrases {
 }
 
 impl FrozenPhrases {
-    pub(crate) fn freeze(kb: &KnowledgeBase) -> Self {
-        let words: Vec<String> = (0..kb.word_interner().len())
-            .map(|i| kb.word_text(WordId::from_index(i)).to_string())
-            .collect();
-        let n_phrases = kb.phrase_interner().len();
-        let mut phrase_word_offsets = Vec::with_capacity(n_phrases + 1);
+    /// Lays out the keyword texts in word-id order, one `(words, surface)`
+    /// row per phrase in phrase-id order, and one keyphrase row per entity
+    /// in entity-id order.
+    pub(crate) fn from_rows<'a>(
+        words: impl Iterator<Item = &'a str>,
+        phrases: impl ExactSizeIterator<Item = (&'a [WordId], &'a str)>,
+        keyphrases: impl ExactSizeIterator<Item = &'a [EntityPhrase]>,
+        total_phrase_observations: u64,
+    ) -> Self {
+        let words: Vec<String> = words.map(str::to_string).collect();
+        let mut phrase_word_offsets = Vec::with_capacity(phrases.len() + 1);
         let mut phrase_word_data = Vec::new();
-        let mut phrase_surfaces = Vec::with_capacity(n_phrases);
+        let mut phrase_surfaces = Vec::with_capacity(phrases.len());
         phrase_word_offsets.push(0);
-        for pi in 0..n_phrases {
-            let p = PhraseId::from_index(pi);
-            phrase_word_data.extend_from_slice(kb.phrase_words(p));
+        for (phrase_words, surface) in phrases {
+            phrase_word_data.extend_from_slice(phrase_words);
             phrase_word_offsets.push(offset(phrase_word_data.len()));
-            phrase_surfaces.push(kb.phrase_surface(p).to_string());
+            phrase_surfaces.push(surface.to_string());
         }
-        let n = kb.entity_count();
-        let mut kp_offsets = Vec::with_capacity(n + 1);
+        let mut kp_offsets = Vec::with_capacity(keyphrases.len() + 1);
         let mut kp_data = Vec::new();
         kp_offsets.push(0);
-        for ei in 0..n {
-            kp_data.extend_from_slice(kb.keyphrases(EntityId::from_index(ei)));
+        for row in keyphrases {
+            kp_data.extend_from_slice(row);
             kp_offsets.push(offset(kp_data.len()));
         }
         FrozenPhrases {
@@ -310,7 +319,7 @@ impl FrozenPhrases {
             phrase_surfaces,
             kp_offsets,
             kp_data,
-            total_phrase_observations: kb.keyphrase_store().total_observations(),
+            total_phrase_observations,
         }
     }
 
@@ -417,11 +426,50 @@ pub struct FrozenKb {
 impl FrozenKb {
     /// Freezes a built knowledge base into the columnar read form.
     pub fn freeze(kb: &KnowledgeBase) -> Self {
+        let links = kb.links();
+        let entity_ids = || (0..kb.entity_count()).map(EntityId::from_index);
+        Self::assemble(
+            entity_ids().map(|e| kb.entity(e).clone()).collect(),
+            FrozenDictionary::from_rows(kb.dictionary().iter(), kb.dictionary().pair_count()),
+            FrozenLinks::from_rows(
+                entity_ids().map(|e| (links.inlinks(e), links.outlinks(e))),
+                links.edge_count(),
+            ),
+            FrozenPhrases::from_rows(
+                (0..kb.word_interner().len()).map(|i| kb.word_text(WordId::from_index(i))),
+                (0..kb.phrase_interner().len()).map(PhraseId::from_index).map(|p| {
+                    (kb.phrase_words(p), kb.phrase_surface(p))
+                }),
+                entity_ids().map(|e| kb.keyphrases(e)),
+                kb.keyphrase_store().total_observations(),
+            ),
+            kb.weights().clone(),
+            None,
+        )
+    }
+
+    /// Lays out an overlay's merged rows — entities, the dictionary in key
+    /// order, links, words, phrases and keyphrase rows — with its phrase
+    /// total and weight model; `assemble` rebuilds the keyphrase index and
+    /// phrase runs. [`DeltaKb::compact`](crate::DeltaKb::compact) is the
+    /// caller.
+    pub(crate) fn from_view(kb: &DeltaKb) -> Self {
+        let dictionary = KbView::dictionary(kb);
         Self::assemble(
             kb.entity_ids().map(|e| kb.entity(e).clone()).collect(),
-            FrozenDictionary::freeze(kb.dictionary()),
-            FrozenLinks::freeze(kb.links()),
-            FrozenPhrases::freeze(kb),
+            FrozenDictionary::from_rows(dictionary.iter(), dictionary.pair_count()),
+            FrozenLinks::from_rows(
+                kb.entity_ids().map(|e| (kb.inlinks(e), kb.outlinks(e))),
+                kb.edge_count(),
+            ),
+            FrozenPhrases::from_rows(
+                (0..kb.word_count()).map(|i| kb.word_text(WordId::from_index(i))),
+                (0..kb.phrase_count()).map(PhraseId::from_index).map(|p| {
+                    (kb.phrase_words(p), kb.phrase_surface(p))
+                }),
+                kb.entity_ids().map(|e| kb.keyphrases(e)),
+                kb.total_phrase_observations(),
+            ),
             kb.weights().clone(),
             None,
         )

@@ -89,13 +89,15 @@ impl KeyphraseStore {
     }
 
     /// Reconstructs a store from per-entity rows in entity-id order (the
-    /// thaw path of [`crate::delta`]).
+    /// thaw of the test-only reference in `crate::delta`).
+    #[cfg(test)]
     pub(crate) fn from_rows(per_entity: Vec<Vec<EntityPhrase>>, total: u64) -> Self {
         KeyphraseStore { per_entity, total_phrase_observations: total }
     }
 
     /// Extends the store to cover `n` entities (newly promoted entities
     /// start with no keyphrases).
+    #[cfg(test)]
     pub(crate) fn grow_to(&mut self, n: usize) {
         if n > self.per_entity.len() {
             self.per_entity.resize(n, Vec::new());
@@ -105,6 +107,7 @@ impl KeyphraseStore {
     /// Adjusts the count of an existing (entity, phrase) pair by `delta`,
     /// saturating at zero, keeping the store total consistent. Returns the
     /// new count, or `None` if the pair is absent.
+    #[cfg(test)]
     pub(crate) fn reweight(
         &mut self,
         entity: EntityId,

@@ -73,7 +73,8 @@ impl LinkGraph {
     }
 
     /// Reconstructs a graph from adjacency rows in entity-id order (the
-    /// thaw path of [`crate::delta`]).
+    /// thaw of the test-only reference in `crate::delta`).
+    #[cfg(test)]
     pub(crate) fn from_rows(
         inlinks: Vec<Vec<EntityId>>,
         outlinks: Vec<Vec<EntityId>>,
@@ -84,6 +85,7 @@ impl LinkGraph {
 
     /// Extends the graph to cover `n` entities (newly promoted entities
     /// start with no links).
+    #[cfg(test)]
     pub(crate) fn grow_to(&mut self, n: usize) {
         if n > self.inlinks.len() {
             self.inlinks.resize(n, Vec::new());
@@ -130,6 +132,11 @@ mod tests {
         g
     }
 
+    fn frozen(g: &LinkGraph) -> crate::frozen::FrozenLinks {
+        let rows = (0..g.len()).map(|i| (g.inlinks(e(i as u32)), g.outlinks(e(i as u32))));
+        crate::frozen::FrozenLinks::from_rows(rows, g.edge_count())
+    }
+
     #[test]
     fn inlinks_and_outlinks() {
         let g = graph();
@@ -150,7 +157,7 @@ mod tests {
 
     #[test]
     fn shared_inlinks() {
-        let g = crate::frozen::FrozenLinks::freeze(&graph());
+        let g = frozen(&graph());
         // in(1) = {0,3,4}, in(2) = {0,3} → intersection 2.
         assert_eq!(g.shared_inlink_count(e(1), e(2)), 2);
         assert_eq!(g.shared_inlink_count(e(1), e(0)), 0);
@@ -158,7 +165,7 @@ mod tests {
 
     #[test]
     fn direct_link_detection() {
-        let g = crate::frozen::FrozenLinks::freeze(&graph());
+        let g = frozen(&graph());
         assert!(g.directly_linked(e(0), e(1)));
         assert!(g.directly_linked(e(1), e(0)));
         assert!(!g.directly_linked(e(1), e(2)));

@@ -3,9 +3,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::store::KnowledgeBase;
+use crate::view::KbView;
 
-/// Summary statistics of a [`KnowledgeBase`].
+/// Summary statistics of a knowledge base.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KbStats {
     /// Number of entities.
@@ -29,8 +29,8 @@ pub struct KbStats {
 }
 
 impl KbStats {
-    /// Computes statistics for `kb`.
-    pub fn of(kb: &KnowledgeBase) -> Self {
+    /// Computes statistics for `kb` (a frozen KB or an overlay).
+    pub fn of<K: KbView + ?Sized>(kb: &K) -> Self {
         let entities = kb.entity_count();
         let names = kb.dictionary().name_count();
         let pairs = kb.dictionary().pair_count();
@@ -46,7 +46,7 @@ impl KbStats {
             max_candidates_per_name: max_candidates,
             links: kb.links().edge_count(),
             mean_inlinks: ratio(kb.links().edge_count(), entities),
-            distinct_keyphrases: kb.phrase_interner().len(),
+            distinct_keyphrases: kb.phrase_count(),
             mean_keyphrases_per_entity: ratio(total_keyphrases, entities),
         }
     }
@@ -64,7 +64,7 @@ fn ratio(num: usize, den: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::entity::EntityKind;
-    use crate::KbBuilder;
+    use crate::{FrozenKb, KbBuilder};
 
     #[test]
     fn stats_of_small_kb() {
@@ -77,7 +77,7 @@ mod tests {
         b.add_keyphrase(a, "tour bus", 1);
         b.add_keyphrase(c, "rock band", 1);
         b.add_link(a, c);
-        let kb = b.build();
+        let kb = FrozenKb::freeze(&b.build());
         let s = KbStats::of(&kb);
         assert_eq!(s.entities, 2);
         // Names: "A BAND", "A CITY", "A" (canonical titles + shared alias).
@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn stats_of_empty_kb() {
-        let kb = KbBuilder::new().build();
+        let kb = FrozenKb::freeze(&KbBuilder::new().build());
         let s = KbStats::of(&kb);
         assert_eq!(s.entities, 0);
         assert_eq!(s.mean_inlinks, 0.0);

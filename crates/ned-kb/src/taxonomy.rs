@@ -7,6 +7,7 @@
 //! The taxonomy powers named-entity classification (§2.4.4) and type-aware
 //! retrieval ("cats" in the Chapter-6 search application).
 
+use ned_core::NedError;
 use serde::{Deserialize, Serialize};
 
 use crate::entity::EntityKind;
@@ -62,32 +63,52 @@ impl Taxonomy {
 
     /// Declares `sub` a subclass of `sup`.
     ///
-    /// # Panics
-    /// Panics if the edge would create a cycle (the taxonomy is a DAG).
-    pub fn add_subclass(&mut self, sub: TypeId, sup: TypeId) {
-        assert!(sub != sup, "a type cannot subclass itself");
-        assert!(
-            !self.is_subtype_of(sup, sub),
-            "subclass edge {} → {} would create a cycle",
-            self.name(sub),
-            self.name(sup)
-        );
-        if !self.supertypes[sub.index()].contains(&sup) {
-            self.supertypes[sub.index()].push(sup);
+    /// A type id the taxonomy does not hold is a [`NedError::Lookup`]. An
+    /// edge from a type to itself, or one that would close a cycle (the
+    /// taxonomy is a DAG), is a [`NedError::Config`].
+    pub fn add_subclass(&mut self, sub: TypeId, sup: TypeId) -> Result<(), NedError> {
+        let sup_name = self.name(sup).ok_or_else(|| unknown_type(sup))?;
+        let sub_name = self.name(sub).ok_or_else(|| unknown_type(sub))?;
+        if sub == sup {
+            return Err(refused_edge(format!("a type cannot subclass itself: {sub_name}")));
         }
+        if self.is_subtype_of(sup, sub) {
+            return Err(refused_edge(format!(
+                "subclass edge {sub_name} → {sup_name} would create a cycle"
+            )));
+        }
+        if let Some(supers) = self.supertypes.get_mut(sub.index()) {
+            if !supers.contains(&sup) {
+                supers.push(sup);
+            }
+        }
+        Ok(())
     }
 
-    /// Assigns a (direct) type to an entity.
-    pub fn assign(&mut self, entity: EntityId, ty: TypeId) {
-        let slot = &mut self.entity_types[entity.index()];
+    /// Assigns a (direct) type to an entity. A type the taxonomy does not
+    /// hold, or an entity it does not cover, is a [`NedError::Lookup`].
+    pub fn assign(&mut self, entity: EntityId, ty: TypeId) -> Result<(), NedError> {
+        if self.name(ty).is_none() {
+            return Err(unknown_type(ty));
+        }
+        let slot = self.entity_types.get_mut(entity.index()).ok_or_else(|| {
+            NedError::Lookup { what: "taxonomy entity", key: entity.index().to_string() }
+        })?;
         if !slot.contains(&ty) {
             slot.push(ty);
         }
+        Ok(())
     }
 
-    /// Type name.
-    pub fn name(&self, ty: TypeId) -> &str {
-        &self.names[ty.index()]
+    /// Type name, or `None` for a type id the taxonomy does not hold.
+    pub fn name(&self, ty: TypeId) -> Option<&str> {
+        self.names.get(ty.index()).map(String::as_str)
+    }
+
+    /// Direct super-types of `ty`; none for a type the taxonomy does not
+    /// hold.
+    fn supertypes_of(&self, ty: TypeId) -> &[TypeId] {
+        self.supertypes.get(ty.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Looks up a type by name.
@@ -115,13 +136,14 @@ impl Taxonomy {
                 continue;
             }
             out.push(t);
-            stack.extend(self.supertypes[t.index()].iter().copied());
+            stack.extend_from_slice(self.supertypes_of(t));
         }
         out.sort_unstable();
         out
     }
 
-    /// True when `sub` is (transitively) a subtype of `sup`, or equal.
+    /// True when `sub` is (transitively) a subtype of `sup`, or equal. A
+    /// type the taxonomy does not hold has no super-types.
     pub fn is_subtype_of(&self, sub: TypeId, sup: TypeId) -> bool {
         if sub == sup {
             return true;
@@ -132,10 +154,11 @@ impl Taxonomy {
             if t == sup {
                 return true;
             }
-            if std::mem::replace(&mut seen[t.index()], true) {
+            let Some(seen) = seen.get_mut(t.index()) else { continue };
+            if std::mem::replace(seen, true) {
                 continue;
             }
-            stack.extend(self.supertypes[t.index()].iter().copied());
+            stack.extend_from_slice(self.supertypes_of(t));
         }
         false
     }
@@ -157,24 +180,33 @@ impl Taxonomy {
     }
 
     /// Builds the canonical coarse taxonomy over the [`EntityKind`]s of a
-    /// repository: `entity` at the root, one class per kind beneath it.
+    /// repository: `entity` at the root, one class per kind beneath it. An
+    /// entity id of `n_entities` or more is a [`NedError::Lookup`].
     pub fn coarse_from_kinds<'a>(
         kinds: impl IntoIterator<Item = (EntityId, &'a EntityKind)>,
         n_entities: usize,
-    ) -> Self {
+    ) -> Result<Self, NedError> {
         let mut tax = Taxonomy::new(n_entities);
         let root = tax.add_type("entity");
-        let mut kind_types: FxHashMap<EntityKind, TypeId> = FxHashMap::default();
         for kind in EntityKind::ALL {
             let ty = tax.add_type(kind_name(kind));
-            tax.add_subclass(ty, root);
-            kind_types.insert(kind, ty);
+            tax.add_subclass(ty, root)?;
         }
         for (e, kind) in kinds {
-            tax.assign(e, kind_types[kind]);
+            // `add_type` returns the class registered above.
+            let ty = tax.add_type(kind_name(*kind));
+            tax.assign(e, ty)?;
         }
-        tax
+        Ok(tax)
     }
+}
+
+fn unknown_type(ty: TypeId) -> NedError {
+    NedError::Lookup { what: "type id", key: ty.0.to_string() }
+}
+
+fn refused_edge(message: String) -> NedError {
+    NedError::Config { what: "taxonomy", message }
 }
 
 /// Canonical class name of a coarse kind.
@@ -199,8 +231,8 @@ mod tests {
         let musician = t.add_type("musician");
         let songwriter = t.add_type("songwriter");
         let city = t.add_type("city");
-        t.add_subclass(musician, person);
-        t.add_subclass(songwriter, musician);
+        t.add_subclass(musician, person).unwrap();
+        t.add_subclass(songwriter, musician).unwrap();
         (t, person, musician, songwriter, city)
     }
 
@@ -220,8 +252,8 @@ mod tests {
         let (mut t, person, _musician, songwriter, city) = music_taxonomy();
         let dylan = EntityId(0);
         let duluth = EntityId(1);
-        t.assign(dylan, songwriter);
-        t.assign(duluth, city);
+        t.assign(dylan, songwriter).unwrap();
+        t.assign(duluth, city).unwrap();
         assert!(t.is_instance_of(dylan, person));
         assert!(t.is_instance_of(dylan, songwriter));
         assert!(!t.is_instance_of(duluth, person));
@@ -242,21 +274,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cycle")]
     fn cycles_are_rejected() {
         let mut t = Taxonomy::new(0);
         let a = t.add_type("a");
         let b = t.add_type("b");
-        t.add_subclass(a, b);
-        t.add_subclass(b, a);
+        t.add_subclass(a, b).unwrap();
+        let err = t.add_subclass(b, a).unwrap_err();
+        assert!(matches!(&err, NedError::Config { message, .. } if message.contains("cycle")));
+        assert!(!t.is_subtype_of(b, a));
     }
 
     #[test]
-    #[should_panic(expected = "subclass itself")]
     fn self_subclass_rejected() {
         let mut t = Taxonomy::new(0);
         let a = t.add_type("a");
-        t.add_subclass(a, a);
+        let err = t.add_subclass(a, a).unwrap_err();
+        assert!(matches!(&err, NedError::Config { message, .. } if message.contains("itself")));
+    }
+
+    #[test]
+    fn type_ids_the_taxonomy_does_not_hold_are_answered_without_panic() {
+        let (mut t, person, _musician, songwriter, _city) = music_taxonomy();
+        let unknown = TypeId(99);
+        assert!(!t.is_subtype_of(unknown, person));
+        assert!(!t.is_subtype_of(songwriter, unknown));
+        assert_eq!(t.name(unknown), None);
+        assert_eq!(t.name(person), Some("person"));
+        let lookup = |r: Result<(), NedError>| matches!(r, Err(NedError::Lookup { .. }));
+        assert!(lookup(t.add_subclass(unknown, person)));
+        assert!(lookup(t.add_subclass(person, unknown)));
+        assert!(lookup(t.assign(EntityId(0), unknown)));
+        // An entity the taxonomy does not cover cannot be typed either.
+        assert!(lookup(t.assign(EntityId(3), person)));
+        t.assign(EntityId(0), songwriter).unwrap();
+        assert!(!t.is_instance_of(EntityId(0), unknown));
+        assert_eq!(t.all_types(EntityId(0)).len(), 3);
     }
 
     #[test]
@@ -264,7 +316,7 @@ mod tests {
         let kinds = [EntityKind::Person, EntityKind::Location];
         let pairs: Vec<(EntityId, &EntityKind)> =
             kinds.iter().enumerate().map(|(i, k)| (EntityId(i as u32), k)).collect();
-        let t = Taxonomy::coarse_from_kinds(pairs, 2);
+        let t = Taxonomy::coarse_from_kinds(pairs, 2).unwrap();
         let root = t.type_by_name("entity").unwrap();
         let person = t.type_by_name("person").unwrap();
         assert!(t.is_instance_of(EntityId(0), person));

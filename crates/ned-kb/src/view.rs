@@ -8,7 +8,7 @@
 //! promotions touched). Blanket impls for `&K` and `Arc<K>` mean call sites
 //! can keep passing borrows while services hold one `Arc<FrozenKb>` across
 //! threads. The build-time [`KnowledgeBase`](crate::KnowledgeBase) is not a
-//! view: it is only built, frozen, encoded and merged.
+//! view: it is only built, frozen and encoded.
 //!
 //! The two representations store their dictionary and link graph
 //! differently, so those accessors return the lightweight [`DictView`] and

@@ -81,7 +81,9 @@ impl WordInterner {
     }
 
     /// Reconstructs an interner from already-lowercased words in id order
-    /// (the thaw path of [`crate::delta`]): word `i` keeps id `i`.
+    /// (the thaw of the test-only reference in `crate::delta`): word `i`
+    /// keeps id `i`.
+    #[cfg(test)]
     pub(crate) fn from_words(words: Vec<String>) -> Self {
         let mut interner = WordInterner { words, index: FxHashMap::default() };
         interner.rebuild_index();
@@ -182,7 +184,9 @@ impl PhraseInterner {
     }
 
     /// Reconstructs an interner from parallel phrase/surface rows in id
-    /// order (the thaw path of [`crate::delta`]): phrase `i` keeps id `i`.
+    /// order (the thaw of the test-only reference in `crate::delta`):
+    /// phrase `i` keeps id `i`.
+    #[cfg(test)]
     pub(crate) fn from_parts(phrases: Vec<Vec<WordId>>, surfaces: Vec<String>) -> Self {
         let mut interner = PhraseInterner { phrases, surfaces, index: FxHashMap::default() };
         interner.rebuild_index();

@@ -76,10 +76,14 @@ impl ExportedKb {
         for e in &world.entities {
             let Some(id) = entity_ids[e.index] else { continue };
             let kind_ty = taxonomy.add_type(kind_name(e.kind));
-            taxonomy.add_subclass(kind_ty, root);
             let domain_ty = taxonomy.add_type(&format!("dom{} {}", e.topic, kind_name(e.kind)));
-            taxonomy.add_subclass(domain_ty, kind_ty);
-            taxonomy.assign(id, domain_ty);
+            // Types from `add_type`, a fixed three-level tree and an entity
+            // the taxonomy covers: none of these can be refused.
+            let typed = taxonomy
+                .add_subclass(kind_ty, root)
+                .and_then(|()| taxonomy.add_subclass(domain_ty, kind_ty))
+                .and_then(|()| taxonomy.assign(id, domain_ty));
+            debug_assert!(typed.is_ok(), "{typed:?}");
         }
         ExportedKb { kb, entity_ids, world_index, taxonomy }
     }

@@ -41,8 +41,8 @@ fn main() {
         for a in annotations.iter().take(6) {
             let ty = classifier
                 .best_type(&tokens, &a.mention)
-                .map(|t| taxonomy.name(t).to_string())
-                .unwrap_or_else(|| "?".into());
+                .and_then(|t| taxonomy.name(t))
+                .unwrap_or("?");
             println!(
                 "  {:<18} → {:<22} [{:<16}] conf {:.2}",
                 a.mention.surface,

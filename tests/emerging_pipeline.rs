@@ -1,6 +1,8 @@
 //! Integration of the Chapter-5 pipeline: news stream → confidence →
 //! EE model harvesting → discovery → KB enrichment.
 
+use std::sync::Arc;
+
 use aida_ned::aida::{AidaConfig, Disambiguator};
 use aida_ned::emerging::confidence::{ConfAssessor, ConfidenceMethod};
 use aida_ned::emerging::discover::{EeConfig, EeDiscovery};
@@ -47,7 +49,7 @@ fn setup() -> (World, ExportedKb, Vec<GoldDoc>, Vec<GoldDoc>) {
 #[test]
 fn ee_discovery_finds_emerging_entities() {
     let (_world, exported, harvest, test) = setup();
-    let kb = &FrozenKb::freeze(&exported.kb);
+    let kb = &Arc::new(FrozenKb::freeze(&exported.kb));
     let refs: Vec<&GoldDoc> = harvest.iter().collect();
     let models = NameModels::build(kb, &refs, 2, &EeModelConfig::default());
     assert!(!models.is_empty(), "the stream must yield EE models");
@@ -79,7 +81,7 @@ fn ee_discovery_finds_emerging_entities() {
 #[test]
 fn confidence_separates_correct_from_wrong() {
     let (_world, exported, _harvest, test) = setup();
-    let kb = &FrozenKb::freeze(&exported.kb);
+    let kb = &Arc::new(FrozenKb::freeze(&exported.kb));
     let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::r_prior_sim());
     let assessor = ConfAssessor::new(ConfidenceMethod::Conf);
     let mut correct_conf = Vec::new();
@@ -111,7 +113,7 @@ fn confidence_separates_correct_from_wrong() {
 #[test]
 fn kb_enrichment_adds_recent_phrases() {
     let (world, exported, harvest, _test) = setup();
-    let kb = &FrozenKb::freeze(&exported.kb);
+    let kb = &Arc::new(FrozenKb::freeze(&exported.kb));
     let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::r_prior_sim());
     let assessor = ConfAssessor::new(ConfidenceMethod::Normalized);
     let refs: Vec<&GoldDoc> = harvest.iter().collect();
@@ -119,7 +121,8 @@ fn kb_enrichment_adds_recent_phrases() {
     assert!(report.confident_mentions > 0, "the stream must yield confident mentions");
     assert!(report.phrase_observations() > 0);
 
-    let enriched = enrich_kb(kb, &report);
+    let enriched = enrich_kb(Arc::clone(kb), &report)
+        .unwrap_or_else(|e| panic!("harvested phrases apply: {e}"));
     assert_eq!(enriched.entity_count(), kb.entity_count());
     // At least one entity gained phrases.
     let gained = kb

@@ -14,7 +14,9 @@
 //!    keyphrase reweights, which the builder cannot replay, are checked
 //!    against the compaction alone, and so is every prefix of one growing
 //!    log built over one shared base, the way the news stream builds its
-//!    overlays.
+//!    overlays. At each of those prefixes the compaction of the prefix
+//!    without its reweights also has the snapshot bytes of the
+//!    from-scratch KB.
 //! 2. **Disambiguation equivalence**: a WAL-replayed overlay and its
 //!    compacted snapshot annotate the quick corpus identically — same
 //!    assignments (confidences compared by bits), same ned-obs counters —
@@ -26,7 +28,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use aida_ned::aida::{AidaConfig, Disambiguator};
-use aida_ned::kb::snapshot::encode;
+use aida_ned::kb::snapshot::{encode, write_frozen_snapshot};
 use aida_ned::kb::{
     DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbMutation, KbView, Wal, WordId,
 };
@@ -169,12 +171,24 @@ fn decode_mutation(
 
 /// A frozen KB of [`base_ops`].
 fn frozen_base() -> Arc<FrozenKb> {
+    Arc::new(from_scratch(&[]))
+}
+
+/// The from-scratch reference: [`base_ops`] + `muts` in one build, frozen.
+fn from_scratch(muts: &[KbMutation]) -> FrozenKb {
     let mut builder = KbBuilder::new();
     let mut ids = HashMap::new();
-    for op in &base_ops() {
+    for op in base_ops().iter().chain(muts) {
         apply_to_builder(&mut builder, &mut ids, op);
     }
-    Arc::new(FrozenKb::freeze(&builder.build()))
+    FrozenKb::freeze(&builder.build())
+}
+
+/// The v3 snapshot bytes of `kb`.
+fn snapshot_bytes(kb: &FrozenKb) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_frozen_snapshot(kb, &mut bytes).unwrap();
+    bytes
 }
 
 /// Probe surfaces for dictionary lookups: every surface a batch may add,
@@ -269,13 +283,7 @@ proptest! {
             .expect("generated batches are valid");
         let compacted = delta.compact().expect("compaction succeeds");
 
-        // From-scratch reference: base ops + mutations in one build.
-        let mut scratch = KbBuilder::new();
-        let mut scratch_ids = HashMap::new();
-        for op in base_ops().iter().chain(&muts) {
-            apply_to_builder(&mut scratch, &mut scratch_ids, op);
-        }
-        let scratch_frozen = FrozenKb::freeze(&scratch.build());
+        let scratch_frozen = from_scratch(&muts);
 
         let surfaces = probe_surfaces(&known);
         assert_reads_identical(&delta, &scratch_frozen, &surfaces, "delta vs frozen");
@@ -303,7 +311,9 @@ proptest! {
 
     /// One growing log built at random cut points over one shared base, as
     /// the news stream rebuilds its overlay each round: every build equals
-    /// the from-scratch merge of its prefix.
+    /// its compaction, and the compaction of the prefix without its
+    /// reweights (which the builder cannot replay) has the snapshot bytes of
+    /// the from-scratch build.
     #[test]
     fn every_prefix_of_a_growing_log_matches_compaction(
         seeds in proptest::collection::vec(
@@ -324,6 +334,18 @@ proptest! {
                 .expect("every prefix of a valid log is valid");
             let compacted = delta.compact().expect("compaction succeeds");
             assert_reads_identical(&delta, &compacted, &surfaces, &format!("prefix {cut}"));
+            let plain: Vec<KbMutation> = log[..cut]
+                .iter()
+                .filter(|m| !matches!(m, KbMutation::ReweightKeyphrase { .. }))
+                .cloned()
+                .collect();
+            let plain_compacted = DeltaKb::build(Arc::clone(&base), plain.clone())
+                .and_then(|d| d.compact())
+                .expect("a log without its reweights stays valid");
+            prop_assert!(
+                snapshot_bytes(&plain_compacted) == snapshot_bytes(&from_scratch(&plain)),
+                "prefix {cut}: compaction and from-scratch snapshots differ"
+            );
         }
     }
 }
