@@ -5,9 +5,10 @@
 //! local features: popularity prior (§3.3.3) and keyphrase similarity
 //! (§3.3.4).
 
-use ned_kb::{EntityId, KbView, WordId};
+use ned_kb::{EntityId, KbView};
 
 use crate::config::KeywordWeighting;
+use crate::context::MentionContext;
 use crate::obs::PipelineObs;
 use crate::scratch::with_scratch;
 use crate::similarity::simscores_batch;
@@ -27,7 +28,7 @@ pub struct CandidateFeatures {
 }
 
 /// Retrieves the candidates of `surface` and computes their local features
-/// against `context` (the mention's context words, position-sorted).
+/// against the mention's `context`.
 ///
 /// `surface` is the mention's own surface, or — under document-internal
 /// mention expansion — a longer co-occurring mention's surface it borrows
@@ -38,10 +39,15 @@ pub struct CandidateFeatures {
 /// keyphrase inverted index, in the calling thread's scratch arena — no
 /// per-candidate allocation and no fan-out (parallelism splits at the
 /// document level, where chunks are coarse enough to pay for themselves).
+///
+/// Each prior is read from the candidate row already fetched: the
+/// candidate's count over the row's `u64` count total, the arithmetic of
+/// [`KbView::prior`] on the same row (a row lists each entity once), so
+/// the surface is not normalized and looked up again per candidate.
 pub fn candidate_features<K: KbView + ?Sized>(
     kb: &K,
     surface: &str,
-    context: &[(usize, WordId)],
+    context: MentionContext<'_>,
     weighting: KeywordWeighting,
     obs: &PipelineObs,
 ) -> Vec<CandidateFeatures> {
@@ -50,6 +56,7 @@ pub fn candidate_features<K: KbView + ?Sized>(
     if cands.is_empty() {
         return Vec::new();
     }
+    let total: u64 = cands.iter().map(|c| c.count).sum();
     with_scratch(|scratch| {
         simscores_batch(
             kb,
@@ -65,7 +72,7 @@ pub fn candidate_features<K: KbView + ?Sized>(
             .zip(scratch.sims())
             .map(|(c, &sim)| CandidateFeatures {
                 entity: c.entity,
-                prior: kb.prior(surface, c.entity),
+                prior: if total == 0 { 0.0 } else { c.count as f64 / total as f64 },
                 sim,
                 sim_normalized: 0.0,
             })
@@ -82,10 +89,13 @@ pub fn candidate_features<K: KbView + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::context::DocumentContext;
-    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
+    use ned_kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder, KbMutation};
     use ned_text::{tokenize, Mention};
+    use proptest::prelude::*;
 
     fn kb() -> FrozenKb {
         let mut b = KbBuilder::new();
@@ -108,7 +118,7 @@ mod tests {
         let feats = candidate_features(
             &kb,
             &m.surface,
-            &ctx.for_mention(&m),
+            ctx.mention(&m),
             KeywordWeighting::Npmi,
             &PipelineObs::default(),
         );
@@ -127,7 +137,9 @@ mod tests {
     fn unknown_mention_has_no_candidates() {
         let kb = kb();
         let none = PipelineObs::default();
-        let feats = candidate_features(&kb, "Snowden", &[], KeywordWeighting::Npmi, &none);
+        let empty = DocumentContext::default();
+        let feats =
+            candidate_features(&kb, "Snowden", empty.excluding(0..0), KeywordWeighting::Npmi, &none);
         assert!(feats.is_empty());
     }
 
@@ -135,10 +147,91 @@ mod tests {
     fn zero_context_gives_zero_normalized_sim() {
         let kb = kb();
         let none = PipelineObs::default();
-        let feats = candidate_features(&kb, "Kashmir", &[], KeywordWeighting::Npmi, &none);
+        let empty = DocumentContext::default();
+        let feats =
+            candidate_features(&kb, "Kashmir", empty.excluding(0..0), KeywordWeighting::Npmi, &none);
         assert!(feats.iter().all(|f| f.sim == 0.0 && f.sim_normalized == 0.0));
         // Priors still sum to 1 over the candidates.
         let p: f64 = feats.iter().map(|f| f.prior).sum();
         assert!((p - 1.0).abs() < 1e-12);
+    }
+
+    /// A name: one or two words of up to three letters, in mixed case, so
+    /// short names are matched case-sensitively and longer ones not.
+    fn name() -> impl Strategy<Value = String> {
+        proptest::collection::vec("[a-cA-C]{1,3}", 1..3).prop_map(|words| words.join(" "))
+    }
+
+    /// A surface as a mention would spell a name: leading, trailing and
+    /// inner whitespace runs, upper-cased or as written.
+    fn spelled(name: &str, pad: usize, flip: bool) -> String {
+        let ws = [" ", "  ", "\t", " \n "][pad % 4];
+        let body: String = name
+            .chars()
+            .map(|c| if flip { c.to_ascii_uppercase() } else { c })
+            .collect::<String>()
+            .replace(' ', ws);
+        format!("{ws}{body}{}", if pad < 2 { "" } else { ws })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Each candidate's prior, read from the row `candidates` returned,
+        /// equals `KbView::prior` for that surface and entity bit for bit,
+        /// on a frozen KB and on an overlay that adds surfaces to existing
+        /// rows and new ones.
+        #[test]
+        fn priors_from_the_row_equal_kb_prior(
+            names in proptest::collection::vec((0usize..6, name(), 0u64..50), 1..20),
+            added in proptest::collection::vec((0usize..6, name(), 1u64..50), 0..8),
+            probes in proptest::collection::vec((name(), 0usize..8, any::<bool>()), 1..12),
+        ) {
+            let mut b = KbBuilder::new();
+            let entities: Vec<EntityId> = (0..6)
+                .map(|i| b.add_entity(&format!("Entity {i}"), EntityKind::Other))
+                .collect();
+            for (e, surface, count) in &names {
+                b.add_name(entities[*e], surface, *count);
+            }
+            let frozen = Arc::new(FrozenKb::freeze(&b.build()));
+            let mutations = added
+                .iter()
+                .map(|(e, surface, count)| KbMutation::AddDictionarySurface {
+                    entity: format!("Entity {e}"),
+                    surface: surface.clone(),
+                    count: *count,
+                })
+                .collect();
+            let overlay = DeltaKb::build(Arc::clone(&frozen), mutations).unwrap();
+            let pool: Vec<&String> =
+                names.iter().map(|(_, n, _)| n).chain(added.iter().map(|(_, n, _)| n)).collect();
+            let empty = DocumentContext::default();
+            let backends: [&dyn KbView; 2] = [&*frozen, &overlay];
+            for kb in backends {
+                for (i, (other, pad, flip)) in probes.iter().enumerate() {
+                    // Half the probes spell a known name, half an arbitrary one.
+                    let base = if i % 2 == 0 { pool[i % pool.len()] } else { other };
+                    let surface = spelled(base, *pad, *flip);
+                    let feats = candidate_features(
+                        kb,
+                        &surface,
+                        empty.excluding(0..0),
+                        KeywordWeighting::Npmi,
+                        &PipelineObs::default(),
+                    );
+                    prop_assert_eq!(feats.len(), kb.candidates(&surface).len());
+                    for f in &feats {
+                        prop_assert_eq!(
+                            f.prior.to_bits(),
+                            kb.prior(&surface, f.entity).to_bits(),
+                            "{:?} {:?}",
+                            surface,
+                            f.entity
+                        );
+                    }
+                }
+            }
+        }
     }
 }

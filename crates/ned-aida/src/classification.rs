@@ -65,7 +65,7 @@ impl<'a, K: KbView> TypeClassifier<'a, K> {
         let features = candidate_features(
             &self.kb,
             &mention.surface,
-            &ctx.for_mention(mention),
+            ctx.mention(mention),
             KeywordWeighting::Npmi,
             &PipelineObs::default(),
         );

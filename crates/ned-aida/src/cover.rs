@@ -7,8 +7,9 @@
 //! `z = #matching words / cover length` and weight mass via the squared
 //! weight ratio.
 
-use ned_kb::fx::FxHashMap;
 use ned_kb::WordId;
+
+use crate::context::MentionContext;
 
 /// The cover of a phrase in a document context, as the reference
 /// [`shortest_cover`] returns it.
@@ -66,12 +67,13 @@ impl CoverShape {
 /// intermediates live.
 #[derive(Debug, Default)]
 pub struct CoverScratch {
-    /// Phrase-word occurrences in the context, position order.
-    occurrences: Vec<(usize, WordId)>,
-    /// Sliding-window multiplicity of each phrase word.
-    counts: FxHashMap<WordId, u32>,
-    /// Distinct words of the last cover found (sorted, deduplicated).
+    /// Phrase-word occurrences in the context as (position, slot of the
+    /// word in `words`), position order.
+    occurrences: Vec<(usize, usize)>,
+    /// The phrase words that occur in the context, ascending.
     words: Vec<WordId>,
+    /// Sliding-window multiplicity of each word of `words`, by slot.
+    counts: Vec<u32>,
 }
 
 impl CoverScratch {
@@ -87,21 +89,24 @@ impl CoverScratch {
     }
 }
 
-/// The shortest cover of a phrase in the context, computed in reusable
-/// buffers: zero steady-state allocations. `phrase_words` must be sorted
-/// and deduplicated (a precomputed phrase run, or an emerging-entity
-/// phrase's word set). On success the cover's distinct words are left in
-/// the scratch ([`CoverScratch::cover_words`]).
+/// The shortest cover of a phrase in a mention's context, read from the
+/// document's word index into reusable buffers: zero steady-state
+/// allocations. `phrase_words` must be sorted and deduplicated (a
+/// precomputed phrase run, or an emerging-entity phrase's word set). On
+/// success the cover's distinct words are left in the scratch
+/// ([`CoverScratch::cover_words`]).
 ///
-/// Identical to the reference `shortest_cover` (test-only): membership by
-/// binary search over the sorted set decides like the reference's linear
-/// `contains` scan, so the occurrence list and the window scan are the
-/// same. Improving windows are recorded as `(left, right, length)` indices
-/// and the word list is materialized once, for the final best window,
-/// instead of on every improvement.
+/// Identical to the reference `shortest_cover` (test-only) over
+/// [`DocumentContext::for_mention`](crate::context::DocumentContext::for_mention):
+/// each phrase word's positions outside the mention, sorted by position,
+/// are exactly the reference's filtered context, because a position holds
+/// one word. So the window scan is the same, and a call costs
+/// O(occurrences + |phrase| · log |context|) instead of O(|context|). The
+/// best window holds every phrase word that occurs, so the cover's words
+/// are those words, ascending — no per-call map and no sort of the window.
 // ned-lint: hot
 pub(crate) fn shortest_cover_into(
-    context: &[(usize, WordId)],
+    context: MentionContext<'_>,
     phrase_words: &[WordId],
     scratch: &mut CoverScratch,
 ) -> Option<CoverShape> {
@@ -109,59 +114,49 @@ pub(crate) fn shortest_cover_into(
         phrase_words.windows(2).all(|p| p[0] < p[1]), // ned-lint: allow(p1) — windows(2) pairs
         "phrase_words must be sorted and deduplicated"
     );
-    let CoverScratch { occurrences, counts, words } = scratch;
+    let CoverScratch { occurrences, words, counts } = scratch;
     occurrences.clear();
-    occurrences
-        .extend(context.iter().copied().filter(|(_, w)| phrase_words.binary_search(w).is_ok()));
-    if occurrences.is_empty() {
+    words.clear();
+    for &w in phrase_words {
+        let before = occurrences.len();
+        let slot = words.len();
+        occurrences.extend(context.positions(w).map(|pos| (pos, slot)));
+        if occurrences.len() > before {
+            words.push(w);
+        }
+    }
+    if words.is_empty() {
         return None;
     }
-    // Distinct occurrence words via the reusable counts map (the reference
-    // sorts a fresh vector; the count of distinct keys is the same).
+    occurrences.sort_unstable();
+    let distinct_total = words.len();
     counts.clear();
-    for &(_, w) in occurrences.iter() {
-        *counts.entry(w).or_insert(0) += 1;
-    }
-    let distinct_total = counts.len();
-    counts.clear();
+    counts.resize(distinct_total, 0);
 
     let mut distinct = 0usize;
-    let mut best: Option<(usize, usize, usize)> = None; // (left, right, length)
+    let mut best = usize::MAX; // shortest window length so far
     let mut left = 0usize;
     for right in 0..occurrences.len() {
-        let (_, w) = occurrences[right]; // ned-lint: allow(p1) — right < len by loop bound
-        let c = counts.entry(w).or_insert(0);
+        let (rpos, rslot) = occurrences[right]; // ned-lint: allow(p1) — right < len by loop bound
+        let c = &mut counts[rslot]; // ned-lint: allow(p1) — slots index `words`, counts has one per word
         if *c == 0 {
             distinct += 1;
         }
         *c += 1;
         while distinct == distinct_total {
-            let (lpos, lw) = occurrences[left]; // ned-lint: allow(p1) — left ≤ right < len
-            let (rpos, _) = occurrences[right]; // ned-lint: allow(p1) — right < len by loop bound
-            let length = rpos - lpos + 1;
-            let better = match best {
-                None => true,
-                Some((_, _, b)) => length < b,
-            };
-            if better {
-                best = Some((left, right, length));
-            }
+            let (lpos, lslot) = occurrences[left]; // ned-lint: allow(p1) — left ≤ right < len
+            best = best.min(rpos - lpos + 1);
             // Shrink from the left.
-            if let Some(lc) = counts.get_mut(&lw) {
-                *lc -= 1;
-                if *lc == 0 {
-                    distinct -= 1;
-                }
+            let lc = &mut counts[lslot]; // ned-lint: allow(p1) — slots index `words`, counts has one per word
+            *lc -= 1;
+            if *lc == 0 {
+                distinct -= 1;
             }
             left += 1;
         }
     }
-    let (bl, br, length) = best?;
-    words.clear();
-    words.extend(occurrences[bl..=br].iter().map(|&(_, w)| w)); // ned-lint: allow(p1) — window bounds from the scan
-    words.sort_unstable();
-    words.dedup();
-    Some(CoverShape { matched_words: distinct_total, length })
+    // The whole occurrence list holds every word, so the scan found a window.
+    Some(CoverShape { matched_words: distinct_total, length: best })
 }
 
 /// Finds the shortest window over `context` (position-sorted `(pos, word)`
@@ -196,7 +191,7 @@ pub(crate) fn shortest_cover(
     // Two-pointer sliding window over the occurrence list, maximizing the
     // distinct count (which is `distinct_total`, always achievable) and
     // minimizing window length in token positions.
-    let mut counts: FxHashMap<WordId, u32> = FxHashMap::default();
+    let mut counts: ned_kb::fx::FxHashMap<WordId, u32> = Default::default();
     let mut distinct = 0usize;
     let mut best: Option<Cover> = None;
     let mut left = 0usize;
@@ -238,6 +233,7 @@ pub(crate) fn shortest_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::DocumentContext;
 
     fn w(i: u32) -> WordId {
         WordId(i)
@@ -301,8 +297,9 @@ mod tests {
 
     /// One scratch reused across every case must reproduce the reference
     /// exactly — shape, words, and the `z` bits. The reference takes the raw
-    /// phrase word list (unsorted, with repeats); the scratch entry its
-    /// sorted-deduplicated set.
+    /// phrase word list (unsorted, with repeats) over the whole context;
+    /// the kernel its sorted-deduplicated set over the document's word
+    /// index, with nothing excluded.
     #[test]
     fn scratch_cover_matches_reference_across_reuse() {
         type Case = (Vec<(usize, WordId)>, Vec<WordId>);
@@ -322,7 +319,8 @@ mod tests {
             let mut sorted = phrase.clone();
             sorted.sort_unstable();
             sorted.dedup();
-            let via_scratch = shortest_cover_into(context, &sorted, &mut scratch);
+            let doc = DocumentContext::from_words(context.clone());
+            let via_scratch = shortest_cover_into(doc.excluding(0..0), &sorted, &mut scratch);
             match (&reference, &via_scratch) {
                 (None, None) => {}
                 (Some(c), Some(s)) => {
@@ -334,5 +332,23 @@ mod tests {
                 other => panic!("reference and scratch disagree: {other:?}"),
             }
         }
+    }
+
+    /// The mention's own tokens leave the cover: excluding the nearer
+    /// occurrence of a word moves the cover to the farther one.
+    #[test]
+    fn excluded_span_moves_the_cover() {
+        // Word 1 at 0 and 10, word 2 at 12.
+        let doc = DocumentContext::from_words(vec![(0, w(1)), (10, w(1)), (12, w(2))]);
+        let phrase = [w(1), w(2)];
+        let mut scratch = CoverScratch::new();
+        let whole = shortest_cover_into(doc.excluding(0..0), &phrase, &mut scratch).unwrap();
+        assert_eq!(whole.length, 3);
+        let without_10 = shortest_cover_into(doc.excluding(9..11), &phrase, &mut scratch).unwrap();
+        assert_eq!(without_10.length, 13);
+        let without_2 = shortest_cover_into(doc.excluding(12..13), &phrase, &mut scratch).unwrap();
+        assert_eq!((without_2.matched_words, without_2.length), (1, 1));
+        assert_eq!(scratch.cover_words(), &[w(1)]);
+        assert!(shortest_cover_into(doc.excluding(0..13), &phrase, &mut scratch).is_none());
     }
 }

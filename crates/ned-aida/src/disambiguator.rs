@@ -113,16 +113,19 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
     }
 
     /// Computes the per-mention candidate features (exposed for the
-    /// confidence assessors of Chapter 5, which perturb these inputs).
+    /// confidence assessors of Chapter 5, which perturb these inputs), and
+    /// returns them with the document context they were scored against, so
+    /// a caller that scores more against the mentions (the emerging-entity
+    /// placeholders of Chapter 5) reuses it instead of building another.
     pub fn features(
         &self,
         tokens: &[Token],
         mentions: &[Mention],
-    ) -> Vec<Vec<CandidateFeatures>> {
+    ) -> (DocumentContext, Vec<Vec<CandidateFeatures>>) {
         if mentions.is_empty() {
             // Empty and mention-free documents short-circuit: no context,
             // no candidate lookups, a well-formed empty feature set.
-            return Vec::new();
+            return (DocumentContext::default(), Vec::new());
         }
         let _span = self.obs.span(names::STAGE_FEATURES_NS);
         self.obs.mentions.add(mentions.len() as u64);
@@ -134,10 +137,11 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
         };
         let score_mention = |i: usize| {
             let m = &mentions[i]; // ned-lint: allow(p1) — i < mentions.len() by construction
+            let context = ctx.mention(m);
             let mut features = candidate_features(
                 &self.kb,
                 &mentions[targets[i]].surface, // ned-lint: allow(p1) — targets is index-aligned with mentions
-                &ctx.for_mention(m),
+                context,
                 self.config.keyword_weighting,
                 &self.obs,
             );
@@ -147,7 +151,7 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
                 features = candidate_features(
                     &self.kb,
                     &m.surface,
-                    &ctx.for_mention(m),
+                    context,
                     self.config.keyword_weighting,
                     &self.obs,
                 );
@@ -156,7 +160,8 @@ impl<K: KbView, R: Relatedness> Disambiguator<K, R> {
         };
         // Mentions are scored in order on the calling thread, reusing its
         // scratch arena; parallelism splits at the document level only.
-        (0..mentions.len()).map(score_mention).collect()
+        let features = (0..mentions.len()).map(score_mention).collect();
+        (ctx, features)
     }
 
     /// Disambiguates pre-computed features (the entry point used by the
@@ -374,7 +379,7 @@ impl<K: KbView, R: Relatedness> NedMethod for Disambiguator<K, R> {
     }
 
     fn disambiguate(&self, tokens: &[Token], mentions: &[Mention]) -> DisambiguationResult {
-        let features = self.features(tokens, mentions);
+        let (_, features) = self.features(tokens, mentions);
         self.disambiguate_features(&features)
     }
 }

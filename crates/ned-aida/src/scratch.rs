@@ -31,8 +31,8 @@ use crate::cover::CoverScratch;
 pub struct ScoringScratch {
     /// Shortest-cover buffers (occurrences, window counts, cover words).
     pub cover: CoverScratch,
-    /// Sorted-deduplicated context word set of the current mention, built
-    /// by `simscores_batch`.
+    /// Sorted-deduplicated context word set of the current mention, read
+    /// from the document's word index by `simscores_batch`.
     pub(crate) context_words: Vec<WordId>,
     /// Matching phrase ids of the candidate currently being scored.
     pub(crate) matching: Vec<PhraseId>,

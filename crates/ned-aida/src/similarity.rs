@@ -20,13 +20,13 @@
 use ned_kb::{EntityId, KbView, PhraseId, WordId};
 
 use crate::config::KeywordWeighting;
+use crate::context::MentionContext;
 use crate::cover::{shortest_cover_into, CoverScratch};
 use crate::obs::SimObs;
 use crate::scratch::ScoringScratch;
 
-/// The Eq. 3.4 kernel for one keyphrase: the shortest cover of `run` in
-/// `context` (position-sorted `(pos, word)` pairs) and the cover's share
-/// of the phrase's weight mass.
+/// The Eq. 3.4 kernel for one keyphrase: the shortest cover of `run` in a
+/// mention's `context` and the cover's share of the phrase's weight mass.
 ///
 /// `run` is the phrase's word set, sorted and deduplicated; `phrase_mass`
 /// is the sum of `weight` over it. Returns `(z, ratio)` with `ratio =
@@ -41,7 +41,7 @@ use crate::scratch::ScoringScratch;
 /// two differ only when every term is a signed zero, and then both take the
 /// `cover mass <= 0.0` exit.
 pub fn cover_z_ratio(
-    context: &[(usize, WordId)],
+    context: MentionContext<'_>,
     run: &[WordId],
     phrase_mass: f64,
     weight: impl Fn(WordId) -> f64,
@@ -79,7 +79,7 @@ fn phrase_score_run<K: KbView + ?Sized>(
     kb: &K,
     e: EntityId,
     p: PhraseId,
-    context: &[(usize, WordId)],
+    context: MentionContext<'_>,
     weighting: KeywordWeighting,
     cover: &mut CoverScratch,
 ) -> f64 {
@@ -105,15 +105,14 @@ fn phrase_score_run<K: KbView + ?Sized>(
 }
 
 /// `simscore(m, e)` (Eq. 3.6) for every candidate of one mention: scores
-/// the candidates `entity_at(0..n)` against the same `context`
-/// (position-sorted `(pos, word)` pairs) and leaves the scores in
-/// [`ScoringScratch::sims`], in candidate order. With a warmed arena a call
-/// performs zero heap allocations.
+/// the candidates `entity_at(0..n)` against the mention's `context` and
+/// leaves the scores in [`ScoringScratch::sims`], in candidate order. With
+/// a warmed arena a call performs zero heap allocations.
 ///
-/// The pass builds the context's sorted, deduplicated word set in the arena
-/// and scores only the phrases sharing at least one word with it. The
-/// pruning is exact: a phrase with no context word has no shortest cover
-/// and scores exactly 0.0. Each candidate's surviving phrases are summed
+/// The pass reads the context's sorted, deduplicated word set from the
+/// document's word index into the arena and scores only the phrases
+/// sharing at least one word with it. The pruning is exact: a phrase with
+/// no context word has no shortest cover and scores exactly 0.0. Each candidate's surviving phrases are summed
 /// in ascending phrase-id order with a `fold(0.0, +)`, the order of an
 /// exhaustive scan over KP(e) (`Iterator::sum` seeds with −0.0, which would
 /// flip the sign bit of an empty sum), so the scores equal the exhaustive
@@ -134,16 +133,13 @@ pub fn simscores_batch<K: KbView + ?Sized>(
     kb: &K,
     n: usize,
     entity_at: impl Fn(usize) -> EntityId,
-    context: &[(usize, WordId)],
+    context: MentionContext<'_>,
     weighting: KeywordWeighting,
     obs: &SimObs,
     scratch: &mut ScoringScratch,
 ) {
     let ScoringScratch { cover, context_words, matching, word_side, phrase_bufs, sims } = scratch;
-    context_words.clear();
-    context_words.extend(context.iter().map(|&(_, w)| w));
-    context_words.sort_unstable();
-    context_words.dedup();
+    context.words_into(context_words);
     let context_words: &[WordId] = context_words;
     sims.clear();
     word_side.clear();
@@ -302,6 +298,7 @@ pub(crate) fn simscore_exhaustive<K: KbView + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use std::ops::Range;
     use std::sync::Arc;
 
     use super::*;
@@ -309,7 +306,7 @@ mod tests {
     use crate::cover::shortest_cover;
     use ned_kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder};
     use ned_obs::Metrics;
-    use ned_text::tokenize;
+    use ned_text::{tokenize, Mention};
     use proptest::prelude::*;
 
     const WEIGHTINGS: [KeywordWeighting; 2] = [KeywordWeighting::Npmi, KeywordWeighting::Idf];
@@ -327,15 +324,26 @@ mod tests {
         (FrozenKb::freeze(&b.build()), jimmy, larry)
     }
 
-    fn context_of<K: KbView + ?Sized>(kb: &K, text: &str) -> Vec<(usize, WordId)> {
-        DocumentContext::build(kb, &tokenize(text)).words
+    fn context_of<K: KbView + ?Sized>(kb: &K, text: &str) -> DocumentContext {
+        DocumentContext::build(kb, &tokenize(text))
+    }
+
+    /// The whole document as a mention context: nothing excluded.
+    fn whole(ctx: &DocumentContext) -> MentionContext<'_> {
+        ctx.excluding(0..0)
+    }
+
+    /// A mention over `span` (which may be empty or inverted), for
+    /// [`DocumentContext::for_mention`] and [`DocumentContext::mention`].
+    fn mention_over(span: Range<usize>) -> Mention {
+        Mention { surface: String::new(), token_start: span.start, token_end: span.end }
     }
 
     /// [`simscores_batch`] over `entities` in `scratch`, copied out.
     fn batch<K: KbView + ?Sized>(
         kb: &K,
         entities: &[EntityId],
-        context: &[(usize, WordId)],
+        context: MentionContext<'_>,
         weighting: KeywordWeighting,
         obs: &SimObs,
         scratch: &mut ScoringScratch,
@@ -348,7 +356,7 @@ mod tests {
     fn simscore<K: KbView + ?Sized>(
         kb: &K,
         e: EntityId,
-        context: &[(usize, WordId)],
+        context: MentionContext<'_>,
         weighting: KeywordWeighting,
     ) -> f64 {
         let scores =
@@ -371,10 +379,21 @@ mod tests {
     fn matching_context_scores_higher() {
         let (kb, jimmy, larry) = kb();
         let ctx = context_of(&kb, "played unusual chords on his Gibson guitar");
-        let sj = simscore(&kb, jimmy, &ctx, KeywordWeighting::Npmi);
-        let sl = simscore(&kb, larry, &ctx, KeywordWeighting::Npmi);
+        let sj = simscore(&kb, jimmy, whole(&ctx), KeywordWeighting::Npmi);
+        let sl = simscore(&kb, larry, whole(&ctx), KeywordWeighting::Npmi);
         assert!(sj > 0.0);
         assert_eq!(sl, 0.0);
+    }
+
+    /// The mention's own tokens are not its context: "Gibson guitar" as the
+    /// mention leaves Jimmy Page nothing to match.
+    #[test]
+    fn the_mention_is_not_its_own_context() {
+        let (kb, jimmy, _) = kb();
+        let ctx = context_of(&kb, "a Gibson guitar");
+        assert!(simscore(&kb, jimmy, whole(&ctx), KeywordWeighting::Npmi) > 0.0);
+        let mention = Mention::new("Gibson guitar", 1, 3);
+        assert_eq!(simscore(&kb, jimmy, ctx.mention(&mention), KeywordWeighting::Npmi), 0.0);
     }
 
     #[test]
@@ -384,8 +403,8 @@ mod tests {
             ["gibson", "guitar"].iter().map(|w| kb.word_id(w).unwrap()).collect();
         let adjacent = context_of(&kb, "a Gibson guitar sound");
         let scattered = context_of(&kb, "a Gibson sound with heavy amplifier feedback guitar");
-        let s_adj = phrase_score(&kb, jimmy, &phrase, &adjacent, KeywordWeighting::Npmi);
-        let s_scat = phrase_score(&kb, jimmy, &phrase, &scattered, KeywordWeighting::Npmi);
+        let s_adj = phrase_score(&kb, jimmy, &phrase, adjacent.words(), KeywordWeighting::Npmi);
+        let s_scat = phrase_score(&kb, jimmy, &phrase, scattered.words(), KeywordWeighting::Npmi);
         assert!(s_adj > s_scat, "{s_adj} vs {s_scat}");
         assert!(s_scat > 0.0);
     }
@@ -399,8 +418,8 @@ mod tests {
             .collect();
         let full = context_of(&kb, "Grammy Award winner");
         let partial = context_of(&kb, "Grammy winner");
-        let s_full = phrase_score(&kb, jimmy, &phrase, &full, KeywordWeighting::Npmi);
-        let s_partial = phrase_score(&kb, jimmy, &phrase, &partial, KeywordWeighting::Npmi);
+        let s_full = phrase_score(&kb, jimmy, &phrase, full.words(), KeywordWeighting::Npmi);
+        let s_partial = phrase_score(&kb, jimmy, &phrase, partial.words(), KeywordWeighting::Npmi);
         assert!(s_full > s_partial);
         assert!(s_partial > 0.0);
         // Squared ratio: partial (2/3 of weight mass, z = 1) is below
@@ -420,11 +439,16 @@ mod tests {
             "",
         ] {
             let ctx = context_of(&kb, text);
-            for e in [jimmy, larry] {
-                for weighting in WEIGHTINGS {
-                    let fast = simscore(&kb, e, &ctx, weighting);
-                    let slow = simscore_exhaustive(&kb, e, &ctx, weighting);
-                    assert_eq!(fast.to_bits(), slow.to_bits(), "{text:?}");
+            // Empty, first-token, inner and inverted spans.
+            for (start, end) in [(0, 0), (0, 1), (2, 4), (5, 3)] {
+                let mention = mention_over(start..end);
+                for e in [jimmy, larry] {
+                    for weighting in WEIGHTINGS {
+                        let fast = simscore(&kb, e, ctx.mention(&mention), weighting);
+                        let slow =
+                            simscore_exhaustive(&kb, e, &ctx.for_mention(&mention), weighting);
+                        assert_eq!(fast.to_bits(), slow.to_bits(), "{text:?} {mention:?}");
+                    }
                 }
             }
         }
@@ -433,14 +457,15 @@ mod tests {
     #[test]
     fn empty_context_scores_zero() {
         let (kb, jimmy, _) = kb();
-        assert_eq!(simscore(&kb, jimmy, &[], KeywordWeighting::Npmi), 0.0);
+        let empty = DocumentContext::default();
+        assert_eq!(simscore(&kb, jimmy, whole(&empty), KeywordWeighting::Npmi), 0.0);
     }
 
     #[test]
     fn idf_weighting_also_works() {
         let (kb, jimmy, _) = kb();
         let ctx = context_of(&kb, "hard rock chords everywhere");
-        assert!(simscore(&kb, jimmy, &ctx, KeywordWeighting::Idf) > 0.0);
+        assert!(simscore(&kb, jimmy, whole(&ctx), KeywordWeighting::Idf) > 0.0);
     }
 
     #[test]
@@ -452,7 +477,7 @@ mod tests {
                 &kb,
                 jimmy,
                 kb.phrase_words(ep.phrase),
-                &ctx,
+                ctx.words(),
                 KeywordWeighting::Npmi,
             );
             assert!((0.0..=1.0).contains(&s), "{s}");
@@ -473,25 +498,35 @@ mod tests {
             "",
         ] {
             let ctx = context_of(&kb, text);
-            for e in [jimmy, larry] {
-                for scored in [jimmy, larry] {
-                    for ep in kb.keyphrases(scored) {
-                        for weighting in WEIGHTINGS {
-                            let reference = phrase_score(
-                                &kb,
-                                e,
-                                kb.phrase_words(ep.phrase),
-                                &ctx,
-                                weighting,
-                            );
-                            let fast =
-                                phrase_score_run(&kb, e, ep.phrase, &ctx, weighting, &mut cover);
-                            assert_eq!(
-                                reference.to_bits(),
-                                fast.to_bits(),
-                                "{text:?} e={e:?} phrase={:?}",
-                                ep.phrase
-                            );
+            for span in [0..0, 1..3] {
+                let mention = mention_over(span);
+                let copied = ctx.for_mention(&mention);
+                for e in [jimmy, larry] {
+                    for scored in [jimmy, larry] {
+                        for ep in kb.keyphrases(scored) {
+                            for weighting in WEIGHTINGS {
+                                let reference = phrase_score(
+                                    &kb,
+                                    e,
+                                    kb.phrase_words(ep.phrase),
+                                    &copied,
+                                    weighting,
+                                );
+                                let fast = phrase_score_run(
+                                    &kb,
+                                    e,
+                                    ep.phrase,
+                                    ctx.mention(&mention),
+                                    weighting,
+                                    &mut cover,
+                                );
+                                assert_eq!(
+                                    reference.to_bits(),
+                                    fast.to_bits(),
+                                    "{text:?} {mention:?} e={e:?} phrase={:?}",
+                                    ep.phrase
+                                );
+                            }
                         }
                     }
                 }
@@ -526,10 +561,13 @@ mod tests {
                     let batch_obs = SimObs::new(&Metrics::new());
                     let single_obs = SimObs::new(&Metrics::new());
                     let mut scratch = ScoringScratch::new();
-                    let batched = batch(&kb, &entities, &ctx, weighting, &batch_obs, &mut scratch);
+                    let batched =
+                        batch(&kb, &entities, whole(&ctx), weighting, &batch_obs, &mut scratch);
                     let singles: Vec<f64> = entities
                         .iter()
-                        .flat_map(|e| batch(&kb, &[*e], &ctx, weighting, &single_obs, &mut scratch))
+                        .flat_map(|e| {
+                            batch(&kb, &[*e], whole(&ctx), weighting, &single_obs, &mut scratch)
+                        })
                         .collect();
                     assert_eq!(batched.len(), singles.len());
                     for (b, s) in batched.iter().zip(singles.iter()) {
@@ -545,24 +583,29 @@ mod tests {
         }
     }
 
-    /// (keyphrases per entity, context words) of a random world.
-    type WorldSpec = (Vec<Vec<(Vec<String>, u64)>>, Vec<String>);
+    /// (keyphrases per entity, context words, excluded span) of a random
+    /// world.
+    type WorldSpec = (Vec<Vec<(Vec<String>, u64)>>, Vec<String>, Range<usize>);
 
     /// Random worlds: up to 8 entities with up to 4 keyphrases each, drawn
-    /// from a small vocabulary so phrases share words, and a context short
-    /// enough that both query plans fire.
+    /// from a small vocabulary so phrases share words, a context short
+    /// enough that both query plans fire, and a mention span over it that
+    /// may be empty, inverted, or reach past either end.
     fn world_strategy() -> impl Strategy<Value = WorldSpec> {
         let phrase = (proptest::collection::vec("[a-e]{1,4}", 1..4), 1u64..6);
         (
             proptest::collection::vec(proptest::collection::vec(phrase, 0..5), 1..9),
             proptest::collection::vec("[a-g]{1,4}", 0..12),
+            0usize..14,
+            0usize..14,
         )
+            .prop_map(|(entities, context, a, b)| (entities, context, a..b))
     }
 
     /// The frozen KB of a spec, the same KB behind an overlay of no
-    /// mutations, and the spec's context.
-    fn build_world(spec: &WorldSpec) -> (Arc<FrozenKb>, DeltaKb, Vec<(usize, WordId)>) {
-        let (entities, context) = spec;
+    /// mutations, the spec's document context and its mention.
+    fn build_world(spec: &WorldSpec) -> (Arc<FrozenKb>, DeltaKb, DocumentContext, Mention) {
+        let (entities, context, span) = spec;
         let mut builder = KbBuilder::new();
         for (i, phrases) in entities.iter().enumerate() {
             let e = builder.add_entity(&format!("E{i}"), EntityKind::Other);
@@ -573,7 +616,7 @@ mod tests {
         let frozen = Arc::new(FrozenKb::freeze(&builder.build()));
         let overlay = DeltaKb::build(Arc::clone(&frozen), Vec::new()).unwrap();
         let ctx = context_of(&*frozen, &context.join(" "));
-        (frozen, overlay, ctx)
+        (frozen, overlay, ctx, mention_over(span.clone()))
     }
 
     proptest! {
@@ -581,31 +624,38 @@ mod tests {
 
         /// The inverted index only skips keyphrases whose score is exactly
         /// 0.0 (no word in context ⇒ no shortest cover), so every candidate
-        /// scored alone or with all the others equals the exhaustive scan,
-        /// on the frozen KB and on the overlay, under both weightings.
+        /// scored through the mention's view of the document index, alone
+        /// or with all the others, equals the exhaustive scan over the
+        /// mention's copied context, on the frozen KB and on the overlay,
+        /// under both weightings — with the same counters on both backends.
         #[test]
         fn indexed_scores_match_the_exhaustive_scan(spec in world_strategy()) {
-            let (frozen, overlay, ctx) = build_world(&spec);
+            let (frozen, overlay, ctx, mention) = build_world(&spec);
+            let view = ctx.mention(&mention);
+            let copied = ctx.for_mention(&mention);
             let entities: Vec<EntityId> = frozen.entity_ids().collect();
-            let obs = SimObs::default();
             let mut scratch = ScoringScratch::new();
             for weighting in WEIGHTINGS {
                 let reference: Vec<u64> = entities
                     .iter()
-                    .map(|&e| simscore_exhaustive(&*frozen, e, &ctx, weighting).to_bits())
+                    .map(|&e| simscore_exhaustive(&*frozen, e, &copied, weighting).to_bits())
                     .collect();
                 let backends: [&dyn KbView; 2] = [&*frozen, &overlay];
+                let mut backend_counters = Vec::new();
                 for kb in backends {
-                    let all: Vec<u64> = batch(kb, &entities, &ctx, weighting, &obs, &mut scratch)
+                    let obs = SimObs::new(&Metrics::new());
+                    let all: Vec<u64> = batch(kb, &entities, view, weighting, &obs, &mut scratch)
                         .iter()
                         .map(|s| s.to_bits())
                         .collect();
                     prop_assert_eq!(&all, &reference);
                     for (&e, &r) in entities.iter().zip(&reference) {
-                        let alone = batch(kb, &[e], &ctx, weighting, &obs, &mut scratch);
+                        let alone = batch(kb, &[e], view, weighting, &obs, &mut scratch);
                         prop_assert_eq!(alone[0].to_bits(), r, "{:?} scored alone", e);
                     }
+                    backend_counters.push(counters(&obs));
                 }
+                prop_assert_eq!(backend_counters[0], backend_counters[1]);
             }
         }
 
@@ -618,21 +668,23 @@ mod tests {
         /// one call per candidate.
         #[test]
         fn dirty_arena_scores_match_the_reference(spec in world_strategy()) {
-            let (frozen, overlay, ctx) = build_world(&spec);
+            let (frozen, overlay, ctx, mention) = build_world(&spec);
+            let view = ctx.mention(&mention);
+            let copied = ctx.for_mention(&mention);
             let entities: Vec<EntityId> = frozen.entity_ids().collect();
             let doubled: Vec<EntityId> = entities.iter().chain(entities.iter()).copied().collect();
             let mut scratch = ScoringScratch::new();
             for weighting in WEIGHTINGS {
                 let reference: Vec<u64> = doubled
                     .iter()
-                    .map(|&e| simscore_exhaustive(&*frozen, e, &ctx, weighting).to_bits())
+                    .map(|&e| simscore_exhaustive(&*frozen, e, &copied, weighting).to_bits())
                     .collect();
                 let backends: [&dyn KbView; 2] = [&*frozen, &overlay];
                 for _pass in 0..2 {
                     for kb in backends {
                         let obs = SimObs::default();
                         let merged: Vec<u64> =
-                            batch(kb, &entities, &ctx, weighting, &obs, &mut scratch)
+                            batch(kb, &entities, view, weighting, &obs, &mut scratch)
                                 .iter()
                                 .map(|s| s.to_bits())
                                 .collect();
@@ -641,13 +693,13 @@ mod tests {
                         let batch_obs = SimObs::new(&Metrics::new());
                         let single_obs = SimObs::new(&Metrics::new());
                         let fallback: Vec<u64> =
-                            batch(kb, &doubled, &ctx, weighting, &batch_obs, &mut scratch)
+                            batch(kb, &doubled, view, weighting, &batch_obs, &mut scratch)
                                 .iter()
                                 .map(|s| s.to_bits())
                                 .collect();
                         prop_assert_eq!(&fallback, &reference);
                         for &e in &doubled {
-                            batch(kb, &[e], &ctx, weighting, &single_obs, &mut scratch);
+                            batch(kb, &[e], view, weighting, &single_obs, &mut scratch);
                         }
                         prop_assert_eq!(counters(&batch_obs), counters(&single_obs));
 
@@ -655,10 +707,10 @@ mod tests {
                             for pi in 0..frozen.phrase_count() {
                                 let p = PhraseId::from_index(pi);
                                 let fresh = phrase_score(
-                                    &*frozen, e, frozen.phrase_words(p), &ctx, weighting,
+                                    &*frozen, e, frozen.phrase_words(p), &copied, weighting,
                                 );
                                 let run =
-                                    phrase_score_run(kb, e, p, &ctx, weighting, &mut scratch.cover);
+                                    phrase_score_run(kb, e, p, view, weighting, &mut scratch.cover);
                                 prop_assert_eq!(run.to_bits(), fresh.to_bits(), "{:?} {:?}", e, p);
                             }
                         }
@@ -668,16 +720,22 @@ mod tests {
         }
 
         /// The kernel against the reference cover: for a raw phrase word
-        /// list (unsorted, with repeats) and arbitrary non-negative word
-        /// weights (zeros included), `cover_z_ratio` on the sorted set
-        /// returns the reference cover's `z` and mass ratio bit for bit, and
-        /// nothing exactly when the reference scores the phrase 0.
+        /// list (unsorted, with repeats), arbitrary non-negative word
+        /// weights (zeros included) and an excluded span, `cover_z_ratio`
+        /// on the sorted set over the document's word index returns the
+        /// reference cover's `z` and mass ratio over the copied mention
+        /// context bit for bit, and nothing exactly when the reference
+        /// scores the phrase 0. The span is empty, inverted, exactly the
+        /// occurrences of the first phrase word, a prefix or a suffix of
+        /// the context, or arbitrary.
         #[test]
         fn kernel_matches_the_reference_cover(
             context in proptest::collection::vec((1usize..4, 0u32..12), 0..30),
             phrase in proptest::collection::vec(0u32..12, 1..6),
             weights in proptest::collection::vec(0u32..5, 12..13),
+            span in (0u8..6, 0usize..100, 0usize..100),
         ) {
+            let (span_kind, a, b) = span;
             // Strictly increasing positions with gaps, so covers vary in
             // length.
             let mut pos = 0usize;
@@ -689,15 +747,30 @@ mod tests {
                 })
                 .collect();
             let phrase: Vec<WordId> = phrase.into_iter().map(WordId).collect();
+            let first_word_at: Vec<usize> =
+                context.iter().filter(|&&(_, w)| w == phrase[0]).map(|&(p, _)| p).collect();
+            let span = match span_kind {
+                0 => a..a,
+                1 => a.max(b) + 1..a.min(b),
+                2 => match (first_word_at.first(), first_word_at.last()) {
+                    (Some(&lo), Some(&hi)) => lo..hi + 1,
+                    _ => 0..0,
+                },
+                3 => 0..a,
+                4 => a..pos + 1,
+                _ => a..b,
+            };
             let weight = |w: WordId| f64::from(weights[w.0 as usize]) * 0.375;
             let mut run = phrase.clone();
             run.sort_unstable();
             run.dedup();
             let phrase_mass: f64 = run.iter().map(|&w| weight(w)).sum();
 
+            let doc = DocumentContext::from_words(context);
+            let mention = mention_over(span);
             let mut cover = CoverScratch::new();
-            let got = cover_z_ratio(&context, &run, phrase_mass, weight, &mut cover);
-            let reference = shortest_cover(&context, &phrase).and_then(|c| {
+            let got = cover_z_ratio(doc.mention(&mention), &run, phrase_mass, weight, &mut cover);
+            let reference = shortest_cover(&doc.for_mention(&mention), &phrase).and_then(|c| {
                 let cover_mass: f64 = c.words.iter().map(|&w| weight(w)).sum();
                 (phrase_mass > 0.0 && cover_mass > 0.0)
                     .then(|| (c.z(), (cover_mass / phrase_mass).min(1.0)))

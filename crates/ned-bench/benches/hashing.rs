@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use ned_aida::context::DocumentContext;
 use ned_aida::cover::CoverScratch;
 use ned_aida::similarity::cover_z_ratio;
 use ned_kb::WordId;
@@ -34,15 +35,16 @@ fn bench_banding(c: &mut Criterion) {
 }
 
 fn bench_cover(c: &mut Criterion) {
-    // A 300-token context with scattered phrase-word occurrences.
-    let context: Vec<(usize, WordId)> =
-        (0..300).map(|i| (i, WordId((i % 40) as u32))).collect();
+    // A 300-token document context with scattered phrase-word occurrences,
+    // seen from a two-token mention in its middle.
+    let doc = DocumentContext::from_words((0..300).map(|i| (i, WordId((i % 40) as u32))).collect());
+    let context = doc.excluding(150..152);
     let phrase = [WordId(3), WordId(17), WordId(39)];
     let weight = |w: WordId| 1.0 + f64::from(w.0 % 3);
     let phrase_mass: f64 = phrase.iter().map(|&w| weight(w)).sum();
     let mut cover = CoverScratch::new();
     c.bench_function("cover_kernel_300_tokens", |b| {
-        b.iter(|| black_box(cover_z_ratio(&context, &phrase, phrase_mass, weight, &mut cover)))
+        b.iter(|| black_box(cover_z_ratio(context, &phrase, phrase_mass, weight, &mut cover)))
     });
 }
 

@@ -57,19 +57,21 @@ fn bench_thread_scaling(c: &mut Criterion) {
 fn bench_similarity(c: &mut Criterion) {
     let (exported, docs) = setup();
     let kb = &FrozenKb::freeze(&exported.kb);
-    // Every mention context with its candidate entities.
+    // Every document's context, built once, with each mention and its
+    // candidate entities.
     let cases: Vec<_> = docs
         .iter()
-        .flat_map(|d| {
-            let ctx = DocumentContext::build(kb, &d.tokens);
-            d.mentions
+        .map(|d| {
+            let mentions: Vec<_> = d
+                .mentions
                 .iter()
                 .map(|m| {
                     let cands: Vec<_> =
                         kb.candidates(&m.mention.surface).iter().map(|c| c.entity).collect();
-                    (ctx.for_mention(&m.mention), cands)
+                    (&m.mention, cands)
                 })
-                .collect::<Vec<_>>()
+                .collect();
+            (DocumentContext::build(kb, &d.tokens), mentions)
         })
         .collect();
 
@@ -79,19 +81,21 @@ fn bench_similarity(c: &mut Criterion) {
     group.bench_function("batched", |b| {
         b.iter(|| {
             let mut acc = 0.0;
-            for (ctx, cands) in &cases {
-                acc = with_scratch(|scratch| {
-                    simscores_batch(
-                        kb,
-                        cands.len(),
-                        |i| cands[i],
-                        ctx,
-                        KeywordWeighting::Npmi,
-                        &obs,
-                        scratch,
-                    );
-                    scratch.sims().iter().fold(acc, |a, &s| a + s)
-                });
+            for (ctx, mentions) in &cases {
+                for (mention, cands) in mentions {
+                    acc = with_scratch(|scratch| {
+                        simscores_batch(
+                            kb,
+                            cands.len(),
+                            |i| cands[i],
+                            ctx.mention(mention),
+                            KeywordWeighting::Npmi,
+                            &obs,
+                            scratch,
+                        );
+                        scratch.sims().iter().fold(acc, |a, &s| a + s)
+                    });
+                }
             }
             black_box(acc)
         })

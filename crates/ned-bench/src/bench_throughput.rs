@@ -39,8 +39,8 @@ use crate::alloc_events;
 use crate::runner::{run_method_with_threads, Evaluation};
 use crate::setup::{Env, Scale};
 
-/// A mention's context window plus its candidate entities.
-type SimCase = (Vec<(usize, ned_kb::WordId)>, Vec<ned_kb::EntityId>);
+/// A document's context with each mention and its candidate entities.
+type SimDoc<'a> = (DocumentContext, Vec<(&'a ned_text::Mention, Vec<ned_kb::EntityId>)>);
 
 /// One thread-count run.
 #[derive(Debug, Clone, Copy)]
@@ -254,21 +254,22 @@ pub fn run(scale: &Scale) {
         "a bounded cache changed annotation outcomes"
     );
 
-    // Every mention's context window and candidates, over the frozen read
-    // path.
+    // Every document's context, built once, with each mention and its
+    // candidates, over the frozen read path.
     let fkb = &env.frozen;
-    let contexts: Vec<SimCase> = docs
+    let sim_docs: Vec<SimDoc> = docs
         .iter()
-        .flat_map(|d| {
-            let ctx = DocumentContext::build(fkb, &d.tokens);
-            d.mentions
+        .map(|d| {
+            let mentions = d
+                .mentions
                 .iter()
                 .map(|m| {
                     let cands =
                         fkb.candidates(&m.mention.surface).iter().map(|c| c.entity).collect();
-                    (ctx.for_mention(&m.mention), cands)
+                    (&m.mention, cands)
                 })
-                .collect::<Vec<_>>()
+                .collect();
+            (DocumentContext::build(fkb, &d.tokens), mentions)
         })
         .collect();
 
@@ -282,19 +283,21 @@ pub fn run(scale: &Scale) {
     let score_corpus = || -> (u64, f64) {
         let alloc_before = alloc_events();
         let mut acc = 0.0;
-        for (ctx, cands) in &contexts {
-            acc = with_scratch(|scratch| {
-                simscores_batch(
-                    fkb,
-                    cands.len(),
-                    |i| cands[i],
-                    ctx,
-                    KeywordWeighting::Npmi,
-                    &batched_obs,
-                    scratch,
-                );
-                scratch.sims().iter().fold(acc, |a, &s| a + s)
-            });
+        for (ctx, mentions) in &sim_docs {
+            for (mention, cands) in mentions {
+                acc = with_scratch(|scratch| {
+                    simscores_batch(
+                        fkb,
+                        cands.len(),
+                        |i| cands[i],
+                        ctx.mention(mention),
+                        KeywordWeighting::Npmi,
+                        &batched_obs,
+                        scratch,
+                    );
+                    scratch.sims().iter().fold(acc, |a, &s| a + s)
+                });
+            }
         }
         std::hint::black_box(acc);
         (alloc_events() - alloc_before, acc)
@@ -306,7 +309,7 @@ pub fn run(scale: &Scale) {
         "scratch reuse changed batched scores: {warm_acc} vs {steady_acc}"
     );
     let per_mention =
-        |events: u64| if contexts.is_empty() { 0.0 } else { events as f64 / contexts.len() as f64 };
+        |events: u64| if mention_count == 0 { 0.0 } else { events as f64 / mention_count as f64 };
     let steady_sim_allocs_per_mention = per_mention(batched_steady_allocs);
 
     let alloc_stages = [
@@ -364,7 +367,7 @@ pub fn run(scale: &Scale) {
     println!(
         "allocations: steady-state batched scoring {batched_steady_allocs} events over {} \
          mentions ({steady_sim_allocs_per_mention:.4}/mention; warmup pass {batched_warm_allocs})",
-        contexts.len()
+        mention_count
     );
     println!("metrics: snapshot identical across thread counts: {metrics_deterministic}");
 

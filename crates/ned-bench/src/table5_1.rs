@@ -45,7 +45,7 @@ pub fn run(scale: &Scale) {
     let assessor = ConfAssessor::new(ConfidenceMethod::Conf);
     let conf_eval = run_per_doc(docs, |doc| {
         let mentions = doc.bare_mentions();
-        let features = aida.features(&doc.tokens, &mentions);
+        let (_, features) = aida.features(&doc.tokens, &mentions);
         let result = aida.disambiguate_features(&features);
         let confidence = assessor.assess(&aida, &features, &result);
         crate::runner::DocOutcome {

@@ -179,7 +179,7 @@ pub fn run(scale: &Scale) {
     {
         Box::new(move |doc: &GoldDoc| {
             let mentions = doc.bare_mentions();
-            let features = aida.features(&doc.tokens, &mentions);
+            let (_, features) = aida.features(&doc.tokens, &mentions);
             let result = aida.disambiguate_features(&features);
             let conf = assessor.assess(aida, &features, &result);
             ThresholdEe::new(t).apply(&result, &conf)

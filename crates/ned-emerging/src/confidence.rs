@@ -224,7 +224,7 @@ mod tests {
         let aida = Disambiguator::new(kb, MilneWitten::new(kb), AidaConfig::r_prior_sim());
         let tokens = tokenize("the electric guitar by Gibson was played by Page");
         let mentions = vec![Mention::new("Gibson", 4, 5), Mention::new("Page", 9, 10)];
-        let features = aida.features(&tokens, &mentions);
+        let (_, features) = aida.features(&tokens, &mentions);
         let result = aida.disambiguate_features(&features);
         let norm = ConfAssessor::new(ConfidenceMethod::Normalized).assess(&aida, &features, &result);
         let conf = ConfAssessor::new(ConfidenceMethod::Conf).assess(&aida, &features, &result);
@@ -256,7 +256,7 @@ mod tests {
         let aida = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::r_prior_sim());
         let tokens = tokenize("electric guitar Gibson");
         let mentions = vec![Mention::new("Gibson", 2, 3)];
-        let features = aida.features(&tokens, &mentions);
+        let (_, features) = aida.features(&tokens, &mentions);
         let result = aida.disambiguate_features(&features);
         let conf = ConfAssessor::new(ConfidenceMethod::Normalized).assess(&aida, &features, &result);
         assert!((conf[0] - 1.0).abs() < 1e-12);
@@ -276,7 +276,7 @@ mod tests {
         let aida = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::r_prior_sim());
         let tokens = tokenize("the electric guitar by Gibson was played by Page");
         let mentions = vec![Mention::new("Gibson", 4, 5), Mention::new("Page", 9, 10)];
-        let features = aida.features(&tokens, &mentions);
+        let (_, features) = aida.features(&tokens, &mentions);
         let result = aida.disambiguate_features(&features);
         let conf =
             ConfAssessor::new(ConfidenceMethod::PerturbMentions).assess(&aida, &features, &result);

@@ -10,6 +10,7 @@
 
 use ned_aida::candidates::CandidateFeatures;
 use ned_aida::config::AidaConfig;
+use ned_aida::context::MentionContext;
 use ned_aida::scratch::with_scratch;
 use ned_aida::similarity::cover_z_ratio;
 use ned_aida::{DisambiguationResult, Disambiguator};
@@ -82,7 +83,7 @@ impl Default for EeConfig {
 pub fn ee_simscore<K: KbView + ?Sized>(
     kb: &K,
     model: &EeModel,
-    context: &[(usize, WordId)],
+    context: MentionContext<'_>,
 ) -> f64 {
     let weights = kb.weights();
     let idf = |w: WordId| weights.word_idf(w);
@@ -250,7 +251,7 @@ impl<'a, K: KbView, R: Relatedness> EeDiscovery<'a, K, R> {
         mentions: &[Mention],
     ) -> (Vec<Label>, DisambiguationResult) {
         let kb = self.base.kb();
-        let features = self.base.features(tokens, mentions);
+        let (context, features) = self.base.features(tokens, mentions);
         let initial = self.base.disambiguate_features(&features);
         let confidences = self.config.assessor.assess(self.base, &features, &initial);
 
@@ -258,7 +259,6 @@ impl<'a, K: KbView, R: Relatedness> EeDiscovery<'a, K, R> {
         let mut forced_ee = vec![false; mentions.len()];
         let mut extended: Vec<Vec<CandidateFeatures>> = Vec::with_capacity(mentions.len());
         let mut mention_models: Vec<Option<&EeModel>> = vec![None; mentions.len()];
-        let context = ned_aida::context::DocumentContext::build(kb, tokens);
         for (i, mention) in mentions.iter().enumerate() {
             let f = &features[i];
             if f.is_empty() {
@@ -283,8 +283,7 @@ impl<'a, K: KbView, R: Relatedness> EeDiscovery<'a, K, R> {
             // Middle band: add the EE placeholder candidate.
             let mut list: Vec<CandidateFeatures> = f.clone();
             if let Some(model) = self.models.get(&mention.surface) {
-                let mention_ctx = context.for_mention(mention);
-                let raw = ee_simscore(kb, model, &mention_ctx);
+                let raw = ee_simscore(kb, model, context.mention(mention));
                 list.push(CandidateFeatures {
                     entity: ee_id(i),
                     prior: 0.0,
@@ -359,6 +358,7 @@ impl ThresholdEe {
 mod tests {
     use super::*;
     use crate::ee_model::{EePhrase, NameModels};
+    use ned_aida::context::DocumentContext;
     use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_relatedness::MilneWitten;
     use ned_text::tokenize;
@@ -466,7 +466,7 @@ mod tests {
             Disambiguator::new(&kb, MilneWitten::new(&kb), ned_aida::AidaConfig::sim_only());
         let tokens = tokenize("the progressive rock band Prism played");
         let mentions = vec![Mention::new("Prism", 4, 5)];
-        let features = aida.features(&tokens, &mentions);
+        let (_, features) = aida.features(&tokens, &mentions);
         let result = aida.disambiguate_features(&features);
         let high = ThresholdEe::new(0.99).apply(&result, &[0.5]);
         assert_eq!(high, vec![None]);
@@ -565,8 +565,8 @@ mod tests {
                 occurrences: 2,
             },
         ];
-        let context = |words: &[(usize, &str)]| -> Vec<(usize, WordId)> {
-            words.iter().map(|&(pos, w)| (pos, id(w))).collect()
+        let context = |words: &[(usize, &str)]| -> DocumentContext {
+            DocumentContext::from_words(words.iter().map(|&(pos, w)| (pos, id(w))).collect())
         };
         let contexts = [
             context(&[
@@ -586,13 +586,13 @@ mod tests {
                 (21, "tour"),
                 (30, "progressive"),
             ]),
-            Vec::new(),
+            DocumentContext::default(),
             context(&[(0, "summer"), (5, "summer"), (6, "budget")]),
         ];
         let bits: Vec<u64> = models
             .iter()
             .flat_map(|m| contexts.iter().map(move |c| (m, c)))
-            .map(|(m, c)| ee_simscore(&kb, m, c).to_bits())
+            .map(|(m, c)| ee_simscore(&kb, m, c.excluding(0..0)).to_bits())
             .collect();
         // Model-major: (Prism, Tour) × the four contexts.
         assert_eq!(

@@ -53,7 +53,7 @@ pub fn harvest_confident<K: KbView, R: Relatedness>(
     let mut report = EnrichmentReport::default();
     for doc in docs {
         let mentions = doc.bare_mentions();
-        let features = aida.features(&doc.tokens, &mentions);
+        let (_, features) = aida.features(&doc.tokens, &mentions);
         let result = aida.disambiguate_features(&features);
         let confidences = assessor.assess(aida, &features, &result);
         report.total_mentions += mentions.len();

@@ -88,7 +88,7 @@ fn confidence_separates_correct_from_wrong() {
     let mut wrong_conf = Vec::new();
     for doc in test.iter().take(15) {
         let mentions = doc.bare_mentions();
-        let features = aida.features(&doc.tokens, &mentions);
+        let (_, features) = aida.features(&doc.tokens, &mentions);
         let result = aida.disambiguate_features(&features);
         let conf = assessor.assess(&aida, &features, &result);
         for (i, lm) in doc.mentions.iter().enumerate() {

@@ -23,6 +23,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Once, OnceLock};
 
+use aida_ned::aida::context::DocumentContext;
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
 use aida_ned::core::{NedError, SnapshotError};
 use aida_ned::kb::snapshot::{
@@ -434,7 +435,7 @@ fn empty_and_whitespace_documents_yield_wellformed_empty_results() {
     let tokens = tokenize("Plain filler text with no annotated spans at all.");
     let result = aida.disambiguate(&tokens, &[]);
     assert!(result.assignments.is_empty());
-    assert_eq!(aida.features(&tokens, &[]), Vec::<Vec<_>>::new());
+    assert_eq!(aida.features(&tokens, &[]), (DocumentContext::default(), Vec::<Vec<_>>::new()));
 
     // And a zero-mention document flows through the batch runner.
     let doc = GoldDoc::new("empty", tokenize("   "), vec![], 0);

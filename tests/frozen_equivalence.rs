@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use aida_ned::aida::context::DocumentContext;
+use aida_ned::aida::context::{DocumentContext, MentionContext};
 use aida_ned::aida::scratch::{with_scratch, ScoringScratch};
 use aida_ned::aida::similarity::simscores_batch;
 use aida_ned::aida::{AidaConfig, Disambiguator, KeywordWeighting, NedMethod, SimObs};
@@ -113,7 +113,7 @@ fn sim_counters(obs: &SimObs) -> [u64; 5] {
 fn batch_bits<K: KbView + ?Sized>(
     kb: &K,
     entities: &[EntityId],
-    ctx: &[(usize, WordId)],
+    ctx: MentionContext<'_>,
     weighting: KeywordWeighting,
     obs: &SimObs,
     scratch: &mut ScoringScratch,
@@ -243,27 +243,29 @@ proptest! {
         let overlay = DeltaKb::build(Arc::clone(&frozen), Vec::new()).unwrap();
         let frozen = &*frozen;
         let tokens = tokenize(&spec.context.join(" "));
-        let ctx = DocumentContext::build(frozen, &tokens).words;
+        let doc = DocumentContext::build(frozen, &tokens);
+        // The first context token stands in for the mention.
+        let ctx = doc.mention(&Mention::new("", 0, 1));
         let entities: Vec<EntityId> = frozen.entity_ids().collect();
         let doubled: Vec<EntityId> = entities.iter().chain(&entities).copied().collect();
         for weighting in [KeywordWeighting::Npmi, KeywordWeighting::Idf] {
             for candidates in [&entities, &doubled] {
                 let fresh_obs = SimObs::new(&Metrics::new());
                 let fresh = batch_bits(
-                    frozen, candidates, &ctx, weighting, &fresh_obs, &mut ScoringScratch::new(),
+                    frozen, candidates, ctx, weighting, &fresh_obs, &mut ScoringScratch::new(),
                 );
                 prop_assert_eq!(fresh.len(), candidates.len());
                 for pass in 0..2 {
                     let frozen_obs = SimObs::new(&Metrics::new());
                     let reused = with_scratch(|scratch| {
-                        batch_bits(frozen, candidates, &ctx, weighting, &frozen_obs, scratch)
+                        batch_bits(frozen, candidates, ctx, weighting, &frozen_obs, scratch)
                     });
                     prop_assert_eq!(&reused, &fresh, "frozen, reused arena, pass {}", pass);
                     prop_assert_eq!(sim_counters(&frozen_obs), sim_counters(&fresh_obs));
 
                     let overlay_obs = SimObs::new(&Metrics::new());
                     let through_overlay = with_scratch(|scratch| {
-                        batch_bits(&overlay, candidates, &ctx, weighting, &overlay_obs, scratch)
+                        batch_bits(&overlay, candidates, ctx, weighting, &overlay_obs, scratch)
                     });
                     prop_assert_eq!(&through_overlay, &fresh, "overlay, pass {}", pass);
                     prop_assert_eq!(sim_counters(&overlay_obs), sim_counters(&fresh_obs));

@@ -47,21 +47,22 @@ fn sample_kb() -> KnowledgeBase {
 /// candidate is scored from its own keyphrase list, and a one-word one,
 /// where candidates with more keyphrases than context words probe the
 /// inverted index.
-fn windows_for<K: KbView + ?Sized>(kb: &K) -> [Vec<(usize, WordId)>; 2] {
-    let window = |text: &str| DocumentContext::build(kb, &tokenize(text)).words;
+fn windows_for<K: KbView + ?Sized>(kb: &K) -> [DocumentContext; 2] {
+    let window = |text: &str| DocumentContext::build(kb, &tokenize(text));
     [window("the hard rock band played unusual chords near the Himalaya mountains"), window("rock")]
 }
 
-/// Batched similarity of every entity of `kb` against `window`.
+/// Batched similarity of every entity of `kb` against the whole `window`.
 fn simscores<K: KbView + ?Sized>(
     kb: &K,
-    window: &[(usize, WordId)],
+    window: &DocumentContext,
     weighting: KeywordWeighting,
 ) -> Vec<f64> {
     let entities: Vec<_> = kb.entity_ids().collect();
     let mut scratch = ScoringScratch::new();
     let obs = SimObs::default();
-    simscores_batch(kb, entities.len(), |i| entities[i], window, weighting, &obs, &mut scratch);
+    let context = window.excluding(0..0);
+    simscores_batch(kb, entities.len(), |i| entities[i], context, weighting, &obs, &mut scratch);
     scratch.sims().to_vec()
 }
 
