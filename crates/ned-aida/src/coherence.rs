@@ -6,8 +6,9 @@
 //! sparse table built once per document. Its entities are the document's
 //! distinct candidates. It evaluates each pair a reader can ask for once,
 //! and only where the measure can be nonzero
-//! ([`Relatedness::nonzero_pairs`]: for Milne–Witten, the pairs that share
-//! an in-link). It keeps every value but `+0.0`, so its storage grows with
+//! ([`Relatedness::nonzero_pairs`]: for MW, KORE, the keyterm cosines and
+//! KORE-LSH, the pairs that share an in-link, a keyword, a keyphrase or a
+//! bucket key). It keeps every value but `+0.0`, so its storage grows with
 //! the pairs it keeps, never with the square of the candidate count.
 
 use ned_kb::EntityId;
@@ -154,7 +155,9 @@ mod tests {
 
     use ned_kb::{EntityKind, FrozenKb, KbBuilder};
     use ned_obs::Metrics;
-    use ned_relatedness::{CacheConfig, CachedRelatedness, Kore, MilneWitten, ENTRY_BYTES};
+    use ned_relatedness::{
+        CacheConfig, CachedRelatedness, Kore, KoreLsh, MilneWitten, TwoStageConfig, ENTRY_BYTES,
+    };
     use proptest::prelude::*;
 
     use super::*;
@@ -278,7 +281,7 @@ mod tests {
         /// The table path reproduces the per-pair path bit for bit: the
         /// assignments, their scores and candidate scores, and every
         /// counter, for MW, MW behind an unbounded and a bounded cache,
-        /// and KORE (the default enumeration). Candidates repeat across
+        /// KORE and KORE-LSH-G. Candidates repeat across
         /// and within mentions, lists may be empty, and single-candidate
         /// or agreeing mentions are fixed.
         #[test]
@@ -299,7 +302,9 @@ mod tests {
                 CacheConfig::bounded(2 * ENTRY_BYTES),
             );
             assert_matches_reference(&kb, &bounded, config.clone(), &features);
-            assert_matches_reference(&kb, &Kore::new(&kb), config, &features);
+            assert_matches_reference(&kb, &Kore::new(&kb), config.clone(), &features);
+            let lsh = KoreLsh::new(&kb, TwoStageConfig::lsh_g());
+            assert_matches_reference(&kb, &lsh, config, &features);
         }
 
         /// The graph built from the table has the per-pair graph's entity
@@ -371,26 +376,40 @@ mod tests {
         assert_eq!(table.sum(e, &[]).to_bits(), empty.to_bits());
     }
 
-    /// Records every pair it scores; optionally enumerates like MW.
-    struct Recording<'a> {
-        mw: MilneWitten<&'a FrozenKb>,
+    /// Records every pair it scores; enumerates like the wrapped measure
+    /// when `join` is on, and every pair otherwise.
+    struct Recording<R> {
+        inner: R,
         join: bool,
         calls: Mutex<Vec<(EntityId, EntityId)>>,
     }
 
-    impl Relatedness for Recording<'_> {
+    impl<R> Recording<R> {
+        fn new(inner: R, join: bool) -> Self {
+            Recording { inner, join, calls: Mutex::new(Vec::new()) }
+        }
+
+        /// The recorded pairs, ascending.
+        fn sorted_calls(self) -> Vec<(EntityId, EntityId)> {
+            let mut calls = self.calls.into_inner().unwrap();
+            calls.sort_unstable();
+            calls
+        }
+    }
+
+    impl<R: Relatedness> Relatedness for Recording<R> {
         fn name(&self) -> &'static str {
             "recording"
         }
 
         fn relatedness(&self, a: EntityId, b: EntityId) -> f64 {
             self.calls.lock().unwrap().push((a.min(b), a.max(b)));
-            self.mw.relatedness(a, b)
+            self.inner.relatedness(a, b)
         }
 
         fn nonzero_pairs(&self, entities: &[EntityId], out: &mut Vec<(u32, u32)>) {
             if self.join {
-                self.mw.nonzero_pairs(entities, out);
+                self.inner.nonzero_pairs(entities, out);
             } else {
                 out.clear();
                 let n = entities.len() as u32;
@@ -412,15 +431,84 @@ mod tests {
             let kb = kb(&links);
             let features = features(&spec);
             for join in [true, false] {
-                let recording =
-                    Recording { mw: MilneWitten::new(&kb), join, calls: Mutex::new(Vec::new()) };
+                let recording = Recording::new(MilneWitten::new(&kb), join);
                 Disambiguator::new(&kb, &recording, AidaConfig::full())
                     .disambiguate_features(&features);
-                let mut calls = recording.calls.into_inner().unwrap();
+                let mut calls = recording.sorted_calls();
                 let total = calls.len();
-                calls.sort_unstable();
                 calls.dedup();
                 prop_assert_eq!(calls.len(), total, "a pair was evaluated twice (join: {})", join);
+            }
+        }
+    }
+
+    /// Two clusters of four entities (E0–E3 and E4–E7): phrases shared
+    /// inside a cluster, no keyword shared across.
+    fn two_cluster_kb() -> FrozenKb {
+        let mut b = KbBuilder::new();
+        for (cluster, phrases) in
+            [("rock", ["hard rock band", "electric guitar solo"]), ("politics", ["foreign trade policy", "parliament election campaign"])]
+        {
+            for i in 0..4 {
+                let e = b.add_entity(&format!("{cluster} {i}"), EntityKind::Other);
+                b.add_keyphrase(e, phrases[0], 3);
+                b.add_keyphrase(e, phrases[1], 1 + i);
+                b.add_keyphrase(e, &format!("{cluster} topic{i}"), 1);
+            }
+        }
+        FrozenKb::freeze(&b.build())
+    }
+
+    /// With KORE and both KORE-LSH variants, the table evaluates exactly
+    /// the askable pairs (`e` a candidate of one mention, `o` of another)
+    /// that `nonzero_pairs` lists: on two clusters, fewer than all askable
+    /// pairs. Every askable pair still reads back as the measure's own
+    /// value.
+    #[test]
+    fn kore_family_tables_evaluate_only_the_listed_askable_pairs() {
+        let kb = two_cluster_kb();
+        let e = EntityId;
+        // E1 is a candidate of two mentions, so its diagonal is askable.
+        let locals: Vec<Vec<(EntityId, f64)>> = vec![
+            vec![(e(0), 0.5), (e(4), 0.3), (e(1), 0.2)],
+            vec![(e(1), 0.6), (e(5), 0.4)],
+            vec![(e(2), 0.7), (e(6), 0.2), (e(7), 0.1)],
+        ];
+        let mut entities: Vec<EntityId> = locals.iter().flatten().map(|&(x, _)| x).collect();
+        entities.sort_unstable();
+        entities.dedup();
+        let mentions_of = |x: EntityId| -> Vec<usize> {
+            (0..locals.len()).filter(|&m| locals[m].iter().any(|&(y, _)| y == x)).collect()
+        };
+        let mut askable = Vec::new();
+        for (i, &a) in entities.iter().enumerate() {
+            for (j, &b) in entities.iter().enumerate().skip(i) {
+                let (ma, mb) = (mentions_of(a), mentions_of(b));
+                if ma.iter().any(|m| mb.iter().any(|n| m != n)) {
+                    askable.push(((i as u32, j as u32), (a, b)));
+                }
+            }
+        }
+        let kore = Kore::new(&kb);
+        let lsh_g = KoreLsh::new(&kb, TwoStageConfig::lsh_g());
+        let lsh_f = KoreLsh::new(&kb, TwoStageConfig::lsh_f());
+        for measure in [&kore as &dyn Relatedness, &lsh_g, &lsh_f] {
+            let name = measure.name();
+            let mut listed = Vec::new();
+            measure.nonzero_pairs(&entities, &mut listed);
+            let expected: Vec<(EntityId, EntityId)> = askable
+                .iter()
+                .filter(|(ij, _)| listed.binary_search(ij).is_ok())
+                .map(|&(_, pair)| pair)
+                .collect();
+            assert!(expected.len() < askable.len(), "{name} lists every askable pair");
+            let recording = Recording::new(measure, true);
+            let table = CoherenceTable::build(&recording, &locals, &locals);
+            assert_eq!(recording.sorted_calls(), expected, "{name}");
+            for &(_, (a, b)) in &askable {
+                let value = measure.relatedness(a, b).to_bits();
+                assert_eq!(table.sum(a, &[b]).to_bits(), value, "{name}: ({a:?}, {b:?})");
+                assert_eq!(table.sum(b, &[a]).to_bits(), value, "{name}: ({b:?}, {a:?})");
             }
         }
     }

@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ned_kb::{EntityId, FrozenKb};
+use ned_relatedness::pair_selection::off_diagonal_pairs;
 use ned_relatedness::{Kore, KoreLsh, MilneWitten, Relatedness, TwoStageConfig};
 use ned_wikigen::config::WorldConfig;
 use ned_wikigen::{ExportedKb, World};
@@ -51,14 +52,20 @@ fn bench_pairwise(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_scoped_lsh(c: &mut Criterion) {
+/// Sum of `measure` over the off-diagonal pairs its `nonzero_pairs`
+/// lists for `scope`: the join plus one exact computation per pair.
+fn listed_pairs_sum(measure: &dyn Relatedness, scope: &[EntityId]) -> f64 {
+    off_diagonal_pairs(measure, scope).into_iter().map(|(a, b)| measure.relatedness(a, b)).sum()
+}
+
+fn bench_lsh_pairs(c: &mut Criterion) {
     let exported = setup();
     let kb = &FrozenKb::freeze(&exported.kb);
     let lsh_g = KoreLsh::new(kb, TwoStageConfig::lsh_g());
     let lsh_f = KoreLsh::new(kb, TwoStageConfig::lsh_f());
     let kore = Kore::new(kb);
 
-    let mut group = c.benchmark_group("scoped_relatedness");
+    let mut group = c.benchmark_group("scope_relatedness");
     for scope_size in [50usize, 200] {
         let scope: Vec<EntityId> = kb.entity_ids().take(scope_size).collect();
         group.bench_with_input(
@@ -77,44 +84,18 @@ fn bench_scoped_lsh(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("lsh_g_scoped", scope_size),
+            BenchmarkId::new("lsh_g_listed_pairs", scope_size),
             &scope,
-            |b, scope| {
-                b.iter(|| {
-                    let scoped = lsh_g.scoped(scope);
-                    let mut acc = 0.0;
-                    for (i, &x) in scope.iter().enumerate() {
-                        for &y in &scope[i + 1..] {
-                            if scoped.is_candidate(x, y) {
-                                acc += scoped.relatedness(x, y);
-                            }
-                        }
-                    }
-                    acc
-                })
-            },
+            |b, scope| b.iter(|| listed_pairs_sum(&lsh_g, scope)),
         );
         group.bench_with_input(
-            BenchmarkId::new("lsh_f_scoped", scope_size),
+            BenchmarkId::new("lsh_f_listed_pairs", scope_size),
             &scope,
-            |b, scope| {
-                b.iter(|| {
-                    let scoped = lsh_f.scoped(scope);
-                    let mut acc = 0.0;
-                    for (i, &x) in scope.iter().enumerate() {
-                        for &y in &scope[i + 1..] {
-                            if scoped.is_candidate(x, y) {
-                                acc += scoped.relatedness(x, y);
-                            }
-                        }
-                    }
-                    acc
-                })
-            },
+            |b, scope| b.iter(|| listed_pairs_sum(&lsh_f, scope)),
         );
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_pairwise, bench_scoped_lsh);
+criterion_group!(benches, bench_pairwise, bench_lsh_pairs);
 criterion_main!(benches);

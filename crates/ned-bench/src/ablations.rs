@@ -5,6 +5,7 @@
 use ned_aida::{AidaConfig, Disambiguator};
 use ned_eval::report::{num, pct, Table};
 use ned_relatedness::lsh::Banding;
+use ned_relatedness::pair_selection::off_diagonal_pairs;
 use ned_relatedness::{KoreLsh, MilneWitten, TwoStageConfig};
 
 use crate::runner::run_method;
@@ -57,8 +58,7 @@ pub fn run(scale: &Scale) {
             entity_banding: Banding { bands, rows },
             ..TwoStageConfig::lsh_g()
         };
-        let accel = KoreLsh::new(kb, config);
-        let surviving = accel.scoped(&sample).surviving_pairs();
+        let surviving = off_diagonal_pairs(&KoreLsh::new(kb, config), &sample).len();
         lsh.add_row(vec![
             bands.to_string(),
             rows.to_string(),

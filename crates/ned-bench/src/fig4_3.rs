@@ -4,12 +4,11 @@
 //! The point of the figure: KORE dominates for link-poor entities, with the
 //! gap narrowing as entities gain links.
 
-use ned_aida::{AidaConfig, Disambiguator, NedMethod};
+use ned_aida::{AidaConfig, Disambiguator};
 use ned_eval::report::{num, Table};
-use ned_kb::EntityId;
 use ned_relatedness::{Kore, KoreLsh, MilneWitten, Relatedness, TwoStageConfig};
 
-use crate::runner::{run_method, run_per_doc, DocOutcome, DocStatus, Evaluation};
+use crate::runner::{run_method, Evaluation};
 use crate::setup::{Env, Scale};
 
 /// Per-mention (gold inlink count, correct) pairs of an evaluation.
@@ -54,25 +53,7 @@ pub fn run(scale: &Scale) {
     };
     let mw_points = mention_points(&env, &eval_of(&mw));
     let kore_points = mention_points(&env, &eval_of(&kore));
-    let lsh_eval = run_per_doc(docs, |doc| {
-        let mentions = doc.bare_mentions();
-        let mut scope: Vec<EntityId> = mentions
-            .iter()
-            .flat_map(|m| kb.candidates(&m.surface).iter().map(|c| c.entity))
-            .collect();
-        scope.sort_unstable();
-        scope.dedup();
-        let scoped = lsh_g.scoped(&scope);
-        let aida = Disambiguator::new(kb, &scoped, AidaConfig::full());
-        let result = aida.disambiguate(&doc.tokens, &mentions);
-        DocOutcome {
-            gold: doc.gold_labels(),
-            predicted: result.labels(),
-            confidence: vec![0.0; mentions.len()],
-            status: DocStatus::from_degradation(result.degradation),
-        }
-    });
-    let lsh_points = mention_points(&env, &lsh_eval);
+    let lsh_points = mention_points(&env, &eval_of(&lsh_g));
 
     let max_inlinks = mw_points.iter().map(|&(l, _)| l).max().unwrap_or(0);
     let cutoffs: Vec<usize> =

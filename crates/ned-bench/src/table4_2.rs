@@ -4,7 +4,6 @@
 
 use ned_eval::report::{num, Table};
 use ned_eval::spearman::spearman;
-use ned_kb::EntityId;
 use ned_relatedness::{
     InlinkJaccard, KeyphraseCosine, KeywordCosine, Kore, KoreLsh, MilneWitten, Relatedness,
     TwoStageConfig,
@@ -38,29 +37,6 @@ fn score_seed<M: Relatedness>(env: &Env, measure: &M, entry: &SeedEntry) -> Opti
             env.exported
                 .label_of(c)
                 .map_or(0.0, |id| measure.relatedness(seed_id, id))
-        })
-        .collect();
-    Some(spearman(&scores, &entry.gold_scores))
-}
-
-/// Scores one seed under an LSH-accelerated measure: the scope is the seed
-/// plus its candidates, as it would be inside one disambiguation problem.
-fn score_seed_lsh(env: &Env, lsh: &KoreLsh, entry: &SeedEntry) -> Option<f64> {
-    let seed_id = env.exported.label_of(entry.seed)?;
-    let mut scope: Vec<EntityId> = entry
-        .candidates
-        .iter()
-        .filter_map(|&c| env.exported.label_of(c))
-        .collect();
-    scope.push(seed_id);
-    let scoped = lsh.scoped(&scope);
-    let scores: Vec<f64> = entry
-        .candidates
-        .iter()
-        .map(|&c| {
-            env.exported
-                .label_of(c)
-                .map_or(0.0, |id| scoped.relatedness(seed_id, id))
         })
         .collect();
     Some(spearman(&scores, &entry.gold_scores))
@@ -100,8 +76,8 @@ pub fn run(scale: &Scale) {
         ("MW", Box::new(|e: &SeedEntry| score_seed(&env, &mw, e))),
         ("Jaccard", Box::new(|e: &SeedEntry| score_seed(&env, &jaccard, e))),
         ("KORE", Box::new(|e: &SeedEntry| score_seed(&env, &kore, e))),
-        ("KORE-LSH-G", Box::new(|e: &SeedEntry| score_seed_lsh(&env, &lsh_g, e))),
-        ("KORE-LSH-F", Box::new(|e: &SeedEntry| score_seed_lsh(&env, &lsh_f, e))),
+        ("KORE-LSH-G", Box::new(|e: &SeedEntry| score_seed(&env, &lsh_g, e))),
+        ("KORE-LSH-F", Box::new(|e: &SeedEntry| score_seed(&env, &lsh_f, e))),
     ];
 
     let n_domains = env.world.config.n_topics;

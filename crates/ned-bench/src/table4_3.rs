@@ -2,15 +2,14 @@
 //! measure as the AIDA coherence, on the three corpora (CoNLL-like,
 //! WP-like, KORE50-like).
 
-use ned_aida::{AidaConfig, Disambiguator, NedMethod};
+use ned_aida::{AidaConfig, Disambiguator};
 use ned_eval::gold::GoldDoc;
 use ned_eval::report::{pct, Table};
-use ned_kb::EntityId;
 use ned_relatedness::{
     KeyphraseCosine, KeywordCosine, Kore, KoreLsh, MilneWitten, Relatedness, TwoStageConfig,
 };
 
-use crate::runner::{run_per_doc, DocOutcome, DocStatus, Evaluation};
+use crate::runner::Evaluation;
 use crate::setup::{Env, Scale};
 
 /// Inlink cutoff for the "link-poor micro accuracy" column (the thesis
@@ -28,30 +27,6 @@ fn eval_fixed<M: Relatedness + Sync>(env: &Env, measure: &M, docs: &[GoldDoc]) -
 /// full configuration, which is what we use.
 fn wp_safe_config(_docs: &[GoldDoc]) -> AidaConfig {
     AidaConfig::full()
-}
-
-/// Evaluates AIDA with a per-document LSH-scoped KORE measure.
-fn eval_lsh(env: &Env, lsh: &KoreLsh, docs: &[GoldDoc]) -> Evaluation {
-    let kb = &env.frozen;
-    run_per_doc(docs, |doc| {
-        let mentions = doc.bare_mentions();
-        // The LSH scope: all candidate entities of the document.
-        let mut scope: Vec<EntityId> = mentions
-            .iter()
-            .flat_map(|m| kb.candidates(&m.surface).iter().map(|c| c.entity))
-            .collect();
-        scope.sort_unstable();
-        scope.dedup();
-        let scoped = lsh.scoped(&scope);
-        let aida = Disambiguator::new(kb, &scoped, AidaConfig::full());
-        let result = aida.disambiguate(&doc.tokens, &mentions);
-        DocOutcome {
-            gold: doc.gold_labels(),
-            predicted: result.labels(),
-            confidence: result.assignments.iter().map(|a| a.normalized_score()).collect(),
-            status: DocStatus::from_degradation(result.degradation),
-        }
-    })
 }
 
 /// Micro accuracy restricted to mentions whose gold entity has at most
@@ -104,8 +79,8 @@ pub fn run(scale: &Scale) {
             ("KPCS", eval_fixed(&env, &kpcs, docs)),
             ("MW", eval_fixed(&env, &mw, docs)),
             ("KORE", eval_fixed(&env, &kore, docs)),
-            ("KORE-LSH-G", eval_lsh(&env, &lsh_g, docs)),
-            ("KORE-LSH-F", eval_lsh(&env, &lsh_f, docs)),
+            ("KORE-LSH-G", eval_fixed(&env, &lsh_g, docs)),
+            ("KORE-LSH-F", eval_fixed(&env, &lsh_f, docs)),
         ];
         for (name, eval) in &evals {
             table.add_row(vec![

@@ -15,7 +15,11 @@
 //!   prefers the unique `foo` on the caller's own self type. Trait required
 //!   methods count as candidates, so any trait-declared method with an impl
 //!   has ≥ 2 candidates and stays unresolved (dynamic dispatch is never
-//!   guessed).
+//!   guessed). A call on any other receiver whose name is also a
+//!   standard-library method that once bound wrongly (`STD_METHOD_NAMES`:
+//!   `xs.contains(…)`, `it.chain(…)`, `v.clone()`) is ambiguous: the
+//!   receiver's type is not known, and it is far more often a std type
+//!   than the one first-party method of that name.
 //!
 //! Unresolved and ambiguous calls terminate chains; they never suppress a
 //! finding inside a function that *is* reachable.
@@ -55,6 +59,15 @@ impl FnInfo {
         segs
     }
 }
+
+/// Standard-library method names that bound std calls to the one
+/// first-party method sharing the name (`.contains` to the cache policy's,
+/// `.take` to the snapshot decoder's, `.clone` to ned-serve's `Clone`
+/// impl, `.chain` to `CallGraph::chain`), sorted. A call of one of them on
+/// a receiver other than `self` resolves as [`Resolution::Ambiguous`].
+/// Add a name here when such a wrong edge is found, not before: every
+/// name also hides the calls that do reach the first-party method.
+const STD_METHOD_NAMES: &[&str] = &["chain", "clone", "contains", "take"];
 
 /// Outcome of resolving one call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +168,10 @@ impl Symbols {
                         }
                     }
                 }
+                let on_self = call.receiver.as_deref() == Some("self");
+                if !on_self && !candidates.is_empty() && is_std_method(name) {
+                    return Resolution::Ambiguous;
+                }
                 match candidates {
                     [only] => Resolution::Edge(*only),
                     [] => Resolution::Unresolved,
@@ -197,6 +214,10 @@ impl Symbols {
             }
         }
     }
+}
+
+fn is_std_method(name: &str) -> bool {
+    STD_METHOD_NAMES.binary_search(&name).is_ok()
 }
 
 fn ends_with(haystack: &[String], suffix: &[String]) -> bool {
@@ -283,6 +304,41 @@ mod tests {
         let run = id_of(&sym, "a::X::run");
         let call = sym.fns[run].item.stmts[0].calls[0].clone();
         assert_eq!(sym.resolve(run, &call), Resolution::Edge(id_of(&sym, "a::X::step")));
+    }
+
+    #[test]
+    fn std_method_names_on_other_receivers_stay_ambiguous() {
+        // One first-party `contains` and one `chain`: without the rule,
+        // every `.contains(…)` and `.chain(…)` call would bind to them.
+        let a = file(
+            "crates/a/src/lib.rs",
+            "a",
+            "pub struct Set;\nimpl Set {\n    pub fn contains(&self) -> bool { true }\n    pub fn probe(&self) -> bool { self.contains() }\n}\npub struct Graph;\nimpl Graph {\n    pub fn chain(&self) {}\n}\n",
+        );
+        let b = file(
+            "crates/b/src/lib.rs",
+            "b",
+            "pub fn go(xs: &[u32], g: &Graph) -> bool { xs.contains(&1); g.chain(); xs.iter().chain(xs).count() > 0 }\n",
+        );
+        let sym = Symbols::build(vec![a, b]);
+        let go = id_of(&sym, "b::go");
+        let calls: Vec<Call> =
+            sym.fns[go].item.stmts.iter().flat_map(|s| s.calls.clone()).collect();
+        let std_named: Vec<&Call> = calls
+            .iter()
+            .filter(|c| matches!(c.kind, CallKind::Method))
+            .filter(|c| matches!(c.segments.first().map(String::as_str), Some("contains" | "chain")))
+            .collect();
+        // `xs.contains`, `g.chain` and the chained `.chain`.
+        assert_eq!(std_named.len(), 3, "{calls:?}");
+        for call in std_named {
+            assert_eq!(sym.resolve(go, call), Resolution::Ambiguous, "{call:?}");
+        }
+        // `self.contains()` still binds to the caller's own method.
+        let probe = id_of(&sym, "a::Set::probe");
+        let call = sym.fns[probe].item.stmts[0].calls[0].clone();
+        assert_eq!(sym.resolve(probe, &call), Resolution::Edge(id_of(&sym, "a::Set::contains")));
+        assert!(STD_METHOD_NAMES.windows(2).all(|w| w[0] < w[1]), "sorted for binary search");
     }
 
     #[test]

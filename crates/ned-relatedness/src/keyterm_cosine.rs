@@ -13,6 +13,7 @@
 use ned_kb::fx::FxHashMap;
 use ned_kb::{EntityId, KbView, PhraseId, WordId};
 
+use crate::pair_selection::shared_dimension_pairs;
 use crate::traits::Relatedness;
 
 /// A sparse unit-normalizable vector: sorted (dimension, weight) pairs.
@@ -51,6 +52,16 @@ impl SparseVec {
     }
 }
 
+/// The pairs of `entities` whose vectors share a dimension, plus the
+/// diagonal of every nonzero vector ([`shared_dimension_pairs`]). Every
+/// weight is positive, so the cosine of any other pair is `+0.0`.
+fn cosine_pairs(vectors: &[SparseVec], entities: &[EntityId], out: &mut Vec<(u32, u32)>) {
+    let dims = |e: EntityId| {
+        vectors.get(e.index()).map_or(&[][..], |v| &v.entries).iter().map(|&(d, _)| d)
+    };
+    shared_dimension_pairs(entities, dims, out);
+}
+
 /// Keyphrase cosine similarity (KPCS): dimensions are phrase ids, weights
 /// are µ-MI.
 #[derive(Debug)]
@@ -85,6 +96,10 @@ impl Relatedness for KeyphraseCosine {
 
     fn relatedness(&self, a: EntityId, b: EntityId) -> f64 {
         self.vectors[a.index()].cosine(&self.vectors[b.index()])
+    }
+
+    fn nonzero_pairs(&self, entities: &[EntityId], out: &mut Vec<(u32, u32)>) {
+        cosine_pairs(&self.vectors, entities, out);
     }
 }
 
@@ -133,6 +148,10 @@ impl Relatedness for KeywordCosine {
 
     fn relatedness(&self, a: EntityId, b: EntityId) -> f64 {
         self.vectors[a.index()].cosine(&self.vectors[b.index()])
+    }
+
+    fn nonzero_pairs(&self, entities: &[EntityId], out: &mut Vec<(u32, u32)>) {
+        cosine_pairs(&self.vectors, entities, out);
     }
 }
 

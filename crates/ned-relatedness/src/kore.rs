@@ -22,6 +22,7 @@
 use ned_kb::fx::FxHashMap;
 use ned_kb::{EntityId, KbView, PhraseId, WordId};
 
+use crate::pair_selection::shared_dimension_pairs;
 use crate::traits::Relatedness;
 
 /// Per-phrase precomputation: sorted keyword ids with IDF weights, plus the
@@ -40,6 +41,9 @@ struct EntityInfo {
     /// Inverted index: keyword → indexes into `phrases` whose phrase
     /// contains the keyword.
     word_index: FxHashMap<WordId, Vec<u32>>,
+    /// The keywords with positive IDF of `phrases`, ascending: KORE is
+    /// `+0.0` for two entities that share none of them.
+    keywords: Vec<WordId>,
 }
 
 /// Exact KORE relatedness.
@@ -88,7 +92,10 @@ impl Kore {
                 for list in word_index.values_mut() {
                     list.dedup();
                 }
-                EntityInfo { phrases, weight_mass, word_index }
+                let mut keywords: Vec<WordId> =
+                    word_index.keys().copied().filter(|&w| weights.word_idf(w) > 0.0).collect();
+                keywords.sort_unstable();
+                EntityInfo { phrases, weight_mass, word_index, keywords }
             })
             .collect();
 
@@ -123,11 +130,6 @@ impl Kore {
             return 0.0;
         }
         (inter / union).clamp(0.0, 1.0)
-    }
-
-    /// Number of entities covered.
-    pub fn entity_count(&self) -> usize {
-        self.entity_infos.len()
     }
 }
 
@@ -171,6 +173,17 @@ impl Relatedness for Kore {
             }
         }
         numer / denom
+    }
+
+    /// The pairs that share a keyword with positive IDF in phrases of
+    /// positive µ ([`shared_dimension_pairs`]), plus the diagonal of every
+    /// entity that has such a keyword. For any other pair every phrase
+    /// overlap is 0, so the numerator stays `+0.0`.
+    fn nonzero_pairs(&self, entities: &[EntityId], out: &mut Vec<(u32, u32)>) {
+        let keywords = |e: EntityId| {
+            self.entity_infos.get(e.index()).map_or(&[][..], |info| &info.keywords).iter().copied()
+        };
+        shared_dimension_pairs(entities, keywords, out);
     }
 }
 

@@ -6,8 +6,6 @@
 //! With Jaccard similarity `s`, the candidate probability is
 //! `1 − (1 − s^rows)^bands`.
 
-use ned_kb::fx::FxHashMap;
-
 use crate::minhash::mix64;
 
 /// Banding configuration.
@@ -48,53 +46,6 @@ impl Banding {
     }
 }
 
-/// A transient LSH table mapping bucket keys to item indexes.
-#[derive(Debug, Default)]
-pub struct LshTable {
-    buckets: FxHashMap<u64, Vec<u32>>,
-}
-
-impl LshTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts an item under all its bucket keys.
-    pub fn insert(&mut self, item: u32, keys: &[u64]) {
-        for &k in keys {
-            let bucket = self.buckets.entry(k).or_default();
-            if bucket.last() != Some(&item) {
-                bucket.push(item);
-            }
-        }
-    }
-
-    /// Number of non-empty buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// All unordered candidate pairs `(i, j)` with `i < j` that share at
-    /// least one bucket, deduplicated.
-    pub fn candidate_pairs(&self) -> Vec<(u32, u32)> {
-        let mut pairs = Vec::new();
-        for bucket in self.buckets.values() {
-            for (i, &a) in bucket.iter().enumerate() {
-                for &b in &bucket[i + 1..] {
-                    let pair = if a < b { (a, b) } else { (b, a) };
-                    if a != b {
-                        pairs.push(pair);
-                    }
-                }
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,36 +63,6 @@ mod tests {
         let h = MinHasher::new(banding.sketch_len(), 5);
         let s = h.sketch([1u64, 2, 3]);
         assert_eq!(banding.bucket_keys(&s), banding.bucket_keys(&s));
-    }
-
-    #[test]
-    fn similar_items_become_candidates() {
-        let banding = Banding { bands: 16, rows: 1 };
-        let h = MinHasher::new(banding.sketch_len(), 5);
-        let mut table = LshTable::new();
-        // Items 0 and 1 are near-identical sets; item 2 is disjoint.
-        let sets: Vec<Vec<u64>> = vec![
-            (0..50).collect(),
-            (1..51).collect(),
-            (1000..1050).collect(),
-        ];
-        for (i, set) in sets.iter().enumerate() {
-            let sketch = h.sketch(set.iter().copied().map(mix64));
-            table.insert(i as u32, &banding.bucket_keys(&sketch));
-        }
-        let pairs = table.candidate_pairs();
-        assert!(pairs.contains(&(0, 1)), "{pairs:?}");
-        assert!(!pairs.contains(&(0, 2)), "{pairs:?}");
-    }
-
-    #[test]
-    fn candidate_pairs_are_unique_and_ordered() {
-        let mut table = LshTable::new();
-        table.insert(3, &[10, 20]);
-        table.insert(1, &[10, 20, 30]);
-        table.insert(2, &[30]);
-        let pairs = table.candidate_pairs();
-        assert_eq!(pairs, vec![(1, 2), (1, 3)]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use ned_kb::{EntityId, KbView};
 
+use crate::pair_selection::shared_dimension_pairs;
 use crate::traits::Relatedness;
 
 /// Milne–Witten relatedness over a knowledge base's link graph.
@@ -57,46 +58,24 @@ impl<K: KbView> Relatedness for MilneWitten<K> {
         v.max(0.0)
     }
 
-    /// The pairs that share an in-link, found by a join over the
-    /// entities' in-link lists, plus the diagonal of every entity that has
+    /// The pairs that share an in-link ([`shared_dimension_pairs`] over
+    /// the in-link lists), plus the diagonal of every entity that has
     /// in-links. Any other pair has `shared == 0` (or no in-links at all)
     /// and scores exactly 0.
     fn nonzero_pairs(&self, entities: &[EntityId], out: &mut Vec<(u32, u32)>) {
-        out.clear();
         if self.kb.entity_count() < 2 {
+            out.clear();
             return;
         }
         let links = self.kb.links();
-        // (in-linker, entity index), grouped by in-linker after the sort.
-        let mut postings: Vec<(EntityId, u32)> = Vec::new();
-        for (i, &e) in (0u32..).zip(entities) {
-            let inlinks = links.inlinks(e);
-            if !inlinks.is_empty() {
-                out.push((i, i));
-            }
-            postings.extend(inlinks.iter().map(|&src| (src, i)));
-        }
-        postings.sort_unstable();
-        let mut rest = postings.as_slice();
-        while let Some(&(src, _)) = rest.first() {
-            let (group, tail) = rest.split_at(rest.iter().take_while(|p| p.0 == src).count());
-            // Within a group the indexes ascend, so every pair has i <= j.
-            let mut members = group;
-            while let Some((&(_, i), later)) = members.split_first() {
-                out.extend(later.iter().map(|&(_, j)| (i, j)));
-                members = later;
-            }
-            rest = tail;
-        }
-        out.sort_unstable();
-        out.dedup();
+        shared_dimension_pairs(entities, |e| links.inlinks(e).iter().copied(), out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ned_kb::{DeltaKb, EntityKind, FrozenKb, KbBuilder, KbMutation};
+    use ned_kb::{EntityKind, FrozenKb, KbBuilder};
 
     /// 6 entities: `a` and `b` share two in-linkers, `c` shares none.
     fn kb() -> (FrozenKb, EntityId, EntityId, EntityId) {
@@ -187,73 +166,5 @@ mod tests {
             out,
             vec![(0, 0), (0, 2), (0, 4), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]
         );
-    }
-
-    /// A link graph over `n` entities named `E0..`, built two ways: frozen
-    /// from a store, and an overlay that adds the last entity and the
-    /// second half of the links over a frozen base.
-    fn two_backends(n: usize, links: &[(usize, usize)]) -> (FrozenKb, DeltaKb) {
-        let name = |i: usize| format!("E{i}");
-        let build = |entities: usize, links: &[(usize, usize)]| {
-            let mut builder = KbBuilder::new();
-            let ids: Vec<EntityId> =
-                (0..entities).map(|i| builder.add_entity(&name(i), EntityKind::Other)).collect();
-            for &(s, d) in links {
-                builder.add_link(ids[s], ids[d]);
-            }
-            FrozenKb::freeze(&builder.build())
-        };
-        let frozen = build(n, links);
-        let (early, late): (Vec<_>, Vec<_>) =
-            links.iter().enumerate().partition(|&(k, &(s, d))| k % 2 == 0 && s < n - 1 && d < n - 1);
-        let early: Vec<(usize, usize)> = early.into_iter().map(|(_, &l)| l).collect();
-        let base = build(n - 1, &early);
-        let mut mutations =
-            vec![KbMutation::AddEntity { canonical_name: name(n - 1), kind: EntityKind::Other }];
-        mutations.extend(
-            late.into_iter().map(|(_, &(s, d))| KbMutation::AddLink { src: name(s), dst: name(d) }),
-        );
-        let delta = DeltaKb::build(std::sync::Arc::new(base), mutations).unwrap();
-        (frozen, delta)
-    }
-
-    /// Checks the `nonzero_pairs` contract on one KB and returns the pairs.
-    fn checked_pairs<K: KbView>(kb: K, entities: &[EntityId]) -> Vec<(u32, u32)> {
-        let mw = MilneWitten::new(kb);
-        let mut out = Vec::new();
-        mw.nonzero_pairs(entities, &mut out);
-        assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted and deduplicated: {out:?}");
-        let len = entities.len() as u32;
-        assert!(out.iter().all(|&(i, j)| i <= j && j < len), "in range: {out:?}");
-        for i in 0..len {
-            for j in i..len {
-                if out.binary_search(&(i, j)).is_err() {
-                    let v = mw.relatedness(entities[i as usize], entities[j as usize]);
-                    assert_eq!(v.to_bits(), 0.0f64.to_bits(), "omitted ({i}, {j}) scores {v}");
-                }
-            }
-        }
-        out
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        /// Every pair `nonzero_pairs` omits scores exactly +0.0 on the
-        /// frozen and overlay KBs, which both list the same pairs.
-        /// Sparse random links leave entities without in-links; queries
-        /// repeat entities, so the diagonal and self pairs are covered.
-        #[test]
-        fn omitted_pairs_score_zero_on_every_backend(
-            n in 2usize..12,
-            links in proptest::collection::vec((0usize..64, 0usize..64), 0..24),
-            query in proptest::collection::vec(0usize..64, 0..12),
-        ) {
-            let links: Vec<(usize, usize)> = links.iter().map(|&(s, d)| (s % n, d % n)).collect();
-            let (frozen, delta) = two_backends(n, &links);
-            let entities: Vec<EntityId> = query.iter().map(|&q| EntityId((q % n) as u32)).collect();
-            let expected = checked_pairs(&frozen, &entities);
-            proptest::prop_assert_eq!(&checked_pairs(&delta, &entities), &expected);
-        }
     }
 }

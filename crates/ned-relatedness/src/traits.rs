@@ -24,8 +24,11 @@ pub trait Relatedness: Sync {
     /// deduplicated. Every pair left out scores exactly `+0.0`.
     ///
     /// The default lists every pair, the diagonal included; a measure
-    /// that knows where it vanishes overrides it (Milne–Witten lists only
-    /// entities that share an in-link).
+    /// that knows where it vanishes overrides it. MW, KORE, KWCS, KPCS and
+    /// KORE-LSH each vanish unless two entities share a dimension (an
+    /// in-link, a keyword, a keyphrase, a stage-2 bucket key), and list
+    /// their pairs with one join,
+    /// [`shared_dimension_pairs`](crate::pair_selection::shared_dimension_pairs).
     fn nonzero_pairs(&self, entities: &[EntityId], out: &mut Vec<(u32, u32)>) {
         out.clear();
         let n = u32::try_from(entities.len()).unwrap_or(u32::MAX);

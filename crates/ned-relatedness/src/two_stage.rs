@@ -6,10 +6,18 @@
 //! phrase-bucket ids, grouping near-duplicate phrases while preserving the
 //! notion of partial overlap.
 //!
-//! **Stage 2 (at query time, for the input entity set):** each entity is the
-//! set of its phrase-bucket ids; these sets are min-hash sketched and banded
-//! again. Exact KORE is computed only for entity pairs sharing at least one
-//! stage-2 bucket; all other pairs are assumed unrelated.
+//! **Stage 2 (precomputed per entity):** each entity is the set of its
+//! phrase-bucket ids; these sets are min-hash sketched and banded again,
+//! giving each entity one bucket key per band. Exact KORE is computed only
+//! for entity pairs sharing at least one stage-2 bucket; all other pairs
+//! are assumed unrelated.
+//!
+//! [`KoreLsh`] is an ordinary [`Relatedness`] measure: it scores exact KORE
+//! for an entity with itself and for two entities that share a bucket-key
+//! value, and `+0.0` for every other pair. "Sharing a bucket" is a join on
+//! key values, so its [`Relatedness::nonzero_pairs`] is the same postings
+//! join the other measures run over their dimensions
+//! ([`shared_dimension_pairs`]); no hash table is built per input set.
 //!
 //! Two configurations from §4.4.2:
 //! - **KORE-LSH-G** ("good"): 200 bands of size 1 — high recall, moderate
@@ -17,12 +25,14 @@
 //! - **KORE-LSH-F** ("fast"): 1000 bands of size 2 — higher precision
 //!   pruning, order-of-magnitude fewer comparisons.
 
-use ned_kb::fx::{FxHashMap, FxHashSet};
+use std::cmp::Ordering;
+
 use ned_kb::{EntityId, KbView, PhraseId};
 
 use crate::kore::Kore;
-use crate::lsh::{Banding, LshTable};
+use crate::lsh::Banding;
 use crate::minhash::MinHasher;
+use crate::pair_selection::shared_dimension_pairs;
 use crate::traits::Relatedness;
 
 /// Parameters of the two-stage hashing scheme.
@@ -64,14 +74,14 @@ impl TwoStageConfig {
 ///
 /// Both stages' sketches are precomputed at construction time — the thesis
 /// keeps the per-entity sketches in main memory ("merely requiring about
-/// 2 GBytes" for 3M entities, §4.4.2); only the LSH hashtables are built
-/// per input entity set.
+/// 2 GBytes" for 3M entities, §4.4.2) — and so are the stage-2 bucket keys
+/// the measure joins on.
 pub struct KoreLsh {
     kore: Kore,
     config: TwoStageConfig,
-    /// Per entity: precomputed stage-2 bucket keys (one per band), or
-    /// `None` for entities without keyphrases.
-    entity_keys: Vec<Option<Vec<u64>>>,
+    /// Per entity: its stage-2 bucket keys (one per band), sorted and
+    /// deduplicated; empty for entities without keyphrases.
+    entity_keys: Vec<Vec<u64>>,
 }
 
 // Manual Debug: per-entity sketch tables are megabytes of noise.
@@ -85,19 +95,18 @@ impl std::fmt::Debug for KoreLsh {
 }
 
 impl KoreLsh {
-    /// Precomputes stage-1 phrase buckets and stage-2 entity sketches for
-    /// all entities of `kb`. Like [`Kore`], the result owns all of its
+    /// Precomputes stage-1 phrase buckets and stage-2 entity bucket keys
+    /// for all entities of `kb`. Like [`Kore`], the result owns all of its
     /// precomputation and keeps no reference to `kb`.
     pub fn new<K: KbView>(kb: &K, config: TwoStageConfig) -> Self {
         let phrase_hasher = MinHasher::new(config.phrase_banding.sketch_len(), config.seed);
-        let n_phrases = kb.phrase_count();
-        let mut phrase_buckets: Vec<Vec<u64>> = Vec::with_capacity(n_phrases);
-        for pi in 0..n_phrases {
-            let p = PhraseId::from_index(pi);
-            let sketch =
-                phrase_hasher.sketch(kb.phrase_words(p).iter().map(|w| u64::from(w.0)));
-            phrase_buckets.push(config.phrase_banding.bucket_keys(&sketch));
-        }
+        let phrase_buckets: Vec<Vec<u64>> = (0..kb.phrase_count())
+            .map(|pi| {
+                let words = kb.phrase_words(PhraseId::from_index(pi));
+                let sketch = phrase_hasher.sketch(words.iter().map(|w| u64::from(w.0)));
+                config.phrase_banding.bucket_keys(&sketch)
+            })
+            .collect();
         let entity_hasher =
             MinHasher::new(config.entity_banding.sketch_len(), config.seed ^ 0xa5);
         let entity_keys = kb
@@ -106,124 +115,72 @@ impl KoreLsh {
                 let mut buckets: Vec<u64> = kb
                     .keyphrases(e)
                     .iter()
-                    .flat_map(|ep| phrase_buckets[ep.phrase.index()].iter().copied())
+                    .filter_map(|ep| phrase_buckets.get(ep.phrase.index()))
+                    .flatten()
+                    .copied()
                     .collect();
                 if buckets.is_empty() {
-                    return None;
+                    return Vec::new();
                 }
                 buckets.sort_unstable();
                 buckets.dedup();
                 let sketch = entity_hasher.sketch(buckets.iter().copied());
-                Some(config.entity_banding.bucket_keys(&sketch))
+                let mut keys = config.entity_banding.bucket_keys(&sketch);
+                keys.sort_unstable();
+                keys.dedup();
+                keys
             })
             .collect();
         KoreLsh { kore: Kore::new(kb), config, entity_keys }
     }
 
-    /// Display name of the configuration.
-    pub fn name(&self) -> &'static str {
+    /// The sorted stage-2 bucket keys of `e`; empty when it has none.
+    fn keys(&self, e: EntityId) -> &[u64] {
+        self.entity_keys.get(e.index()).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// True when the sorted lists `a` and `b` hold a common value.
+fn share_a_key(mut a: &[u64], mut b: &[u64]) -> bool {
+    while let (Some((x, a_rest)), Some((y, b_rest))) = (a.split_first(), b.split_first()) {
+        match x.cmp(y) {
+            Ordering::Less => a = a_rest,
+            Ordering::Greater => b = b_rest,
+            Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+impl Relatedness for KoreLsh {
+    fn name(&self) -> &'static str {
         self.config.name
     }
 
-    /// The underlying exact measure.
-    pub fn exact(&self) -> &Kore {
-        &self.kore
-    }
-
-    /// Builds the stage-2 LSH tables for `entities` and returns the set of
-    /// unordered candidate pairs (indices into `entities`).
-    pub fn candidate_pairs(&self, entities: &[EntityId]) -> Vec<(u32, u32)> {
-        let mut table = LshTable::new();
-        for (i, &e) in entities.iter().enumerate() {
-            if let Some(keys) = &self.entity_keys[e.index()] {
-                table.insert(i as u32, keys);
-            }
-        }
-        table.candidate_pairs()
-    }
-
-    /// Computes relatedness for an input entity set: exact KORE on LSH
-    /// candidate pairs, 0 elsewhere. Returns a scoped measure implementing
-    /// [`Relatedness`] plus comparison statistics.
-    pub fn scoped(&self, entities: &[EntityId]) -> ScopedKoreLsh<'_> {
-        let pairs = self.candidate_pairs(entities);
-        let mut allowed: FxHashSet<(EntityId, EntityId)> = FxHashSet::default();
-        for (i, j) in pairs {
-            let (a, b) = (entities[i as usize], entities[j as usize]);
-            allowed.insert(ordered(a, b));
-        }
-        ScopedKoreLsh { parent: self, allowed }
-    }
-}
-
-fn ordered(a: EntityId, b: EntityId) -> (EntityId, EntityId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// A [`KoreLsh`] restricted to an input entity set: pairs pruned by LSH
-/// score 0 without computing exact KORE.
-pub struct ScopedKoreLsh<'a> {
-    parent: &'a KoreLsh,
-    allowed: FxHashSet<(EntityId, EntityId)>,
-}
-
-impl std::fmt::Debug for ScopedKoreLsh<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScopedKoreLsh")
-            .field("parent", &self.parent)
-            .field("surviving_pairs", &self.allowed.len())
-            .finish()
-    }
-}
-
-impl ScopedKoreLsh<'_> {
-    /// Number of pairs that survive LSH pruning (= exact computations).
-    pub fn surviving_pairs(&self) -> usize {
-        self.allowed.len()
-    }
-
-    /// True if the pair survived pruning.
-    pub fn is_candidate(&self, a: EntityId, b: EntityId) -> bool {
-        self.allowed.contains(&ordered(a, b))
-    }
-}
-
-impl Relatedness for ScopedKoreLsh<'_> {
-    fn name(&self) -> &'static str {
-        self.parent.config.name
-    }
-
+    /// Exact KORE when `a == b` or when the two entities share a stage-2
+    /// bucket-key value; `+0.0` otherwise, without computing KORE.
     fn relatedness(&self, a: EntityId, b: EntityId) -> f64 {
-        if a == b || self.allowed.contains(&ordered(a, b)) {
-            self.parent.kore.relatedness(a, b)
+        if a == b || share_a_key(self.keys(a), self.keys(b)) {
+            self.kore.relatedness(a, b)
         } else {
             0.0
         }
     }
-}
 
-/// Relatedness of all unordered pairs in `entities` under any measure; the
-/// naive all-pairs loop used to report comparison counts (Table 4.4).
-pub fn all_pairs_relatedness<M: Relatedness>(
-    measure: &M,
-    entities: &[EntityId],
-) -> FxHashMap<(EntityId, EntityId), f64> {
-    let mut out = FxHashMap::default();
-    for (i, &a) in entities.iter().enumerate() {
-        for &b in &entities[i + 1..] {
-            out.insert(ordered(a, b), measure.relatedness(a, b));
-        }
+    /// The pairs that share a bucket-key value, plus the diagonal of every
+    /// entity with keys ([`shared_dimension_pairs`] over the keys). An
+    /// entity without keys has no keyphrases, so its exact KORE with itself
+    /// is `+0.0` too.
+    fn nonzero_pairs(&self, entities: &[EntityId], out: &mut Vec<(u32, u32)>) {
+        shared_dimension_pairs(entities, |e| self.keys(e).iter().copied(), out);
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pair_selection::off_diagonal_pairs;
+    use crate::pair_selection::tests::{ops_strategy, two_backends};
     use ned_kb::{EntityKind, FrozenKb, KbBuilder};
 
     /// Two clusters of entities with heavy intra-cluster phrase sharing.
@@ -250,69 +207,79 @@ mod tests {
     #[test]
     fn lsh_g_keeps_intra_cluster_pairs() {
         let (kb, ids) = kb();
-        let lsh = KoreLsh::new(&kb, TwoStageConfig::lsh_g());
-        let scoped = lsh.scoped(&ids);
+        let pairs = off_diagonal_pairs(&KoreLsh::new(&kb, TwoStageConfig::lsh_g()), &ids);
         // Same-cluster pairs share identical phrases → must survive.
-        assert!(scoped.is_candidate(ids[0], ids[1]));
-        assert!(scoped.is_candidate(ids[4], ids[5]));
+        assert!(pairs.contains(&(ids[0], ids[1])));
+        assert!(pairs.contains(&(ids[4], ids[5])));
     }
 
     #[test]
     fn lsh_prunes_cross_cluster_pairs() {
         let (kb, ids) = kb();
         let lsh = KoreLsh::new(&kb, TwoStageConfig::lsh_f());
-        let scoped = lsh.scoped(&ids);
         // Cross-cluster: zero phrase overlap → should be pruned.
-        assert!(!scoped.is_candidate(ids[0], ids[5]));
-        assert_eq!(scoped.relatedness(ids[0], ids[5]), 0.0);
-    }
-
-    #[test]
-    fn surviving_pairs_bounded_by_all_pairs() {
-        let (kb, ids) = kb();
-        for config in [TwoStageConfig::lsh_g(), TwoStageConfig::lsh_f()] {
-            let lsh = KoreLsh::new(&kb, config);
-            let scoped = lsh.scoped(&ids);
-            let all = ids.len() * (ids.len() - 1) / 2;
-            assert!(scoped.surviving_pairs() <= all);
-        }
-    }
-
-    #[test]
-    fn scoped_scores_match_exact_on_candidates() {
-        let (kb, ids) = kb();
-        let lsh = KoreLsh::new(&kb, TwoStageConfig::lsh_g());
-        let scoped = lsh.scoped(&ids);
-        let exact = lsh.exact();
-        for (i, &a) in ids.iter().enumerate() {
-            for &b in &ids[i + 1..] {
-                if scoped.is_candidate(a, b) {
-                    assert_eq!(scoped.relatedness(a, b), exact.relatedness(a, b));
-                }
-            }
-        }
+        assert!(!off_diagonal_pairs(&lsh, &ids).contains(&(ids[0], ids[5])));
+        assert_eq!(lsh.relatedness(ids[0], ids[5]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn f_prunes_at_least_as_much_as_g() {
         let (kb, ids) = kb();
-        let g = KoreLsh::new(&kb, TwoStageConfig::lsh_g()).scoped(&ids).surviving_pairs();
-        let f = KoreLsh::new(&kb, TwoStageConfig::lsh_f()).scoped(&ids).surviving_pairs();
+        let g = off_diagonal_pairs(&KoreLsh::new(&kb, TwoStageConfig::lsh_g()), &ids).len();
+        let f = off_diagonal_pairs(&KoreLsh::new(&kb, TwoStageConfig::lsh_f()), &ids).len();
         assert!(f <= g, "F kept {f} pairs, G kept {g}");
+        assert!(g < ids.len() * (ids.len() - 1) / 2, "G kept every pair");
     }
 
     #[test]
-    fn all_pairs_helper_counts() {
-        let (kb, ids) = kb();
-        let kore = Kore::new(&kb);
-        let map = all_pairs_relatedness(&kore, &ids[..4]);
-        assert_eq!(map.len(), 6);
+    fn keys_are_shared_by_sorted_merge() {
+        assert!(share_a_key(&[1, 5, 9], &[2, 9]));
+        assert!(!share_a_key(&[1, 5, 9], &[2, 6, 10]));
+        assert!(!share_a_key(&[], &[1]));
     }
 
     #[test]
     fn empty_entity_set() {
         let (kb, _) = kb();
         let lsh = KoreLsh::new(&kb, TwoStageConfig::lsh_g());
-        assert!(lsh.candidate_pairs(&[]).is_empty());
+        assert!(off_diagonal_pairs(&lsh, &[]).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Both variants list off the diagonal exactly the pairs a naive
+        /// all-pairs scan finds sharing a bucket-key value, and score every
+        /// listed pair (the diagonal included) as exact KORE, bit for bit.
+        /// Queries repeat entities, and some entities have no keyphrases.
+        #[test]
+        fn pairs_match_the_naive_key_reference(
+            case in ops_strategy(),
+            query in proptest::collection::vec(0u32..64, 0..12),
+        ) {
+            let (kb, _) = two_backends(&case.0, case.1);
+            let n = kb.entity_count() as u32;
+            let ids: Vec<EntityId> = query.iter().map(|&q| EntityId(q % n)).collect();
+            let kore = Kore::new(&kb);
+            for config in [TwoStageConfig::lsh_g(), TwoStageConfig::lsh_f()] {
+                let lsh = KoreLsh::new(&kb, config);
+                let naive: Vec<(EntityId, EntityId)> = ids
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, &a)| ids[i + 1..].iter().map(move |&b| (a, b)))
+                    .filter(|&(a, b)| lsh.keys(a).iter().any(|k| lsh.keys(b).contains(k)))
+                    .collect();
+                proptest::prop_assert_eq!(off_diagonal_pairs(&lsh, &ids), naive);
+                let mut listed = Vec::new();
+                lsh.nonzero_pairs(&ids, &mut listed);
+                for (i, j) in listed {
+                    let (a, b) = (ids[i as usize], ids[j as usize]);
+                    proptest::prop_assert_eq!(
+                        lsh.relatedness(a, b).to_bits(),
+                        kore.relatedness(a, b).to_bits()
+                    );
+                }
+            }
+        }
     }
 }

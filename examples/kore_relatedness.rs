@@ -9,6 +9,7 @@
 //! Run with: `cargo run --example kore_relatedness`
 
 use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
+use aida_ned::relatedness::pair_selection::off_diagonal_pairs;
 use aida_ned::relatedness::{Kore, KoreLsh, MilneWitten, Relatedness, TwoStageConfig};
 
 fn main() {
@@ -67,15 +68,18 @@ fn main() {
     assert_eq!(mw.relatedness(cave, hallelujah), 0.0);
     assert!(kore.relatedness(cave, hallelujah) > 0.0);
 
-    // The LSH acceleration prunes unrelated pairs before exact computation.
+    // The LSH acceleration prunes unrelated pairs before exact computation:
+    // KORE-LSH lists only the pairs that share a stage-2 bucket key.
     let lsh = KoreLsh::new(&kb, TwoStageConfig::lsh_g());
     let everyone = [cash, song, city, cave, hallelujah];
-    let scoped = lsh.scoped(&everyone);
+    let surviving = off_diagonal_pairs(&lsh, &everyone);
     let all_pairs = everyone.len() * (everyone.len() - 1) / 2;
     println!(
-        "\ntwo-stage LSH: {} of {all_pairs} pairs survive pruning; the rest are\n\
-         assumed unrelated without computing exact KORE (§4.4.2).",
-        scoped.surviving_pairs()
+        "\ntwo-stage LSH: {} of {all_pairs} pairs survive pruning; the rest\n\
+         score 0 without computing exact KORE (§4.4.2).",
+        surviving.len()
     );
-    assert!(scoped.is_candidate(cave, hallelujah));
+    // Nick Cave and his song survive, with exact KORE.
+    assert!(surviving.contains(&(cave, hallelujah)));
+    assert_eq!(lsh.relatedness(cave, hallelujah), kore.relatedness(cave, hallelujah));
 }
