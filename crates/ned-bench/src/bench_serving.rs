@@ -1,41 +1,41 @@
 //! Load benchmark of the overload-robust annotation service (`ned-serve`).
 //!
-//! Drives the real AIDA pipeline through the serving layer in three modes
-//! and writes every offered-load step to `BENCH_serving.json`:
+//! Drives the real AIDA pipeline through the serving layer's deterministic
+//! discrete-event model ([`ned_serve::run_open_loop`]): requests arrive at a
+//! fixed rate in virtual time, and an integer cost model says how long each
+//! one occupies a worker slot. The open-loop sweep covers 0.5×, 1×, 2×, and
+//! 4× of nominal capacity and writes every step to `BENCH_serving.json`.
+//! Each step runs twice and must be bit-identical (the determinism contract
+//! for virtual-time load runs), so the report is the same on every machine
+//! and CI pins it with `git diff`. Overload behavior is *asserted*: at ≥ 2×
+//! capacity the queue peak never exceeds its bound, excess arrivals are
+//! rejected at admission, and deadline burn-down shows up as degraded
+//! completions.
 //!
-//! - **Open-loop, virtual time** — requests arrive at a fixed rate on the
-//!   deterministic discrete-event model ([`ned_serve::run_open_loop`]),
-//!   with service cost given by an integer cost model. The sweep covers
-//!   0.5×, 1×, 2×, and 4× of nominal capacity; each step runs twice and
-//!   must be bit-identical (the determinism contract for virtual-time load
-//!   runs). Overload behavior is *asserted*: at ≥ 2× capacity the queue
-//!   peak never exceeds its bound, excess arrivals are rejected at
-//!   admission, and deadline burn-down shows up as degraded completions.
-//! - **Open-loop, real time** — the threaded [`ned_serve::Service`] under
-//!   wall-clock arrival pacing (figures are machine-dependent; only the
-//!   accounting invariants are asserted).
-//! - **Closed-loop** — N concurrent users in submit→wait loops against the
-//!   threaded service.
+//! Before the report is written, every step row is checked against the
+//! exact conservation laws (`StepRow::violations`):
+//! `offered == accepted + rejected` and
+//! `accepted == ok + degraded + failed`, where sheds count as a flavor of
+//! failed (the `shedded` column is the sub-count, so `shedded <= failed`).
+//! Percentiles are nearest rank over a sorted slice, so they are monotone
+//! by construction.
 //!
-//! Every step row satisfies `offered == accepted + rejected` and
-//! `accepted == ok + degraded + failed` exactly (sheds count as a flavor
-//! of failed; the `shedded` column is the sub-count). The `serving_check`
-//! binary re-validates the JSON in CI.
+//! Wall-clock serving is measured elsewhere: perfbench's `serve-mixed`
+//! workload drives the threaded service, and `tests/serve_robustness.rs`
+//! checks its accounting under overload, drain and panics.
 
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use ned_aida::{AidaConfig, DeadlinePlan, JointConfig};
 use ned_obs::{names, Clock, Metrics, MetricsSnapshot};
 use ned_relatedness::{CachedRelatedness, MilneWitten};
 use ned_serve::{
-    run_open_loop, AidaHandler, OpenLoopConfig, ServeObs, ServeRequest, ServeStats, Service,
-    ServiceConfig, SimReport, SimStatus,
+    run_open_loop, AidaHandler, OpenLoopConfig, ServeObs, ServeRequest, SimReport, SimStatus,
 };
 
 use crate::setup::{Env, Scale};
 
-/// Simulated/threaded worker slots.
+/// Simulated worker slots.
 const WORKERS: usize = 2;
 /// Bounded queue capacity.
 const QUEUE_CAPACITY: usize = 32;
@@ -65,10 +65,9 @@ fn virtual_cost_ns(request: &ServeRequest, plan: &DeadlinePlan) -> u64 {
 /// Nominal mean service cost of the virtual model (for load-step sizing).
 const COST_MEAN_NS: u64 = COST_BASE_NS + 2 * COST_JITTER_NS;
 
-/// One offered-load step of any mode.
+/// One offered-load step of the virtual-time sweep.
 #[derive(Debug, Clone, PartialEq)]
 struct StepRow {
-    mode: &'static str,
     load: String,
     offered: u64,
     accepted: u64,
@@ -86,27 +85,29 @@ struct StepRow {
 }
 
 impl StepRow {
-    /// The exact conservation laws every row must satisfy.
-    fn check(&self) -> Result<(), String> {
+    /// The exact conservation laws every row must satisfy: one message per
+    /// law the row breaks, naming the law.
+    fn violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
         if self.offered != self.accepted + self.rejected {
-            return Err(format!(
-                "{} {}: offered ({}) != accepted ({}) + rejected ({})",
-                self.mode, self.load, self.offered, self.accepted, self.rejected
+            out.push(format!(
+                "{}: offered ({}) != accepted ({}) + rejected ({})",
+                self.load, self.offered, self.accepted, self.rejected
             ));
         }
         if self.accepted != self.ok + self.degraded + self.failed {
-            return Err(format!(
-                "{} {}: accepted ({}) != ok ({}) + degraded ({}) + failed ({})",
-                self.mode, self.load, self.accepted, self.ok, self.degraded, self.failed
+            out.push(format!(
+                "{}: accepted ({}) != ok ({}) + degraded ({}) + failed ({})",
+                self.load, self.accepted, self.ok, self.degraded, self.failed
             ));
         }
         if self.shedded > self.failed {
-            return Err(format!(
-                "{} {}: shedded ({}) > failed ({})",
-                self.mode, self.load, self.shedded, self.failed
+            out.push(format!(
+                "{}: shedded ({}) > failed ({})",
+                self.load, self.shedded, self.failed
             ));
         }
-        Ok(())
+        out
     }
 }
 
@@ -146,7 +147,6 @@ fn row_from_sim(load: String, report: &SimReport) -> StepRow {
         completed as f64 * 1e9 / report.makespan_ns as f64
     };
     StepRow {
-        mode: "open-virtual",
         load,
         offered: report.offered(),
         accepted: report.accepted(),
@@ -156,35 +156,6 @@ fn row_from_sim(load: String, report: &SimReport) -> StepRow {
         failed,
         shedded,
         queue_depth_peak: report.queue_depth_peak,
-        throughput_rps,
-        p50_ns: p50,
-        p95_ns: p95,
-        p99_ns: p99,
-        p999_ns: p999,
-    }
-}
-
-fn row_from_stats(
-    mode: &'static str,
-    load: String,
-    stats: &ServeStats,
-    mut latencies: Vec<u64>,
-    elapsed_s: f64,
-) -> StepRow {
-    let (p50, p95, p99, p999) = percentiles(&mut latencies);
-    let completed = stats.completed_ok + stats.completed_degraded;
-    let throughput_rps = if elapsed_s > 0.0 { completed as f64 / elapsed_s } else { 0.0 };
-    StepRow {
-        mode,
-        load,
-        offered: stats.offered(),
-        accepted: stats.accepted,
-        rejected: stats.rejected(),
-        ok: stats.completed_ok,
-        degraded: stats.completed_degraded,
-        failed: stats.failed(),
-        shedded: stats.shedded(),
-        queue_depth_peak: stats.queue_depth_peak,
         throughput_rps,
         p50_ns: p50,
         p95_ns: p95,
@@ -204,20 +175,6 @@ fn build_requests(texts: &[String], n: usize) -> Vec<ServeRequest> {
         .collect()
 }
 
-/// The benchmark's concrete handler: the real pipeline over the shared
-/// frozen KB with a metrics-instrumented relatedness cache.
-type BenchHandler =
-    AidaHandler<Arc<ned_kb::FrozenKb>, Arc<CachedRelatedness<MilneWitten<Arc<ned_kb::FrozenKb>>>>>;
-
-fn new_handler(env: &Env, metrics: &Metrics, clock: Clock) -> BenchHandler {
-    let cached =
-        Arc::new(CachedRelatedness::with_metrics(MilneWitten::new(env.frozen.clone()), metrics));
-    AidaHandler::try_new(env.frozen.clone(), cached, AidaConfig::full(), JointConfig::default())
-        .unwrap_or_else(|e| panic!("full config is valid: {e}"))
-        .with_metrics(metrics)
-        .with_clock(clock)
-}
-
 /// One virtual-time open-loop step. Returns the report and the serving
 /// counters, after cross-checking the two against each other.
 fn virtual_step(env: &Env, texts: &[String], load_x: f64, n: usize) -> (SimReport, MetricsSnapshot) {
@@ -225,7 +182,13 @@ fn virtual_step(env: &Env, texts: &[String], load_x: f64, n: usize) -> (SimRepor
         ((COST_MEAN_NS as f64) / (WORKERS as f64 * load_x)).round().max(1.0) as u64;
     let metrics = Metrics::new();
     let (clock, hand) = Clock::manual();
-    let handler = new_handler(env, &metrics, clock);
+    let cached =
+        Arc::new(CachedRelatedness::with_metrics(MilneWitten::new(env.frozen.clone()), &metrics));
+    let handler =
+        AidaHandler::try_new(env.frozen.clone(), cached, AidaConfig::full(), JointConfig::default())
+            .unwrap_or_else(|e| panic!("full config is valid: {e}"))
+            .with_metrics(&metrics)
+            .with_clock(clock);
     let obs = ServeObs::new(&metrics);
     let config = OpenLoopConfig {
         workers: WORKERS,
@@ -253,92 +216,6 @@ fn virtual_step(env: &Env, texts: &[String], load_x: f64, n: usize) -> (SimRepor
         report.count(SimStatus::Degraded)
     );
     (report, snapshot)
-}
-
-/// One real-time open-loop step: wall-clock arrival pacing against the
-/// threaded service.
-fn realtime_step(env: &Env, texts: &[String], load_label: &str, interval: Duration, n: usize) -> StepRow {
-    let metrics = Metrics::new();
-    let handler = new_handler(env, &metrics, Clock::system());
-    let service = Service::start(
-        handler,
-        ServiceConfig {
-            workers: WORKERS,
-            queue_capacity: QUEUE_CAPACITY,
-            default_deadline_ms: None,
-            clock: Clock::system(),
-            ..ServiceConfig::default()
-        },
-        &metrics,
-    )
-    .unwrap_or_else(|e| panic!("service starts: {e}"));
-    let requests = build_requests(texts, n);
-    let start = Instant::now();
-    let mut tickets = Vec::with_capacity(n);
-    for (i, request) in requests.into_iter().enumerate() {
-        let target = interval * i as u32;
-        let now = start.elapsed();
-        if now < target {
-            std::thread::sleep(target - now);
-        }
-        // Open loop: offer and move on; rejections are the service's answer.
-        if let Ok(ticket) = service.submit(request) {
-            tickets.push(ticket);
-        }
-    }
-    let latencies: Vec<u64> = tickets
-        .into_iter()
-        .map(|t| t.wait())
-        .filter(|r| r.is_ok())
-        .map(|r| r.latency_ns)
-        .collect();
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let stats = service.shutdown();
-    stats.check_conservation().unwrap_or_else(|e| panic!("service books balance: {e}"));
-    row_from_stats("open-realtime", load_label.to_string(), &stats, latencies, elapsed_s)
-}
-
-/// One closed-loop step: `users` concurrent submit→wait loops.
-fn closed_step(env: &Env, texts: &[String], users: usize, per_user: usize) -> StepRow {
-    let metrics = Metrics::new();
-    let handler = new_handler(env, &metrics, Clock::system());
-    let service = Service::start(
-        handler,
-        ServiceConfig {
-            workers: WORKERS,
-            queue_capacity: QUEUE_CAPACITY,
-            default_deadline_ms: Some(DEADLINE_MS),
-            clock: Clock::system(),
-            ..ServiceConfig::default()
-        },
-        &metrics,
-    )
-    .unwrap_or_else(|e| panic!("service starts: {e}"));
-    let latencies = Mutex::new(Vec::new());
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for user in 0..users {
-            let service = &service;
-            let latencies = &latencies;
-            scope.spawn(move || {
-                let mut local = Vec::with_capacity(per_user);
-                for k in 0..per_user {
-                    let id = (user * per_user + k) as u64;
-                    let text = texts[id as usize % texts.len()].clone();
-                    let response = service.submit_wait(ServeRequest::new(id, text));
-                    if response.is_ok() {
-                        local.push(response.latency_ns);
-                    }
-                }
-                latencies.lock().unwrap_or_else(|e| e.into_inner()).append(&mut local);
-            });
-        }
-    });
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let stats = service.shutdown();
-    stats.check_conservation().unwrap_or_else(|e| panic!("service books balance: {e}"));
-    let latencies = latencies.into_inner().unwrap_or_else(|e| e.into_inner());
-    row_from_stats("closed", format!("users={users}"), &stats, latencies, elapsed_s)
 }
 
 /// Runs the serving load benchmark.
@@ -382,40 +259,20 @@ pub fn run(scale: &Scale) {
         rows.push(row_from_sim(format!("{load_x}x"), &first));
     }
     assert!(virtual_deterministic, "virtual-time runs diverged across invocations");
-
-    // --- open-loop, real time -------------------------------------------
-    let n_realtime = (n_virtual / 2).max(50);
-    let realtime_steps = [
-        ("0.5x", Duration::from_micros(1_000)),
-        ("2x", Duration::from_micros(250)),
-        ("4x", Duration::from_micros(125)),
-    ];
-    for (label, interval) in realtime_steps {
-        rows.push(realtime_step(&env, &texts, label, interval, n_realtime));
-    }
-
-    // --- closed-loop -----------------------------------------------------
-    let per_user = (n_virtual / 5).max(20);
-    for users in [1usize, 2, 4, 8] {
-        rows.push(closed_step(&env, &texts, users, per_user));
-    }
-
-    for row in &rows {
-        row.check().unwrap_or_else(|e| panic!("step row conservation: {e}"));
-    }
+    let violations: Vec<String> = rows.iter().flat_map(StepRow::violations).collect();
+    assert!(violations.is_empty(), "serving step rows break their laws: {violations:#?}");
 
     // --- report ----------------------------------------------------------
     let mut table = ned_eval::report::Table::new(
-        "Serving — offered-load sweep (open + closed loop)",
+        "Serving — offered-load sweep (open loop, virtual time)",
         &[
-            "mode", "load", "offered", "accepted", "rejected", "ok", "degraded", "failed",
+            "load", "offered", "accepted", "rejected", "ok", "degraded", "failed",
             "shed", "q-peak", "rps", "p50 ms", "p95 ms", "p99 ms", "p999 ms",
         ],
     );
     let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
     for r in &rows {
         table.add_row(vec![
-            r.mode.to_string(),
             r.load.clone(),
             r.offered.to_string(),
             r.accepted.to_string(),
@@ -462,11 +319,10 @@ fn render_json(
     out.push_str("  \"steps\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"load\": \"{}\", \"offered\": {}, \"accepted\": {}, \
-             \"rejected\": {}, \"ok\": {}, \"degraded\": {}, \"failed\": {}, \"shedded\": {}, \
+            "    {{\"load\": \"{}\", \"offered\": {}, \"accepted\": {}, \"rejected\": {}, \
+             \"ok\": {}, \"degraded\": {}, \"failed\": {}, \"shedded\": {}, \
              \"queue_depth_peak\": {}, \"throughput_rps\": {:.3}, \"p50_ns\": {}, \
              \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}{}\n",
-            r.mode,
             r.load,
             r.offered,
             r.accepted,
@@ -504,11 +360,12 @@ fn render_json(
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn sample_row() -> StepRow {
         StepRow {
-            mode: "open-virtual",
             load: "2x".to_string(),
             offered: 100,
             accepted: 80,
@@ -528,11 +385,22 @@ mod tests {
 
     #[test]
     fn row_conservation_checks() {
-        sample_row().check().expect("books balance");
-        let broken = StepRow { accepted: 81, ..sample_row() };
-        assert!(broken.check().is_err());
-        let over_shed = StepRow { shedded: 6, ..sample_row() };
-        assert!(over_shed.check().is_err());
+        assert_eq!(sample_row().violations(), Vec::<String>::new());
+        // Each planted violation breaks exactly one law, and the check names it.
+        let cases = [
+            (
+                StepRow { rejected: 21, ..sample_row() },
+                "2x: offered (100) != accepted (80) + rejected (21)",
+            ),
+            (
+                StepRow { ok: 51, ..sample_row() },
+                "2x: accepted (80) != ok (51) + degraded (25) + failed (5)",
+            ),
+            (StepRow { shedded: 6, ..sample_row() }, "2x: shedded (6) > failed (5)"),
+        ];
+        for (row, law) in cases {
+            assert_eq!(row.violations(), vec![law.to_string()]);
+        }
     }
 
     #[test]
@@ -544,6 +412,23 @@ mod tests {
         assert_eq!(percentile_ns(&sorted, 999, 1000), 100);
         assert_eq!(percentile_ns(&[], 50, 100), 0);
         assert_eq!(percentile_ns(&[7], 999, 1000), 7);
+    }
+
+    proptest! {
+        /// Nearest rank over the sorted latencies: every percentile is one
+        /// of the latencies (0 when there are none), and they never
+        /// decrease from p50 to p99.9.
+        #[test]
+        fn percentiles_are_ordered_latencies(
+            latencies in proptest::collection::vec(any::<u64>(), 0..300)
+        ) {
+            let mut sorted = latencies.clone();
+            let (p50, p95, p99, p999) = percentiles(&mut sorted);
+            prop_assert!(p50 <= p95 && p95 <= p99 && p99 <= p999);
+            for p in [p50, p95, p99, p999] {
+                prop_assert!(latencies.contains(&p) || (latencies.is_empty() && p == 0));
+            }
+        }
     }
 
     #[test]
@@ -566,26 +451,7 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough() {
-        let rows = vec![
-            sample_row(),
-            StepRow {
-                mode: "closed",
-                load: "users=4".to_string(),
-                offered: 40,
-                accepted: 40,
-                rejected: 0,
-                ok: 40,
-                degraded: 0,
-                failed: 0,
-                shedded: 0,
-                queue_depth_peak: 4,
-                throughput_rps: 900.0,
-                p50_ns: 700_000,
-                p95_ns: 2_000_000,
-                p99_ns: 2_500_000,
-                p999_ns: 3_000_000,
-            },
-        ];
+        let rows = vec![StepRow { load: "0.5x".to_string(), ..sample_row() }, sample_row()];
         let metrics = Metrics::new();
         metrics.counter(names::SERVE_SUBMITTED).add(100);
         metrics.counter(names::SERVE_ACCEPTED).add(80);
@@ -594,8 +460,7 @@ mod tests {
         let json = render_json(&rows, true, Some(&snapshot));
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"mode\": \"open-virtual\""));
-        assert!(json.contains("\"load\": \"users=4\""));
+        assert!(json.contains("{\"load\": \"0.5x\", \"offered\": 100,"));
         assert!(json.contains("\"virtual_deterministic\": true"));
         assert!(json.contains("\"p999_ns\": 12000000"));
         assert!(json.contains("\"serve_submitted\": 100"));

@@ -24,8 +24,16 @@
 //! of the evaluation set is bit-identical to the overlay's. The whole
 //! benchmark is pure computation over fixed seeds and is executed twice;
 //! the two runs must serialize to byte-identical JSON
-//! (`virtual_deterministic`). The `streaming_check` binary re-validates
-//! the JSON in CI.
+//! (`virtual_deterministic`), so CI pins the report with `git diff`.
+//!
+//! Before the report is written, `RunOutput::violations` checks the
+//! stream's laws on the typed rounds, naming each one that breaks:
+//! promotion consumes discovered evidence (cumulative promotions never
+//! exceed cumulative discoveries); `promoted_total` and the epoch
+//! `generation` never decrease, and `promoted_total >= promotions`;
+//! `eval_linked <= eval_total`; and the EE linked accuracy lies in [0, 1],
+//! never falls from one round to the next, and ends higher than it started
+//! (the thesis' Chapter 5 claim).
 
 use std::sync::Arc;
 
@@ -72,6 +80,90 @@ struct RunOutput {
     wal_replay_consistent: bool,
     compaction_equivalent: bool,
     snapshot: MetricsSnapshot,
+}
+
+impl RunOutput {
+    /// The stream's laws over this run: one message per broken law, naming
+    /// the law and, for a per-round law, every round that breaks it.
+    fn violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if !self.wal_replay_consistent {
+            out.push("WAL replay did not reproduce the accumulated mutations".to_string());
+        }
+        if !self.compaction_equivalent {
+            out.push("the compacted KB annotated differently from the delta overlay".to_string());
+        }
+        let (mut discovered, mut promoted) = (0, 0);
+        for r in &self.rows {
+            let day = r.day;
+            discovered += r.discovered_ee;
+            promoted += r.promotions;
+            if promoted > discovered {
+                out.push(format!(
+                    "day {day}: cumulative promotions ({promoted}) > cumulative discoveries \
+                     ({discovered})"
+                ));
+            }
+            if r.promoted_total < r.promotions {
+                out.push(format!(
+                    "day {day}: promoted_total ({}) < promotions ({})",
+                    r.promoted_total, r.promotions
+                ));
+            }
+            if r.eval_linked > r.eval_total {
+                out.push(format!(
+                    "day {day}: eval_linked ({}) > eval_total ({})",
+                    r.eval_linked, r.eval_total
+                ));
+            }
+            if !(0.0..=1.0).contains(&r.ee_linked_accuracy) {
+                out.push(format!(
+                    "day {day}: ee_linked_accuracy ({}) outside [0, 1]",
+                    r.ee_linked_accuracy
+                ));
+            }
+        }
+        for w in self.rows.windows(2) {
+            let (prev, r) = (&w[0], &w[1]);
+            if r.promoted_total < prev.promoted_total {
+                out.push(format!(
+                    "day {}: promoted_total decreased ({} -> {})",
+                    r.day, prev.promoted_total, r.promoted_total
+                ));
+            }
+            if r.generation < prev.generation {
+                out.push(format!(
+                    "day {}: generation decreased ({} -> {})",
+                    r.day, prev.generation, r.generation
+                ));
+            }
+        }
+        if !accuracy_monotone(&self.rows) {
+            out.push("ee_linked_accuracy fell between rounds".to_string());
+        }
+        if !accuracy_improved(&self.rows) {
+            out.push("ee_linked_accuracy did not end higher than it started".to_string());
+        }
+        out
+    }
+}
+
+/// The EE linked accuracy never falls from one round to the next.
+fn accuracy_monotone(rows: &[RoundRow]) -> bool {
+    rows.windows(2).all(|w| w[1].ee_linked_accuracy >= w[0].ee_linked_accuracy)
+}
+
+/// The EE linked accuracy ends higher than it started: above the first
+/// round's, or above zero when the first round already promoted (the stream
+/// starts with no emerging entity in the KB, at accuracy 0).
+fn accuracy_improved(rows: &[RoundRow]) -> bool {
+    match (rows.first(), rows.last()) {
+        (Some(first), Some(last)) => {
+            last.ee_linked_accuracy > first.ee_linked_accuracy
+                || (first.promotions > 0 && last.ee_linked_accuracy > 0.0)
+        }
+        _ => false,
+    }
 }
 
 /// Annotates the evaluation set under `kb` and counts gold-EE mentions
@@ -242,18 +334,9 @@ fn run_once(env: &Env, stream_docs: &[GoldDoc], n_days: u32, wal_path: &std::pat
 
 fn render_json(output: &RunOutput, virtual_deterministic: bool) -> String {
     let mut out = String::from("{\n");
-    let accuracy_monotone = output
-        .rows
-        .windows(2)
-        .all(|w| w[1].ee_linked_accuracy >= w[0].ee_linked_accuracy);
-    let improved = match (output.rows.first(), output.rows.last()) {
-        (Some(first), Some(last)) => last.ee_linked_accuracy > first.ee_linked_accuracy
-            || (first.promotions > 0 && last.ee_linked_accuracy > 0.0),
-        _ => false,
-    };
     out.push_str(&format!("  \"virtual_deterministic\": {virtual_deterministic},\n"));
-    out.push_str(&format!("  \"accuracy_monotone\": {accuracy_monotone},\n"));
-    out.push_str(&format!("  \"accuracy_improved\": {improved},\n"));
+    out.push_str(&format!("  \"accuracy_monotone\": {},\n", accuracy_monotone(&output.rows)));
+    out.push_str(&format!("  \"accuracy_improved\": {},\n", accuracy_improved(&output.rows)));
     out.push_str(&format!(
         "  \"wal_replay_consistent\": {},\n",
         output.wal_replay_consistent
@@ -320,8 +403,8 @@ pub fn run(scale: &Scale) {
     let _ = std::fs::remove_file(&path_a);
     let _ = std::fs::remove_file(&path_b);
     assert!(virtual_deterministic, "streaming runs diverged across invocations");
-    assert!(first.wal_replay_consistent, "WAL replay must reproduce the mutation list");
-    assert!(first.compaction_equivalent, "compaction must be observationally equivalent");
+    let violations = first.violations();
+    assert!(violations.is_empty(), "the stream breaks its laws: {violations:#?}");
 
     let mut table = ned_eval::report::Table::new(
         "Streaming — incremental KB over the news stream",
@@ -410,25 +493,68 @@ mod tests {
     }
 
     #[test]
-    fn non_improving_run_is_flagged() {
-        let mut output = sample_output();
-        output.rows[1].eval_linked = 0;
-        output.rows[1].ee_linked_accuracy = 0.0;
-        output.rows[1].promotions = 0;
-        let json = render_json(&output, true);
-        assert!(json.contains("\"accuracy_improved\": false"));
+    fn a_clean_run_keeps_every_law() {
+        assert_eq!(sample_output().violations(), Vec::<String>::new());
     }
 
     #[test]
-    fn accuracy_regression_breaks_monotone_flag() {
+    fn the_evidence_law_reports_every_over_promoted_round() {
+        // Round 0 promotes without evidence; round 1 adds none, so the
+        // cumulative books are still short after it. Both are reported.
         let mut output = sample_output();
-        output.rows.push(RoundRow {
-            day: 2,
-            ee_linked_accuracy: 0.2,
-            eval_linked: 4,
-            ..output.rows[1].clone()
-        });
-        let json = render_json(&output, true);
-        assert!(json.contains("\"accuracy_monotone\": false"));
+        output.rows[0] = RoundRow {
+            discovered_ee: 0,
+            promotions: 1,
+            promoted_total: 1,
+            generation: 1,
+            eval_linked: 8,
+            ee_linked_accuracy: 0.4,
+            ..output.rows[0].clone()
+        };
+        output.rows[1] = RoundRow { day: 1, promotions: 0, ..output.rows[0].clone() };
+        assert_eq!(
+            output.violations(),
+            vec![
+                "day 0: cumulative promotions (1) > cumulative discoveries (0)".to_string(),
+                "day 1: cumulative promotions (1) > cumulative discoveries (0)".to_string(),
+            ]
+        );
+    }
+
+    #[test]
+    fn each_planted_violation_names_its_law() {
+        type Plant = fn(&mut RunOutput);
+        let cases: [(Plant, &str); 9] = [
+            (|o| o.wal_replay_consistent = false, "WAL replay did not reproduce"),
+            (|o| o.compaction_equivalent = false, "the compacted KB annotated differently"),
+            (|o| o.rows[0].promoted_total = 3, "day 1: promoted_total decreased (3 -> 2)"),
+            (|o| o.rows[0].generation = 2, "day 1: generation decreased (2 -> 1)"),
+            (|o| o.rows[1].promotions = 3, "day 1: promoted_total (2) < promotions (3)"),
+            (|o| o.rows[1].eval_linked = 21, "day 1: eval_linked (21) > eval_total (20)"),
+            (
+                |o| o.rows[1].ee_linked_accuracy = 1.5,
+                "day 1: ee_linked_accuracy (1.5) outside [0, 1]",
+            ),
+            (
+                |o| {
+                    let fallen = RoundRow { day: 2, ee_linked_accuracy: 0.2, ..o.rows[1].clone() };
+                    o.rows.push(fallen);
+                },
+                "ee_linked_accuracy fell between rounds",
+            ),
+            (
+                |o| o.rows[1].ee_linked_accuracy = 0.0,
+                "ee_linked_accuracy did not end higher than it started",
+            ),
+        ];
+        for (plant, law) in cases {
+            let mut output = sample_output();
+            plant(&mut output);
+            let violations = output.violations();
+            assert!(
+                violations.len() == 1 && violations[0].starts_with(law),
+                "expected only `{law}`, got {violations:?}"
+            );
+        }
     }
 }

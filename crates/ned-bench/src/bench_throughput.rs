@@ -9,7 +9,9 @@
 //! frozen KB's footprint — no wall-clock figures: the perfbench workloads
 //! (`perfbench/`) measure speed, with repeated runs. Results are printed as
 //! a table and written to `BENCH_throughput.json`, `BENCH_kb_memory.json`,
-//! and `metrics.json` in the working directory.
+//! and `metrics.json` in the working directory. CI diffs `metrics.json`
+//! against `fixtures/metrics_quick.json`: its counters are exact for the
+//! fixed seed, so any drift is a behaviour change.
 //!
 //! Each sweep run carries its own [`ned_obs::Metrics`] registry; the bench
 //! asserts that the full metrics snapshot — every counter and histogram
@@ -17,6 +19,16 @@
 //! determinism contract), and that a metrics-disabled run produces
 //! byte-identical annotations to the instrumented ones (the zero-overhead
 //! contract).
+//!
+//! The cache sweep bounds the relatedness cache per eviction policy at
+//! ascending byte caps, ending with an unbounded row. Before the report is
+//! written, `sweep_violations` checks its laws on the typed rows, naming
+//! each one that breaks: `misses == inserts + admit_rejected +
+//! stale_discards`, `inserts == evictions + live_entries`, `bytes ==
+//! live_entries × ENTRY_BYTES`, `bytes <= peak_bytes <= cap_bytes`, a
+//! bit-identical rerun, outcomes equal to the unbounded baseline, and a hit
+//! rate that never falls as the cap grows, per policy. `lookups == hits +
+//! misses` holds because the bench computes `lookups` that way.
 //!
 //! Because the harness installs the counting allocator (see
 //! `ned_obs::alloc`), every stage also reports its allocation-event count:
@@ -33,7 +45,9 @@ use ned_aida::scratch::with_scratch;
 use ned_aida::similarity::simscores_batch;
 use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting, SimObs};
 use ned_eval::report::{num, Table};
-use ned_relatedness::{CacheConfig, CachedRelatedness, EvictionPolicy, MilneWitten};
+use ned_relatedness::{
+    CacheConfig, CachedRelatedness, EvictionPolicy, MilneWitten, ENTRY_BYTES,
+};
 
 use crate::alloc_events;
 use crate::runner::{run_method_with_threads, Evaluation};
@@ -58,8 +72,8 @@ struct Run {
 /// One row of the hit-rate-vs-memory-cap cache sweep: a single-threaded
 /// pipeline pass with the relatedness cache bounded to `cap_bytes` under
 /// `policy` (`cap_bytes: None` is the unbounded reference row). The
-/// counters come from the run's metrics snapshot, so `cache_check` in CI
-/// re-verifies the same conservation laws the unit harness proves.
+/// counters come from the run's metrics snapshot, so [`sweep_violations`]
+/// checks the same conservation laws the unit harness proves.
 #[derive(Debug, Clone)]
 struct CacheSweepRow {
     policy: &'static str,
@@ -81,6 +95,13 @@ struct CacheSweepRow {
     outcomes_match_unbounded: bool,
 }
 
+impl CacheSweepRow {
+    /// The cap in bytes, or "unbounded" for the reference row.
+    fn cap_label(&self) -> String {
+        self.cap_bytes.map_or_else(|| "unbounded".to_string(), |c| c.to_string())
+    }
+}
+
 /// One stage's allocation accounting for the report and the ratchet.
 #[derive(Debug, Clone, Copy)]
 struct StageAlloc {
@@ -89,6 +110,58 @@ struct StageAlloc {
     /// What `per_unit` divides by ("doc", "pair", "mention").
     unit: &'static str,
     per_unit: f64,
+}
+
+/// The cache sweep's laws: one message per broken law, naming the law and
+/// the row. Rows come policy by policy, each with ascending caps and the
+/// unbounded row last, as `run` builds them.
+fn sweep_violations(rows: &[CacheSweepRow]) -> Vec<String> {
+    let mut out = Vec::new();
+    for r in rows {
+        let ctx = format!("{} cap {}", r.policy, r.cap_label());
+        if r.misses != r.inserts + r.admit_rejected + r.stale_discards {
+            out.push(format!(
+                "{ctx}: misses ({}) != inserts ({}) + admit_rejected ({}) + stale_discards ({})",
+                r.misses, r.inserts, r.admit_rejected, r.stale_discards
+            ));
+        }
+        if r.inserts != r.evictions + r.live_entries {
+            out.push(format!(
+                "{ctx}: inserts ({}) != evictions ({}) + live_entries ({})",
+                r.inserts, r.evictions, r.live_entries
+            ));
+        }
+        if r.bytes != r.live_entries * ENTRY_BYTES {
+            out.push(format!(
+                "{ctx}: bytes ({}) != live_entries ({}) * {ENTRY_BYTES}",
+                r.bytes, r.live_entries
+            ));
+        }
+        if r.bytes > r.peak_bytes {
+            out.push(format!("{ctx}: bytes ({}) > peak_bytes ({})", r.bytes, r.peak_bytes));
+        }
+        if r.cap_bytes.is_some_and(|cap| r.peak_bytes > cap) {
+            out.push(format!("{ctx}: peak_bytes ({}) > cap_bytes", r.peak_bytes));
+        }
+        if !r.rerun_deterministic {
+            out.push(format!("{ctx}: rerun was not bit-identical"));
+        }
+        if !r.outcomes_match_unbounded {
+            out.push(format!("{ctx}: bounding the cache changed annotation outcomes"));
+        }
+    }
+    for w in rows.windows(2).filter(|w| w[0].policy == w[1].policy) {
+        if w[1].hit_rate < w[0].hit_rate {
+            out.push(format!(
+                "{} cap {}: hit rate fell as the cap grew ({} -> {})",
+                w[1].policy,
+                w[1].cap_label(),
+                w[0].hit_rate,
+                w[1].hit_rate
+            ));
+        }
+    }
+    out
 }
 
 /// Byte-level equality of two evaluations (labels, confidence bits, and
@@ -185,7 +258,7 @@ pub fn run(scale: &Scale) {
     // policy and byte cap, each executed twice — the metrics snapshots
     // (gauges included) must match bit for bit across reruns, and the
     // annotation outcomes must equal the unbounded baseline (memoization
-    // is an optimization, never a result). The rows feed `cache_check`.
+    // is an optimization, never a result).
     let cache_caps: [Option<u64>; 6] = [
         Some(256 * 1024),
         Some(512 * 1024),
@@ -245,14 +318,8 @@ pub fn run(scale: &Scale) {
             });
         }
     }
-    assert!(
-        cache_rows.iter().all(|r| r.rerun_deterministic),
-        "a bounded cache run was not reproducible"
-    );
-    assert!(
-        cache_rows.iter().all(|r| r.outcomes_match_unbounded),
-        "a bounded cache changed annotation outcomes"
-    );
+    let violations = sweep_violations(&cache_rows);
+    assert!(violations.is_empty(), "the cache sweep breaks its laws: {violations:#?}");
 
     // Every document's context, built once, with each mention and its
     // candidates, over the frozen read path.
@@ -354,7 +421,7 @@ pub fn run(scale: &Scale) {
     for r in &cache_rows {
         cache_table.add_row(vec![
             r.policy.to_string(),
-            r.cap_bytes.map_or_else(|| "unbounded".to_string(), |c| c.to_string()),
+            r.cap_label(),
             num(r.hit_rate, 4),
             r.evictions.to_string(),
             r.admit_rejected.to_string(),
@@ -510,7 +577,7 @@ fn render_json(
     out.push_str("  },\n");
     out.push_str(&format!(
         "  \"cache_sweep\": {{\n    \"entry_bytes\": {},\n    \"rows\": [\n",
-        ned_relatedness::ENTRY_BYTES
+        ENTRY_BYTES
     ));
     for (i, r) in cache_rows.iter().enumerate() {
         let cap = r.cap_bytes.map_or_else(|| "null".to_string(), |c| c.to_string());
@@ -553,6 +620,81 @@ fn render_json(
 mod tests {
     use super::*;
 
+    /// A balanced sweep: an LRU row at a 256 KiB cap, LRU's unbounded row,
+    /// and a frequency-gated row whose lower hit rate must not be compared
+    /// with LRU's.
+    fn sample_sweep() -> Vec<CacheSweepRow> {
+        let capped = CacheSweepRow {
+            policy: "lru",
+            cap_bytes: Some(262_144),
+            lookups: 1000,
+            hits: 600,
+            misses: 400,
+            inserts: 380,
+            evictions: 300,
+            admit_rejected: 20,
+            stale_discards: 0,
+            live_entries: 80,
+            bytes: 7680,
+            peak_bytes: 262_080,
+            hit_rate: 0.6,
+            rerun_deterministic: true,
+            outcomes_match_unbounded: true,
+        };
+        let unbounded = CacheSweepRow {
+            cap_bytes: None,
+            hits: 700,
+            misses: 300,
+            inserts: 300,
+            evictions: 0,
+            admit_rejected: 0,
+            live_entries: 300,
+            bytes: 28_800,
+            peak_bytes: 28_800,
+            hit_rate: 0.7,
+            ..capped.clone()
+        };
+        let gated = CacheSweepRow { policy: "tinylfu_slru", hit_rate: 0.5, ..capped.clone() };
+        vec![capped, unbounded, gated]
+    }
+
+    #[test]
+    fn each_planted_sweep_violation_names_its_law() {
+        assert_eq!(sweep_violations(&sample_sweep()), Vec::<String>::new());
+        type Plant = fn(&mut [CacheSweepRow]);
+        let cases: [(Plant, &str); 8] = [
+            (
+                |r| r[0].misses = 401,
+                "lru cap 262144: misses (401) != inserts (380) + admit_rejected (20) + \
+                 stale_discards (0)",
+            ),
+            (
+                |r| r[0].evictions = 299,
+                "lru cap 262144: inserts (380) != evictions (299) + live_entries (80)",
+            ),
+            (|r| r[0].bytes = 7681, "lru cap 262144: bytes (7681) != live_entries (80) * 96"),
+            (|r| r[1].peak_bytes = 28_799, "lru cap unbounded: bytes (28800) > peak_bytes (28799)"),
+            (|r| r[0].peak_bytes = 262_145, "lru cap 262144: peak_bytes (262145) > cap_bytes"),
+            (
+                |r| r[1].rerun_deterministic = false,
+                "lru cap unbounded: rerun was not bit-identical",
+            ),
+            (
+                |r| r[1].outcomes_match_unbounded = false,
+                "lru cap unbounded: bounding the cache changed annotation outcomes",
+            ),
+            (
+                |r| r[1].hit_rate = 0.5,
+                "lru cap unbounded: hit rate fell as the cap grew (0.6 -> 0.5)",
+            ),
+        ];
+        for (plant, law) in cases {
+            let mut rows = sample_sweep();
+            plant(&mut rows);
+            assert_eq!(sweep_violations(&rows), vec![law.to_string()]);
+        }
+    }
+
     #[test]
     fn json_is_well_formed_enough() {
         let runs = vec![
@@ -592,49 +734,14 @@ mod tests {
                 per_unit: 0.0,
             },
         ];
-        let cache_rows = vec![
-            CacheSweepRow {
-                policy: "lru",
-                cap_bytes: Some(262_144),
-                lookups: 1000,
-                hits: 600,
-                misses: 400,
-                inserts: 380,
-                evictions: 300,
-                admit_rejected: 20,
-                stale_discards: 0,
-                live_entries: 80,
-                bytes: 7680,
-                peak_bytes: 262_080,
-                hit_rate: 0.6,
-                rerun_deterministic: true,
-                outcomes_match_unbounded: true,
-            },
-            CacheSweepRow {
-                policy: "tinylfu_slru",
-                cap_bytes: None,
-                lookups: 1000,
-                hits: 700,
-                misses: 300,
-                inserts: 300,
-                evictions: 0,
-                admit_rejected: 0,
-                stale_discards: 0,
-                live_entries: 300,
-                bytes: 28800,
-                peak_bytes: 28800,
-                hit_rate: 0.7,
-                rerun_deterministic: true,
-                outcomes_match_unbounded: true,
-            },
-        ];
+        let cache_rows = sample_sweep();
         let json = render_json(20, 100, &runs, true, &stats, &snapshot, true, &stages, &cache_rows);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"cache_sweep\""));
         assert!(json.contains("\"entry_bytes\": 96"));
         assert!(json.contains("\"policy\": \"lru\""));
         assert!(json.contains("\"cap_bytes\": 262144"));
-        assert!(json.contains("\"cap_bytes\": null, \"bounded\": false"));
+        assert!(json.contains("\"policy\": \"lru\", \"cap_bytes\": null, \"bounded\": false"));
         assert!(json.contains("\"rerun_deterministic\": true"));
         assert!(json.contains("\"outcomes_match_unbounded\": true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -39,14 +39,10 @@ use ned_wikigen::{ExportedKb, World};
 /// Removes `--flag <value>` from `args` and parses the value.
 fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Option<u64> {
     let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
+    let Some(value) = args.get(pos + 1).and_then(|v| v.parse().ok()) else {
         eprintln!("{flag} expects a number");
         std::process::exit(2);
-    }
-    let value = args[pos + 1].parse().unwrap_or_else(|_| {
-        eprintln!("{flag} expects a number");
-        std::process::exit(2);
-    });
+    };
     args.drain(pos..=pos + 1);
     Some(value)
 }
@@ -154,9 +150,10 @@ fn main() {
 
     let text = if args.is_empty() {
         // No input: annotate a freshly generated document so the demo works
-        // out of the box (the synthetic vocabulary is the world's own).
+        // out of the box (the synthetic vocabulary is the world's own). An
+        // empty corpus gives empty text, which the pipeline short-circuits.
         let corpus = conll_like(&world, &exported, 42, 1);
-        corpus.docs[0].text()
+        corpus.docs.first().map(|d| d.text()).unwrap_or_default()
     } else {
         args.join(" ")
     };

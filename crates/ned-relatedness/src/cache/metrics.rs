@@ -39,7 +39,7 @@ impl CacheCounters {
     /// Applies one completed lookup's events. Exactly one of hit/miss is
     /// counted per completed lookup, and every miss lands in exactly one
     /// of insert / admit-reject / stale-discard — the conservation laws
-    /// the model harness and `cache_check` re-verify.
+    /// the model harness and the `bench_throughput` cache sweep check.
     pub fn apply(&self, events: &LookupEvents) {
         if events.hit {
             self.hits.inc();

@@ -36,7 +36,8 @@ pub enum EvictionPolicy {
 }
 
 impl EvictionPolicy {
-    /// Stable label used in benchmark reports and `cache_check` rows.
+    /// Stable label used in benchmark reports (the cache sweep rows of
+    /// `BENCH_throughput.json`).
     pub fn label(self) -> &'static str {
         match self {
             EvictionPolicy::Lru => "lru",

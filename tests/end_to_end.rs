@@ -8,7 +8,7 @@ use aida_ned::aida::baselines::PriorOnly;
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
 use aida_ned::eval::gold::Label;
 use aida_ned::eval::{macro_accuracy, micro_accuracy};
-use aida_ned::kb::snapshot::{read_snapshot, write_snapshot};
+use aida_ned::kb::snapshot::{read_frozen_snapshot, write_frozen_snapshot};
 use aida_ned::kb::FrozenKb;
 use aida_ned::relatedness::{Kore, MilneWitten, Relatedness};
 use aida_ned::wikigen::config::WorldConfig;
@@ -90,8 +90,8 @@ fn snapshot_roundtrip_preserves_disambiguation_behaviour() {
     let corpus = conll_like(&world, &exported, 8, 6);
 
     let mut buf = Vec::new();
-    write_snapshot(&exported.kb, &mut buf).expect("snapshot written");
-    let restored = FrozenKb::freeze(&read_snapshot(buf.as_slice()).expect("snapshot read"));
+    write_frozen_snapshot(&kb, &mut buf).expect("snapshot written");
+    let restored = read_frozen_snapshot(buf.as_slice()).expect("snapshot read");
     assert_eq!(restored.entity_count(), kb.entity_count());
 
     let aida_orig = Disambiguator::new(&kb, MilneWitten::new(&kb), AidaConfig::full());
