@@ -24,7 +24,10 @@
 //! of the evaluation set is bit-identical to the overlay's. The whole
 //! benchmark is pure computation over fixed seeds and is executed twice;
 //! the two runs must serialize to byte-identical JSON
-//! (`virtual_deterministic`), so CI pins the report with `git diff`.
+//! (`virtual_deterministic`), so CI pins the report with `git diff`. The
+//! report's `fingerprint` (FNV-1a over every discovered label, in stream
+//! order, then the WAL bytes) pins the discovery labels and the appended
+//! mutations bit for bit, beyond the per-round aggregates.
 //!
 //! Before the report is written, `RunOutput::violations` checks the
 //! stream's laws on the typed rounds, naming each one that breaks:
@@ -77,9 +80,20 @@ struct RoundRow {
 #[derive(Debug, Clone, PartialEq)]
 struct RunOutput {
     rows: Vec<RoundRow>,
+    /// FNV-1a over every discovered label (entity id, `u32::MAX` for an
+    /// emerging label), document by document, then over the WAL bytes.
+    fingerprint: u64,
     wal_replay_consistent: bool,
     compaction_equivalent: bool,
     snapshot: MetricsSnapshot,
+}
+
+/// The FNV-1a offset basis: the fingerprint of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of `bytes`, continuing from the fingerprint `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 impl RunOutput {
@@ -238,6 +252,7 @@ fn run_once(env: &Env, stream_docs: &[GoldDoc], n_days: u32, wal_path: &std::pat
         stream_docs.iter().filter(|d| d.out_of_kb_count() > 0).cloned().collect();
 
     let mut rows = Vec::new();
+    let mut fingerprint = FNV_OFFSET;
     for day in 0..n_days {
         let day_docs: Vec<&GoldDoc> =
             stream_docs.iter().filter(|d| d.day == day).collect();
@@ -260,6 +275,9 @@ fn run_once(env: &Env, stream_docs: &[GoldDoc], n_days: u32, wal_path: &std::pat
         for doc in &day_docs {
             let mentions = doc.bare_mentions();
             let (labels, _) = discovery.discover(&doc.tokens, &mentions);
+            for label in &labels {
+                fingerprint = fnv1a(fingerprint, &label.map_or(u32::MAX, |e| e.0).to_le_bytes());
+            }
             for (mention, label) in mentions.iter().zip(&labels) {
                 if label.is_none() {
                     discovered_ee += 1;
@@ -315,6 +333,7 @@ fn run_once(env: &Env, stream_docs: &[GoldDoc], n_days: u32, wal_path: &std::pat
     let replay =
         ned_kb::wal::replay(&bytes).unwrap_or_else(|e| panic!("clean WAL replays: {e}"));
     let wal_replay_consistent = replay.mutations == accumulated;
+    fingerprint = fnv1a(fingerprint, &bytes);
 
     // --- integrity: compaction is observationally equivalent -------------
     let (_, final_epoch) = handle.current();
@@ -329,7 +348,13 @@ fn run_once(env: &Env, stream_docs: &[GoldDoc], n_days: u32, wal_path: &std::pat
         }
     };
 
-    RunOutput { rows, wal_replay_consistent, compaction_equivalent, snapshot: metrics.snapshot() }
+    RunOutput {
+        rows,
+        fingerprint,
+        wal_replay_consistent,
+        compaction_equivalent,
+        snapshot: metrics.snapshot(),
+    }
 }
 
 fn render_json(output: &RunOutput, virtual_deterministic: bool) -> String {
@@ -345,6 +370,7 @@ fn render_json(output: &RunOutput, virtual_deterministic: bool) -> String {
         "  \"compaction_equivalent\": {},\n",
         output.compaction_equivalent
     ));
+    out.push_str(&format!("  \"fingerprint\": \"{:#018x}\",\n", output.fingerprint));
     out.push_str("  \"rounds\": [\n");
     for (i, r) in output.rows.iter().enumerate() {
         out.push_str(&format!(
@@ -473,6 +499,7 @@ mod tests {
                     ee_linked_accuracy: 0.4,
                 },
             ],
+            fingerprint: FNV_OFFSET,
             wal_replay_consistent: true,
             compaction_equivalent: true,
             snapshot: Metrics::new().snapshot(),
@@ -489,6 +516,7 @@ mod tests {
         assert!(json.contains("\"accuracy_improved\": true"));
         assert!(json.contains("\"ee_linked_accuracy\": 0.400000"));
         assert!(json.contains("\"kb_wal_records\": 0"));
+        assert!(json.contains("\"fingerprint\": \"0xcbf29ce484222325\""));
         assert!(!json.contains(",\n  }"));
     }
 

@@ -10,14 +10,17 @@
 //! in-KB candidates' count, and `α = |KB| / |news chunk|` balances the
 //! collection sizes.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::Hasher;
+use std::ops::Range;
 
 use ned_eval::gold::GoldDoc;
-use ned_kb::fx::FxHashMap;
+use ned_kb::fx::{FxHashMap, FxHasher};
 use ned_kb::{KbView, PhraseId, WordId};
-use ned_text::{Mention, PosTagger};
+use ned_text::{Mention, PosTagger, Token};
 
-use crate::harvest::TaggedDoc;
+use crate::harvest::{push_surface, TaggedDoc};
 
 /// The keyphrase model of one potential emerging entity (one per name).
 #[derive(Debug, Clone, Default)]
@@ -74,104 +77,235 @@ impl Default for EeModelConfig {
     }
 }
 
-/// The word ids of a (lowercased) surface, sorted and deduplicated; words
-/// `word_id` does not know are dropped.
-fn kb_words(surface: &str, word_id: impl FnMut(&str) -> Option<WordId>) -> Vec<WordId> {
-    let mut words: Vec<WordId> = surface.split_whitespace().filter_map(word_id).collect();
-    words.sort_unstable();
-    words.dedup();
-    words
+/// Entry `id`'s range in a buffer whose entries end at `ends`.
+fn entry(ends: &[usize], id: usize) -> Range<usize> {
+    let start = id.checked_sub(1).and_then(|prev| ends.get(prev)).copied().unwrap_or(0);
+    start..ends.get(id).copied().unwrap_or(start)
 }
 
-/// Lowercased phrase surfaces harvested in one [`NameModels::build`] call,
-/// interned, each with its KB word ids once looked up.
+/// Strings interned into one buffer: string `i` is the [`entry`] `i` of
+/// `text` under `ends`. A string is found by its hash and compared with
+/// the arena's strings of that hash, so interning allocates nothing per
+/// string beyond the buffers' growth.
+#[derive(Debug, Default)]
+struct Arena {
+    text: String,
+    ends: Vec<usize>,
+    by_hash: FxHashMap<u64, usize>,
+    /// Strings whose hash an earlier string had already taken.
+    colliding: Vec<(u64, usize)>,
+}
+
+impl Arena {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, id: usize) -> &str {
+        self.text.get(entry(&self.ends, id)).unwrap_or("")
+    }
+
+    /// Interns the string `push` appends to the buffer: its id, and whether
+    /// it is new. A string the arena already holds is cut off again.
+    fn intern_with(&mut self, push: impl FnOnce(&mut String)) -> (usize, bool) {
+        let start = self.text.len();
+        push(&mut self.text);
+        let s = self.text.get(start..).unwrap_or("");
+        let mut hasher = FxHasher::default();
+        hasher.write(s.as_bytes());
+        let h = hasher.finish();
+        let is_it = |id: &usize| self.get(*id) == s;
+        let found = self.by_hash.get(&h).copied().filter(is_it).or_else(|| {
+            self.colliding.iter().filter(|&&(x, _)| x == h).map(|&(_, id)| id).find(is_it)
+        });
+        if let Some(id) = found {
+            self.text.truncate(start);
+            return (id, false);
+        }
+        let id = self.ends.len();
+        self.ends.push(self.text.len());
+        match self.by_hash.entry(h) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+            }
+            Entry::Occupied(_) => self.colliding.push((h, id)),
+        }
+        (id, true)
+    }
+}
+
+/// The lowercased phrase surfaces harvested in one [`NameModels::build`]
+/// call, interned into one arena, each with its KB word run (sorted and
+/// deduplicated; words the KB does not know are dropped) computed when the
+/// surface is first interned.
 #[derive(Debug, Default)]
 struct Surfaces {
-    ids: FxHashMap<String, usize>,
-    text: Vec<String>,
-    words: Vec<Option<Vec<WordId>>>,
-    /// The KB id of every word looked up so far.
-    word_ids: FxHashMap<String, Option<WordId>>,
+    text: Arena,
+    /// Surface `i`'s run is the [`entry`] `i` of `runs` under `run_ends`.
+    runs: Vec<WordId>,
+    run_ends: Vec<usize>,
+    /// Every word of an interned surface, with its KB id.
+    words: Arena,
+    word_ids: Vec<Option<WordId>>,
+    /// The run being built.
+    run: Vec<WordId>,
 }
 
 impl Surfaces {
-    fn intern(&mut self, surface: &str) -> usize {
-        if let Some(&id) = self.ids.get(surface) {
-            return id;
+    /// The id of the lowercased surface of the phrase `tokens`.
+    fn intern<K: KbView + ?Sized>(&mut self, kb: &K, tokens: &[Token]) -> usize {
+        let (id, new) = self.text.intern_with(|out| push_surface(tokens, out));
+        if new {
+            self.run.clear();
+            for word in self.text.get(id).split_whitespace() {
+                let (w, new_word) = self.words.intern_with(|out| out.push_str(word));
+                if new_word {
+                    self.word_ids.push(kb.word_id(word));
+                }
+                self.run.extend(self.word_ids.get(w).copied().flatten());
+            }
+            self.run.sort_unstable();
+            self.run.dedup();
+            self.runs.extend_from_slice(&self.run);
+            self.run_ends.push(self.runs.len());
         }
-        let id = self.text.len();
-        self.ids.insert(surface.to_owned(), id);
-        self.text.push(surface.to_owned());
-        self.words.push(None);
         id
     }
 
-    fn text(&self, id: usize) -> &str {
-        self.text.get(id).map_or("", String::as_str)
+    fn len(&self) -> usize {
+        self.text.len()
     }
 
-    /// Surface `id` and its KB word ids (see [`kb_words`]), memoized.
-    fn get<K: KbView + ?Sized>(&mut self, kb: &K, id: usize) -> (&str, &[WordId]) {
-        let Surfaces { text, words, word_ids, .. } = self;
-        let text = text.get(id).map_or("", String::as_str);
-        let Some(slot) = words.get_mut(id) else { return (text, &[]) };
-        let words = slot.get_or_insert_with(|| {
-            kb_words(text, |w| match word_ids.get(w) {
-                Some(&known) => known,
-                None => {
-                    let known = kb.word_id(w);
-                    word_ids.insert(w.to_owned(), known);
-                    known
-                }
-            })
-        });
-        (text, words)
+    fn text(&self, id: usize) -> &str {
+        self.text.get(id)
+    }
+
+    /// The KB word run of surface `id`.
+    fn run(&self, id: usize) -> &[WordId] {
+        self.runs.get(entry(&self.run_ends, id)).unwrap_or(&[])
+    }
+
+    /// The rank of every surface in the order of the surface texts: ties of
+    /// the adjusted count break by rank, as by the texts themselves.
+    fn ranks(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_unstable_by(|&a, &b| self.text(a).cmp(self.text(b)));
+        let mut rank = vec![0; order.len()];
+        for (r, &id) in order.iter().enumerate() {
+            if let Some(slot) = rank.get_mut(id) {
+                *slot = r;
+            }
+        }
+        rank
+    }
+}
+
+/// `surface.to_lowercase() == lowered`, comparing an ASCII `surface` byte
+/// by byte instead of lowercasing it.
+fn lowercases_to(surface: &str, lowered: &str) -> bool {
+    if surface.is_ascii() {
+        surface.len() == lowered.len()
+            && surface.bytes().zip(lowered.bytes()).all(|(a, b)| a.to_ascii_lowercase() == b)
+    } else {
+        surface.to_lowercase() == lowered
     }
 }
 
 /// One keyphrase of an in-KB candidate, prepared for the subtraction.
 #[derive(Debug)]
-struct KbPhrase {
+struct KbPhrase<'k> {
     phrase: PhraseId,
-    /// Word set (sorted, deduplicated).
-    words: Vec<WordId>,
+    /// Its sorted, deduplicated word run ([`KbView::phrase_runs`]).
+    words: &'k [WordId],
     count: u64,
+}
+
+/// Where a word's postings lie in [`Subtraction::postings`]; valid only
+/// while `stamp` is the subtraction's current one.
+#[derive(Debug, Clone, Copy, Default)]
+struct Postings {
+    stamp: u32,
+    start: usize,
+    len: usize,
 }
 
 /// The in-KB side of one name's model difference: its candidates'
 /// keyphrases, with word → phrase postings for the fuzzy match, so a
 /// harvested phrase is only compared with the candidate phrases it shares
-/// a word with.
-struct Subtraction {
-    phrases: Vec<KbPhrase>,
-    /// `(word, phrase index)` pairs, sorted.
-    postings: Vec<(WordId, usize)>,
+/// a word with. One subtraction serves every name of a build: each
+/// [`Subtraction::prepare`] takes a new stamp, which empties the per-word
+/// table without clearing it.
+#[derive(Debug, Default)]
+struct Subtraction<'k> {
+    phrases: Vec<KbPhrase<'k>>,
+    /// Phrase indexes grouped by word, each group in phrase order.
+    postings: Vec<usize>,
+    /// Per KB word id, its group of `postings`.
+    table: Vec<Postings>,
+    stamp: u32,
+    /// The words with postings for the current name.
+    words: Vec<WordId>,
     /// Per phrase, the words it shares with the surface being matched.
     shared: Vec<usize>,
     /// Phrases with a non-zero `shared` entry.
     touched: Vec<usize>,
 }
 
-impl Subtraction {
-    fn new<K: KbView + ?Sized>(kb: &K, name: &str) -> Self {
-        let phrases: Vec<KbPhrase> = kb
-            .candidates(name)
-            .iter()
-            .flat_map(|c| kb.keyphrases(c.entity))
-            .map(|ep| {
-                let mut words = kb.phrase_words(ep.phrase).to_vec();
-                words.sort_unstable();
-                words.dedup();
-                KbPhrase { phrase: ep.phrase, words, count: ep.count }
-            })
-            .collect();
-        let mut postings = Vec::new();
-        for (i, p) in phrases.iter().enumerate() {
-            postings.extend(p.words.iter().map(|&w| (w, i)));
+impl<'k> Subtraction<'k> {
+    /// Takes in the candidates' keyphrases of `name`.
+    fn prepare<K: KbView + ?Sized>(&mut self, kb: &'k K, name: &str) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.table.fill(Postings::default());
+            self.stamp = 1;
         }
-        postings.sort_unstable();
-        let shared = vec![0; phrases.len()];
-        Subtraction { phrases, postings, shared, touched: Vec::new() }
+        if self.table.len() < kb.word_count() {
+            self.table.resize(kb.word_count(), Postings::default());
+        }
+        let runs = kb.phrase_runs();
+        self.phrases.clear();
+        self.phrases.extend(kb.candidates(name).iter().flat_map(|c| {
+            kb.keyphrases(c.entity).iter().map(|ep| KbPhrase {
+                phrase: ep.phrase,
+                words: runs.run(ep.phrase),
+                count: ep.count,
+            })
+        }));
+        // Count each word's postings, lay the groups out, then fill them.
+        self.words.clear();
+        for p in &self.phrases {
+            for &w in p.words {
+                if let Some(slot) = self.table.get_mut(w.index()) {
+                    if slot.stamp != self.stamp {
+                        *slot = Postings { stamp: self.stamp, start: 0, len: 0 };
+                        self.words.push(w);
+                    }
+                    slot.len += 1;
+                }
+            }
+        }
+        let mut next = 0;
+        for w in &self.words {
+            if let Some(slot) = self.table.get_mut(w.index()) {
+                slot.start = next;
+                next += slot.len;
+                slot.len = 0;
+            }
+        }
+        self.postings.clear();
+        self.postings.resize(next, 0);
+        for (i, p) in self.phrases.iter().enumerate() {
+            for &w in p.words {
+                if let Some(slot) = self.table.get_mut(w.index()) {
+                    if let Some(posting) = self.postings.get_mut(slot.start + slot.len) {
+                        *posting = i;
+                    }
+                    slot.len += 1;
+                }
+            }
+        }
+        self.shared.clear();
+        self.shared.resize(self.phrases.len(), 0);
     }
 
     /// The candidate count `c` of a harvested phrase with KB word set
@@ -184,8 +318,10 @@ impl Subtraction {
     /// side.
     fn count<K: KbView + ?Sized>(&mut self, kb: &K, surface: &str, words: &[WordId]) -> f64 {
         for &w in words {
-            let from = self.postings.partition_point(|&(pw, _)| pw < w);
-            for &(_, i) in self.postings.iter().skip(from).take_while(|&&(pw, _)| pw == w) {
+            let Some(slot) = self.table.get(w.index()).filter(|s| s.stamp == self.stamp) else {
+                continue;
+            };
+            for &i in self.postings.get(slot.start..slot.start + slot.len).unwrap_or_default() {
                 if let Some(n) = self.shared.get_mut(i) {
                     if *n == 0 {
                         self.touched.push(i);
@@ -206,7 +342,7 @@ impl Subtraction {
             // word.
             if inter == words.len()
                 && inter == p.words.len()
-                && kb.phrase_surface(p.phrase).to_lowercase() == surface
+                && lowercases_to(kb.phrase_surface(p.phrase), surface)
             {
                 exact += p.count;
             }
@@ -220,44 +356,80 @@ impl Subtraction {
     }
 }
 
+/// One name's harvested counts `b`, dense over the build's surface ids and
+/// reused from name to name, with the buffer its model difference sorts.
+#[derive(Debug, Default)]
+struct Counts {
+    counts: Vec<u32>,
+    /// The surfaces with a non-zero count.
+    seen: Vec<usize>,
+    /// `(surface, d)` of the phrases that stay.
+    adjusted: Vec<(usize, f64)>,
+}
+
+impl Counts {
+    fn add(&mut self, surface: usize) {
+        if let Some(n) = self.counts.get_mut(surface) {
+            if *n == 0 {
+                self.seen.push(surface);
+            }
+            *n += 1;
+        }
+    }
+}
+
 /// The model difference `d = α(b − c)` of one name's global model
-/// (Algorithm 2): `b` is the harvested count of a surface and `c` the in-KB
-/// candidates' count from `subtraction`. Keeps the phrases whose `d`
-/// reaches `config.min_adjusted_count`, weighted by `d` over the largest.
+/// (Algorithm 2): `b` is the harvested count of a surface (taken out of
+/// `counts`, which is left empty) and `c` the in-KB candidates' count from
+/// `subtraction`. Keeps the phrases whose `d` reaches
+/// `config.min_adjusted_count`, weighted by `d` over the largest; ties of
+/// `d` keep the surfaces in text order, by their `rank`.
 fn model_difference<K: KbView + ?Sized>(
     kb: &K,
-    global: FxHashMap<usize, u64>,
+    counts: &mut Counts,
     alpha: f64,
-    subtraction: &mut Subtraction,
-    surfaces: &mut Surfaces,
+    subtraction: &mut Subtraction<'_>,
+    surfaces: &Surfaces,
+    rank: &[usize],
     config: &EeModelConfig,
 ) -> Vec<EePhrase> {
-    let mut adjusted: Vec<(usize, f64)> = Vec::new();
-    for (surface, b) in global {
-        let (text, words) = surfaces.get(kb, surface);
-        let c = subtraction.count(kb, text, words);
-        let d = alpha * (b as f64 - c);
+    let Counts { counts, seen, adjusted } = counts;
+    adjusted.clear();
+    for surface in seen.drain(..) {
+        let b = counts.get_mut(surface).map_or(0, std::mem::take);
+        let c = subtraction.count(kb, surfaces.text(surface), surfaces.run(surface));
+        let d = alpha * (f64::from(b) - c);
         if d >= config.min_adjusted_count {
             adjusted.push((surface, d));
         }
     }
     // Surfaces are distinct, so the order is total.
-    adjusted.sort_unstable_by(|a, b| {
-        b.1.total_cmp(&a.1).then_with(|| surfaces.text(a.0).cmp(surfaces.text(b.0)))
-    });
+    let rank_of = |surface: usize| rank.get(surface).copied().unwrap_or(usize::MAX);
+    adjusted.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(rank_of(a.0).cmp(&rank_of(b.0))));
     adjusted.truncate(config.max_phrases);
     let max_d = adjusted.first().map_or(1.0, |&(_, d)| d).max(f64::MIN_POSITIVE);
     adjusted
-        .into_iter()
-        .filter_map(|(surface, d)| {
-            let (text, words) = surfaces.get(kb, surface);
+        .iter()
+        .filter_map(|&(surface, d)| {
+            let words = surfaces.run(surface);
             (!words.is_empty()).then(|| EePhrase {
-                surface: text.to_owned(),
+                surface: surfaces.text(surface).to_owned(),
                 words: words.to_vec(),
                 weight: (d / max_d).clamp(0.0, 1.0),
             })
         })
         .collect()
+}
+
+/// The word ids of a (lowercased) surface, sorted and deduplicated; words
+/// `word_id` does not know are dropped ([`Surfaces::intern`] computes the
+/// same run once per surface).
+#[cfg(test)]
+fn kb_words(surface: &str, word_id: impl FnMut(&str) -> Option<WordId>) -> Vec<WordId> {
+    let mut words: Vec<WordId> = surface.split_whitespace().filter_map(word_id).collect();
+    words.sort_unstable();
+    words.dedup();
+    words
 }
 
 /// Builds the EE model for one name (Algorithm 2), harvesting and
@@ -366,55 +538,82 @@ impl NameModels {
     /// Builds models for all names occurring at least `min_occurrences`
     /// times in `docs` (the per-chunk redundancy requirement of §5.7.2).
     ///
-    /// One pass over the chunk: mentions are grouped by name in one scan,
-    /// each document is POS-tagged once and each of its phrase spans
-    /// interned once, and each surface's and word's KB ids are looked up
-    /// once per call. The result equals, bit for bit, harvesting and
-    /// subtracting one name at a time (the test-only reference
-    /// `build_model`).
+    /// Two passes over the chunk. The harvest groups the mentions by name
+    /// in one sort, POS-tags each document once, interns each phrase span
+    /// once per document into a per-build arena of lowercased surfaces, and
+    /// looks up each new surface's KB word run once. The subtraction then
+    /// counts each name's surfaces in a dense array over the surface ids,
+    /// indexes the candidates' keyphrase runs by word, and breaks ties with
+    /// a surface rank computed once. The result equals, bit for bit,
+    /// harvesting and subtracting one name at a time (the test-only
+    /// reference `build_model`).
     pub fn build<K: KbView + ?Sized>(
         kb: &K,
         docs: &[&GoldDoc],
         min_occurrences: u64,
         config: &EeModelConfig,
     ) -> Self {
-        let mut by_name: BTreeMap<&str, Vec<(usize, &Mention)>> = BTreeMap::new();
-        for (d, doc) in docs.iter().enumerate() {
-            for lm in &doc.mentions {
-                by_name.entry(lm.mention.surface.as_str()).or_default().push((d, &lm.mention));
-            }
-        }
+        // Every mention with its name and document, grouped by name; the
+        // stable sort keeps each name's mentions in document order.
+        let mut mentions: Vec<(&str, usize, &Mention)> = docs
+            .iter()
+            .enumerate()
+            .flat_map(|(d, doc)| {
+                doc.mentions.iter().map(move |lm| (lm.mention.surface.as_str(), d, &lm.mention))
+            })
+            .collect();
+        mentions.sort_by(|a, b| a.0.cmp(b.0));
         // Collection-size balance α = |KB entities| / |news documents|.
         let alpha = (kb.entity_count().max(1) as f64) / (docs.len().max(1) as f64);
         let tagger = PosTagger::new();
         let mut tagged: Vec<Option<TaggedDoc<'_>>> = docs.iter().map(|_| None).collect();
         let mut surfaces = Surfaces::default();
-        let mut models = HashMap::new();
-        for (name, occurrences) in by_name {
-            let count = occurrences.len() as u64;
-            if count < min_occurrences {
+        // The surface ids of every kept name's windows: `hits[range]`.
+        let mut hits: Vec<usize> = Vec::new();
+        let mut names: Vec<(&str, u64, Range<usize>)> = Vec::new();
+        for group in mentions.chunk_by(|a, b| a.0 == b.0) {
+            let count = group.len() as u64;
+            let Some(&(name, _, _)) = group.first().filter(|_| count >= min_occurrences) else {
                 continue;
-            }
-            let mut global: FxHashMap<usize, u64> = FxHashMap::default();
-            for (d, mention) in occurrences {
+            };
+            let start = hits.len();
+            for &(_, d, mention) in group {
                 if let (Some(doc), Some(slot)) = (docs.get(d), tagged.get_mut(d)) {
                     let doc = slot.get_or_insert_with(|| TaggedDoc::new(&tagger, &doc.tokens));
                     doc.harvest(
                         &tagger,
                         mention,
-                        |surface| surfaces.intern(surface),
-                        |id| *global.entry(id).or_insert(0) += 1,
+                        |span| surfaces.intern(kb, span),
+                        |id| hits.push(id),
                     );
                 }
             }
-            if global.is_empty() {
+            names.push((name, count, start..hits.len()));
+        }
+        let rank = surfaces.ranks();
+        let mut counts = Counts { counts: vec![0; surfaces.len()], ..Counts::default() };
+        let mut subtraction = Subtraction::default();
+        let mut models = HashMap::new();
+        for (name, occurrences, range) in names {
+            let ids = hits.get(range).unwrap_or_default();
+            if ids.is_empty() {
                 continue;
             }
-            let mut subtraction = Subtraction::new(kb, name);
-            let phrases =
-                model_difference(kb, global, alpha, &mut subtraction, &mut surfaces, config);
+            for &id in ids {
+                counts.add(id);
+            }
+            subtraction.prepare(kb, name);
+            let phrases = model_difference(
+                kb,
+                &mut counts,
+                alpha,
+                &mut subtraction,
+                &surfaces,
+                &rank,
+                config,
+            );
             if !phrases.is_empty() {
-                let model = EeModel { name: name.to_string(), phrases, occurrences: count };
+                let model = EeModel { name: name.to_string(), phrases, occurrences };
                 models.insert(model.name.clone(), model);
             }
         }
@@ -612,6 +811,30 @@ mod tests {
             assert!(built.get("Prism").is_some());
             assert_eq!(bits(&built), bits(&reference_models(&frozen, &refs, 1, &config)));
         }
+    }
+
+    #[test]
+    fn exact_matches_lowercase_the_kb_surface() {
+        // Both candidates of "Prism" carry the capitalized KB phrase
+        // "Secret Surveillance Program". Its exact count (2) subtracts more
+        // than its fuzzy count (1) only when the KB surface is lowercased
+        // before the comparison, and then d = α · (2 − 2) drops the phrase.
+        let mut b = KbBuilder::new();
+        for name in ["Prism (band)", "Prism (program)"] {
+            let e = b.add_entity(name, EntityKind::Other);
+            b.add_name(e, "Prism", 5);
+            b.add_keyphrase(e, "Secret Surveillance Program", 1);
+        }
+        let pad = b.add_entity("Pad", EntityKind::Other);
+        b.add_keyphrase(pad, "progressive rock band", 1);
+        let kb = FrozenKb::freeze(&b.build());
+        let docs = docs();
+        let refs: Vec<&GoldDoc> = docs.iter().collect();
+        let config = EeModelConfig::default();
+        let built = NameModels::build(&kb, &refs, 1, &config);
+        assert_eq!(bits(&built), bits(&reference_models(&kb, &refs, 1, &config)));
+        let model = built.get("Prism").expect("other phrases stay");
+        assert!(!model.phrases.iter().any(|p| p.surface == "secret surveillance program"));
     }
 
     /// Content words; the base KB's keyphrases use only these. Case and

@@ -48,10 +48,32 @@ pub fn harvest_window(doc: &GoldDoc, mention: &Mention) -> PhraseCounts {
     counts
 }
 
+/// Appends the lowercased surface of the phrase `tokens` to `out`: their
+/// texts joined by single spaces, as [`extract_phrases`] joins them, then
+/// lowercased as [`harvest_window`] lowercases them. Tokens are lowercased
+/// one by one, ASCII ones in place: the only context-dependent lowercase
+/// mapping (a final sigma) never looks past a space, so this equals
+/// lowercasing the joined surface.
+pub(crate) fn push_surface(tokens: &[Token], out: &mut String) {
+    for (i, token) in tokens.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        if token.text.is_ascii() {
+            let start = out.len();
+            out.push_str(&token.text);
+            if let Some(word) = out.get_mut(start..) {
+                word.make_ascii_lowercase();
+            }
+        } else {
+            out.push_str(&token.lower());
+        }
+    }
+}
+
 /// A document prepared once for harvesting many of its windows, which
 /// overlap heavily: it is POS-tagged once ([`PosTagger::window_tags`]
-/// derives each window's tags), and each phrase span's surface is built
-/// and interned once.
+/// derives each window's tags), and each phrase span is interned once.
 #[derive(Debug)]
 pub(crate) struct TaggedDoc<'d> {
     tokens: &'d [Token],
@@ -67,13 +89,14 @@ impl<'d> TaggedDoc<'d> {
 
     /// Calls `count` with the surface id of every keyphrase occurrence in
     /// the window around `mention`: the phrases [`harvest_window`] counts.
-    /// `intern` turns a lowercased surface into its id the first time a
-    /// span is seen.
+    /// `intern` turns the tokens of a phrase span into the id of their
+    /// lowercased surface ([`push_surface`]) the first time the span is
+    /// seen.
     pub(crate) fn harvest(
         &mut self,
         tagger: &PosTagger,
         mention: &Mention,
-        mut intern: impl FnMut(&str) -> usize,
+        mut intern: impl FnMut(&[Token]) -> usize,
         mut count: impl FnMut(usize),
     ) {
         let tokens = self.tokens;
@@ -83,11 +106,10 @@ impl<'d> TaggedDoc<'d> {
         mask(&mut tags, masked);
         for (start, end) in phrase_spans(window, &tags) {
             let span = (range.start + start, range.start + end);
-            let id = *self.spans.entry(span).or_insert_with(|| {
-                let words: Vec<&str> =
-                    window.get(start..end).into_iter().flatten().map(|t| t.text.as_str()).collect();
-                intern(&words.join(" ").to_lowercase())
-            });
+            let id = *self
+                .spans
+                .entry(span)
+                .or_insert_with(|| intern(window.get(start..end).unwrap_or_default()));
             count(id);
         }
     }
@@ -144,7 +166,7 @@ pub(crate) fn mention_names(docs: &[&GoldDoc]) -> HashMap<String, u64> {
 mod tests {
     use super::*;
     use ned_eval::gold::LabeledMention;
-    use ned_text::{tokenize, Token};
+    use ned_text::{tokenize, Token, TokenKind};
 
     fn doc(text: &str, mention_surface: &str) -> GoldDoc {
         let tokens: Vec<Token> = tokenize(text);
@@ -223,6 +245,19 @@ mod tests {
     }
 
     #[test]
+    fn push_surface_lowercases_like_the_joined_surface() {
+        let texts = ["ΟΔΟΣ", "Σ", "ΑΣ", "'Σ", "İzmir", "Straße", "NSA", "\u{212a}", "", "x.Σ"];
+        for a in texts {
+            for b in texts {
+                let tokens = [Token::new(a, 0, TokenKind::Word), Token::new(b, 0, TokenKind::Word)];
+                let mut out = String::from("kept ");
+                push_surface(&tokens, &mut out);
+                assert_eq!(out, format!("kept {}", format!("{a} {b}").to_lowercase()));
+            }
+        }
+    }
+
+    #[test]
     fn tagged_doc_harvests_what_harvest_window_counts() {
         // The first mention's window starts at the "." after "Dr", which
         // ends a sentence in the window but not in the document.
@@ -244,8 +279,10 @@ mod tests {
         let outside = Mention::new("Snowden", d.tokens.len(), d.tokens.len() + 1);
         for mention in d.mentions.iter().map(|lm| &lm.mention).chain([&outside]) {
             let mut ids = Vec::new();
-            let intern = |s: &str| {
-                surfaces.push(s.to_owned());
+            let intern = |span: &[Token]| {
+                let mut surface = String::new();
+                push_surface(span, &mut surface);
+                surfaces.push(surface);
                 surfaces.len() - 1
             };
             tagged.harvest(&tagger, mention, intern, |id| ids.push(id));

@@ -165,8 +165,8 @@ impl TermRows for DeltaKb {
 }
 
 /// The state of one [`DeltaKb::build`] that the finished overlay does not
-/// keep.
-struct Staging<'b> {
+/// keep; `'m` borrows the mutation log.
+struct Staging<'b, 'm> {
     base: &'b FrozenKb,
     overlay_base: &'b OverlayBase,
     /// Every phrase of the merged KB: the base's table plus the phrases
@@ -180,9 +180,16 @@ struct Staging<'b> {
     /// word ids.
     word: String,
     phrase: Vec<WordId>,
+    /// The entity the previous mutation named: a promotion's keyphrases
+    /// come in a run naming one entity, resolved once. A resolved name
+    /// keeps its id, since names are never taken twice.
+    last_entity: Option<(&'m str, EntityId)>,
+    /// Every keyphrase surface interned so far, keyed by the log's own
+    /// string: interning a surface again would yield the same phrase.
+    phrase_ids: FxHashMap<&'m str, PhraseId>,
 }
 
-impl<'b> Staging<'b> {
+impl<'b, 'm> Staging<'b, 'm> {
     fn new(base: &'b FrozenKb) -> Self {
         Staging {
             base,
@@ -193,6 +200,8 @@ impl<'b> Staging<'b> {
             out_touched: Vec::new(),
             word: String::new(),
             phrase: Vec::new(),
+            last_entity: None,
+            phrase_ids: FxHashMap::default(),
         }
     }
 }
@@ -328,7 +337,7 @@ impl DeltaKb {
     /// matching [`crate::builder::KbBuilder`] call: rows are extended in
     /// the order the build-time stores extend them and sorted once, in
     /// [`DeltaKb::finish`].
-    fn apply(&mut self, st: &mut Staging<'_>, m: &KbMutation) -> Result<(), NedError> {
+    fn apply<'m>(&mut self, st: &mut Staging<'_, 'm>, m: &'m KbMutation) -> Result<(), NedError> {
         let base = st.base;
         match m {
             KbMutation::AddEntity { canonical_name, kind } => {
@@ -365,11 +374,18 @@ impl DeltaKb {
                 }
             }
             KbMutation::AddKeyphrase { entity, surface, count } => {
-                let e = self.resolve(entity)?;
+                let e = self.resolve_run(st, entity)?;
                 if surface.trim().is_empty() {
                     return Err(empty_keyphrase(entity));
                 }
-                let p = self.intern_phrase(st, surface);
+                let p = match st.phrase_ids.get(surface.as_str()) {
+                    Some(&p) => p,
+                    None => {
+                        let p = self.intern_phrase(st, surface);
+                        st.phrase_ids.insert(surface, p);
+                        p
+                    }
+                };
                 let row = row_mut(&mut self.kp_rows, &mut st.kp_touched, e, || base.keyphrases(e));
                 match row.iter_mut().find(|ep| ep.phrase == p) {
                     Some(ep) => ep.count += count,
@@ -378,7 +394,7 @@ impl DeltaKb {
                 self.total_phrase_observations += count;
             }
             KbMutation::ReweightKeyphrase { entity, surface, delta } => {
-                let e = self.resolve(entity)?;
+                let e = self.resolve_run(st, entity)?;
                 let p = self.find_phrase(st, surface).ok_or_else(|| unknown_phrase(surface))?;
                 if !self.keyphrases(e).iter().any(|ep| ep.phrase == p) {
                     return Err(unknown_entity_phrase(entity, surface));
@@ -397,7 +413,7 @@ impl DeltaKb {
                 }
             }
             KbMutation::AddDictionarySurface { entity, surface, count } => {
-                let e = self.resolve(entity)?;
+                let e = self.resolve_run(st, entity)?;
                 self.add_name(surface, e, *count);
             }
         }
@@ -407,6 +423,23 @@ impl DeltaKb {
     fn resolve(&self, name: &str) -> Result<EntityId, NedError> {
         self.entity_by_name(name)
             .ok_or_else(|| NedError::Lookup { what: "entity name", key: name.to_string() })
+    }
+
+    /// [`DeltaKb::resolve`], reusing the previous mutation's entity when
+    /// `name` is the same.
+    fn resolve_run<'m>(
+        &self,
+        st: &mut Staging<'_, 'm>,
+        name: &'m str,
+    ) -> Result<EntityId, NedError> {
+        if let Some((last, e)) = st.last_entity {
+            if last == name {
+                return Ok(e);
+            }
+        }
+        let e = self.resolve(name)?;
+        st.last_entity = Some((name, e));
+        Ok(e)
     }
 
     /// `Dictionary::add` on the overlay: the row of the name's match key is
@@ -435,7 +468,7 @@ impl DeltaKb {
     /// Resolves the words of `surface` into `st.phrase`, lowercased. With
     /// `intern`, an unknown word joins the overlay's word tail (like
     /// `WordInterner::intern`); without it, an unknown word returns false.
-    fn phrase_word_ids(&mut self, st: &mut Staging<'_>, surface: &str, intern: bool) -> bool {
+    fn phrase_word_ids(&mut self, st: &mut Staging<'_, '_>, surface: &str, intern: bool) -> bool {
         st.phrase.clear();
         for word in surface.split_whitespace() {
             lowercase_into(word, &mut st.word);
@@ -459,12 +492,12 @@ impl DeltaKb {
     }
 
     /// The phrase whose word sequence is `st.phrase`, with hash `h`.
-    fn lookup_phrase(&self, st: &Staging<'_>, h: u64) -> Option<PhraseId> {
+    fn lookup_phrase(&self, st: &Staging<'_, '_>, h: u64) -> Option<PhraseId> {
         st.phrases.find(h, |p| self.phrase_words(p) == st.phrase.as_slice())
     }
 
     /// `PhraseInterner::intern` on the overlay.
-    fn intern_phrase(&mut self, st: &mut Staging<'_>, surface: &str) -> PhraseId {
+    fn intern_phrase(&mut self, st: &mut Staging<'_, '_>, surface: &str) -> PhraseId {
         self.phrase_word_ids(st, surface, true);
         let h = words_hash(&st.phrase);
         if let Some(p) = self.lookup_phrase(st, h) {
@@ -478,7 +511,7 @@ impl DeltaKb {
     }
 
     /// `PhraseInterner::get` on the overlay.
-    fn find_phrase(&mut self, st: &mut Staging<'_>, surface: &str) -> Option<PhraseId> {
+    fn find_phrase(&mut self, st: &mut Staging<'_, '_>, surface: &str) -> Option<PhraseId> {
         if !self.phrase_word_ids(st, surface, false) {
             return None;
         }
@@ -487,7 +520,7 @@ impl DeltaKb {
 
     /// Sorts the touched rows into the order the from-scratch finalize
     /// produces, then derives the statistics.
-    fn finish(&mut self, mut st: Staging<'_>) {
+    fn finish(&mut self, mut st: Staging<'_, '_>) {
         st.kp_touched.sort_unstable();
         st.in_touched.sort_unstable();
         // Rows and tails grew by pushes; trimming them keeps the overlay's
@@ -535,7 +568,7 @@ impl DeltaKb {
     /// contribution and adds its merged one. Postings change only for
     /// changed rows, runs only for new phrases. Everything that depends on
     /// N is recomputed.
-    fn statistics(&self, st: &Staging<'_>) -> (WeightModel, KeyphraseIndex, PhraseRuns) {
+    fn statistics(&self, st: &Staging<'_, '_>) -> (WeightModel, KeyphraseIndex, PhraseRuns) {
         let base = st.base;
         let n = self.entity_count();
         let is_base = |e: EntityId| e.index() < self.base_entity_count;
@@ -755,10 +788,11 @@ impl DeltaKb {
         }
     }
 
-    /// Looks up an interned keyword by text (overlay first, then base).
+    /// Looks up an interned keyword by text (overlay first, then base),
+    /// lowercasing it once.
     pub fn word_id(&self, text: &str) -> Option<WordId> {
         let key = text.to_lowercase();
-        self.word_index_new.get(&key).copied().or_else(|| self.base.word_id(&key))
+        self.word_index_new.get(&key).copied().or_else(|| self.base.word_id_lowercased(&key))
     }
 
     /// Number of distinct keywords in the merged KB.

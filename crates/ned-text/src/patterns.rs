@@ -107,7 +107,7 @@ fn extract_technical_terms(tokens: &[Token], tags: &[PosTag], out: &mut Vec<(usi
                 && tags[i - 1].is_nominal()
                 && i + 1 < tokens.len()
                 && is_body(tags[i + 1])
-                && tokens[i].lower() == "of"
+                && is_of(&tokens[i])
             {
                 used_prep = true;
                 i += 1;
@@ -130,12 +130,21 @@ fn extract_technical_terms(tokens: &[Token], tags: &[PosTag], out: &mut Vec<(usi
     }
 }
 
+/// True when `tok` lowercases to "of". No non-ASCII character lowercases
+/// to an ASCII "o" or "f", so an ASCII case-insensitive comparison decides
+/// it without lowercasing.
+fn is_of(tok: &Token) -> bool {
+    tok.text.eq_ignore_ascii_case("of")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pos::{sentence_start_flags, PosTagger};
     use crate::sentence::split_sentences;
+    use crate::token::TokenKind;
     use crate::tokenizer::tokenize;
+    use proptest::prelude::*;
 
     fn phrases(input: &str) -> Vec<String> {
         let tokens = tokenize(input);
@@ -182,6 +191,17 @@ mod tests {
     fn no_phrases_in_pure_function_words() {
         let p = phrases("it was because of the and or");
         assert!(p.is_empty(), "{p:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `is_of` equals lowercasing the token and comparing with "of".
+        #[test]
+        fn is_of_matches_lowercasing(text in "[oOfF\u{212a}\u{130}\u{308}a]{0,3}") {
+            let tok = Token::new(text, 0, TokenKind::Word);
+            prop_assert_eq!(is_of(&tok), tok.lower() == "of");
+        }
     }
 
     #[test]

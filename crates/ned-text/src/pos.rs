@@ -7,7 +7,9 @@
 //! capitalization, which is sufficient for pattern extraction on both the
 //! synthetic corpora and ordinary English.
 
+use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::sentence::split_sentences;
 use crate::stopwords::is_stopword;
@@ -72,6 +74,37 @@ const ADJECTIVE_SUFFIXES: &[&str] =
 const ADVERB_SUFFIX: &str = "ly";
 
 const VERB_SUFFIXES: &[&str] = &["ized", "izes", "ising", "izing", "ated", "ates", "ating", "ed"];
+
+/// The closed-class lexicon: every word of [`DETERMINERS`],
+/// [`PREPOSITIONS`] and [`VERBS`] with its tag. A word in several lists
+/// takes the tag of the first one in that order: the lists are inserted in
+/// reverse, so the earlier list's tag overwrites.
+fn lexicon() -> &'static HashMap<&'static str, PosTag> {
+    static LEXICON: OnceLock<HashMap<&'static str, PosTag>> = OnceLock::new();
+    LEXICON.get_or_init(|| {
+        let lists = [
+            (VERBS, PosTag::Verb),
+            (PREPOSITIONS, PosTag::Preposition),
+            (DETERMINERS, PosTag::Determiner),
+        ];
+        lists.iter().flat_map(|&(words, tag)| words.iter().map(move |&w| (w, tag))).collect()
+    })
+}
+
+/// Longest token lowercased in a stack buffer; longer and non-ASCII tokens
+/// are lowercased on the heap.
+const STACK_WORD_BYTES: usize = 32;
+
+/// `word` lowercased into `buf`, when it is ASCII and fits.
+fn ascii_lowercase<'b>(word: &str, buf: &'b mut [u8; STACK_WORD_BYTES]) -> Option<&'b str> {
+    if !word.is_ascii() {
+        return None;
+    }
+    let out = buf.get_mut(..word.len())?;
+    out.copy_from_slice(word.as_bytes());
+    out.make_ascii_lowercase();
+    std::str::from_utf8(out).ok()
+}
 
 /// Deterministic rule-based POS tagger.
 #[derive(Debug, Default, Clone)]
@@ -138,16 +171,17 @@ impl PosTagger {
     }
 
     fn tag_word(&self, tok: &Token, at_sentence_start: bool) -> PosTag {
-        let lower = tok.lower();
-        let l = lower.as_str();
-        if DETERMINERS.contains(&l) {
-            return PosTag::Determiner;
-        }
-        if PREPOSITIONS.contains(&l) {
-            return PosTag::Preposition;
-        }
-        if VERBS.contains(&l) {
-            return PosTag::Verb;
+        let mut buf = [0u8; STACK_WORD_BYTES];
+        let heap;
+        let l = match ascii_lowercase(&tok.text, &mut buf) {
+            Some(l) => l,
+            None => {
+                heap = tok.lower();
+                heap.as_str()
+            }
+        };
+        if let Some(&tag) = lexicon().get(l) {
+            return tag;
         }
         if tok.is_all_uppercase() && tok.text.chars().count() >= 2 {
             return PosTag::ProperNoun;
@@ -164,15 +198,14 @@ impl PosTagger {
         if ADJECTIVE_SUFFIXES.iter().any(|s| l.ends_with(s) && l.len() > s.len() + 2) {
             return PosTag::Adjective;
         }
-        if at_sentence_start && tok.is_capitalized() && !is_stopword(l) {
-            // Sentence-initial capitalized content word: could be either; the
-            // keyphrase patterns accept both, so prefer Noun.
-            return PosTag::Noun;
-        }
+        // A sentence-initial capitalized content word could be either a noun
+        // or a proper noun; the keyphrase patterns accept both, so it is a
+        // Noun like any other content word.
         if is_stopword(l) {
-            return PosTag::Other;
+            PosTag::Other
+        } else {
+            PosTag::Noun
         }
-        PosTag::Noun
     }
 }
 
@@ -293,6 +326,119 @@ mod tests {
         assert_eq!(tags, own_tags(&doc[2..]));
         assert_eq!(tags[1], PosTag::Noun);
         assert_eq!(PosTagger::new().tag_document(&doc)[3], PosTag::ProperNoun);
+    }
+
+    /// The tagger before its lexicon map and stack-buffer lowercasing: the
+    /// reference `tag_word` the proptest below holds the tagger to.
+    fn reference_tag_word(tok: &Token, at_sentence_start: bool) -> PosTag {
+        let lower = tok.lower();
+        let l = lower.as_str();
+        if DETERMINERS.contains(&l) {
+            return PosTag::Determiner;
+        }
+        if PREPOSITIONS.contains(&l) {
+            return PosTag::Preposition;
+        }
+        if VERBS.contains(&l) {
+            return PosTag::Verb;
+        }
+        if tok.is_all_uppercase() && tok.text.chars().count() >= 2 {
+            return PosTag::ProperNoun;
+        }
+        if tok.is_capitalized() && !at_sentence_start {
+            return PosTag::ProperNoun;
+        }
+        if l.ends_with(ADVERB_SUFFIX) && l.len() > 3 {
+            return PosTag::Other;
+        }
+        if VERB_SUFFIXES.iter().any(|s| l.ends_with(s) && l.len() > s.len() + 2) {
+            return PosTag::Verb;
+        }
+        if ADJECTIVE_SUFFIXES.iter().any(|s| l.ends_with(s) && l.len() > s.len() + 2) {
+            return PosTag::Adjective;
+        }
+        if at_sentence_start && tok.is_capitalized() && !is_stopword(l) {
+            return PosTag::Noun;
+        }
+        if is_stopword(l) {
+            return PosTag::Other;
+        }
+        PosTag::Noun
+    }
+
+    fn reference_tag(tokens: &[Token], sentence_starts: &[bool]) -> Vec<PosTag> {
+        tokens
+            .iter()
+            .zip(sentence_starts)
+            .map(|(tok, &at_start)| match tok.kind {
+                TokenKind::Number => PosTag::Number,
+                TokenKind::Punct => PosTag::Punctuation,
+                TokenKind::Word => reference_tag_word(tok, at_start),
+            })
+            .collect()
+    }
+
+    /// Words whose tag depends on the lexicon, the stopword list, a suffix
+    /// or capitalization, plus non-ASCII words (one lowercases to ASCII:
+    /// the Kelvin sign) and words longer than the stack buffer.
+    const WORDS: &[&str] = &[
+        "nor", "because", "until", "once", "here", "few", "own", "than", "n't", "'s", "also",
+        "new", "quickly", "ly", "only", "famous", "national", "organized", "created", "rated",
+        "program", "record", "band", "Straße", "ΟΔΟΣ", "İzmir", "\u{212a}elvin", "Élan", "ÉTÉ",
+        "naïve", "über", "o\u{308}f", "Supercalifragilisticexpialidocious", "abcdefghijklmnopqrstuvwxyzabcdef",
+        "abcdefghijklmnopqrstuvwxyzabcdefg", "THE-WAS-OF-AND-AN-EXTREMELY-LONG-HYPHENATED-WORD",
+    ];
+
+    /// The word `i` of the lexicon, the stopword list and [`WORDS`], in the
+    /// case `case` selects: as written, lower, upper, or capitalized.
+    fn word(i: usize, case: usize) -> String {
+        let lists = [DETERMINERS, PREPOSITIONS, VERBS, crate::stopwords::STOPWORDS, WORDS];
+        let all: Vec<&str> = lists.iter().flat_map(|l| l.iter().copied()).collect();
+        let w = all[i % all.len()];
+        match case % 4 {
+            0 => w.to_string(),
+            1 => w.to_lowercase(),
+            2 => w.to_uppercase(),
+            _ => {
+                let mut chars = w.chars();
+                chars.next().map_or(String::new(), |c| c.to_uppercase().chain(chars).collect())
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The tagger equals the reference `tag_word` on every token, at and
+        /// after sentence starts, and so `phrase_spans` over its tags equals
+        /// the spans over the reference tags.
+        #[test]
+        fn tagger_matches_the_reference_tag_word(
+            slots in proptest::collection::vec((0usize..8, 0usize..400, 0usize..4), 0..40),
+            flags in proptest::collection::vec(any::<bool>(), 40..41),
+        ) {
+            let tokens: Vec<Token> = slots
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, w, case))| match kind {
+                    0 => token([".", "!", "?", ","][w % 4], i * 8),
+                    1 => token(["Dr", "J", "Mr", "1976"][w % 4], i * 8),
+                    _ => Token::new(word(w, case), i * 8, TokenKind::Word),
+                })
+                .collect();
+            let tagger = PosTagger::new();
+            let starts = sentence_start_flags(tokens.len(), &split_sentences(&tokens));
+            let tags = tagger.tag(&tokens, &starts);
+            prop_assert_eq!(&tags, &reference_tag(&tokens, &starts));
+            prop_assert_eq!(
+                crate::patterns::phrase_spans(&tokens, &tags),
+                crate::patterns::phrase_spans(&tokens, &reference_tag(&tokens, &starts))
+            );
+            // Arbitrary sentence starts, so every word is tagged both at and
+            // after one.
+            let starts = &flags[..tokens.len()];
+            prop_assert_eq!(tagger.tag(&tokens, starts), reference_tag(&tokens, starts));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 /// English function words plus a handful of high-frequency verbs. The list is
 /// intentionally small — the weighting schemes (IDF/NPMI) downweight anything
 /// the list misses.
-const STOPWORDS: &[&str] = &[
+pub(crate) const STOPWORDS: &[&str] = &[
     "a", "an", "the", "this", "that", "these", "those", "some", "any", "each", "every", "no",
     "and", "or", "but", "nor", "so", "yet", "if", "then", "else", "when", "while", "because",
     "as", "until", "although", "though", "after", "before", "since", "unless", "whereas",
@@ -34,6 +34,10 @@ pub fn is_stopword(word: &str) -> bool {
     if set().contains(word) {
         return true;
     }
+    // An ASCII word with no uppercase letter is its own lowercase.
+    if word.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
+        return false;
+    }
     let lower = word.to_lowercase();
     set().contains(lower.as_str())
 }
@@ -52,11 +56,16 @@ mod tests {
         for w in ["the", "of", "and", "is", "The", "OF"] {
             assert!(is_stopword(w), "{w} should be a stopword");
         }
+        for w in STOPWORDS {
+            assert!(is_stopword(&w.to_uppercase()), "{w} should be a stopword in any case");
+        }
     }
 
     #[test]
     fn content_words_are_not_stopwords() {
-        for w in ["guitarist", "Kashmir", "record", "song"] {
+        // Non-ASCII words take the lowercasing lookup: "İt" lowercases to
+        // "i\u{307}t", and a fullwidth "Ａnd" to "ａnd".
+        for w in ["guitarist", "Kashmir", "record", "song", "İt", "Ａnd", "Über"] {
             assert!(!is_stopword(w), "{w} should not be a stopword");
         }
     }
