@@ -7,19 +7,20 @@
 //!
 //! A [`DocumentContext`] is built once per document, together with a word
 //! index: its `(word, position)` pairs sorted by word, then position, so
-//! the positions of one word form one ascending run found by binary search.
-//! Each mention then reads the document through a borrowed
-//! [`MentionContext`] that skips the mention's own tokens, instead of a
-//! per-mention copy of the context.
+//! the positions of one word form one ascending run, and a run table that
+//! finds each distinct word's run in O(1) expected time. Each mention then
+//! reads the document through a borrowed [`MentionContext`] that skips the
+//! mention's own tokens, instead of a per-mention copy of the context.
 
 use std::ops::Range;
 
+use ned_kb::fx::FxHashMap;
 use ned_kb::{KbView, WordId};
 use ned_text::stopwords::is_stopword;
 use ned_text::{Mention, Token, TokenKind};
 
 /// The document context: every non-stopword word token with its position,
-/// interned as KB keywords, and the word index over it.
+/// interned as KB keywords, with the word index and run table over it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DocumentContext {
     /// (token position, keyword id), sorted by position.
@@ -27,6 +28,9 @@ pub struct DocumentContext {
     /// The same pairs as (keyword id, token position), sorted by word, then
     /// position.
     by_word: Vec<(WordId, usize)>,
+    /// Each distinct word's run in `by_word`, as `(start, end)`: one entry
+    /// per distinct word of the document.
+    runs: FxHashMap<WordId, (usize, usize)>,
 }
 
 impl DocumentContext {
@@ -50,7 +54,17 @@ impl DocumentContext {
         );
         let mut by_word: Vec<(WordId, usize)> = words.iter().map(|&(pos, w)| (w, pos)).collect();
         by_word.sort_unstable();
-        DocumentContext { words, by_word }
+        let same_word = |a: &(WordId, usize), b: &(WordId, usize)| a.0 == b.0;
+        let mut runs = FxHashMap::default();
+        runs.reserve(by_word.chunk_by(same_word).count());
+        let mut start = 0;
+        for run in by_word.chunk_by(same_word) {
+            if let Some(&(w, _)) = run.first() {
+                runs.insert(w, (start, start + run.len()));
+            }
+            start += run.len();
+        }
+        DocumentContext { words, by_word, runs }
     }
 
     /// The `(token position, keyword id)` pairs, sorted by position.
@@ -89,6 +103,25 @@ impl DocumentContext {
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
+
+    /// The run of `w` in the word index: its pairs in ascending position
+    /// order, empty when `w` is not in the document.
+    fn run(&self, w: WordId) -> &[(WordId, usize)] {
+        self.runs.get(&w).and_then(|&(start, end)| self.by_word.get(start..end)).unwrap_or(&[])
+    }
+
+    /// The `(position, word)` pairs whose positions lie in `span`; none
+    /// for an empty or inverted span.
+    fn words_in(&self, span: Range<usize>) -> &[(usize, WordId)] {
+        let lo = self.words.partition_point(|&(pos, _)| pos < span.start);
+        let hi = self.words.partition_point(|&(pos, _)| pos < span.end);
+        self.words.get(lo..hi).unwrap_or(&[])
+    }
+}
+
+/// The first and last position of a word's run.
+fn first_last(run: &[(WordId, usize)]) -> Option<(usize, usize)> {
+    Some((run.first()?.1, run.last()?.1))
 }
 
 /// One mention's view of a [`DocumentContext`]: every context word whose
@@ -108,16 +141,40 @@ impl<'a> MentionContext<'a> {
     }
 
     /// The ascending positions of `w` outside the excluded span: the run of
-    /// `w` in the word index, found by binary search, minus the span.
+    /// `w` in the word index, found in the run table, minus the span.
     pub(crate) fn positions(self, w: WordId) -> impl Iterator<Item = usize> + 'a {
-        let index = &self.doc.by_word;
-        let (_, from_w) = index.split_at(index.partition_point(|&(x, _)| x < w));
-        let (run, _) = from_w.split_at(from_w.partition_point(|&(x, _)| x == w));
-        run.iter().map(|&(_, pos)| pos).filter(move |&pos| !self.excludes(pos))
+        self.doc.run(w).iter().map(|&(_, pos)| pos).filter(move |&pos| !self.excludes(pos))
+    }
+
+    /// True when `w` occurs outside the excluded span, in O(1) expected
+    /// time: the first or the last position of its run lies outside the
+    /// span (for an empty or inverted span, every position does).
+    pub fn contains(self, w: WordId) -> bool {
+        first_last(self.doc.run(w))
+            .is_some_and(|(first, last)| first < self.start || last >= self.end)
+    }
+
+    /// The number of distinct words of the view, in O(span) after one
+    /// binary search: the document's distinct words minus those whose
+    /// every occurrence lies inside the span. Each such word is counted
+    /// at its first occurrence.
+    pub fn distinct_count(self) -> usize {
+        let hidden = self
+            .doc
+            .words_in(self.start..self.end)
+            .iter()
+            .filter(|&&(pos, w)| {
+                first_last(self.doc.run(w))
+                    .is_some_and(|(first, last)| first == pos && last < self.end)
+            })
+            .count();
+        self.doc.runs.len() - hidden
     }
 
     /// Writes the distinct words of the view into `out`, ascending: the
-    /// sorted, deduplicated words of [`DocumentContext::for_mention`].
+    /// sorted, deduplicated words of [`DocumentContext::for_mention`]. It
+    /// scans the whole word index, so the scorer reads it only for a
+    /// candidate that probes the inverted index word by word.
     pub(crate) fn words_into(self, out: &mut Vec<WordId>) {
         out.clear();
         for &(w, pos) in &self.doc.by_word {
@@ -175,33 +232,70 @@ mod tests {
         let view = ctx.mention(&m);
         let gibson = kb.word_id("gibson").unwrap();
         assert_eq!(view.positions(gibson).collect::<Vec<_>>(), vec![2]);
+        assert!(view.contains(gibson));
+        assert_eq!(view.distinct_count(), 2);
+        // A span over every occurrence of "gibson" hides the word; one
+        // over a single occurrence does not.
+        let all = ctx.excluding(0..3);
+        assert!(!all.contains(gibson));
+        assert_eq!(all.distinct_count(), 0);
+        assert_eq!(ctx.excluding(2..3).distinct_count(), 2);
     }
 
     /// Random contexts: strictly increasing positions with gaps over a small
-    /// vocabulary (so words repeat), and a random span that may be empty,
-    /// inverted, or cover either end.
+    /// vocabulary (so words repeat), and a span that is empty, inverted,
+    /// exactly the occurrences of one word (which may repeat inside it), a
+    /// prefix or a suffix of the document, or arbitrary. One more kind
+    /// relabels every word inside an arbitrary span as word 8, a word that
+    /// then occurs only inside the span.
     fn context_and_span() -> impl Strategy<Value = (Vec<(usize, WordId)>, Range<usize>)> {
-        (proptest::collection::vec((1usize..4, 0u32..8), 0..30), 0usize..80, 0usize..80).prop_map(
-            |(steps, a, b)| {
+        (proptest::collection::vec((1usize..4, 0u32..8), 0..30), 0u8..7, 0usize..80, 0usize..80)
+            .prop_map(|(steps, kind, a, b)| {
                 let mut pos = 0usize;
-                let words = steps
+                let mut words: Vec<(usize, WordId)> = steps
                     .into_iter()
                     .map(|(gap, w)| {
                         pos += gap;
                         (pos, WordId(w))
                     })
                     .collect();
-                (words, a..b)
-            },
-        )
+                let first_word_at: Vec<usize> = match words.first() {
+                    Some(&(_, w0)) => {
+                        words.iter().filter(|&&(_, w)| w == w0).map(|&(p, _)| p).collect()
+                    }
+                    None => Vec::new(),
+                };
+                let span = match kind {
+                    0 => a..a,
+                    1 => a.max(b) + 1..a.min(b),
+                    2 => match (first_word_at.first(), first_word_at.last()) {
+                        (Some(&lo), Some(&hi)) => lo..hi + 1,
+                        _ => 0..0,
+                    },
+                    3 => 0..a,
+                    4 => a..pos + 1,
+                    5 => a..b,
+                    _ => {
+                        for (p, w) in words.iter_mut() {
+                            if (a..b).contains(p) {
+                                *w = WordId(8);
+                            }
+                        }
+                        a..b
+                    }
+                };
+                (words, span)
+            })
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The view reads exactly what `for_mention` copies: its word set is
-        /// the sorted, deduplicated words of `for_mention`, and each word's
-        /// positions are that word's positions in `for_mention`.
+        /// the sorted, deduplicated words of `for_mention`, its distinct
+        /// count is that set's size, it contains exactly the words of that
+        /// set, and each word's positions are that word's positions in
+        /// `for_mention`.
         #[test]
         fn the_view_reads_what_for_mention_copies(case in context_and_span()) {
             let (words, span) = case;
@@ -217,11 +311,13 @@ mod tests {
             let mut expected: Vec<WordId> = copied.iter().map(|&(_, w)| w).collect();
             expected.sort_unstable();
             expected.dedup();
+            prop_assert_eq!(view.distinct_count(), expected.len());
             let mut got = vec![WordId(99)];
             view.words_into(&mut got);
-            prop_assert_eq!(got, expected);
+            prop_assert_eq!(got, expected.clone());
 
-            for w in (0u32..9).map(WordId) {
+            for w in (0u32..10).map(WordId) {
+                prop_assert_eq!(view.contains(w), expected.contains(&w), "{:?}", w);
                 let positions: Vec<usize> =
                     copied.iter().filter(|&&(_, x)| x == w).map(|&(p, _)| p).collect();
                 prop_assert_eq!(view.positions(w).collect::<Vec<_>>(), positions);

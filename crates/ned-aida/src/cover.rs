@@ -101,7 +101,8 @@ impl CoverScratch {
 /// each phrase word's positions outside the mention, sorted by position,
 /// are exactly the reference's filtered context, because a position holds
 /// one word. So the window scan is the same, and a call costs
-/// O(occurrences + |phrase| · log |context|) instead of O(|context|). The
+/// O(occurrences + |phrase|) instead of O(|context|): the document's run
+/// table finds each word's positions in O(1) expected time. The
 /// best window holds every phrase word that occurs, so the cover's words
 /// are those words, ascending — no per-call map and no sort of the window.
 // ned-lint: hot

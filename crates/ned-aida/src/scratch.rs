@@ -32,7 +32,8 @@ pub struct ScoringScratch {
     /// Shortest-cover buffers (occurrences, window counts, cover words).
     pub cover: CoverScratch,
     /// Sorted-deduplicated context word set of the current mention, read
-    /// from the document's word index by `simscores_batch`.
+    /// from the document's word index by `simscores_batch` when a candidate
+    /// takes the word-side plan.
     pub(crate) context_words: Vec<WordId>,
     /// Matching phrase ids of the candidate currently being scored.
     pub(crate) matching: Vec<PhraseId>,

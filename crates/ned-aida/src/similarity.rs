@@ -109,21 +109,23 @@ fn phrase_score_run<K: KbView + ?Sized>(
 /// leaves the scores in [`ScoringScratch::sims`], in candidate order. With
 /// a warmed arena a call performs zero heap allocations.
 ///
-/// The pass reads the context's sorted, deduplicated word set from the
-/// document's word index into the arena and scores only the phrases
-/// sharing at least one word with it. The pruning is exact: a phrase with
-/// no context word has no shortest cover and scores exactly 0.0. Each candidate's surviving phrases are summed
-/// in ascending phrase-id order with a `fold(0.0, +)`, the order of an
-/// exhaustive scan over KP(e) (`Iterator::sum` seeds with −0.0, which would
-/// flip the sign bit of an empty sum), so the scores equal the exhaustive
-/// scan bit for bit.
+/// The pass scores only the phrases sharing at least one word with the
+/// context. The pruning is exact: a phrase with no context word has no
+/// shortest cover and scores exactly 0.0. Each candidate's surviving
+/// phrases are summed in ascending phrase-id order with a `fold(0.0, +)`,
+/// the order of an exhaustive scan over KP(e) (`Iterator::sum` seeds with
+/// −0.0, which would flip the sign bit of an empty sum), so the scores
+/// equal the exhaustive scan bit for bit.
 ///
-/// Query plan, per candidate: when KP(e) is no larger than the context word
-/// set, test each phrase's run against the set (entity side); otherwise
-/// probe the inverted index (word side). Word-side candidates share one
-/// entity-sorted merge over each context word's postings. Both plans yield
-/// the same phrases in the same order, so the score does not depend on the
-/// plan.
+/// Query plan, per candidate: when KP(e) is no larger than the context's
+/// distinct word count, test each phrase's run word by word with
+/// [`MentionContext::contains`] (entity side); otherwise probe the inverted
+/// index (word side). Only a word-side candidate needs the context's
+/// sorted, deduplicated word list: it is read from the document's word
+/// index into the arena once per call, and only when one is planned.
+/// Word-side candidates share one entity-sorted merge over each context
+/// word's postings. Both plans yield the same phrases in the same order,
+/// so the score does not depend on the plan.
 ///
 /// Counters: every candidate records one evaluation and one plan decision;
 /// postings scanned and phrases matched are recorded per candidate. The
@@ -139,21 +141,21 @@ pub fn simscores_batch<K: KbView + ?Sized>(
     scratch: &mut ScoringScratch,
 ) {
     let ScoringScratch { cover, context_words, matching, word_side, phrase_bufs, sims } = scratch;
-    context.words_into(context_words);
-    let context_words: &[WordId] = context_words;
+    let distinct = context.distinct_count();
     sims.clear();
     word_side.clear();
     let idx = kb.keyphrase_index();
     let runs = kb.phrase_runs();
 
     // Phase A — plan each candidate in candidate order. Entity-side plans
-    // (KP(e) no larger than the context word set) are scored immediately;
-    // word-side plans are registered for the shared merge pass.
+    // (KP(e) no larger than the context's distinct word count) are scored
+    // immediately; word-side plans are registered for the shared merge
+    // pass.
     for i in 0..n {
         let e = entity_at(i);
         obs.evaluations.inc();
         let kp = kb.keyphrases(e);
-        if kp.len() <= context_words.len() {
+        if kp.len() <= distinct {
             obs.plan_entity_side.inc();
             matching.clear();
             // The precomputed run is the deduplicated word set of the
@@ -161,11 +163,7 @@ pub fn simscores_batch<K: KbView + ?Sized>(
             // word list.
             matching.extend(
                 kp.iter()
-                    .filter(|ep| {
-                        runs.run(ep.phrase)
-                            .iter()
-                            .any(|w| context_words.binary_search(w).is_ok())
-                    })
+                    .filter(|ep| runs.run(ep.phrase).iter().any(|&w| context.contains(w)))
                     .map(|ep| ep.phrase),
             );
             obs.phrases_matched.add(matching.len() as u64);
@@ -182,6 +180,8 @@ pub fn simscores_batch<K: KbView + ?Sized>(
     if word_side.is_empty() {
         return;
     }
+    context.words_into(context_words);
+    let context_words: &[WordId] = context_words;
 
     // Phase B — entity-major order for the merge. Duplicate candidate
     // entities (not produced by the dictionary, but allowed by the API)

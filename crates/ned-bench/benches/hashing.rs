@@ -1,5 +1,6 @@
 //! Criterion benches for the hashing substrate: min-hash sketching, LSH
-//! banding, and the Eq. 3.4 cover kernel of the keyphrase similarity.
+//! banding, the per-document context index (its build and a mention's view
+//! of it), and the Eq. 3.4 cover kernel of the keyphrase similarity.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -7,9 +8,10 @@ use std::hint::black_box;
 use ned_aida::context::DocumentContext;
 use ned_aida::cover::CoverScratch;
 use ned_aida::similarity::cover_z_ratio;
-use ned_kb::WordId;
+use ned_kb::{EntityKind, FrozenKb, KbBuilder, WordId};
 use ned_relatedness::lsh::Banding;
 use ned_relatedness::minhash::{mix64, MinHasher};
+use ned_text::tokenize;
 
 fn bench_minhash(c: &mut Criterion) {
     let mut group = c.benchmark_group("minhash_sketch");
@@ -48,5 +50,40 @@ fn bench_cover(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_minhash, bench_banding, bench_cover);
+fn bench_context(c: &mut Criterion) {
+    // A KB of 40 keywords, and a 200-token document of them (a third
+    // capitalized), stopwords and words the KB does not know.
+    let vocab: Vec<String> = (0..40).map(|i| format!("keyword{i}")).collect();
+    let mut builder = KbBuilder::new();
+    let e = builder.add_entity("E", EntityKind::Other);
+    for phrase in vocab.chunks(4) {
+        builder.add_keyphrase(e, &phrase.join(" "), 1);
+    }
+    let kb = FrozenKb::freeze(&builder.build());
+    let text: Vec<String> = (0..200usize)
+        .map(|i| match i % 6 {
+            0 => "the".to_string(),
+            1 => format!("unknown{i}"),
+            2 => format!("Keyword{}", (i * 7) % 40),
+            _ => vocab[(i * 7) % 40].clone(),
+        })
+        .collect();
+    let tokens = tokenize(&text.join(" "));
+    c.bench_function("context_build_200_tokens", |b| {
+        b.iter(|| black_box(DocumentContext::build(&kb, &tokens)))
+    });
+
+    // A two-token mention's view of that document: its distinct-word count
+    // and a membership probe per keyword.
+    let doc = DocumentContext::build(&kb, &tokens);
+    let view = doc.excluding(100..102);
+    let mut group = c.benchmark_group("mention_view");
+    group.bench_function("distinct_count", |b| b.iter(|| black_box(view.distinct_count())));
+    group.bench_function("contains_40_keywords", |b| {
+        b.iter(|| (0..40).map(WordId).filter(|&w| view.contains(black_box(w))).count())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_minhash, bench_banding, bench_context, bench_cover);
 criterion_main!(benches);

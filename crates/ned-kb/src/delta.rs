@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use ned_core::NedError;
 use ned_obs::{names, Metrics};
-use ned_text::normalize::{match_key, squash_whitespace};
+use ned_text::normalize::{match_key, squash_whitespace, with_lowercase, with_match_key};
 
 use crate::dictionary::Candidate;
 use crate::entity::Entity;
@@ -176,9 +176,7 @@ struct Staging<'b, 'm> {
     kp_touched: Vec<EntityId>,
     in_touched: Vec<EntityId>,
     out_touched: Vec<EntityId>,
-    /// Buffers reused across mutations: one lowercased word, one phrase's
-    /// word ids.
-    word: String,
+    /// One phrase's word ids, reused across mutations.
     phrase: Vec<WordId>,
     /// The entity the previous mutation named: a promotion's keyphrases
     /// come in a run naming one entity, resolved once. A resolved name
@@ -198,7 +196,6 @@ impl<'b, 'm> Staging<'b, 'm> {
             kp_touched: Vec::new(),
             in_touched: Vec::new(),
             out_touched: Vec::new(),
-            word: String::new(),
             phrase: Vec::new(),
             last_entity: None,
             phrase_ids: FxHashMap::default(),
@@ -217,18 +214,6 @@ fn row_mut<'r, 'b, T: Clone + 'b>(
         touched.push(e);
         base_row().to_vec()
     })
-}
-
-/// `word.to_lowercase()` into a reused buffer; ASCII words, the common
-/// case, do not allocate.
-fn lowercase_into(word: &str, out: &mut String) {
-    out.clear();
-    if word.is_ascii() {
-        out.push_str(word);
-        out.make_ascii_lowercase();
-    } else {
-        out.push_str(&word.to_lowercase());
-    }
 }
 
 /// An immutable copy-on-write overlay: `base` + the effect of a mutation
@@ -470,23 +455,24 @@ impl DeltaKb {
     /// `WordInterner::intern`); without it, an unknown word returns false.
     fn phrase_word_ids(&mut self, st: &mut Staging<'_, '_>, surface: &str, intern: bool) -> bool {
         st.phrase.clear();
+        let base = st.base;
         for word in surface.split_whitespace() {
-            lowercase_into(word, &mut st.word);
-            let known = st
-                .base
-                .word_id_lowercased(&st.word)
-                .or_else(|| self.word_index_new.get(st.word.as_str()).copied());
-            let id = match known {
-                Some(id) => id,
-                None if intern => {
-                    let id = WordId::from_index(self.word_count());
-                    self.words_new.push(st.word.clone());
-                    self.word_index_new.insert(st.word.clone(), id);
-                    id
+            let id = with_lowercase(word, |lower| {
+                let known = base
+                    .word_id_lowercased(lower)
+                    .or_else(|| self.word_index_new.get(lower).copied());
+                if known.is_some() || !intern {
+                    return known;
                 }
+                let id = WordId::from_index(self.word_count());
+                self.words_new.push(lower.to_string());
+                self.word_index_new.insert(lower.to_string(), id);
+                Some(id)
+            });
+            match id {
+                Some(id) => st.phrase.push(id),
                 None => return false,
-            };
-            st.phrase.push(id);
+            }
         }
         true
     }
@@ -681,7 +667,7 @@ impl DeltaKb {
 
     /// Candidate entities for a mention surface (§3.3.2 case rules).
     pub fn candidates(&self, surface: &str) -> &[Candidate] {
-        self.candidates_by_key(&match_key(&squash_whitespace(surface)))
+        with_match_key(surface, |key| self.candidates_by_key(key))
     }
 
     /// Popularity prior p(e | surface) — identical arithmetic to the base
@@ -791,8 +777,9 @@ impl DeltaKb {
     /// Looks up an interned keyword by text (overlay first, then base),
     /// lowercasing it once.
     pub fn word_id(&self, text: &str) -> Option<WordId> {
-        let key = text.to_lowercase();
-        self.word_index_new.get(&key).copied().or_else(|| self.base.word_id_lowercased(&key))
+        with_lowercase(text, |key| {
+            self.word_index_new.get(key).copied().or_else(|| self.base.word_id_lowercased(key))
+        })
     }
 
     /// Number of distinct keywords in the merged KB.
@@ -1280,5 +1267,68 @@ mod tests {
         .unwrap();
         assert_eq!(delta.delta_entity_count(), 1);
         assert_eq!(metrics.snapshot().gauge(names::KB_DELTA_ENTITIES), 1);
+    }
+
+    /// Keywords of the word-lookup proptest: plain words, words whose
+    /// lowercase is not ASCII (`İ` → "i\u{307}", "Straße") or comes from
+    /// a non-ASCII letter (the Kelvin sign → "k"), and ASCII words of 32
+    /// and 33 bytes. The base holds the first list, the overlay's word tail
+    /// the second.
+    const BASE_WORDS: &str =
+        "k \u{130} Straße kelvin abcdefghijklmnopqrstuvwxyzabcdef abcdefghijklmnopqrstuvwxyzabcdefg";
+    const OVERLAY_WORDS: &str =
+        "\u{212a}nob ÉTÉ ABCDEFGHIJKLMNOPQRSTUVWXYZABCDEz ABCDEFGHIJKLMNOPQRSTUVWXYZABCDEyz";
+
+    /// A lookup text glued from `(kind, value)` draws: a keyword as
+    /// written, upper- or lowercased, the Kelvin sign or `İ`, or any
+    /// Unicode scalar value.
+    fn lookup_text(draws: &[(u32, u32)]) -> String {
+        let vocab: Vec<&str> = BASE_WORDS.split(' ').chain(OVERLAY_WORDS.split(' ')).collect();
+        let mut out = String::new();
+        for &(kind, value) in draws {
+            let word = vocab[value as usize % vocab.len()];
+            match kind {
+                0 => out.push_str(word),
+                1 => out.push_str(&word.to_uppercase()),
+                2 => out.push_str(&word.to_lowercase()),
+                3 => out.push_str(["\u{212a}", "\u{130}"][value as usize % 2]),
+                _ => out.extend(char::from_u32(value)),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `word_id` on the frozen KB and on an overlay with its own word
+        /// tail equals its `to_lowercase()` definition: one lookup of the
+        /// lowercased text, overlay tail first.
+        #[test]
+        fn stack_buffer_word_id_matches_to_lowercase(
+            draws in proptest::collection::vec((0u32..5, 0u32..0x11_0000), 1..3),
+        ) {
+            let mut b = crate::builder::KbBuilder::new();
+            let e = b.add_entity("E", EntityKind::Other);
+            b.add_keyphrase(e, BASE_WORDS, 1);
+            let base = Arc::new(FrozenKb::freeze(&b.build()));
+            let muts = vec![KbMutation::AddKeyphrase {
+                entity: "E".into(),
+                surface: OVERLAY_WORDS.into(),
+                count: 1,
+            }];
+            let delta = DeltaKb::build(Arc::clone(&base), muts).unwrap();
+            prop_assert_eq!(delta.word_count(), base.word_count() + 4);
+
+            let text = lookup_text(&draws);
+            let lower = text.to_lowercase();
+            prop_assert_eq!(base.word_id(&text), base.word_id_lowercased(&lower), "{:?}", text);
+            let overlay = delta
+                .word_index_new
+                .get(&lower)
+                .copied()
+                .or_else(|| base.word_id_lowercased(&lower));
+            prop_assert_eq!(delta.word_id(&text), overlay, "{:?}", text);
+        }
     }
 }

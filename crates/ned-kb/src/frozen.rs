@@ -32,7 +32,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use ned_text::normalize::{match_key, squash_whitespace};
+use ned_text::normalize::{with_lowercase, with_match_key};
 
 use crate::delta::{DeltaKb, OverlayBase};
 use crate::dictionary::Candidate;
@@ -132,8 +132,7 @@ impl FrozenDictionary {
     /// Candidate entities for a mention surface (same case rules as the
     /// legacy dictionary), or an empty slice when unknown.
     pub fn candidates(&self, surface: &str) -> &[Candidate] {
-        let key = match_key(&squash_whitespace(surface));
-        self.find(&key).map_or(&[], |i| self.candidates_at(i))
+        with_match_key(surface, |key| self.candidates_by_key(key))
     }
 
     /// Candidate list for an **already-normalized** match key, skipping the
@@ -653,7 +652,7 @@ impl FrozenKb {
     /// Looks up an interned keyword by text (case-insensitive, like the
     /// legacy interner).
     pub fn word_id(&self, text: &str) -> Option<WordId> {
-        self.word_index.get(&text.to_lowercase()).copied()
+        with_lowercase(text, |lower| self.word_id_lowercased(lower))
     }
 
     /// Looks up a keyword whose text is already lowercased.

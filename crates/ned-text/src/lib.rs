@@ -18,7 +18,8 @@
 //! - [`token`] / [`tokenizer`]: token model and the tokenizer.
 //! - [`sentence`]: sentence boundary detection.
 //! - [`stopwords`]: the stopword list used for context extraction.
-//! - [`normalize`]: the name-matching case rules of §3.3.2.
+//! - [`normalize`]: the name-matching case rules of §3.3.2, and the
+//!   allocation-free lowercasing of keyword and stopword lookups.
 //! - [`pos`]: a lexicon + suffix part-of-speech tagger.
 //! - [`patterns`]: keyphrase part-of-speech patterns (Appendix A).
 //! - [`ner`]: rule-based named-entity recognition.

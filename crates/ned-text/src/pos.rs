@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::OnceLock;
 
+use crate::normalize::with_lowercase;
 use crate::sentence::split_sentences;
 use crate::stopwords::is_stopword;
 use crate::token::{Token, TokenKind};
@@ -91,21 +92,6 @@ fn lexicon() -> &'static HashMap<&'static str, PosTag> {
     })
 }
 
-/// Longest token lowercased in a stack buffer; longer and non-ASCII tokens
-/// are lowercased on the heap.
-const STACK_WORD_BYTES: usize = 32;
-
-/// `word` lowercased into `buf`, when it is ASCII and fits.
-fn ascii_lowercase<'b>(word: &str, buf: &'b mut [u8; STACK_WORD_BYTES]) -> Option<&'b str> {
-    if !word.is_ascii() {
-        return None;
-    }
-    let out = buf.get_mut(..word.len())?;
-    out.copy_from_slice(word.as_bytes());
-    out.make_ascii_lowercase();
-    std::str::from_utf8(out).ok()
-}
-
 /// Deterministic rule-based POS tagger.
 #[derive(Debug, Default, Clone)]
 pub struct PosTagger {
@@ -171,41 +157,37 @@ impl PosTagger {
     }
 
     fn tag_word(&self, tok: &Token, at_sentence_start: bool) -> PosTag {
-        let mut buf = [0u8; STACK_WORD_BYTES];
-        let heap;
-        let l = match ascii_lowercase(&tok.text, &mut buf) {
-            Some(l) => l,
-            None => {
-                heap = tok.lower();
-                heap.as_str()
-            }
-        };
-        if let Some(&tag) = lexicon().get(l) {
-            return tag;
-        }
-        if tok.is_all_uppercase() && tok.text.chars().count() >= 2 {
-            return PosTag::ProperNoun;
-        }
-        if tok.is_capitalized() && !at_sentence_start {
-            return PosTag::ProperNoun;
-        }
-        if l.ends_with(ADVERB_SUFFIX) && l.len() > 3 {
-            return PosTag::Other;
-        }
-        if VERB_SUFFIXES.iter().any(|s| l.ends_with(s) && l.len() > s.len() + 2) {
-            return PosTag::Verb;
-        }
-        if ADJECTIVE_SUFFIXES.iter().any(|s| l.ends_with(s) && l.len() > s.len() + 2) {
-            return PosTag::Adjective;
-        }
-        // A sentence-initial capitalized content word could be either a noun
-        // or a proper noun; the keyphrase patterns accept both, so it is a
-        // Noun like any other content word.
-        if is_stopword(l) {
-            PosTag::Other
-        } else {
-            PosTag::Noun
-        }
+        with_lowercase(&tok.text, |l| tag_lowered(tok, l, at_sentence_start))
+    }
+}
+
+/// The tag of the word token `tok`, whose lowercased text is `l`.
+fn tag_lowered(tok: &Token, l: &str, at_sentence_start: bool) -> PosTag {
+    if let Some(&tag) = lexicon().get(l) {
+        return tag;
+    }
+    if tok.is_all_uppercase() && tok.text.chars().count() >= 2 {
+        return PosTag::ProperNoun;
+    }
+    if tok.is_capitalized() && !at_sentence_start {
+        return PosTag::ProperNoun;
+    }
+    if l.ends_with(ADVERB_SUFFIX) && l.len() > 3 {
+        return PosTag::Other;
+    }
+    if VERB_SUFFIXES.iter().any(|s| l.ends_with(s) && l.len() > s.len() + 2) {
+        return PosTag::Verb;
+    }
+    if ADJECTIVE_SUFFIXES.iter().any(|s| l.ends_with(s) && l.len() > s.len() + 2) {
+        return PosTag::Adjective;
+    }
+    // A sentence-initial capitalized content word could be either a noun
+    // or a proper noun; the keyphrase patterns accept both, so it is a
+    // Noun like any other content word.
+    if is_stopword(l) {
+        PosTag::Other
+    } else {
+        PosTag::Noun
     }
 }
 
@@ -214,8 +196,8 @@ impl PosTagger {
 pub fn sentence_start_flags(n_tokens: usize, sentences: &[crate::sentence::Sentence]) -> Vec<bool> {
     let mut flags = vec![false; n_tokens];
     for s in sentences {
-        if s.start < n_tokens {
-            flags[s.start] = true;
+        if let Some(flag) = flags.get_mut(s.start) {
+            *flag = true;
         }
     }
     flags

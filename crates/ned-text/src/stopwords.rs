@@ -4,6 +4,8 @@
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
+use crate::normalize::with_lowercase;
+
 /// English function words plus a handful of high-frequency verbs. The list is
 /// intentionally small — the weighting schemes (IDF/NPMI) downweight anything
 /// the list misses.
@@ -38,8 +40,7 @@ pub fn is_stopword(word: &str) -> bool {
     if word.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()) {
         return false;
     }
-    let lower = word.to_lowercase();
-    set().contains(lower.as_str())
+    with_lowercase(word, |lower| set().contains(lower))
 }
 
 /// Number of entries in the stopword list.
@@ -50,6 +51,7 @@ pub fn stopword_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn common_function_words_are_stopwords() {
@@ -73,5 +75,49 @@ mod tests {
     #[test]
     fn list_has_no_duplicates() {
         assert_eq!(stopword_count(), STOPWORDS.len());
+    }
+
+    /// The definition `is_stopword` is held to: the word or its
+    /// `to_lowercase()` is on the list.
+    fn reference_is_stopword(word: &str) -> bool {
+        STOPWORDS.contains(&word) || STOPWORDS.contains(&word.to_lowercase().as_str())
+    }
+
+    /// Stopwords in one of four cases (as written, lower, upper,
+    /// capitalized), the Kelvin sign, `İ`, ASCII words of 32 and 33 bytes
+    /// and arbitrary Unicode scalar values, glued from `(kind, value)`
+    /// draws.
+    fn word(draws: &[(u32, u32)]) -> String {
+        let mut out = String::new();
+        for &(kind, value) in draws {
+            let stopword = STOPWORDS[value as usize % STOPWORDS.len()];
+            match kind {
+                0 => out.push_str(stopword),
+                1 => out.push_str(&stopword.to_uppercase()),
+                2 => {
+                    let mut chars = stopword.chars();
+                    out.extend(chars.next().map(|c| c.to_ascii_uppercase()));
+                    out.extend(chars);
+                }
+                3 => out.push_str(["\u{212a}", "\u{130}", "I", "K"][value as usize % 4]),
+                4 => out.push_str(&"Ab".repeat(17)[..32 + (value % 2) as usize]),
+                _ => out.extend(char::from_u32(value)),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The stack-buffer lookup decides like the `to_lowercase()`
+        /// definition.
+        #[test]
+        fn is_stopword_matches_its_to_lowercase_definition(
+            draws in proptest::collection::vec((0u32..6, 0u32..0x11_0000), 1..3),
+        ) {
+            let w = word(&draws);
+            prop_assert_eq!(is_stopword(&w), reference_is_stopword(&w), "{:?}", w);
+        }
     }
 }
