@@ -36,22 +36,16 @@ pub enum SnapshotError {
         /// Version this binary reads and writes.
         supported: u16,
     },
-    /// The stream ended before the declared body length.
+    /// The stream ended inside the header.
     Truncated {
-        /// Bytes the header promised.
+        /// Bytes the header takes.
         expected: u64,
         /// Bytes actually present.
         actual: u64,
     },
-    /// The body checksum does not match the header checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the header.
-        expected: u64,
-        /// Checksum of the bytes actually read.
-        actual: u64,
-    },
-    /// The body passed the checksum but failed to decode (version-skewed
-    /// writer or a bug; with a valid checksum this should be unreachable).
+    /// A section passed its checksum but failed to decode, the decoded
+    /// sections disagree in shape, or bytes follow the last section. The
+    /// message names the section.
     Codec(String),
     /// A v3 section block ended before its declared body length.
     SectionTruncated {
@@ -76,7 +70,8 @@ pub enum SnapshotError {
         /// The unrecognized tag byte.
         tag: u8,
     },
-    /// A v3 stream ended without delivering a required section.
+    /// A required v3 section is not in its place: the stream ended before
+    /// it, or another section's frame stands there.
     MissingSection {
         /// The section that never arrived.
         section: &'static str,
@@ -92,13 +87,9 @@ impl fmt::Display for SnapshotError {
                 "unsupported snapshot format version {found} (this binary supports {supported})"
             ),
             SnapshotError::Truncated { expected, actual } => {
-                write!(f, "truncated snapshot: header promised {expected} bytes, got {actual}")
+                write!(f, "truncated snapshot header: {expected} bytes expected, got {actual}")
             }
-            SnapshotError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "snapshot checksum mismatch: header {expected:#018x}, body {actual:#018x}"
-            ),
-            SnapshotError::Codec(msg) => write!(f, "snapshot body failed to decode: {msg}"),
+            SnapshotError::Codec(msg) => write!(f, "snapshot failed to decode: {msg}"),
             SnapshotError::SectionTruncated { section, expected, actual } => write!(
                 f,
                 "truncated snapshot section {section:?}: frame promised {expected} bytes, \
@@ -113,7 +104,7 @@ impl fmt::Display for SnapshotError {
                 write!(f, "unknown snapshot section tag {tag:#04x}")
             }
             SnapshotError::MissingSection { section } => {
-                write!(f, "snapshot ended without required section {section:?}")
+                write!(f, "snapshot lacks required section {section:?} in its place")
             }
         }
     }

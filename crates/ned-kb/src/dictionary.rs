@@ -23,7 +23,7 @@ pub struct Candidate {
 }
 
 /// Name → candidate-set dictionary with popularity priors.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     /// Keyed by `match_key` of the squashed surface form.
     entries: FxHashMap<String, Vec<Candidate>>,

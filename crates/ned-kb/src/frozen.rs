@@ -42,6 +42,7 @@ use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::EntityPhrase;
 use crate::kp_index::KeyphraseIndex;
 use crate::phrase_runs::PhraseRuns;
+use crate::snapshot::{check_ids, check_offsets};
 use crate::store::KnowledgeBase;
 use crate::view::KbView;
 use crate::weights::WeightModel;
@@ -101,6 +102,20 @@ impl FrozenDictionary {
     /// Number of (name, entity) pairs.
     pub fn pair_count(&self) -> usize {
         self.candidates.len()
+    }
+
+    /// Checks a decoded dictionary against the entity count (snapshot
+    /// load): both offset arrays index their data with one row per name,
+    /// every key offset falls on a `char` boundary, and every candidate is
+    /// an entity below `entities`.
+    pub(crate) fn check(&self, entities: usize) -> Result<(), String> {
+        let names = self.key_offsets.len().saturating_sub(1);
+        check_offsets(&self.key_offsets, names, self.key_arena.len(), "key")?;
+        if !self.key_offsets.iter().all(|&o| self.key_arena.is_char_boundary(o as usize)) {
+            return Err("a key offset splits a character".to_string());
+        }
+        check_offsets(&self.cand_offsets, names, self.candidates.len(), "candidate")?;
+        check_ids(self.candidates.iter().map(|c| c.entity.index()), entities, "candidate entity")
     }
 
     /// The `i`-th key in ascending order.
@@ -228,6 +243,16 @@ impl FrozenLinks {
         self.edge_count as usize
     }
 
+    /// Checks decoded links against the entity count (snapshot load): one
+    /// in-link and one out-link row per entity, and every linked entity
+    /// below `entities`.
+    pub(crate) fn check(&self, entities: usize) -> Result<(), String> {
+        check_offsets(&self.in_offsets, entities, self.in_data.len(), "in-link")?;
+        check_offsets(&self.out_offsets, entities, self.out_data.len(), "out-link")?;
+        check_ids(self.in_data.iter().map(|e| e.index()), entities, "in-linking entity")?;
+        check_ids(self.out_data.iter().map(|e| e.index()), entities, "linked entity")
+    }
+
     /// Entities linking *to* `e`, sorted ascending.
     pub fn inlinks(&self, e: EntityId) -> &[EntityId] {
         let i = e.index();
@@ -322,12 +347,25 @@ impl FrozenPhrases {
         }
     }
 
-    fn word_count(&self) -> usize {
+    pub(crate) fn word_count(&self) -> usize {
         self.words.len()
     }
 
-    fn phrase_count(&self) -> usize {
+    pub(crate) fn phrase_count(&self) -> usize {
         self.phrase_surfaces.len()
+    }
+
+    /// Checks decoded keyphrases against the entity count (snapshot load):
+    /// one word row per phrase and one keyphrase row per entity, every
+    /// phrase word below the word count and every keyphrase below the
+    /// phrase count.
+    pub(crate) fn check(&self, entities: usize) -> Result<(), String> {
+        let (words, phrases) = (self.word_count(), self.phrase_count());
+        let phrase_words = self.phrase_word_data.len();
+        check_offsets(&self.phrase_word_offsets, phrases, phrase_words, "phrase-word")?;
+        check_offsets(&self.kp_offsets, entities, self.kp_data.len(), "keyphrase")?;
+        check_ids(self.phrase_word_data.iter().map(|w| w.index()), words, "phrase word")?;
+        check_ids(self.kp_data.iter().map(|ep| ep.phrase.index()), phrases, "keyphrase")
     }
 
     fn phrase_words(&self, p: PhraseId) -> &[WordId] {
@@ -408,8 +446,8 @@ pub struct FrozenKb {
     links: FrozenLinks,
     phrases: FrozenPhrases,
     weights: WeightModel,
-    /// Persistent like the five classic sections, but *optional* in
-    /// snapshots (frame tag 6): rebuilt in `assemble` when absent.
+    /// Derived from the keyphrases and weights, but persisted like them
+    /// (snapshot frame tag 6), so a load does not recompute it.
     phrase_runs: PhraseRuns,
     // Transient lookups, rebuilt in `assemble` on every construction path
     // (freeze and snapshot decode alike — nothing below is serialized).
@@ -476,11 +514,11 @@ impl FrozenKb {
 
     /// The single construction path: takes the persistent sections and
     /// rebuilds every transient index (name lookup, word lookup, keyphrase
-    /// inverted index) plus the section stats. Both [`FrozenKb::freeze`] and
-    /// the v3 snapshot decoder funnel through here, so a decoded KB can
-    /// never miss an index a frozen one has. `phrase_runs` is the decoded
-    /// optional tag-6 section; `None` (or a shape mismatch against the
-    /// other sections) triggers a rebuild from the keyphrases + weights.
+    /// inverted index) plus the section stats. [`FrozenKb::freeze`],
+    /// [`FrozenKb::from_view`] and the snapshot decoder funnel through
+    /// here, so a decoded KB can never miss an index a frozen one has.
+    /// `phrase_runs` is the decoded section, already checked against the
+    /// others; `None` builds it from the keyphrases and weights.
     pub(crate) fn assemble(
         entities: Vec<Entity>,
         dictionary: FrozenDictionary,
@@ -507,17 +545,15 @@ impl FrozenKb {
             |e| phrases.keyphrases(e),
             |p| phrases.phrase_words(p),
         );
-        let phrase_runs = phrase_runs
-            .filter(|r| r.is_consistent_with(phrases.phrase_count(), entities.len()))
-            .unwrap_or_else(|| {
-                PhraseRuns::build_raw(
-                    phrases.phrase_count(),
-                    entities.len(),
-                    |e| phrases.keyphrases(e),
-                    |p| phrases.phrase_words(p),
-                    &weights,
-                )
-            });
+        let phrase_runs = phrase_runs.unwrap_or_else(|| {
+            PhraseRuns::build_raw(
+                phrases.phrase_count(),
+                entities.len(),
+                |e| phrases.keyphrases(e),
+                |p| phrases.phrase_words(p),
+                &weights,
+            )
+        });
 
         let entity_bytes = entities
             .iter()
@@ -691,13 +727,20 @@ impl FrozenKb {
         &self.phrase_runs
     }
 
-    /// Decomposes into the five classic persistent sections (snapshot
-    /// writer); the optional phrase-run section is fetched separately via
-    /// [`FrozenKb::phrase_runs`].
+    /// Decomposes into the six persistent sections, in snapshot order
+    /// (the snapshot writer).
     pub(crate) fn sections(
         &self,
-    ) -> (&Vec<Entity>, &FrozenDictionary, &FrozenLinks, &FrozenPhrases, &WeightModel) {
-        (&self.entities, &self.dictionary, &self.links, &self.phrases, &self.weights)
+    ) -> (
+        &Vec<Entity>,
+        &FrozenDictionary,
+        &FrozenLinks,
+        &FrozenPhrases,
+        &WeightModel,
+        &PhraseRuns,
+    ) {
+        let FrozenKb { entities, dictionary, links, phrases, weights, phrase_runs, .. } = self;
+        (entities, dictionary, links, phrases, weights, phrase_runs)
     }
 }
 

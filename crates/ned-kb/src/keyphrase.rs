@@ -20,7 +20,7 @@ pub struct EntityPhrase {
 }
 
 /// Keyphrase sets for all entities.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct KeyphraseStore {
     per_entity: Vec<Vec<EntityPhrase>>,
     total_phrase_observations: u64,

@@ -6,12 +6,10 @@
 //! out-link adjacency lists are stored sorted so set intersections run as
 //! linear merges.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::EntityId;
 
 /// Directed link graph over entities.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct LinkGraph {
     inlinks: Vec<Vec<EntityId>>,
     outlinks: Vec<Vec<EntityId>>,

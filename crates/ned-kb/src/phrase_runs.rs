@@ -23,14 +23,16 @@
 //! it, down to the sign of zero. `tests/frozen_equivalence.rs` checks this
 //! property over random worlds.
 //!
-//! The structure is persisted as an *optional* section of snapshot v3
-//! (frame tag 6). The frozen KB rebuilds it from its keyphrases + weights
-//! when the section is absent (freezing a built KB, v2 snapshots).
+//! The structure is persisted as the last section of a snapshot (frame
+//! tag 6), which a load checks against the other sections instead of
+//! recomputing. Freezing a built KB or compacting an overlay builds it
+//! from the keyphrases and weights.
 
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::EntityPhrase;
+use crate::snapshot::{check_ids, check_offsets};
 use crate::weights::WeightModel;
 
 /// Sorted-deduplicated phrase-word runs with precomputed weight masses.
@@ -181,17 +183,18 @@ impl PhraseRuns {
         row.binary_search_by_key(&p, |&(x, _)| x).map(|k| row[k].1).ok() // ned-lint: allow(p1) — index returned by binary_search
     }
 
-    /// Shape-consistency check against the owning KB's dimensions. A
-    /// decoded section that fails this check is discarded and rebuilt —
-    /// a snapshot must never smuggle in mismatched masses.
-    pub(crate) fn is_consistent_with(&self, phrase_count: usize, entity_count: usize) -> bool {
-        self.run_offsets.len() == phrase_count + 1
-            && self.npmi_offsets.len() == entity_count + 1
-            && self.idf_mass.len() == phrase_count
-            && self.run_offsets.last().copied() == Some(offset(self.run_data.len()))
-            && self.npmi_offsets.last().copied() == Some(offset(self.npmi_mass.len()))
-            && self.run_offsets.windows(2).all(|w| w[0] <= w[1]) // ned-lint: allow(p1) — windows(2) pairs
-            && self.npmi_offsets.windows(2).all(|w| w[0] <= w[1])
+    /// Checks decoded runs against the owning KB's counts (snapshot load):
+    /// one run and one IDF mass per phrase, one NPMI row per entity, every
+    /// run word below `words` and every NPMI phrase below `phrases`. A
+    /// snapshot must never smuggle in mismatched masses.
+    pub(crate) fn check(&self, entities: usize, words: usize, phrases: usize) -> Result<(), String> {
+        check_offsets(&self.run_offsets, phrases, self.run_data.len(), "run")?;
+        if self.idf_mass.len() != phrases {
+            return Err(format!("{} IDF masses for {phrases} phrases", self.idf_mass.len()));
+        }
+        check_offsets(&self.npmi_offsets, entities, self.npmi_mass.len(), "NPMI")?;
+        check_ids(self.run_data.iter().map(|w| w.index()), words, "run word")?;
+        check_ids(self.npmi_mass.iter().map(|(p, _)| p.index()), phrases, "NPMI phrase")
     }
 
     /// Approximate heap footprint in bytes (array payloads).
@@ -324,20 +327,22 @@ mod tests {
     }
 
     #[test]
-    fn consistency_check_accepts_built_and_rejects_mismatched() {
+    fn check_accepts_built_and_rejects_mismatched() {
         let kb = kb();
         let runs = kb.phrase_runs().clone();
-        let phrase_count = runs.phrase_count();
-        let entity_count = kb.entity_count();
-        assert!(runs.is_consistent_with(phrase_count, entity_count));
-        assert!(!runs.is_consistent_with(phrase_count + 1, entity_count));
-        assert!(!runs.is_consistent_with(phrase_count, entity_count + 1));
+        let (entities, words, phrases) = (kb.entity_count(), kb.word_count(), runs.phrase_count());
+        assert_eq!(runs.check(entities, words, phrases), Ok(()));
+        assert!(runs.check(entities, words, phrases + 1).is_err());
+        assert!(runs.check(entities + 1, words, phrases).is_err());
+        // Every word occurs in some run, so the last word id is then out
+        // of range.
+        assert!(runs.check(entities, words - 1, phrases).is_err());
         let mut truncated = runs.clone();
         truncated.run_data.pop();
-        assert!(!truncated.is_consistent_with(phrase_count, entity_count));
+        assert!(truncated.check(entities, words, phrases).is_err());
         let mut short_mass = runs;
         short_mass.idf_mass.pop();
-        assert!(!short_mass.is_consistent_with(phrase_count, entity_count));
+        assert!(short_mass.check(entities, words, phrases).is_err());
     }
 
     #[test]
@@ -345,7 +350,7 @@ mod tests {
         let kb = FrozenKb::freeze(&KbBuilder::new().build());
         let runs = kb.phrase_runs();
         assert_eq!(runs.phrase_count(), 0);
-        assert!(runs.is_consistent_with(0, 0));
+        assert_eq!(runs.check(0, 0, 0), Ok(()));
         assert_eq!(runs.approx_heap_bytes(), 2 * std::mem::size_of::<u32>());
     }
 }

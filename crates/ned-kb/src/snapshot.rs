@@ -7,23 +7,19 @@
 //! crate, keeping the workspace inside its approved dependency set (serde
 //! without a third-party format crate).
 //!
-//! Two on-disk layouts coexist:
+//! There is one on-disk layout, format version 3: an 8-byte header (magic,
+//! version) followed by six section frames in a fixed order — entities,
+//! dictionary, links, keyphrases, weights, phrase runs — each
+//! length-prefixed and individually FNV-checksummed, decoding straight into
+//! the flat arrays of a [`FrozenKb`]. [`write_frozen_snapshot`] writes it,
+//! and [`read_frozen_snapshot`] reads back exactly that layout and no
+//! other. A KB grows after its snapshot only through the write-ahead log
+//! ([`crate::wal`]), so a snapshot plus its log is the whole durable state.
 //!
-//! - **v2** (legacy): one monolithic body holding a serialized
-//!   [`KnowledgeBase`], framed by a 24-byte header (magic, version, body
-//!   length, FNV-1a checksum). Written by [`write_snapshot`], read by
-//!   [`read_snapshot`].
-//! - **v3** (current): five independent sections — entities, dictionary,
-//!   links, keyphrases, weights — each length-prefixed and individually
-//!   FNV-checksummed, decoding straight into the flat arrays of a
-//!   [`FrozenKb`]. Written by [`write_frozen_snapshot`], read by
-//!   [`read_frozen_snapshot`], which also accepts v2 streams via a
-//!   freeze-on-load path. Per-section framing is what later PRs need for
-//!   mmap and lazy per-section loading.
-//!
-//! Snapshots are hardened against corruption: truncation, bit flips, and
-//! version skew all surface as structured [`SnapshotError`]s — never a
-//! panic, never silently garbled data.
+//! Snapshots are hardened against corruption: truncation, bit flips,
+//! version skew, misplaced or extra frames and sections that disagree in
+//! shape all surface as structured [`SnapshotError`]s — never a panic,
+//! never silently garbled data.
 
 use std::io::{self, Read, Write};
 
@@ -35,7 +31,6 @@ use serde::Serialize;
 use crate::entity::Entity;
 use crate::frozen::{FrozenDictionary, FrozenKb, FrozenLinks, FrozenPhrases};
 use crate::phrase_runs::PhraseRuns;
-use crate::store::KnowledgeBase;
 use crate::weights::WeightModel;
 
 mod codec {
@@ -636,52 +631,33 @@ pub use codec::Error as CodecError;
 /// Magic bytes identifying a knowledge-base snapshot.
 const MAGIC: &[u8; 6] = b"AIDAKB";
 
-/// Current snapshot format version: sectioned frames decoding into a
-/// [`FrozenKb`]. Version 1 ("AIDAKB01", no checksum) is rejected with
-/// [`SnapshotError::UnsupportedVersion`]: its version bytes decode as ASCII
-/// `"01"`.
+/// The snapshot format version this binary reads and writes. Every other
+/// version is rejected with [`SnapshotError::UnsupportedVersion`]: v1
+/// ("AIDAKB01", whose version bytes decode as ASCII `"01"`), v2 (one
+/// monolithic checksummed body) and any later one.
 pub const FORMAT_VERSION: u16 = 3;
 
-/// The legacy monolithic-body format still written by [`write_snapshot`]
-/// and accepted by [`read_frozen_snapshot`] via freeze-on-load.
-pub const V2_FORMAT_VERSION: u16 = 2;
-
-/// v2 header layout: magic (6) + version u16 (2) + body length u64 (8) +
-/// FNV-1a body checksum u64 (8), all little-endian.
-const HEADER_LEN: usize = 24;
-
-/// v3 header layout: magic (6) + version u16 (2); sections follow.
+/// Header layout: magic (6) + version u16 (2); the section frames follow.
 const V3_HEADER_LEN: usize = 8;
 
-/// v3 section frame prelude: tag u8 (1) + body length u64 (8) + FNV-1a body
+/// Section frame prelude: tag u8 (1) + body length u64 (8) + FNV-1a body
 /// checksum u64 (8), all little-endian.
 const FRAME_PRELUDE_LEN: usize = 17;
 
-/// v3 section tags, in the order [`write_frozen_snapshot`] emits them.
-/// `PHRASE_RUNS` is *optional on read*: snapshots written before the
-/// phrase-run cache existed simply lack the frame, and the loader rebuilds
-/// the structure from keyphrases + weights.
-mod tag {
-    pub const ENTITIES: u8 = 1;
-    pub const DICTIONARY: u8 = 2;
-    pub const LINKS: u8 = 3;
-    pub const KEYPHRASES: u8 = 4;
-    pub const WEIGHTS: u8 = 5;
-    pub const PHRASE_RUNS: u8 = 6;
+/// A section frame's tag, and the section's name in errors and gauges.
+struct Section {
+    tag: u8,
+    name: &'static str,
 }
 
-/// Human-readable section name of a v3 tag (for error reporting).
-fn section_name(t: u8) -> Option<&'static str> {
-    match t {
-        tag::ENTITIES => Some("entities"),
-        tag::DICTIONARY => Some("dictionary"),
-        tag::LINKS => Some("links"),
-        tag::KEYPHRASES => Some("keyphrases"),
-        tag::WEIGHTS => Some("weights"),
-        tag::PHRASE_RUNS => Some("phrase_runs"),
-        _ => None,
-    }
-}
+// The six sections, in the order `write_frozen_snapshot` writes them and
+// `read_frozen_snapshot` requires them.
+const ENTITIES: Section = Section { tag: 1, name: "entities" };
+const DICTIONARY: Section = Section { tag: 2, name: "dictionary" };
+const LINKS: Section = Section { tag: 3, name: "links" };
+const KEYPHRASES: Section = Section { tag: 4, name: "keyphrases" };
+const WEIGHTS: Section = Section { tag: 5, name: "weights" };
+const PHRASE_RUNS: Section = Section { tag: 6, name: "phrase_runs" };
 
 /// FNV-1a over the snapshot body; not cryptographic, but any truncation or
 /// stray bit flip changes it with overwhelming probability. Shared with the
@@ -705,106 +681,17 @@ pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
     codec::from_bytes(bytes)
 }
 
-/// Writes a legacy v2 knowledge-base snapshot (hardened header + one
-/// monolithic encoded body). Kept alongside the v3 writer as the migration
-/// fixture generator and for build pipelines that still produce the
-/// mutable-shaped [`KnowledgeBase`].
-pub fn write_snapshot<W: Write>(kb: &KnowledgeBase, mut writer: W) -> Result<(), NedError> {
-    let body = encode(kb).map_err(|e| NedError::Snapshot(SnapshotError::Codec(e.to_string())))?;
-    let mut header = [0u8; HEADER_LEN];
-    header[..6].copy_from_slice(MAGIC); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    header[6..8].copy_from_slice(&V2_FORMAT_VERSION.to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    header[8..16].copy_from_slice(&(body.len() as u64).to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    header[16..24].copy_from_slice(&fnv1a(&body).to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    writer
-        .write_all(&header)
-        .and_then(|()| writer.write_all(&body))
-        .map_err(|e| NedError::io("writing snapshot", e))
-}
-
-/// Reads a legacy v2 knowledge-base snapshot, verifying magic, version,
-/// length, and checksum, and rebuilds transient indexes.
-///
-/// Corruption never panics: a truncated, bit-flipped, or version-skewed
-/// stream yields the matching [`SnapshotError`]. Use
-/// [`read_frozen_snapshot`] for the version-dispatching loader that accepts
-/// both v2 and v3.
-pub fn read_snapshot<R: Read>(mut reader: R) -> Result<KnowledgeBase, NedError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_up_to(&mut reader, &mut header) // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        .map_err(|e| NedError::io("reading snapshot header", e))
-        .and_then(|got| {
-            if got < HEADER_LEN {
-                // A stream shorter than the header cannot carry the magic.
-                if got < 6 || &header[..6] != MAGIC {
-                    Err(SnapshotError::BadMagic.into())
-                } else {
-                    Err(SnapshotError::Truncated { expected: HEADER_LEN as u64, actual: got as u64 }
-                        .into())
-                }
-            } else {
-                Ok(())
-            }
-        })?;
-    if &header[..6] != MAGIC { // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        return Err(SnapshotError::BadMagic.into());
-    }
-    let version = u16::from_le_bytes([header[6], header[7]]); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    if version != V2_FORMAT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion {
-            found: version,
-            supported: V2_FORMAT_VERSION,
-        }
-        .into());
-    }
-    let len = u64::from_le_bytes(header[8..16].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    let expected_checksum = u64::from_le_bytes(header[16..24].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    read_v2_rest(&mut reader, len, expected_checksum)
-}
-
-/// Reads and validates a v2 body (length, checksum, decode) and rebuilds
-/// the transient indexes. The 24-byte header has already been consumed.
-fn read_v2_rest<R: Read>(
-    reader: &mut R,
-    len: u64,
-    expected_checksum: u64,
-) -> Result<KnowledgeBase, NedError> {
-    // Read through `take` instead of preallocating `len` bytes: a corrupted
-    // length must not trigger a huge allocation.
-    let mut body = Vec::new();
-    reader
-        .by_ref()
-        .take(len)
-        .read_to_end(&mut body)
-        .map_err(|e| NedError::io("reading snapshot body", e))?;
-    if body.len() as u64 != len {
-        return Err(SnapshotError::Truncated { expected: len, actual: body.len() as u64 }.into());
-    }
-    let actual_checksum = fnv1a(&body);
-    if actual_checksum != expected_checksum {
-        return Err(SnapshotError::ChecksumMismatch {
-            expected: expected_checksum,
-            actual: actual_checksum,
-        }
-        .into());
-    }
-    let mut kb: KnowledgeBase =
-        decode(&body).map_err(|e| NedError::Snapshot(SnapshotError::Codec(e.to_string())))?;
-    kb.rebuild_indexes();
-    Ok(kb)
-}
-
-/// Encodes one value as a v3 section frame: tag, body length, FNV-1a body
+/// Encodes one value as a section frame: tag, body length, FNV-1a body
 /// checksum, body.
 fn write_section<W: Write, T: Serialize>(
     writer: &mut W,
-    section_tag: u8,
+    section: Section,
     value: &T,
 ) -> Result<(), NedError> {
     let body =
         encode(value).map_err(|e| NedError::Snapshot(SnapshotError::Codec(e.to_string())))?;
     let mut prelude = [0u8; FRAME_PRELUDE_LEN];
-    prelude[0] = section_tag; // ned-lint: allow(p1) — fixed-size buffer, constant bounds
+    prelude[0] = section.tag; // ned-lint: allow(p1) — fixed-size buffer, constant bounds
     prelude[1..9].copy_from_slice(&(body.len() as u64).to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
     prelude[9..17].copy_from_slice(&fnv1a(&body).to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
     writer
@@ -813,63 +700,59 @@ fn write_section<W: Write, T: Serialize>(
         .map_err(|e| NedError::io("writing snapshot section", e))
 }
 
-/// Writes a v3 sectioned snapshot of a [`FrozenKb`]: the 8-byte header
-/// followed by the six section frames (entities, dictionary, links,
-/// keyphrases, weights, phrase_runs), each length-prefixed and individually
-/// checksummed. The trailing phrase-run frame is optional on read.
+/// Writes a snapshot of a [`FrozenKb`]: the 8-byte header followed by the
+/// six section frames (entities, dictionary, links, keyphrases, weights,
+/// phrase_runs), each length-prefixed and individually checksummed.
 pub fn write_frozen_snapshot<W: Write>(kb: &FrozenKb, mut writer: W) -> Result<(), NedError> {
     let mut header = [0u8; V3_HEADER_LEN];
     header[..6].copy_from_slice(MAGIC); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
     header[6..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
     writer.write_all(&header).map_err(|e| NedError::io("writing snapshot header", e))?;
-    let (entities, dictionary, links, phrases, weights) = kb.sections();
-    write_section(&mut writer, tag::ENTITIES, entities)?;
-    write_section(&mut writer, tag::DICTIONARY, dictionary)?;
-    write_section(&mut writer, tag::LINKS, links)?;
-    write_section(&mut writer, tag::KEYPHRASES, phrases)?;
-    write_section(&mut writer, tag::WEIGHTS, weights)?;
-    write_section(&mut writer, tag::PHRASE_RUNS, kb.phrase_runs())?;
+    let (entities, dictionary, links, phrases, weights, phrase_runs) = kb.sections();
+    write_section(&mut writer, ENTITIES, entities)?;
+    write_section(&mut writer, DICTIONARY, dictionary)?;
+    write_section(&mut writer, LINKS, links)?;
+    write_section(&mut writer, KEYPHRASES, phrases)?;
+    write_section(&mut writer, WEIGHTS, weights)?;
+    write_section(&mut writer, PHRASE_RUNS, phrase_runs)?;
     Ok(())
 }
 
-/// Decoded v3 sections, accumulated while walking the frame stream.
-#[derive(Debug, Default)]
-struct Sections {
-    entities: Option<Vec<Entity>>,
-    dictionary: Option<FrozenDictionary>,
-    links: Option<FrozenLinks>,
-    keyphrases: Option<FrozenPhrases>,
-    weights: Option<WeightModel>,
-    /// Optional: absent in snapshots written before the phrase-run cache;
-    /// `assemble` rebuilds it when `None`.
-    phrase_runs: Option<PhraseRuns>,
-}
-
-impl Sections {
-    fn take<T>(slot: Option<T>, section: &'static str) -> Result<T, NedError> {
-        slot.ok_or_else(|| SnapshotError::MissingSection { section }.into())
-    }
-
-    fn into_frozen(self) -> Result<FrozenKb, NedError> {
-        Ok(FrozenKb::assemble(
-            Self::take(self.entities, "entities")?,
-            Self::take(self.dictionary, "dictionary")?,
-            Self::take(self.links, "links")?,
-            Self::take(self.keyphrases, "keyphrases")?,
-            Self::take(self.weights, "weights")?,
-            self.phrase_runs,
-        ))
-    }
-}
-
-/// Reads one v3 section body, validating the frame's length and checksum.
-fn read_section_body<R: Read>(
+/// Reads the next frame, which must carry `section`, validates its length
+/// and checksum, and decodes its body. Records the body size as a gauge
+/// and adds the frame's bytes to `total_bytes`.
+fn read_section<R: Read, T: DeserializeOwned>(
     reader: &mut R,
-    section: &'static str,
-    prelude: &[u8; FRAME_PRELUDE_LEN],
-) -> Result<Vec<u8>, NedError> {
+    section: Section,
+    metrics: &Metrics,
+    total_bytes: &mut u64,
+) -> Result<T, NedError> {
+    let mut prelude = [0u8; FRAME_PRELUDE_LEN];
+    let got = read_up_to(reader, &mut prelude)
+        .map_err(|e| NedError::io("reading snapshot section header", e))?;
+    let [tag, ..] = prelude;
+    if got == 0 || tag != section.tag {
+        // The stream ended, or a frame stands where this section belongs.
+        let known = (ENTITIES.tag..=PHRASE_RUNS.tag).contains(&tag);
+        return Err(if got == 0 || known {
+            SnapshotError::MissingSection { section: section.name }
+        } else {
+            SnapshotError::UnknownSection { tag }
+        }
+        .into());
+    }
+    if got < FRAME_PRELUDE_LEN {
+        return Err(SnapshotError::SectionTruncated {
+            section: section.name,
+            expected: FRAME_PRELUDE_LEN as u64,
+            actual: got as u64,
+        }
+        .into());
+    }
     let len = u64::from_le_bytes(prelude[1..9].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
     let expected_checksum = u64::from_le_bytes(prelude[9..17].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
+    // Read through `take` instead of preallocating `len` bytes: a corrupted
+    // length must not trigger a huge allocation.
     let mut body = Vec::new();
     reader
         .by_ref()
@@ -878,7 +761,7 @@ fn read_section_body<R: Read>(
         .map_err(|e| NedError::io("reading snapshot section", e))?;
     if body.len() as u64 != len {
         return Err(SnapshotError::SectionTruncated {
-            section,
+            section: section.name,
             expected: len,
             actual: body.len() as u64,
         }
@@ -887,40 +770,52 @@ fn read_section_body<R: Read>(
     let actual_checksum = fnv1a(&body);
     if actual_checksum != expected_checksum {
         return Err(SnapshotError::SectionChecksumMismatch {
-            section,
+            section: section.name,
             expected: expected_checksum,
             actual: actual_checksum,
         }
         .into());
     }
-    Ok(body)
+    let gauge = format!("{}{}", names::SNAPSHOT_SECTION_BYTES_PREFIX, section.name);
+    metrics.gauge(&gauge).set(body.len() as u64);
+    *total_bytes += (FRAME_PRELUDE_LEN + body.len()) as u64;
+    decode(&body)
+        .map_err(|e| NedError::Snapshot(SnapshotError::Codec(format!("{}: {e}", section.name))))
 }
 
-/// Reads a snapshot of either format into the read-optimized [`FrozenKb`].
+/// Reads a snapshot into the read-optimized [`FrozenKb`].
 ///
-/// - A **v3** stream decodes section-by-section straight into the flat
-///   arrays, validating each frame's length and checksum independently
+/// The stream must hold exactly what [`write_frozen_snapshot`] writes: the
+/// header, the six section frames in tag order 1–6, and nothing after them.
+///
+/// - Any format version but [`FORMAT_VERSION`], v1 and v2 included, is
+///   [`SnapshotError::UnsupportedVersion`].
+/// - Each frame's length and checksum are validated on their own
 ///   ([`SnapshotError::SectionTruncated`] /
 ///   [`SnapshotError::SectionChecksumMismatch`] name the failing section).
-///   The five classic sections are required
-///   ([`SnapshotError::MissingSection`]); the trailing phrase-run section
-///   is optional (rebuilt when absent); an unrecognized tag is rejected
-///   ([`SnapshotError::UnknownSection`]).
-/// - A **v2** stream is decoded through the legacy path and frozen on load,
-///   so old snapshots keep working across the migration.
+/// - A section that is not in its place, because the stream ended or
+///   another frame stands there, is [`SnapshotError::MissingSection`]; a
+///   frame with an unknown tag is [`SnapshotError::UnknownSection`].
+/// - A byte after the last frame, or decoded sections that disagree in
+///   shape, are [`SnapshotError::Codec`]. The shape check requires every
+///   offset array to index its data from 0 to its end in order, with one
+///   row per entity, phrase or name, and every stored id to lie below its
+///   count; the error names the section that fails it.
 ///
-/// Every decode path funnels through the same constructor, so the transient
-/// indexes (`entity_by_name`, keyphrase inverted index) are always rebuilt —
-/// a loaded KB is indistinguishable from a freshly frozen one.
+/// The sections then go through the constructor [`FrozenKb::freeze`] uses,
+/// so the transient indexes (`entity_by_name`, the keyphrase inverted
+/// index) are rebuilt: a loaded KB is indistinguishable from a freshly
+/// frozen one.
 pub fn read_frozen_snapshot<R: Read>(reader: R) -> Result<FrozenKb, NedError> {
     read_frozen_snapshot_observed(reader, &Metrics::disabled())
 }
 
-/// [`read_frozen_snapshot`] with load observability: records the read span,
-/// a decoded-section counter, the v2-fallback counter, and per-section body
-/// sizes as gauges (`snapshot_section_bytes_<name>`, plus
-/// `snapshot_bytes_total`) into the given registry. Pass
+/// [`read_frozen_snapshot`] with load observability: records the read span
+/// and per-section body sizes as gauges (`snapshot_section_bytes_<name>`,
+/// plus `snapshot_bytes_total`) into the given registry. Pass
 /// [`Metrics::disabled`] (or call the plain reader) to skip accounting.
+// ned-lint: entry — snapshot load is a recovery root, like WAL replay:
+// every byte it decodes comes from outside the process.
 pub fn read_frozen_snapshot_observed<R: Read>(
     mut reader: R,
     metrics: &Metrics,
@@ -941,72 +836,73 @@ pub fn read_frozen_snapshot_observed<R: Read>(
         return Err(SnapshotError::BadMagic.into());
     }
     let version = u16::from_le_bytes([header[6], header[7]]); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-    if version == V2_FORMAT_VERSION {
-        // Legacy monolithic body: finish the 24-byte header, decode the
-        // mutable-shaped KB, and freeze it on the way in.
-        let mut rest = [0u8; HEADER_LEN - V3_HEADER_LEN];
-        let got = read_up_to(&mut reader, &mut rest)
-            .map_err(|e| NedError::io("reading snapshot header", e))?;
-        if got < rest.len() {
-            return Err(SnapshotError::Truncated {
-                expected: HEADER_LEN as u64,
-                actual: (V3_HEADER_LEN + got) as u64,
-            }
-            .into());
-        }
-        let len = u64::from_le_bytes(rest[..8].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        let expected_checksum = u64::from_le_bytes(rest[8..16].try_into().unwrap_or([0; 8])); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        let kb = read_v2_rest(&mut reader, len, expected_checksum)?;
-        metrics.counter(names::SNAPSHOT_V2_FALLBACK).inc();
-        metrics.gauge(names::SNAPSHOT_BYTES_TOTAL).set(HEADER_LEN as u64 + len);
-        return Ok(FrozenKb::freeze(&kb));
-    }
     if version != FORMAT_VERSION {
         return Err(
             SnapshotError::UnsupportedVersion { found: version, supported: FORMAT_VERSION }.into()
         );
     }
-    let mut sections = Sections::default();
-    let sections_decoded = metrics.counter(names::SNAPSHOT_SECTIONS_DECODED);
-    let mut total_bytes = V3_HEADER_LEN as u64;
-    loop {
-        let mut prelude = [0u8; FRAME_PRELUDE_LEN];
-        let got = read_up_to(&mut reader, &mut prelude)
-            .map_err(|e| NedError::io("reading snapshot section header", e))?;
-        if got == 0 {
-            break; // Clean end of the frame stream.
-        }
-        let Some(section) = section_name(prelude[0]) else { // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-            return Err(SnapshotError::UnknownSection { tag: prelude[0] }.into()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-        };
-        if got < FRAME_PRELUDE_LEN {
-            return Err(SnapshotError::SectionTruncated {
-                section,
-                expected: FRAME_PRELUDE_LEN as u64,
-                actual: got as u64,
-            }
-            .into());
-        }
-        let body = read_section_body(&mut reader, section, &prelude)?;
-        let section_gauge =
-            format!("{}{section}", names::SNAPSHOT_SECTION_BYTES_PREFIX);
-        metrics.gauge(&section_gauge).set(body.len() as u64);
-        sections_decoded.inc();
-        total_bytes += (FRAME_PRELUDE_LEN + body.len()) as u64;
-        let codec_err =
-            |e: CodecError| NedError::Snapshot(SnapshotError::Codec(format!("{section}: {e}")));
-        match prelude[0] { // ned-lint: allow(p1) — fixed-size buffer, constant bounds
-            tag::ENTITIES => sections.entities = Some(decode(&body).map_err(codec_err)?),
-            tag::DICTIONARY => sections.dictionary = Some(decode(&body).map_err(codec_err)?),
-            tag::LINKS => sections.links = Some(decode(&body).map_err(codec_err)?),
-            tag::KEYPHRASES => sections.keyphrases = Some(decode(&body).map_err(codec_err)?),
-            tag::WEIGHTS => sections.weights = Some(decode(&body).map_err(codec_err)?),
-            tag::PHRASE_RUNS => sections.phrase_runs = Some(decode(&body).map_err(codec_err)?),
-            other => return Err(SnapshotError::UnknownSection { tag: other }.into()),
-        }
+    let mut total = V3_HEADER_LEN as u64;
+    let entities: Vec<Entity> = read_section(&mut reader, ENTITIES, metrics, &mut total)?;
+    let dictionary: FrozenDictionary =
+        read_section(&mut reader, DICTIONARY, metrics, &mut total)?;
+    let links: FrozenLinks = read_section(&mut reader, LINKS, metrics, &mut total)?;
+    let phrases: FrozenPhrases = read_section(&mut reader, KEYPHRASES, metrics, &mut total)?;
+    let weights: WeightModel = read_section(&mut reader, WEIGHTS, metrics, &mut total)?;
+    let phrase_runs: PhraseRuns = read_section(&mut reader, PHRASE_RUNS, metrics, &mut total)?;
+    let extra = read_up_to(&mut reader, &mut [0u8; 1])
+        .map_err(|e| NedError::io("reading snapshot", e))?;
+    if extra > 0 {
+        return Err(SnapshotError::Codec("bytes follow the last section".into()).into());
     }
-    metrics.gauge(names::SNAPSHOT_BYTES_TOTAL).set(total_bytes);
-    sections.into_frozen()
+    metrics.gauge(names::SNAPSHOT_BYTES_TOTAL).set(total);
+
+    // Path calls, not `.check()`: a method name with five candidates draws
+    // no call-graph edge, and the lint's p2 rule must follow the load into
+    // every check.
+    let (n, words, phrase_count) = (entities.len(), phrases.word_count(), phrases.phrase_count());
+    for (section, shape) in [
+        (DICTIONARY, FrozenDictionary::check(&dictionary, n)),
+        (LINKS, FrozenLinks::check(&links, n)),
+        (KEYPHRASES, FrozenPhrases::check(&phrases, n)),
+        (WEIGHTS, WeightModel::check(&weights, n, words, phrase_count)),
+        (PHRASE_RUNS, PhraseRuns::check(&phrase_runs, n, words, phrase_count)),
+    ] {
+        shape.map_err(|e| SnapshotError::Codec(format!("{}: {e}", section.name)))?;
+    }
+    Ok(FrozenKb::assemble(entities, dictionary, links, phrases, weights, Some(phrase_runs)))
+}
+
+/// Checks that `offsets` indexes `rows` rows of a `data_len`-entry array:
+/// `rows + 1` offsets that start at 0, never decrease and end at
+/// `data_len`. `what` names the array in the error.
+pub(crate) fn check_offsets(
+    offsets: &[u32],
+    rows: usize,
+    data_len: usize,
+    what: &str,
+) -> Result<(), String> {
+    if offsets.len() != rows + 1 {
+        return Err(format!("{} {what} offsets for {rows} rows", offsets.len()));
+    }
+    let in_order = offsets.windows(2).all(|w| w.first() <= w.last());
+    let ends = offsets.last().map(|&o| o as usize);
+    if offsets.first() != Some(&0) || ends != Some(data_len) || !in_order {
+        return Err(format!("{what} offsets do not run in order from 0 to {data_len}"));
+    }
+    Ok(())
+}
+
+/// Checks that every id in `ids` lies below `count`. `what` names the ids
+/// in the error.
+pub(crate) fn check_ids(
+    ids: impl IntoIterator<Item = usize>,
+    count: usize,
+    what: &str,
+) -> Result<(), String> {
+    match ids.into_iter().find(|&id| id >= count) {
+        Some(id) => Err(format!("{what} id {id} is not below {count}")),
+        None => Ok(()),
+    }
 }
 
 /// Fills `buf` as far as the stream allows; returns the bytes read. Unlike
@@ -1030,6 +926,7 @@ pub(crate) fn read_up_to<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<
 mod tests {
     use super::*;
     use crate::entity::EntityKind;
+    use crate::store::KnowledgeBase;
     use crate::KbBuilder;
 
     fn sample_kb() -> KnowledgeBase {
@@ -1044,85 +941,28 @@ mod tests {
         b.build()
     }
 
-    #[test]
-    fn roundtrip_preserves_kb() {
-        let kb = sample_kb();
+    /// The v3 bytes of the sample KB, frozen.
+    fn sample_snapshot() -> Vec<u8> {
         let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        let kb2 = read_snapshot(buf.as_slice()).unwrap();
-        assert_eq!(kb2.entity_count(), kb.entity_count());
-        let a = kb2.entity_by_name("Alpha Band").unwrap();
-        assert_eq!(kb2.entity(a).canonical_name, "Alpha Band");
-        assert_eq!(kb2.candidates("Alpha").len(), 2);
-        assert_eq!(kb2.keyphrases(a).len(), 1);
-        // Weight model round-trips numerically.
-        let w = kb2.word_id("rock").unwrap();
-        assert_eq!(kb2.weights().keyword_npmi(a, w), kb.weights().keyword_npmi(a, w));
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = read_snapshot(&b"NOTAKB00rest_of_a_header_xx"[..]).unwrap_err();
-        assert!(matches!(err, NedError::Snapshot(SnapshotError::BadMagic)), "{err}");
-        // Too short to even hold the magic.
-        let err = read_snapshot(&b"AI"[..]).unwrap_err();
-        assert!(matches!(err, NedError::Snapshot(SnapshotError::BadMagic)), "{err}");
+        write_frozen_snapshot(&FrozenKb::freeze(&sample_kb()), &mut buf).unwrap();
+        buf
     }
 
     #[test]
     fn rejects_version_skew() {
-        // A v1 snapshot started with the ASCII bytes "AIDAKB01".
-        let mut old = Vec::from(&b"AIDAKB01"[..]);
-        old.extend_from_slice(&[0u8; 32]);
-        let err = read_snapshot(old.as_slice()).unwrap_err();
-        match err {
-            NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(supported, V2_FORMAT_VERSION);
-                assert_ne!(found, V2_FORMAT_VERSION);
+        let buf = sample_snapshot();
+        // v1 started with the ASCII bytes "AIDAKB01"; v2 is the retired
+        // monolithic format; v4 is a future one. All are version skew.
+        for version in [u16::from_le_bytes(*b"01"), 1, 2, FORMAT_VERSION + 1] {
+            let mut skewed = buf.clone();
+            skewed[6..8].copy_from_slice(&version.to_le_bytes());
+            match read_frozen_snapshot(skewed.as_slice()).unwrap_err() {
+                NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, FORMAT_VERSION);
+                }
+                other => panic!("expected version skew, got {other}"),
             }
-            other => panic!("expected version skew, got {other}"),
-        }
-        // The legacy reader only accepts v2 — a v3 header is version skew to
-        // it (read_frozen_snapshot is the version-dispatching loader).
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        buf[6..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-        assert!(matches!(
-            read_snapshot(buf.as_slice()),
-            Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { .. }))
-        ));
-        // A future version is rejected by both readers.
-        let future = FORMAT_VERSION + 1;
-        buf[6..8].copy_from_slice(&future.to_le_bytes());
-        assert!(matches!(
-            read_snapshot(buf.as_slice()),
-            Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { .. }))
-        ));
-        match read_frozen_snapshot(buf.as_slice()).unwrap_err() {
-            NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, future);
-                assert_eq!(supported, FORMAT_VERSION);
-            }
-            other => panic!("expected version skew, got {other}"),
-        }
-    }
-
-    #[test]
-    fn checksum_catches_body_corruption() {
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        for pos in HEADER_LEN..buf.len() {
-            let mut corrupted = buf.clone();
-            corrupted[pos] ^= 0x01;
-            assert!(
-                matches!(
-                    read_snapshot(corrupted.as_slice()),
-                    Err(NedError::Snapshot(SnapshotError::ChecksumMismatch { .. }))
-                ),
-                "flip at byte {pos} was not caught"
-            );
         }
     }
 
@@ -1160,34 +1000,24 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_snapshots_error_instead_of_panicking() {
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        // Truncations at every prefix length must error cleanly.
-        for cut in 0..buf.len() {
-            assert!(read_snapshot(&buf[..cut]).is_err(), "cut at {cut} did not error");
-        }
-        // A corrupted length header must not allocate terabytes.
-        let mut huge = buf.clone();
-        huge[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            read_snapshot(huge.as_slice()),
-            Err(NedError::Snapshot(SnapshotError::Truncated { .. }))
-        ));
-        // Single-byte corruptions anywhere (header or body) must error, not
-        // panic or decode silently garbled data.
-        for pos in 0..buf.len() {
-            let mut corrupted = buf.clone();
-            corrupted[pos] ^= 0xff;
-            assert!(read_snapshot(corrupted.as_slice()).is_err(), "flip at {pos} slipped through");
-        }
-    }
-
-    #[test]
     fn codec_rejects_truncated_input() {
         let bytes = encode(&"a longer string".to_string()).unwrap();
         assert!(decode::<String>(&bytes[..bytes.len() - 2]).is_err());
+    }
+
+    #[test]
+    fn corrupted_frame_length_errors_without_allocating_it() {
+        // The entities frame claims u64::MAX body bytes: the reader must
+        // report truncation, not try to allocate them.
+        let mut huge = sample_snapshot();
+        huge[V3_HEADER_LEN + 1..V3_HEADER_LEN + 9].copy_from_slice(&u64::MAX.to_le_bytes());
+        match read_frozen_snapshot(huge.as_slice()).unwrap_err() {
+            NedError::Snapshot(SnapshotError::SectionTruncated { section, expected, .. }) => {
+                assert_eq!(section, "entities");
+                assert_eq!(expected, u64::MAX);
+            }
+            other => panic!("expected a truncated section, got {other}"),
+        }
     }
 
     fn assert_frozen_matches(fz: &FrozenKb, kb: &KnowledgeBase) {
@@ -1209,9 +1039,7 @@ mod tests {
     #[test]
     fn v3_roundtrip_preserves_frozen_kb() {
         let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
+        let buf = sample_snapshot();
         assert_eq!(u16::from_le_bytes([buf[6], buf[7]]), FORMAT_VERSION);
         let fz2 = read_frozen_snapshot(buf.as_slice()).unwrap();
         assert_frozen_matches(&fz2, &kb);
@@ -1222,21 +1050,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_freeze_on_load() {
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        assert_eq!(u16::from_le_bytes([buf[6], buf[7]]), V2_FORMAT_VERSION);
-        let fz = read_frozen_snapshot(buf.as_slice()).unwrap();
-        assert_frozen_matches(&fz, &kb);
-    }
-
-    #[test]
     fn v3_section_corruption_names_the_section() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
+        let buf = sample_snapshot();
         // The first frame after the 8-byte header is the entities section;
         // flip a byte inside its body.
         let body_len =
@@ -1260,17 +1075,8 @@ mod tests {
                 "flip at {pos} slipped through"
             );
         }
-        // Truncations at every prefix length must error cleanly too — with
-        // one exception: a cut exactly at the start of the trailing
-        // phrase-run frame looks like a clean end-of-stream, and that
-        // section is optional by design (rebuilt on load).
-        let phrase_runs_start = frame_starts(&buf).pop().unwrap();
+        // Every strict prefix errors too: all six frames are required.
         for cut in 0..buf.len() {
-            if cut == phrase_runs_start {
-                let fz2 = read_frozen_snapshot(&buf[..cut]).unwrap();
-                assert_frozen_matches(&fz2, &kb);
-                continue;
-            }
             assert!(read_frozen_snapshot(&buf[..cut]).is_err(), "cut at {cut} did not error");
         }
     }
@@ -1288,79 +1094,108 @@ mod tests {
         starts
     }
 
-    #[test]
-    fn v3_missing_section_is_reported() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
-        // Drop the trailing frames from the weights section on (the
-        // phrase-run frame alone is optional; weights are not).
-        let starts = frame_starts(&buf);
-        let weights_start = starts[starts.len() - 2];
-        match read_frozen_snapshot(&buf[..weights_start]).unwrap_err() {
-            NedError::Snapshot(SnapshotError::MissingSection { section }) => {
-                assert_eq!(section, "weights");
+    /// `buf` with its frame at `index` replaced by a frame of `tag` whose
+    /// body encodes `value`, checksummed so that only its shape is wrong.
+    fn with_frame<T: Serialize>(buf: &[u8], index: usize, tag: u8, value: &T) -> Vec<u8> {
+        let mut ends = frame_starts(buf);
+        ends.push(buf.len());
+        let body = encode(value).unwrap();
+        let mut out = buf[..ends[index]].to_vec();
+        out.push(tag);
+        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&buf[ends[index + 1]..]);
+        out
+    }
+
+    /// The section a shape error names, from its message.
+    fn shape_error_section(err: NedError) -> String {
+        match err {
+            NedError::Snapshot(SnapshotError::Codec(msg)) => {
+                msg.split(':').next().unwrap().to_string()
             }
-            other => panic!("expected missing section, got {other}"),
+            other => panic!("expected a shape error, got {other}"),
         }
     }
 
     #[test]
-    fn v3_phrase_run_section_is_optional_and_roundtrips() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
+    fn v3_missing_section_is_reported() {
+        let buf = sample_snapshot();
         let starts = frame_starts(&buf);
         assert_eq!(starts.len(), 6, "expected six frames");
-        assert_eq!(buf[*starts.last().unwrap()], 6, "phrase-run frame tag");
+        for (start, section) in starts.iter().zip(
+            ["entities", "dictionary", "links", "keyphrases", "weights", "phrase_runs"],
+        ) {
+            match read_frozen_snapshot(&buf[..*start]).unwrap_err() {
+                NedError::Snapshot(SnapshotError::MissingSection { section: missing }) => {
+                    assert_eq!(missing, section);
+                }
+                other => panic!("expected missing section {section}, got {other}"),
+            }
+        }
+    }
 
-        // Reading the full stream decodes the persisted runs; reading a
-        // stream cut before the phrase-run frame rebuilds them. Both paths
-        // must agree exactly with the freshly frozen structure.
-        let with_section = read_frozen_snapshot(buf.as_slice()).unwrap();
-        let without_section =
-            read_frozen_snapshot(&buf[..*starts.last().unwrap()]).unwrap();
-        assert_eq!(with_section.phrase_runs(), fz.phrase_runs());
-        assert_eq!(without_section.phrase_runs(), fz.phrase_runs());
-        assert_eq!(
-            with_section.stats().phrase_run_bytes,
-            without_section.stats().phrase_run_bytes
-        );
+    #[test]
+    fn v3_phrase_run_section_is_required_and_roundtrips() {
+        let fz = FrozenKb::freeze(&sample_kb());
+        let buf = sample_snapshot();
+        let starts = frame_starts(&buf);
+        assert_eq!(buf[starts[5]], 6, "phrase-run frame tag");
 
-        // A shape-mismatched phrase-run section (decodes fine but does not
-        // fit the KB's dimensions) is discarded and rebuilt, not trusted.
-        let mut swapped = Vec::new();
-        write_frozen_snapshot(&fz, &mut swapped).unwrap();
+        // The full stream decodes the persisted runs, equal to the freshly
+        // frozen structure.
+        let loaded = read_frozen_snapshot(buf.as_slice()).unwrap();
+        assert_eq!(loaded.phrase_runs(), fz.phrase_runs());
+        assert_eq!(loaded.stats().phrase_run_bytes, fz.stats().phrase_run_bytes);
+
+        // A stream cut before the phrase-run frame lacks a section.
+        assert!(matches!(
+            read_frozen_snapshot(&buf[..starts[5]]),
+            Err(NedError::Snapshot(SnapshotError::MissingSection { section: "phrase_runs" }))
+        ));
+
+        // A phrase-run section that decodes but does not fit the KB's
+        // dimensions is rejected, not trusted and not rebuilt.
         let foreign = {
-            let other = {
-                let mut b = KbBuilder::new();
-                let e = b.add_entity("Lone", EntityKind::Other);
-                b.add_keyphrase(e, "single phrase", 1);
-                b.build()
-            };
-            FrozenKb::freeze(&other).phrase_runs().clone()
+            let mut b = KbBuilder::new();
+            let e = b.add_entity("Lone", EntityKind::Other);
+            b.add_keyphrase(e, "single phrase", 1);
+            FrozenKb::freeze(&b.build()).phrase_runs().clone()
         };
-        swapped.truncate(*starts.last().unwrap());
-        let body = encode(&foreign).unwrap();
-        let mut prelude = [0u8; FRAME_PRELUDE_LEN];
-        prelude[0] = 6;
-        prelude[1..9].copy_from_slice(&(body.len() as u64).to_le_bytes());
-        prelude[9..17].copy_from_slice(&fnv1a(&body).to_le_bytes());
-        swapped.extend_from_slice(&prelude);
-        swapped.extend_from_slice(&body);
-        let rebuilt = read_frozen_snapshot(swapped.as_slice()).unwrap();
-        assert_eq!(rebuilt.phrase_runs(), fz.phrase_runs());
+        let swapped = with_frame(&buf, 5, 6, &foreign);
+        let err = read_frozen_snapshot(swapped.as_slice()).unwrap_err();
+        assert_eq!(shape_error_section(err), "phrase_runs");
+    }
+
+    #[test]
+    fn v3_sections_that_disagree_in_shape_are_rejected() {
+        let buf = sample_snapshot();
+        // A dictionary with no offsets at all: not even the leading 0.
+        let err = read_frozen_snapshot(
+            with_frame(&buf, 1, 2, &FrozenDictionary::default()).as_slice(),
+        )
+        .unwrap_err();
+        assert_eq!(shape_error_section(err), "dictionary");
+        // Sections of an empty KB: no rows where the entities frame has two.
+        let empty = FrozenKb::freeze(&KbBuilder::new().build());
+        let (_, dictionary, links, phrases, weights, runs) = empty.sections();
+        let err = read_frozen_snapshot(with_frame(&buf, 2, 3, links).as_slice()).unwrap_err();
+        assert_eq!(shape_error_section(err), "links");
+        let err = read_frozen_snapshot(with_frame(&buf, 3, 4, phrases).as_slice()).unwrap_err();
+        assert_eq!(shape_error_section(err), "keyphrases");
+        let err = read_frozen_snapshot(with_frame(&buf, 4, 5, weights).as_slice()).unwrap_err();
+        assert_eq!(shape_error_section(err), "weights");
+        let err = read_frozen_snapshot(with_frame(&buf, 5, 6, runs).as_slice()).unwrap_err();
+        assert_eq!(shape_error_section(err), "phrase_runs");
+        // The empty KB's dictionary has no rows, so it is consistent with
+        // any entity count.
+        assert!(read_frozen_snapshot(with_frame(&buf, 1, 2, dictionary).as_slice()).is_ok());
     }
 
     #[test]
     fn v3_unknown_tag_is_rejected() {
-        let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
-        let mut corrupted = buf.clone();
+        let mut corrupted = sample_snapshot();
         corrupted[V3_HEADER_LEN] = 0x77; // entities frame tag → nonsense
         match read_frozen_snapshot(corrupted.as_slice()).unwrap_err() {
             NedError::Snapshot(SnapshotError::UnknownSection { tag }) => assert_eq!(tag, 0x77),
@@ -1371,15 +1206,11 @@ mod tests {
     #[test]
     fn observed_read_records_section_sizes() {
         let kb = sample_kb();
-        let fz = FrozenKb::freeze(&kb);
-        let mut buf = Vec::new();
-        write_frozen_snapshot(&fz, &mut buf).unwrap();
+        let buf = sample_snapshot();
         let m = Metrics::new();
         let fz2 = read_frozen_snapshot_observed(buf.as_slice(), &m).unwrap();
         assert_frozen_matches(&fz2, &kb);
         let snap = m.snapshot();
-        assert_eq!(snap.counter(names::SNAPSHOT_SECTIONS_DECODED), 6);
-        assert_eq!(snap.counter(names::SNAPSHOT_V2_FALLBACK), 0);
         assert_eq!(snap.gauge(names::SNAPSHOT_BYTES_TOTAL), buf.len() as u64);
         for section in
             ["entities", "dictionary", "links", "keyphrases", "weights", "phrase_runs"]
@@ -1403,20 +1234,6 @@ mod tests {
             .expect("snapshot read span recorded");
         assert_eq!(span.count, 1);
         assert_eq!(span.sum, 0);
-    }
-
-    #[test]
-    fn observed_read_counts_v2_fallback() {
-        let kb = sample_kb();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).unwrap();
-        let m = Metrics::new();
-        let fz = read_frozen_snapshot_observed(buf.as_slice(), &m).unwrap();
-        assert_frozen_matches(&fz, &kb);
-        let snap = m.snapshot();
-        assert_eq!(snap.counter(names::SNAPSHOT_V2_FALLBACK), 1);
-        assert_eq!(snap.counter(names::SNAPSHOT_SECTIONS_DECODED), 0);
-        assert_eq!(snap.gauge(names::SNAPSHOT_BYTES_TOTAL), buf.len() as u64);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The assembled knowledge base.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dictionary::{Candidate, Dictionary};
 use crate::entity::Entity;
 use crate::fx::FxHashMap;
@@ -14,11 +12,12 @@ use crate::weights::WeightModel;
 /// The build-time knowledge base: entity repository, name dictionary, link
 /// graph, keyphrase store, and precomputed statistical weights.
 ///
-/// Construct via [`crate::builder::KbBuilder`]; serialize via
-/// [`crate::snapshot`]. It is not a read view: consumers read the
-/// [`FrozenKb`](crate::FrozenKb) that [`FrozenKb::freeze`](crate::FrozenKb::freeze)
-/// makes of it, which builds the read indexes the store does not carry.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// Construct via [`crate::builder::KbBuilder`]. It is neither a read view
+/// nor a file format: consumers read the [`FrozenKb`](crate::FrozenKb)
+/// that [`FrozenKb::freeze`](crate::FrozenKb::freeze) makes of it, which
+/// builds the read indexes the store does not carry, and snapshots
+/// ([`crate::snapshot`]) hold the frozen form.
+#[derive(Debug, Default, Clone)]
 pub struct KnowledgeBase {
     pub(crate) entities: Vec<Entity>,
     pub(crate) words: WordInterner,
@@ -27,7 +26,6 @@ pub struct KnowledgeBase {
     pub(crate) links: LinkGraph,
     pub(crate) keyphrases: KeyphraseStore,
     pub(crate) weights: WeightModel,
-    #[serde(skip)]
     pub(crate) by_name: FxHashMap<String, EntityId>,
 }
 
@@ -116,17 +114,5 @@ impl KnowledgeBase {
     /// The precomputed weight model.
     pub fn weights(&self) -> &WeightModel {
         &self.weights
-    }
-
-    /// Rebuilds transient lookup indexes (after deserialization).
-    pub(crate) fn rebuild_indexes(&mut self) {
-        self.words.rebuild_index();
-        self.phrases.rebuild_index();
-        self.by_name = self
-            .entities
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.canonical_name.clone(), EntityId::from_index(i)))
-            .collect();
     }
 }

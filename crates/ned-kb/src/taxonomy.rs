@@ -8,14 +8,13 @@
 //! retrieval ("cats" in the Chapter-6 search application).
 
 use ned_core::NedError;
-use serde::{Deserialize, Serialize};
 
 use crate::entity::EntityKind;
 use crate::fx::FxHashMap;
 use crate::ids::EntityId;
 
 /// Identifier of a type (class) in the taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TypeId(pub u32);
 
 impl TypeId {
@@ -26,14 +25,13 @@ impl TypeId {
 }
 
 /// The type taxonomy: a DAG of classes plus entity → type assignments.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Taxonomy {
     names: Vec<String>,
     /// Direct super-types per type.
     supertypes: Vec<Vec<TypeId>>,
     /// Direct types per entity (indexed by entity id).
     entity_types: Vec<Vec<TypeId>>,
-    #[serde(skip)]
     by_name: FxHashMap<String, TypeId>,
 }
 
@@ -167,16 +165,6 @@ impl Taxonomy {
     /// hierarchy).
     pub fn is_instance_of(&self, entity: EntityId, ty: TypeId) -> bool {
         self.direct_types(entity).iter().any(|&t| self.is_subtype_of(t, ty))
-    }
-
-    /// Rebuilds the name index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), TypeId(i as u32)))
-            .collect();
     }
 
     /// Builds the canonical coarse taxonomy over the [`EntityKind`]s of a
@@ -332,14 +320,5 @@ mod tests {
         assert!(t.direct_types(promoted).is_empty());
         assert!(t.all_types(promoted).is_empty());
         assert!(!t.is_instance_of(promoted, person));
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let (mut t, person, ..) = music_taxonomy();
-        t.by_name.clear();
-        assert_eq!(t.type_by_name("person"), None);
-        t.rebuild_index();
-        assert_eq!(t.type_by_name("person"), Some(person));
     }
 }

@@ -7,16 +7,14 @@
 //! text tokens.
 
 use ned_core::NedError;
-use serde::{Deserialize, Serialize};
 
 use crate::fx::FxHashMap;
 use crate::ids::{PhraseId, WordId};
 
 /// Interner for single keywords.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct WordInterner {
     words: Vec<String>,
-    #[serde(skip)]
     index: FxHashMap<String, WordId>,
 }
 
@@ -70,24 +68,13 @@ impl WordInterner {
         self.words.is_empty()
     }
 
-    /// Rebuilds the lookup index after deserialization.
-    pub(crate) fn rebuild_index(&mut self) {
-        self.index = self
-            .words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), WordId::from_index(i)))
-            .collect();
-    }
-
     /// Reconstructs an interner from already-lowercased words in id order
     /// (the thaw of the test-only reference in `crate::delta`): word `i`
     /// keeps id `i`.
     #[cfg(test)]
     pub(crate) fn from_words(words: Vec<String>) -> Self {
-        let mut interner = WordInterner { words, index: FxHashMap::default() };
-        interner.rebuild_index();
-        interner
+        let index = words.iter().enumerate().map(|(i, w)| (w.clone(), WordId::from_index(i)));
+        WordInterner { index: index.collect(), words }
     }
 }
 
@@ -95,11 +82,10 @@ impl WordInterner {
 ///
 /// Two phrases with the same word sequence share a [`PhraseId`]; the original
 /// surface string of the first occurrence is kept for display.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct PhraseInterner {
     phrases: Vec<Vec<WordId>>,
     surfaces: Vec<String>,
-    #[serde(skip)]
     index: FxHashMap<Vec<WordId>, PhraseId>,
 }
 
@@ -173,24 +159,13 @@ impl PhraseInterner {
         self.phrases.is_empty()
     }
 
-    /// Rebuilds the lookup index after deserialization.
-    pub(crate) fn rebuild_index(&mut self) {
-        self.index = self
-            .phrases
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), PhraseId::from_index(i)))
-            .collect();
-    }
-
     /// Reconstructs an interner from parallel phrase/surface rows in id
     /// order (the thaw of the test-only reference in `crate::delta`):
     /// phrase `i` keeps id `i`.
     #[cfg(test)]
     pub(crate) fn from_parts(phrases: Vec<Vec<WordId>>, surfaces: Vec<String>) -> Self {
-        let mut interner = PhraseInterner { phrases, surfaces, index: FxHashMap::default() };
-        interner.rebuild_index();
-        interner
+        let index = phrases.iter().enumerate().map(|(i, p)| (p.clone(), PhraseId::from_index(i)));
+        PhraseInterner { index: index.collect(), phrases, surfaces }
     }
 }
 
@@ -275,14 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_index_restores_lookup() {
+    fn thawed_interners_restore_lookup() {
         let mut w = WordInterner::new();
         let mut p = PhraseInterner::new();
         let id = p.intern("session guitarist", &mut w);
-        let mut w2 = w.clone();
-        let mut p2 = p.clone();
-        w2.rebuild_index();
-        p2.rebuild_index();
+        let w2 = WordInterner::from_words(w.words.clone());
+        let p2 = PhraseInterner::from_parts(p.phrases.clone(), p.surfaces.clone());
         assert_eq!(w2.get("session"), w.get("session"));
         assert_eq!(p2.get("session guitarist", &w2), Some(id));
     }

@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::{EntityPhrase, KeyphraseStore};
 use crate::links::LinkGraph;
+use crate::snapshot::check_ids;
 use crate::vocab::PhraseInterner;
 
 /// Precomputed weights for all entity–keyterm pairs in the knowledge base.
@@ -158,6 +159,29 @@ impl WeightModel {
     /// an out-of-range entity.
     pub fn phrase_mi_row(&self, e: EntityId) -> &[(PhraseId, f64)] {
         self.entity_phrase_mi.get(e.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Checks a decoded model against the KB's counts (snapshot load): one
+    /// row per entity, one IDF and superdocument df per keyword and per
+    /// keyphrase, and every word and phrase in a row below its count.
+    pub(crate) fn check(&self, entities: usize, words: usize, phrases: usize) -> Result<(), String> {
+        for (what, len, count) in [
+            ("entity count", self.n_entities, entities),
+            ("NPMI rows", self.entity_word_npmi.len(), entities),
+            ("µ-MI rows", self.entity_phrase_mi.len(), entities),
+            ("keyword IDFs", self.word_idf.len(), words),
+            ("keyword superdocument dfs", self.word_super_df.len(), words),
+            ("keyphrase IDFs", self.phrase_idf.len(), phrases),
+            ("keyphrase superdocument dfs", self.phrase_super_df.len(), phrases),
+        ] {
+            if len != count {
+                return Err(format!("{what}: {len}, not {count}"));
+            }
+        }
+        let npmi_words = self.entity_word_npmi.iter().flatten().map(|(w, _)| w.index());
+        check_ids(npmi_words, words, "NPMI word")?;
+        let mi_phrases = self.entity_phrase_mi.iter().flatten().map(|(p, _)| p.index());
+        check_ids(mi_phrases, phrases, "µ-MI phrase")
     }
 
     /// Approximate heap footprint of the model in bytes (array payloads

@@ -92,10 +92,6 @@ pub const RELATEDNESS_CACHE_ENTRIES: &str = "relatedness_cache_entries";
 
 // --- snapshot loading (ned-kb) ----------------------------------------
 
-/// Sections decoded from a v3 snapshot.
-pub const SNAPSHOT_SECTIONS_DECODED: &str = "snapshot_sections_decoded";
-/// Snapshots read via the legacy v2 freeze-on-load path.
-pub const SNAPSHOT_V2_FALLBACK: &str = "snapshot_v2_fallback";
 /// Gauge: total snapshot bytes read.
 pub const SNAPSHOT_BYTES_TOTAL: &str = "snapshot_bytes_total";
 /// Gauge prefix for per-section body sizes; the section name from the v3

@@ -9,9 +9,11 @@
 //! 2. **Poisoned float features** (NaN relatedness): no panic anywhere —
 //!    `total_cmp` ordering and the degradation ladder keep every document
 //!    producing a well-formed outcome.
-//! 3. **Corrupt snapshots** (truncation, bit flips, version skew): decode
-//!    returns a typed [`SnapshotError`], never panics, never returns
-//!    silently-wrong data (property-tested over arbitrary corruptions).
+//! 3. **Corrupt snapshots** (truncation, bit flips, version skew,
+//!    misplaced, missing or extra frames, frames from another KB that do
+//!    not fit): the loader returns a typed [`SnapshotError`], never
+//!    panics, never returns silently-wrong data (property-tested over
+//!    arbitrary corruptions).
 //! 4. **Corrupt WALs** (torn tails, bit flips, duplicated appends): replay
 //!    recovers exactly the valid record prefix or fails with a typed
 //!    `WalError` — never a panic, never mutations the log did not carry
@@ -20,16 +22,15 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Once, OnceLock};
 
 use aida_ned::aida::context::DocumentContext;
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
 use aida_ned::core::{NedError, SnapshotError};
-use aida_ned::kb::snapshot::{
-    read_frozen_snapshot, read_snapshot, write_snapshot, FORMAT_VERSION, V2_FORMAT_VERSION,
-};
-use aida_ned::kb::{EntityId, EntityKind, FrozenKb, KbBuilder};
+use aida_ned::kb::snapshot::{read_frozen_snapshot, write_frozen_snapshot, FORMAT_VERSION};
+use aida_ned::kb::{EntityId, EntityKind, FrozenKb, KbBuilder, KnowledgeBase};
 use aida_ned::relatedness::{MilneWitten, Relatedness};
 use aida_ned::text::tokenize;
 use aida_ned::wikigen::config::WorldConfig;
@@ -450,6 +451,17 @@ fn empty_and_whitespace_documents_yield_wellformed_empty_results() {
 // Snapshot corruption
 // ---------------------------------------------------------------------------
 
+/// Section names in the order the writer emits their frames.
+const SECTIONS: [&str; 6] =
+    ["entities", "dictionary", "links", "keyphrases", "weights", "phrase_runs"];
+
+/// The v3 snapshot bytes of `kb`, frozen.
+fn snapshot_of(kb: &KnowledgeBase) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_frozen_snapshot(&FrozenKb::freeze(kb), &mut buf).expect("snapshot written");
+    buf
+}
+
 fn snapshot_fixture() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
@@ -461,84 +473,203 @@ fn snapshot_fixture() -> &'static [u8] {
         b.add_keyphrase(alpha, "rock guitar", 2);
         b.add_keyphrase(beta, "river delta", 4);
         b.add_link(alpha, beta);
-        let kb = b.build();
-        let mut buf = Vec::new();
-        write_snapshot(&kb, &mut buf).expect("snapshot written");
-        buf
+        snapshot_of(&b.build())
     })
+}
+
+/// A snapshot with one entity, two words and one phrase more than the
+/// fixture, so that their frames disagree in shape.
+fn larger_snapshot() -> Vec<u8> {
+    let mut b = KbBuilder::new();
+    let alpha = b.add_entity("Alpha", EntityKind::Person);
+    let beta = b.add_entity("Beta", EntityKind::Location);
+    let gamma = b.add_entity("Gamma", EntityKind::Organization);
+    b.add_keyphrase(alpha, "rock guitar", 2);
+    b.add_keyphrase(beta, "river delta", 4);
+    b.add_keyphrase(gamma, "record label", 1);
+    b.add_link(alpha, beta);
+    b.add_link(gamma, alpha);
+    snapshot_of(&b.build())
+}
+
+/// Byte ranges of the section frames of a clean snapshot, after its
+/// 8-byte header.
+fn snapshot_frames(bytes: &[u8]) -> Vec<Range<usize>> {
+    let mut frames = Vec::new();
+    let mut pos = 8;
+    while pos < bytes.len() {
+        let len = u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().unwrap()) as usize;
+        frames.push(pos..pos + 17 + len);
+        pos += 17 + len;
+    }
+    frames
+}
+
+/// The fixture's header followed by the given frames of `bytes`, in order.
+fn reassembled(bytes: &[u8], frames: impl IntoIterator<Item = Range<usize>>) -> Vec<u8> {
+    let mut out = bytes[..8].to_vec();
+    for frame in frames {
+        out.extend_from_slice(&bytes[frame]);
+    }
+    out
+}
+
+/// The typed error a corrupt stream must produce.
+fn snapshot_error(bytes: &[u8]) -> SnapshotError {
+    match read_frozen_snapshot(bytes) {
+        Err(NedError::Snapshot(e)) => e,
+        Err(other) => panic!("expected a snapshot error, got {other}"),
+        Ok(_) => panic!("a corrupt snapshot decoded"),
+    }
 }
 
 #[test]
 fn truncated_snapshot_fixture_yields_typed_errors() {
     let bytes = snapshot_fixture();
-    // Every strict prefix must fail with a structured snapshot error.
-    for cut in [0, 1, 5, 6, 7, 23, 24, bytes.len() / 2, bytes.len() - 1] {
-        let err = read_snapshot(&bytes[..cut]).expect_err("prefix must not decode");
-        assert!(
-            matches!(
-                &err,
-                NedError::Snapshot(
-                    SnapshotError::Truncated { .. } | SnapshotError::BadMagic
-                )
+    let frames = snapshot_frames(bytes);
+    assert_eq!(frames.len(), SECTIONS.len());
+    // Every strict prefix fails with a structured snapshot error; a cut at
+    // a frame boundary names the section that belongs there, the phrase
+    // runs included.
+    for cut in 0..bytes.len() {
+        let err = snapshot_error(&bytes[..cut]);
+        match frames.iter().position(|f| f.start == cut) {
+            Some(i) => assert!(
+                matches!(err, SnapshotError::MissingSection { section } if section == SECTIONS[i]),
+                "cut at {cut}: unexpected error {err}"
             ),
-            "cut at {cut}: unexpected error {err}"
-        );
+            None => assert!(
+                matches!(
+                    err,
+                    SnapshotError::BadMagic
+                        | SnapshotError::Truncated { .. }
+                        | SnapshotError::SectionTruncated { .. }
+                ),
+                "cut at {cut}: unexpected error {err}"
+            ),
+        }
     }
 }
 
 #[test]
 fn bitflipped_snapshot_fixture_yields_typed_errors() {
     let bytes = snapshot_fixture();
-    // Flip one bit in every header byte and in a spread of body bytes.
-    let positions: Vec<usize> =
-        (0..24).chain((24..bytes.len()).step_by(7.max(bytes.len() / 64))).collect();
-    for pos in positions {
-        let mut corrupt = bytes.to_vec();
-        corrupt[pos] ^= 0x10;
-        let err = read_snapshot(corrupt.as_slice())
-            .err()
-            .unwrap_or_else(|| panic!("bit flip at byte {pos} must not decode"));
-        assert!(matches!(err, NedError::Snapshot(_)), "flip at {pos}: got {err}");
+    // Every single-bit flip: in the header, a frame prelude or a body.
+    for pos in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut corrupt = bytes.to_vec();
+            corrupt[pos] ^= 1 << bit;
+            snapshot_error(&corrupt);
+        }
     }
 }
 
 #[test]
 fn version_skew_is_reported_as_unsupported() {
     let bytes = snapshot_fixture();
-
-    // A future format version. The legacy reader only speaks v2; the
-    // version-dispatching frozen reader speaks v2 and v3.
-    let mut future = bytes.to_vec();
-    future[6..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match read_snapshot(future.as_slice()) {
-        Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported })) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(supported, V2_FORMAT_VERSION);
+    let frames = &bytes[8..];
+    // The v1 layout started with the ASCII tag "AIDAKB01"; its "01" bytes
+    // land in the version field and must decode as a *version* mismatch,
+    // not a magic mismatch, so operators see the real cause.
+    let mut v1 = b"AIDAKB01".to_vec();
+    v1.extend_from_slice(frames);
+    // The retired v2 layout: magic, version 2, body length and checksum,
+    // then one monolithic body. The reader stops at the version.
+    let mut v2 = b"AIDAKB".to_vec();
+    v2.extend_from_slice(&2u16.to_le_bytes());
+    v2.extend_from_slice(&(frames.len() as u64).to_le_bytes());
+    v2.extend_from_slice(&0u64.to_le_bytes());
+    v2.extend_from_slice(frames);
+    // A future format version.
+    let mut v4 = bytes.to_vec();
+    v4[6..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+    for (stream, version) in [(v1, u16::from_le_bytes(*b"01")), (v2, 2), (v4, 4)] {
+        match snapshot_error(&stream) {
+            SnapshotError::UnsupportedVersion { found, supported } => {
+                assert_eq!(found, version);
+                assert_eq!(supported, 3);
+            }
+            other => panic!("version {version}: expected version skew, got {other}"),
         }
-        other => panic!("expected version skew, got {other:?}"),
     }
-    match read_frozen_snapshot(future.as_slice()) {
-        Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { found, supported })) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(supported, FORMAT_VERSION);
-        }
-        other => panic!("expected version skew from frozen reader, got {other:?}"),
-    }
+}
 
-    // The legacy v1 layout started with the ASCII tag "AIDAKB01"; its "01"
-    // bytes land in the version field and must decode as a *version*
-    // mismatch, not a magic mismatch, so operators see the real cause.
-    let mut legacy = b"AIDAKB01".to_vec();
-    legacy.extend_from_slice(&bytes[8..]);
-    match read_snapshot(legacy.as_slice()) {
-        Err(NedError::Snapshot(SnapshotError::UnsupportedVersion { .. })) => {}
-        other => panic!("legacy prefix should be version skew, got {other:?}"),
+#[test]
+fn reordered_and_missing_frames_are_rejected() {
+    let bytes = snapshot_fixture();
+    let frames = snapshot_frames(bytes);
+    let missing = |stream: &[u8]| match snapshot_error(stream) {
+        SnapshotError::MissingSection { section } => section,
+        other => panic!("expected a missing section, got {other}"),
+    };
+    // All six frames, last first: the phrase-run frame stands where the
+    // entities belong.
+    assert_eq!(missing(&reassembled(bytes, frames.iter().rev().cloned())), "entities");
+    for (i, &section) in SECTIONS.iter().enumerate() {
+        let without = frames.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, f)| f.clone());
+        assert_eq!(missing(&reassembled(bytes, without)), section, "frame {i} dropped");
+        if i + 1 < frames.len() {
+            let mut order = frames.clone();
+            order.swap(i, i + 1);
+            let swapped = missing(&reassembled(bytes, order));
+            assert_eq!(swapped, section, "frames {i} and {} swapped", i + 1);
+        }
+    }
+}
+
+#[test]
+fn bytes_after_the_last_frame_are_rejected() {
+    let bytes = snapshot_fixture();
+    // A second KB's valid entities frame appended after the sixth: it must
+    // not replace the entity table under the first KB's other sections.
+    let larger = larger_snapshot();
+    let mut duplicated = bytes.to_vec();
+    duplicated.extend_from_slice(&larger[snapshot_frames(&larger)[0].clone()]);
+    let mut trailing = bytes.to_vec();
+    trailing.push(0);
+    for stream in [duplicated, trailing] {
+        let err = snapshot_error(&stream);
+        assert!(matches!(err, SnapshotError::Codec(_)), "unexpected error {err}");
+    }
+}
+
+#[test]
+fn swapped_frames_never_panic_and_inconsistent_ones_error() {
+    // Each frame moved between two snapshots of different sizes, both
+    // ways. Every frame keeps a valid checksum, so only the check that the
+    // sections agree in shape stands between the reader and an entity
+    // table that does not fit its links or keyphrases.
+    let small = snapshot_fixture();
+    let large = larger_snapshot();
+    let (small_frames, large_frames) = (snapshot_frames(small), snapshot_frames(&large));
+    for (i, section) in SECTIONS.iter().enumerate() {
+        for (host, host_frames, guest, guest_frames) in [
+            (small, &small_frames, &large[..], &large_frames),
+            (&large[..], &large_frames, small, &small_frames),
+        ] {
+            let mut stream = host[..host_frames[i].start].to_vec();
+            stream.extend_from_slice(&guest[guest_frames[i].clone()]);
+            stream.extend_from_slice(&host[host_frames[i].end..]);
+            let result = read_frozen_snapshot(stream.as_slice());
+            // The smaller KB's dictionary names only entities the larger KB
+            // has as well, so it fits there; every other swap leaves a
+            // count or an id inconsistent.
+            if *section == "dictionary" && host.len() > guest.len() {
+                assert!(result.is_ok(), "{section} into the larger KB: {:?}", result.err());
+            } else {
+                assert!(
+                    matches!(result, Err(NedError::Snapshot(SnapshotError::Codec(_)))),
+                    "{section} swapped: {:?}",
+                    result.err()
+                );
+            }
+        }
     }
 }
 
 proptest! {
-    /// Any corrupted byte stream — truncated, bit-flipped, or arbitrary
-    /// garbage — yields a typed error: no panic, no silent garbage KB.
+    /// Any corrupted byte stream — truncated or bit-flipped — yields a
+    /// typed error: no panic, no silent garbage KB.
     #[test]
     fn corrupted_snapshots_always_error_never_panic(
         cut in 0usize..10_000,
@@ -547,26 +678,30 @@ proptest! {
     ) {
         let bytes = snapshot_fixture();
 
-        // Strict truncation always errors.
+        // Strict truncation always errors: all six frames are required.
         let cut = cut % bytes.len();
-        prop_assert!(read_snapshot(&bytes[..cut]).is_err());
+        prop_assert!(read_frozen_snapshot(&bytes[..cut]).is_err());
 
         // A single bit flip anywhere always errors: the header fields are
-        // all load-bearing and the body is covered by the checksum.
+        // all load-bearing and each frame is covered by its checksum.
         let pos = flip_pos % bytes.len();
         let mut corrupt = bytes.to_vec();
         corrupt[pos] ^= 1u8 << flip_bit;
-        prop_assert!(read_snapshot(corrupt.as_slice()).is_err());
+        prop_assert!(read_frozen_snapshot(corrupt.as_slice()).is_err());
     }
 
-    /// Arbitrary bytes never panic the decoder.
+    /// Arbitrary bytes never panic the decoder, on their own or behind a
+    /// valid header, where they reach the frame parser.
     #[test]
     fn arbitrary_bytes_never_panic_the_decoder(
         data in proptest::collection::vec(0u8..255, 0..512),
     ) {
-        // Random data cannot carry a valid magic + checksum; decode must
-        // reject it (and in particular must not panic).
-        prop_assert!(read_snapshot(data.as_slice()).is_err());
+        // Random data cannot carry a valid magic and six checksummed
+        // frames; decode must reject it (and in particular must not panic).
+        prop_assert!(read_frozen_snapshot(data.as_slice()).is_err());
+        let mut framed = snapshot_fixture()[..8].to_vec();
+        framed.extend_from_slice(&data);
+        prop_assert!(read_frozen_snapshot(framed.as_slice()).is_err());
     }
 }
 

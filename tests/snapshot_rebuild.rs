@@ -1,13 +1,12 @@
-//! Snapshot decode must rebuild the transient (`serde(skip)`) indexes.
+//! Snapshot decode must rebuild the transient indexes.
 //!
-//! The by-name entity index, the interner lookups and the keyphrase
-//! inverted index are derived structures: snapshots never store them, and
-//! every load path rebuilds them before handing the KB out. A regression
-//! here is silent — lookups return `None` and the kp-index-pruned
-//! similarity returns 0.0 instead of the true score — so these tests pin
-//! the behaviour on all three load paths: the v2 store reader (which
-//! rebuilds the name and interner lookups; freezing the store builds the
-//! rest), the v2 freeze-on-load reader, and the v3 sectioned reader.
+//! The by-name entity index, the word lookup and the keyphrase inverted
+//! index are derived structures: snapshots never store them, and the load
+//! path rebuilds them before handing the KB out. A regression here is
+//! silent — lookups return `None` and the kp-index-pruned similarity
+//! returns 0.0 instead of the true score — so this test pins the behaviour
+//! of the snapshot reader, together with its round trip of every section's
+//! stats.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -15,10 +14,8 @@ use aida_ned::aida::context::DocumentContext;
 use aida_ned::aida::scratch::ScoringScratch;
 use aida_ned::aida::similarity::simscores_batch;
 use aida_ned::aida::{KeywordWeighting, SimObs};
-use aida_ned::kb::snapshot::{
-    read_frozen_snapshot, read_snapshot, write_frozen_snapshot, write_snapshot,
-};
-use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase, PhraseId, WordId};
+use aida_ned::kb::snapshot::{read_frozen_snapshot, write_frozen_snapshot};
+use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase};
 use aida_ned::text::tokenize;
 
 /// A small world with name ambiguity, keyphrases, and links — enough for
@@ -69,7 +66,7 @@ fn simscores<K: KbView + ?Sized>(
 /// Asserts the two transient indexes answer correctly on `kb`, comparing
 /// similarity scores bitwise against the pre-snapshot KB frozen.
 fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &FrozenKb, path: &str) {
-    // `by_name` (serde(skip)): canonical-name lookup must work immediately.
+    // `by_name` (transient): canonical-name lookup must work immediately.
     for name in ["Kashmir (song)", "Kashmir (region)", "Led Zeppelin"] {
         assert_eq!(
             kb.entity_by_name(name),
@@ -79,7 +76,7 @@ fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &FrozenKb, p
     }
     assert_eq!(kb.entity_by_name("No Quarter"), None, "{path}: phantom entity");
 
-    // `kp_index` (serde(skip)): the index-pruned similarity must agree
+    // `kp_index` (transient): the index-pruned similarity must agree
     // bitwise with the pre-snapshot KB freshly frozen. An empty rebuilt
     // index would score 0.0 on the one-word window where the reference
     // scores > 0.
@@ -102,40 +99,6 @@ fn assert_transients_rebuilt<K: KbView + ?Sized>(kb: &K, reference: &FrozenKb, p
             );
         }
     }
-}
-
-#[test]
-fn v2_decode_rebuilds_transient_indexes() {
-    let kb = sample_kb();
-    let mut bytes = Vec::new();
-    write_snapshot(&kb, &mut bytes).expect("write v2");
-
-    // The v2 reader hands back a store: its name and interner lookups
-    // must work immediately, and freezing it builds the read indexes.
-    let loaded = read_snapshot(&bytes[..]).expect("read v2");
-    for name in ["Kashmir (song)", "Kashmir (region)", "Led Zeppelin"] {
-        assert_eq!(loaded.entity_by_name(name), kb.entity_by_name(name), "by-name {name:?}");
-    }
-    for wi in 0..kb.word_interner().len() {
-        let w = WordId::from_index(wi);
-        assert_eq!(loaded.word_id(kb.word_text(w)), Some(w), "word lookup {wi}");
-    }
-    for pi in 0..kb.phrase_interner().len() {
-        let p = PhraseId::from_index(pi);
-        let found = loaded.phrase_interner().get(kb.phrase_surface(p), loaded.word_interner());
-        assert_eq!(found, Some(p), "phrase lookup {pi}");
-    }
-    assert_transients_rebuilt(&FrozenKb::freeze(&loaded), &FrozenKb::freeze(&kb), "v2 reader");
-}
-
-#[test]
-fn v2_freeze_on_load_rebuilds_transient_indexes() {
-    let kb = sample_kb();
-    let mut bytes = Vec::new();
-    write_snapshot(&kb, &mut bytes).expect("write v2");
-
-    let frozen = read_frozen_snapshot(&bytes[..]).expect("freeze-on-load v2");
-    assert_transients_rebuilt(&frozen, &FrozenKb::freeze(&kb), "v2 freeze-on-load reader");
 }
 
 #[test]
