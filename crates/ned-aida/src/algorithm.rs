@@ -111,16 +111,10 @@ const UNREACHABLE: f64 = 100.0;
 pub fn solve(graph: &MentionEntityGraph, config: &SolverConfig) -> Vec<Option<usize>> {
     let unbounded =
         SolverConfig { max_iterations: u64::MAX, wall_budget_ms: None, ..*config };
-    // With an unlimited budget the solver cannot fail.
-    solve_budgeted(graph, &unbounded).unwrap_or_else(|_| vec![None; graph.mention_count])
-}
-
-/// [`solve_budgeted`] with a system clock and disabled counters.
-pub fn solve_budgeted(
-    graph: &MentionEntityGraph,
-    config: &SolverConfig,
-) -> Result<Vec<Option<usize>>, NedError> {
-    solve_budgeted_observed(graph, config, &Clock::system(), &SolverObs::default())
+    // With no wall budget the solver never reads the clock, and with an
+    // unlimited iteration budget it cannot fail.
+    solve_budgeted_observed(graph, &unbounded, &Clock::null(), &SolverObs::default())
+        .unwrap_or_else(|_| vec![None; graph.mention_count])
 }
 
 /// Solves the graph under the configured iteration/wall budget.

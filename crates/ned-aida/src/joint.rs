@@ -9,6 +9,7 @@
 //! dictionary-driven gazetteer, everything is disambiguated jointly, and
 //! spans whose best assignment is weak are dropped again.
 
+use ned_core::DegradationLevel;
 use ned_kb::{EntityId, KbView};
 use ned_relatedness::Relatedness;
 use ned_text::{tokenize, Mention, NerConfig, Recognizer, Token};
@@ -67,17 +68,40 @@ impl JointConfig {
     /// The acceptance filter: keeps a span when it is linkable and either
     /// unambiguous or confident enough (§2.2.2's recognize-via-
     /// disambiguation idea).
-    pub fn accept(
-        &self,
-        mention: Mention,
-        assignment: MentionAssignment,
-    ) -> Option<Annotation> {
+    fn accept(&self, mention: Mention, assignment: MentionAssignment) -> Option<Annotation> {
         let entity = assignment.entity?;
         let confidence = assignment.normalized_score();
         if assignment.candidate_scores.len() > 1 && confidence < self.min_confidence {
             return None;
         }
         Some(Annotation { mention, entity, confidence })
+    }
+
+    /// The joint step after recognition: disambiguates the tentative
+    /// `mentions` of `tokens` together and keeps the accepted ones.
+    /// Returns the annotations and the degradation level the disambiguator
+    /// reported ([`DegradationLevel::None`], without disambiguating, when
+    /// there are no mentions).
+    ///
+    /// [`JointAnnotator`] calls it with its own disambiguator; the serving
+    /// layer calls it with a disambiguator rebuilt per request under the
+    /// request's deadline plan, sharing one recognizer across requests.
+    pub fn link<K: KbView, R: Relatedness>(
+        &self,
+        disambiguator: &Disambiguator<K, R>,
+        tokens: &[Token],
+        mentions: Vec<Mention>,
+    ) -> (Vec<Annotation>, DegradationLevel) {
+        if mentions.is_empty() {
+            return (Vec::new(), DegradationLevel::None);
+        }
+        let result = disambiguator.disambiguate(tokens, &mentions);
+        let annotations = mentions
+            .into_iter()
+            .zip(result.assignments)
+            .filter_map(|(mention, assignment)| self.accept(mention, assignment))
+            .collect();
+        (annotations, result.degradation)
     }
 }
 
@@ -121,54 +145,8 @@ impl<'a, K: KbView, R: Relatedness> JointAnnotator<'a, K, R> {
 
     /// Annotates a pre-tokenized document.
     pub fn annotate_tokens(&self, tokens: &[Token]) -> Vec<Annotation> {
-        self.annotate_tokens_using(self.disambiguator, tokens)
-    }
-
-    /// Annotates a pre-tokenized document through a *caller-supplied*
-    /// disambiguator, reusing this annotator's recognizer and acceptance
-    /// config.
-    ///
-    /// The serving layer uses this to apply per-request deadline plans: the
-    /// gazetteer-backed recognizer is expensive to build and shared across
-    /// requests, while the disambiguator (cheap to construct over `Arc`
-    /// handles) is rebuilt per request with a plan-adjusted configuration.
-    pub fn annotate_tokens_using(
-        &self,
-        disambiguator: &Disambiguator<K, R>,
-        tokens: &[Token],
-    ) -> Vec<Annotation> {
         let mentions = self.recognizer.recognize(tokens);
-        if mentions.is_empty() {
-            return Vec::new();
-        }
-        let result = disambiguator.disambiguate(tokens, &mentions);
-        mentions
-            .into_iter()
-            .zip(result.assignments)
-            .filter_map(|(mention, assignment)| self.config.accept(mention, assignment))
-            .collect()
-    }
-
-    /// Like [`JointAnnotator::annotate_tokens_using`], but also reports the
-    /// degradation level the disambiguator used (the serving layer surfaces
-    /// it per response).
-    pub fn annotate_tokens_observed(
-        &self,
-        disambiguator: &Disambiguator<K, R>,
-        tokens: &[Token],
-    ) -> (Vec<Annotation>, ned_core::DegradationLevel) {
-        let mentions = self.recognizer.recognize(tokens);
-        if mentions.is_empty() {
-            return (Vec::new(), ned_core::DegradationLevel::None);
-        }
-        let result = disambiguator.disambiguate(tokens, &mentions);
-        let degradation = result.degradation;
-        let annotations = mentions
-            .into_iter()
-            .zip(result.assignments)
-            .filter_map(|(mention, assignment)| self.config.accept(mention, assignment))
-            .collect();
-        (annotations, degradation)
+        self.config.link(self.disambiguator, tokens, mentions).0
     }
 }
 

@@ -8,8 +8,8 @@
 //! relatedness-cache hit rate, allocation events, a cache sweep and the
 //! frozen KB's footprint — no wall-clock figures: the perfbench workloads
 //! (`perfbench/`) measure speed, with repeated runs. Results are printed as
-//! a table and written to `BENCH_throughput.json`, `BENCH_kb_memory.json`,
-//! and `metrics.json` in the working directory. CI diffs `metrics.json`
+//! a table and written to `BENCH_throughput.json` and `metrics.json` in the
+//! working directory. CI diffs `metrics.json`
 //! against `fixtures/metrics_quick.json`: its counters are exact for the
 //! fixed seed, so any drift is a behaviour change.
 //!
@@ -20,15 +20,15 @@
 //! byte-identical annotations to the instrumented ones (the zero-overhead
 //! contract).
 //!
-//! The cache sweep bounds the relatedness cache per eviction policy at
-//! ascending byte caps, ending with an unbounded row. Before the report is
+//! The cache sweep bounds the relatedness cache at ascending byte caps,
+//! ending with an unbounded row. Before the report is
 //! written, `sweep_violations` checks its laws on the typed rows, naming
 //! each one that breaks: `misses == inserts + admit_rejected +
 //! stale_discards`, `inserts == evictions + live_entries`, `bytes ==
 //! live_entries × ENTRY_BYTES`, `bytes <= peak_bytes <= cap_bytes`, a
 //! bit-identical rerun, outcomes equal to the unbounded baseline, and a hit
-//! rate that never falls as the cap grows, per policy. `lookups == hits +
-//! misses` holds because the bench computes `lookups` that way.
+//! rate that never falls as the cap grows. `lookups == hits + misses` holds
+//! because the bench computes `lookups` that way.
 //!
 //! Because the harness installs the counting allocator (see
 //! `ned_obs::alloc`), every stage also reports its allocation-event count:
@@ -45,9 +45,7 @@ use ned_aida::scratch::with_scratch;
 use ned_aida::similarity::simscores_batch;
 use ned_aida::{AidaConfig, Disambiguator, KeywordWeighting, SimObs};
 use ned_eval::report::{num, Table};
-use ned_relatedness::{
-    CacheConfig, CachedRelatedness, EvictionPolicy, MilneWitten, ENTRY_BYTES,
-};
+use ned_relatedness::{CacheConfig, CachedRelatedness, MilneWitten, ENTRY_BYTES};
 
 use crate::alloc_events;
 use crate::runner::{run_method_with_threads, Evaluation};
@@ -70,13 +68,12 @@ struct Run {
 }
 
 /// One row of the hit-rate-vs-memory-cap cache sweep: a single-threaded
-/// pipeline pass with the relatedness cache bounded to `cap_bytes` under
-/// `policy` (`cap_bytes: None` is the unbounded reference row). The
-/// counters come from the run's metrics snapshot, so [`sweep_violations`]
-/// checks the same conservation laws the unit harness proves.
+/// pipeline pass with the relatedness cache bounded to `cap_bytes`
+/// (`None` is the unbounded reference row). The counters come from the
+/// run's metrics snapshot, so [`sweep_violations`] checks the same
+/// conservation laws the unit harness proves.
 #[derive(Debug, Clone)]
 struct CacheSweepRow {
-    policy: &'static str,
     cap_bytes: Option<u64>,
     lookups: u64,
     hits: u64,
@@ -113,12 +110,12 @@ struct StageAlloc {
 }
 
 /// The cache sweep's laws: one message per broken law, naming the law and
-/// the row. Rows come policy by policy, each with ascending caps and the
-/// unbounded row last, as `run` builds them.
+/// the row. Rows come with ascending caps and the unbounded row last, as
+/// `run` builds them.
 fn sweep_violations(rows: &[CacheSweepRow]) -> Vec<String> {
     let mut out = Vec::new();
     for r in rows {
-        let ctx = format!("{} cap {}", r.policy, r.cap_label());
+        let ctx = format!("cap {}", r.cap_label());
         if r.misses != r.inserts + r.admit_rejected + r.stale_discards {
             out.push(format!(
                 "{ctx}: misses ({}) != inserts ({}) + admit_rejected ({}) + stale_discards ({})",
@@ -150,11 +147,10 @@ fn sweep_violations(rows: &[CacheSweepRow]) -> Vec<String> {
             out.push(format!("{ctx}: bounding the cache changed annotation outcomes"));
         }
     }
-    for w in rows.windows(2).filter(|w| w[0].policy == w[1].policy) {
+    for w in rows.windows(2) {
         if w[1].hit_rate < w[0].hit_rate {
             out.push(format!(
-                "{} cap {}: hit rate fell as the cap grew ({} -> {})",
-                w[1].policy,
+                "cap {}: hit rate fell as the cap grew ({} -> {})",
                 w[1].cap_label(),
                 w[0].hit_rate,
                 w[1].hit_rate
@@ -254,11 +250,11 @@ pub fn run(scale: &Scale) {
         assert!(identical(b, &eval), "disabled metrics changed annotation output");
     }
 
-    // Hit-rate-vs-memory-cap sweep: single-threaded runs per eviction
-    // policy and byte cap, each executed twice — the metrics snapshots
-    // (gauges included) must match bit for bit across reruns, and the
-    // annotation outcomes must equal the unbounded baseline (memoization
-    // is an optimization, never a result).
+    // Hit-rate-vs-memory-cap sweep: single-threaded runs per byte cap,
+    // each executed twice — the metrics snapshots (gauges included) must
+    // match bit for bit across reruns, and the annotation outcomes must
+    // equal the unbounded baseline (memoization is an optimization, never
+    // a result).
     let cache_caps: [Option<u64>; 6] = [
         Some(256 * 1024),
         Some(512 * 1024),
@@ -267,56 +263,48 @@ pub fn run(scale: &Scale) {
         Some(8 << 20),
         None,
     ];
-    let sweep_policies = [EvictionPolicy::Lru, EvictionPolicy::TinyLfuSlru];
     let mut cache_rows: Vec<CacheSweepRow> = Vec::new();
-    for &policy in &sweep_policies {
-        for &cap in &cache_caps {
-            let config = match cap {
-                Some(bytes) => CacheConfig::bounded(bytes).with_policy(policy),
-                None => CacheConfig::unbounded().with_policy(policy),
-            };
-            let run_once = || {
-                let metrics = Metrics::new();
-                let cached = CachedRelatedness::with_config(
-                    MilneWitten::new(env.frozen.clone()),
-                    &metrics,
-                    config,
-                );
-                let aida = Disambiguator::new(env.frozen.clone(), &cached, AidaConfig::full())
-                    .with_metrics(&metrics);
-                let eval = run_method_with_threads(&aida, docs, 1)
-                    .unwrap_or_else(|e| panic!("cannot build 1-thread pool: {e}"));
-                eval.record_metrics(&metrics);
-                cached.cache().publish_gauges();
-                (eval, metrics.snapshot())
-            };
-            let (eval_a, snap_a) = run_once();
-            let (_, snap_b) = run_once();
-            let rerun_deterministic = snap_a == snap_b;
-            let outcomes_match_unbounded =
-                baseline.as_ref().is_some_and(|b| identical(b, &eval_a));
-            let c = |name: &str| snap_a.counter(name);
-            let hits = c(obs_names::RELATEDNESS_CACHE_HITS);
-            let misses = c(obs_names::RELATEDNESS_CACHE_MISSES);
-            let lookups = hits + misses;
-            cache_rows.push(CacheSweepRow {
-                policy: policy.label(),
-                cap_bytes: cap,
-                lookups,
-                hits,
-                misses,
-                inserts: c(obs_names::RELATEDNESS_CACHE_INSERTS),
-                evictions: c(obs_names::RELATEDNESS_CACHE_EVICTIONS),
-                admit_rejected: c(obs_names::RELATEDNESS_CACHE_ADMIT_REJECTED),
-                stale_discards: c(obs_names::RELATEDNESS_CACHE_STALE_DISCARDS),
-                live_entries: snap_a.gauge(obs_names::RELATEDNESS_CACHE_ENTRIES),
-                bytes: snap_a.gauge(obs_names::RELATEDNESS_CACHE_BYTES),
-                peak_bytes: snap_a.gauge(obs_names::RELATEDNESS_CACHE_BYTES_PEAK),
-                hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
-                rerun_deterministic,
-                outcomes_match_unbounded,
-            });
-        }
+    for &cap in &cache_caps {
+        let config = cap.map_or_else(CacheConfig::unbounded, CacheConfig::bounded);
+        let run_once = || {
+            let metrics = Metrics::new();
+            let cached = CachedRelatedness::with_config(
+                MilneWitten::new(env.frozen.clone()),
+                &metrics,
+                config,
+            );
+            let aida = Disambiguator::new(env.frozen.clone(), &cached, AidaConfig::full())
+                .with_metrics(&metrics);
+            let eval = run_method_with_threads(&aida, docs, 1)
+                .unwrap_or_else(|e| panic!("cannot build 1-thread pool: {e}"));
+            eval.record_metrics(&metrics);
+            cached.cache().publish_gauges();
+            (eval, metrics.snapshot())
+        };
+        let (eval_a, snap_a) = run_once();
+        let (_, snap_b) = run_once();
+        let rerun_deterministic = snap_a == snap_b;
+        let outcomes_match_unbounded = baseline.as_ref().is_some_and(|b| identical(b, &eval_a));
+        let c = |name: &str| snap_a.counter(name);
+        let hits = c(obs_names::RELATEDNESS_CACHE_HITS);
+        let misses = c(obs_names::RELATEDNESS_CACHE_MISSES);
+        let lookups = hits + misses;
+        cache_rows.push(CacheSweepRow {
+            cap_bytes: cap,
+            lookups,
+            hits,
+            misses,
+            inserts: c(obs_names::RELATEDNESS_CACHE_INSERTS),
+            evictions: c(obs_names::RELATEDNESS_CACHE_EVICTIONS),
+            admit_rejected: c(obs_names::RELATEDNESS_CACHE_ADMIT_REJECTED),
+            stale_discards: c(obs_names::RELATEDNESS_CACHE_STALE_DISCARDS),
+            live_entries: snap_a.gauge(obs_names::RELATEDNESS_CACHE_ENTRIES),
+            bytes: snap_a.gauge(obs_names::RELATEDNESS_CACHE_BYTES),
+            peak_bytes: snap_a.gauge(obs_names::RELATEDNESS_CACHE_BYTES_PEAK),
+            hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
+            rerun_deterministic,
+            outcomes_match_unbounded,
+        });
     }
     let violations = sweep_violations(&cache_rows);
     assert!(violations.is_empty(), "the cache sweep breaks its laws: {violations:#?}");
@@ -416,11 +404,10 @@ pub fn run(scale: &Scale) {
     print!("{}", table.render());
     let mut cache_table = Table::new(
         "Relatedness cache — hit rate vs. memory cap (1 thread)",
-        &["policy", "cap", "hit rate", "evictions", "rejected", "peak bytes", "live"],
+        &["cap", "hit rate", "evictions", "rejected", "peak bytes", "live"],
     );
     for r in &cache_rows {
         cache_table.add_row(vec![
-            r.policy.to_string(),
             r.cap_label(),
             num(r.hit_rate, 4),
             r.evictions.to_string(),
@@ -458,12 +445,6 @@ pub fn run(scale: &Scale) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
-    let memory_json = kb_memory_json(&kb_stats);
-    let memory_path = "BENCH_kb_memory.json";
-    match std::fs::write(memory_path, &memory_json) {
-        Ok(()) => println!("wrote {memory_path}"),
-        Err(e) => eprintln!("could not write {memory_path}: {e}"),
-    }
     let metrics_path = "metrics.json";
     match std::fs::write(metrics_path, snapshot.to_json()) {
         Ok(()) => println!("wrote {metrics_path}"),
@@ -471,8 +452,7 @@ pub fn run(scale: &Scale) {
     }
 }
 
-/// The `FrozenKbStats` section breakdown as a JSON object body (shared by
-/// both benchmark reports).
+/// The `FrozenKbStats` section breakdown as a JSON object body.
 fn kb_stats_json(s: &FrozenKbStats, indent: &str) -> String {
     let mut out = String::new();
     let mut field = |name: &str, value: usize| {
@@ -493,14 +473,6 @@ fn kb_stats_json(s: &FrozenKbStats, indent: &str) -> String {
     field("phrase_run_bytes", s.phrase_run_bytes);
     field("transient_index_bytes", s.transient_index_bytes);
     out.push_str(&format!("{indent}\"total_bytes\": {}\n", s.total_bytes));
-    out
-}
-
-/// Renders `BENCH_kb_memory.json`: the frozen KB's per-section footprint.
-fn kb_memory_json(s: &FrozenKbStats) -> String {
-    let mut out = String::from("{\n  \"frozen_kb\": {\n");
-    out.push_str(&kb_stats_json(s, "    "));
-    out.push_str("  }\n}\n");
     out
 }
 
@@ -582,13 +554,12 @@ fn render_json(
     for (i, r) in cache_rows.iter().enumerate() {
         let cap = r.cap_bytes.map_or_else(|| "null".to_string(), |c| c.to_string());
         out.push_str(&format!(
-            "      {{\"policy\": \"{}\", \"cap_bytes\": {}, \"bounded\": {}, \
+            "      {{\"cap_bytes\": {}, \"bounded\": {}, \
              \"lookups\": {}, \"hits\": {}, \"misses\": {}, \"inserts\": {}, \
              \"evictions\": {}, \"admit_rejected\": {}, \"stale_discards\": {}, \
              \"live_entries\": {}, \"bytes\": {}, \"peak_bytes\": {}, \
              \"hit_rate\": {:.6}, \"rerun_deterministic\": {}, \
              \"outcomes_match_unbounded\": {}}}{}\n",
-            r.policy,
             cap,
             r.cap_bytes.is_some(),
             r.lookups,
@@ -620,12 +591,9 @@ fn render_json(
 mod tests {
     use super::*;
 
-    /// A balanced sweep: an LRU row at a 256 KiB cap, LRU's unbounded row,
-    /// and a frequency-gated row whose lower hit rate must not be compared
-    /// with LRU's.
+    /// A balanced sweep: a row at a 256 KiB cap and the unbounded row.
     fn sample_sweep() -> Vec<CacheSweepRow> {
         let capped = CacheSweepRow {
-            policy: "lru",
             cap_bytes: Some(262_144),
             lookups: 1000,
             hits: 600,
@@ -654,8 +622,7 @@ mod tests {
             hit_rate: 0.7,
             ..capped.clone()
         };
-        let gated = CacheSweepRow { policy: "tinylfu_slru", hit_rate: 0.5, ..capped.clone() };
-        vec![capped, unbounded, gated]
+        vec![capped, unbounded]
     }
 
     #[test]
@@ -665,28 +632,22 @@ mod tests {
         let cases: [(Plant, &str); 8] = [
             (
                 |r| r[0].misses = 401,
-                "lru cap 262144: misses (401) != inserts (380) + admit_rejected (20) + \
+                "cap 262144: misses (401) != inserts (380) + admit_rejected (20) + \
                  stale_discards (0)",
             ),
             (
                 |r| r[0].evictions = 299,
-                "lru cap 262144: inserts (380) != evictions (299) + live_entries (80)",
+                "cap 262144: inserts (380) != evictions (299) + live_entries (80)",
             ),
-            (|r| r[0].bytes = 7681, "lru cap 262144: bytes (7681) != live_entries (80) * 96"),
-            (|r| r[1].peak_bytes = 28_799, "lru cap unbounded: bytes (28800) > peak_bytes (28799)"),
-            (|r| r[0].peak_bytes = 262_145, "lru cap 262144: peak_bytes (262145) > cap_bytes"),
-            (
-                |r| r[1].rerun_deterministic = false,
-                "lru cap unbounded: rerun was not bit-identical",
-            ),
+            (|r| r[0].bytes = 7681, "cap 262144: bytes (7681) != live_entries (80) * 96"),
+            (|r| r[1].peak_bytes = 28_799, "cap unbounded: bytes (28800) > peak_bytes (28799)"),
+            (|r| r[0].peak_bytes = 262_145, "cap 262144: peak_bytes (262145) > cap_bytes"),
+            (|r| r[1].rerun_deterministic = false, "cap unbounded: rerun was not bit-identical"),
             (
                 |r| r[1].outcomes_match_unbounded = false,
-                "lru cap unbounded: bounding the cache changed annotation outcomes",
+                "cap unbounded: bounding the cache changed annotation outcomes",
             ),
-            (
-                |r| r[1].hit_rate = 0.5,
-                "lru cap unbounded: hit rate fell as the cap grew (0.6 -> 0.5)",
-            ),
+            (|r| r[1].hit_rate = 0.5, "cap unbounded: hit rate fell as the cap grew (0.6 -> 0.5)"),
         ];
         for (plant, law) in cases {
             let mut rows = sample_sweep();
@@ -739,9 +700,8 @@ mod tests {
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"cache_sweep\""));
         assert!(json.contains("\"entry_bytes\": 96"));
-        assert!(json.contains("\"policy\": \"lru\""));
-        assert!(json.contains("\"cap_bytes\": 262144"));
-        assert!(json.contains("\"policy\": \"lru\", \"cap_bytes\": null, \"bounded\": false"));
+        assert!(json.contains("\"cap_bytes\": 262144, \"bounded\": true"));
+        assert!(json.contains("\"cap_bytes\": null, \"bounded\": false"));
         assert!(json.contains("\"rerun_deterministic\": true"));
         assert!(json.contains("\"outcomes_match_unbounded\": true"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -773,23 +733,5 @@ mod tests {
         std::hint::black_box(&v);
         let after = alloc_events();
         assert!(after > before, "the counting allocator is installed and counting");
-    }
-
-    #[test]
-    fn kb_memory_json_is_well_formed() {
-        let stats = FrozenKbStats {
-            entity_count: 3,
-            dictionary_pairs: 9,
-            total_bytes: 1234,
-            ..Default::default()
-        };
-        let json = kb_memory_json(&stats);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"frozen_kb\""));
-        assert!(json.contains("\"dictionary_pairs\": 9"));
-        assert!(json.contains("\"total_bytes\": 1234"));
-        // No trailing comma before the closing brace.
-        assert!(!json.contains(",\n  }"));
     }
 }

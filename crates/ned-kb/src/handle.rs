@@ -8,12 +8,11 @@
 //! counter + a briefly-held lock on the *writer* side only), where readers
 //! pin an epoch by cloning the `Arc` and keep it for as long as they like.
 //!
-//! The fast path for readers is [`KbReader`]: it caches the last `Arc` and
-//! revalidates with a single atomic load of the generation counter —
-//! lock-free and wait-free when nothing changed, which is every request
-//! except the first after a swap. Even on a swap, [`KbReader::refresh`]
-//! uses `try_read` and simply keeps serving its pinned epoch if the writer
-//! happens to hold the lock — readers never wait.
+//! A reader that keeps a pinned epoch between requests revalidates it with
+//! one atomic load of [`KbHandle::generation`] — lock-free when nothing
+//! changed, which is every request except the first after a swap — and
+//! re-pins through the non-blocking [`KbHandle::try_current`], so readers
+//! never wait on a writer. `ned-serve`'s `EpochHandler` does exactly that.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -123,7 +122,7 @@ impl KbView for KbEpoch {
 /// Atomically swappable handle on the current KB epoch.
 ///
 /// Writers call [`KbHandle::swap`] to publish a new epoch; readers call
-/// [`KbHandle::current`] (or keep a [`KbReader`]) to pin one. A pinned
+/// [`KbHandle::current`] (or [`KbHandle::try_current`]) to pin one. A pinned
 /// epoch stays fully usable after any number of swaps — dropping the last
 /// `Arc` frees it.
 #[derive(Debug)]
@@ -186,54 +185,6 @@ impl KbHandle {
     }
 }
 
-/// Per-worker cached view of a [`KbHandle`].
-///
-/// Holds the last pinned epoch; [`KbReader::refresh`] revalidates with one
-/// atomic load and only touches the lock (non-blocking `try_read`) when
-/// the generation moved. Annotation workers call `refresh` between
-/// requests, so a request in flight never changes KB mid-stream.
-#[derive(Debug, Clone)]
-pub struct KbReader {
-    handle: Arc<KbHandle>,
-    generation: u64,
-    epoch: Arc<KbEpoch>,
-}
-
-impl KbReader {
-    /// Pins the handle's current epoch.
-    pub fn new(handle: Arc<KbHandle>) -> Self {
-        let (generation, epoch) = handle.current();
-        KbReader { handle, generation, epoch }
-    }
-
-    /// The pinned epoch.
-    pub fn epoch(&self) -> &Arc<KbEpoch> {
-        &self.epoch
-    }
-
-    /// Generation of the pinned epoch.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Re-pins if the handle moved on; returns true when the epoch
-    /// changed. Never blocks: if the writer is mid-swap, the reader keeps
-    /// its current epoch and tries again on the next call.
-    pub fn refresh(&mut self) -> bool {
-        if self.handle.generation() == self.generation {
-            return false;
-        }
-        match self.handle.try_current() {
-            Some((generation, epoch)) => {
-                self.generation = generation;
-                self.epoch = epoch;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,20 +222,6 @@ mod tests {
         assert_eq!(gen_now, 1);
         assert_eq!(now.entity_count(), n0 + 1);
         assert_eq!(now.delta_entity_count(), 1);
-    }
-
-    #[test]
-    fn reader_refreshes_only_on_generation_change() {
-        let base = frozen();
-        let handle = Arc::new(KbHandle::new(KbEpoch::Frozen(Arc::clone(&base))));
-        let mut reader = KbReader::new(Arc::clone(&handle));
-        assert!(!reader.refresh());
-        let n0 = reader.epoch().entity_count();
-        handle.swap(KbEpoch::Frozen(Arc::clone(&base)));
-        assert!(reader.refresh());
-        assert_eq!(reader.generation(), 1);
-        assert_eq!(reader.epoch().entity_count(), n0);
-        assert!(!reader.refresh());
     }
 
     #[test]

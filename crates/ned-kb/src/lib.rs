@@ -46,7 +46,7 @@ pub use builder::KbBuilder;
 pub use delta::DeltaKb;
 pub use entity::{Entity, EntityKind};
 pub use frozen::{FrozenDictionary, FrozenKb, FrozenKbStats, FrozenLinks};
-pub use handle::{KbEpoch, KbHandle, KbReader};
+pub use handle::{KbEpoch, KbHandle};
 pub use ids::{EntityId, NameId, PhraseId, WordId};
 pub use kp_index::KeyphraseIndex;
 pub use mutation::KbMutation;

@@ -67,11 +67,12 @@ pub const RELATEDNESS_CACHE_HITS: &str = "relatedness_cache_hits";
 pub const RELATEDNESS_CACHE_MISSES: &str = "relatedness_cache_misses";
 /// Entries written into the cache.
 pub const RELATEDNESS_CACHE_INSERTS: &str = "relatedness_cache_inserts";
-/// Lookups whose freshly computed value was rejected by the admission
-/// policy (or by a zero byte cap) — the value is still returned, just not
-/// memoized. Replaces the retired `relatedness_cache_full` starvation path.
+/// Lookups whose freshly computed value could not be memoized because the
+/// shard's byte cap is below one entry — the value is still returned, just
+/// not memoized. Replaces the retired `relatedness_cache_full` starvation
+/// path.
 pub const RELATEDNESS_CACHE_ADMIT_REJECTED: &str = "relatedness_cache_admit_rejected";
-/// Entries dropped from the cache: policy evictions plus wholesale drops
+/// Entries dropped from the cache: LRU evictions plus wholesale drops
 /// from `clear`/generation invalidation, so
 /// `evictions + live_entries == inserts` holds exactly.
 pub const RELATEDNESS_CACHE_EVICTIONS: &str = "relatedness_cache_evictions";

@@ -1,39 +1,38 @@
 //! Memoizing pair cache for relatedness measures, with bounded memory.
 //!
-//! The AIDA graph algorithm queries the same entity pair repeatedly while
-//! weights are rescaled and the subgraph shrinks; caching turns repeated
-//! exact computations into hash lookups. A long-running service touches
-//! millions of distinct pairs, so the cache is size-aware: a configurable
-//! byte cap ([`CacheConfig::max_bytes`]) is enforced by pluggable eviction
-//! ([`EvictionPolicy`], default segmented LRU behind a frequency-admission
-//! gate) with flat per-entry byte accounting ([`size::ENTRY_BYTES`]).
+//! The AIDA coherence table asks for each entity pair it evaluates;
+//! caching turns pairs repeated across documents into hash lookups. A
+//! long-running service touches many distinct pairs, so the cache can be
+//! size-aware: a byte cap ([`CacheConfig::max_bytes`]) is enforced by
+//! least-recently-used eviction with flat per-entry byte accounting
+//! ([`size::ENTRY_BYTES`]).
 //!
-//! The module splits along the tentpole seams: [`policy`] holds the
-//! eviction/admission state machines, [`size`] the byte accounting, and a
-//! private metrics module the counter plumbing. [`PairCache`] is the
-//! policy-driven concurrent map; [`CachedRelatedness`] wraps it around any
-//! [`Relatedness`] measure.
+//! The module splits along three seams: a private `lru` module holds the
+//! eviction order, [`size`] the byte accounting, and a private metrics
+//! module the counter plumbing. [`PairCache`] is the bounded concurrent
+//! map; [`CachedRelatedness`] wraps it around any [`Relatedness`] measure.
 //!
 //! # Determinism contract
 //!
-//! Eviction order is a pure function of the access sequence. All policy
+//! Eviction order is a pure function of the access sequence. All recency
 //! state is per-shard; recency is the shard's logical access index (no
-//! ambient clock — see [`policy`]); victims are totally ordered by
-//! `(last-access index, key)`. Keys shard by [`shard_index`], so any
-//! driver that replays each shard's access sub-sequence in order — on any
-//! number of threads that partition the shards — reproduces hit/miss/evict
-//! sequences and counter totals bit-identically. The model harness in
-//! `tests/cache_model.rs` replays generated traces against a reference
-//! oracle and asserts exactly that.
+//! ambient clock); the victim is the minimum by `(last-access index,
+//! key)`. Keys shard by [`shard_index`], so any driver that replays each
+//! shard's access sub-sequence in order — on any number of threads that
+//! partition the shards — reproduces hit/miss/evict sequences and counter
+//! totals bit-identically. The model harness in `tests/cache_model.rs`
+//! replays generated traces against a reference oracle and asserts
+//! exactly that.
 //!
 //! Accounting is deterministic the same way the unbounded cache's always
 //! was: a lookup counts as a miss only when its second visit completes
 //! under the shard's write lock, so every completed lookup is exactly one
 //! hit or one miss, and every miss resolves to exactly one of insert /
-//! admit-reject / stale-discard. The conservation laws
-//! (`lookups == hits + misses`, `misses == inserts + admit_rejected +
-//! stale_discards`, `evictions + live_entries == inserts`,
-//! `bytes <= cap`) hold under any interleaving.
+//! admit-reject / stale-discard. A bounded shard admits every computed
+//! pair, so it rejects one only when its cap is below one entry. The
+//! conservation laws (`lookups == hits + misses`, `misses == inserts +
+//! admit_rejected + stale_discards`, `evictions + live_entries ==
+//! inserts`, `bytes <= cap`) hold under any interleaving.
 //!
 //! # Generations
 //!
@@ -51,8 +50,8 @@
 //! crashed document must not wedge the shared cache for the rest of the
 //! batch.
 
+mod lru;
 mod metrics;
-pub mod policy;
 pub mod size;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,9 +62,12 @@ use ned_kb::EntityId;
 use ned_obs::Metrics;
 
 use crate::traits::Relatedness;
+use lru::Lru;
 use metrics::{CacheCounters, CacheGauges};
-pub use policy::{EvictionPolicy, PairKey, PolicyShard};
 pub use size::ENTRY_BYTES;
+
+/// Canonical `(min, max)` entity pair — the cache's key type.
+pub type PairKey = (EntityId, EntityId);
 
 /// Number of independent shards (fixed, so shard assignment — and with it
 /// the determinism contract — never depends on configuration).
@@ -87,16 +89,13 @@ pub fn shard_index(key: PairKey) -> usize {
     (key.0 .0 as usize ^ (key.1 .0 as usize).rotate_left(16)) % SHARD_COUNT
 }
 
-/// How a [`PairCache`] is bounded and which policy enforces the bound.
+/// How a [`PairCache`] is bounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheConfig {
     /// Total byte cap across all shards; `None` is unbounded. Entries are
     /// charged a flat [`ENTRY_BYTES`], so the entry capacity is
     /// `max_bytes / ENTRY_BYTES` (a cap below one entry caches nothing).
     pub max_bytes: Option<u64>,
-    /// Eviction/admission policy for bounded caches (ignored when
-    /// unbounded).
-    pub policy: EvictionPolicy,
 }
 
 impl CacheConfig {
@@ -105,16 +104,9 @@ impl CacheConfig {
         CacheConfig::default()
     }
 
-    /// A byte cap enforced by the default policy
-    /// ([`EvictionPolicy::TinyLfuSlru`]).
+    /// A byte cap; a full shard evicts its least recently used pair.
     pub fn bounded(max_bytes: u64) -> Self {
-        CacheConfig { max_bytes: Some(max_bytes), policy: EvictionPolicy::default() }
-    }
-
-    /// Same bound, explicit policy.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
+        CacheConfig { max_bytes: Some(max_bytes) }
     }
 }
 
@@ -127,10 +119,10 @@ impl CacheConfig {
 pub struct LookupEvents {
     /// Served from the cache (including a racing duplicate insert).
     pub hit: bool,
-    /// The freshly computed value was admitted and memoized.
+    /// The freshly computed value was memoized.
     pub inserted: bool,
-    /// The freshly computed value was rejected by the admission policy or
-    /// an unmeetable byte cap (returned to the caller, not memoized).
+    /// The freshly computed value was not memoized because the shard's
+    /// byte cap is below one entry (it is still returned to the caller).
     pub admit_rejected: bool,
     /// The insert was discarded because the KB generation moved between
     /// the lookup's probe and its insert.
@@ -140,61 +132,42 @@ pub struct LookupEvents {
     pub evicted: Vec<PairKey>,
 }
 
-/// One shard: the memoized pairs plus the policy/byte state guarding them.
-/// Everything behind one lock, so the per-shard invariants (policy books
-/// exactly the map's keys; `bytes == len * ENTRY_BYTES <= cap`) hold at
-/// every guard drop.
+/// One shard: the memoized pairs plus the byte and recency state guarding
+/// them. Everything behind one lock, so the per-shard invariants (the
+/// recency books hold exactly the map's keys; `bytes == len * ENTRY_BYTES
+/// <= cap`) hold at every guard drop.
 #[derive(Debug)]
 struct Shard {
     map: FxHashMap<PairKey, f64>,
     /// Present iff the cache is bounded.
-    policy: Option<Box<dyn PolicyShard>>,
-    /// This shard's slice of the global byte cap (`None` = unbounded).
-    cap_bytes: Option<u64>,
+    lru: Option<Lru>,
     bytes: u64,
     bytes_peak: u64,
-    /// Logical access index: advances once per completed access.
-    clock: u64,
 }
 
 impl Shard {
-    fn new(cap_bytes: Option<u64>, policy_kind: EvictionPolicy) -> Self {
-        let policy =
-            cap_bytes.map(|cap| policy::build_policy(policy_kind, size::entries_under(cap)));
-        Shard { map: FxHashMap::default(), policy, cap_bytes, bytes: 0, bytes_peak: 0, clock: 0 }
+    fn new(cap_bytes: Option<u64>) -> Self {
+        Shard { map: FxHashMap::default(), lru: cap_bytes.map(Lru::new), bytes: 0, bytes_peak: 0 }
     }
 
-    /// Records a hit at the next access index.
+    /// Records a hit (recency moves only in a bounded shard).
     fn note_hit(&mut self, key: PairKey) {
-        self.clock += 1;
-        let at = self.clock;
-        if let Some(p) = self.policy.as_mut() {
-            p.on_hit(key, at);
+        if let Some(lru) = self.lru.as_mut() {
+            lru.touch(key);
         }
     }
 
-    /// Makes room for `key`, appending evicted keys to `events.evicted`.
-    /// Returns whether the key was admitted. Terminates because every
-    /// iteration either returns or strictly shrinks the resident set.
-    fn make_room(&mut self, key: PairKey, events: &mut LookupEvents) -> bool {
-        let Some(cap) = self.cap_bytes else {
+    /// Evicts least recently used pairs until one more entry fits,
+    /// appending them to `events.evicted`. Returns false when nothing is
+    /// left to evict and still no entry fits: the cap is below one entry.
+    fn make_room(&mut self, events: &mut LookupEvents) -> bool {
+        let Some(lru) = self.lru.as_mut() else {
             return true;
         };
-        let Some(p) = self.policy.as_mut() else {
-            // Bounded shards always carry a policy; degrade to rejecting.
-            return false;
-        };
-        p.on_candidate(key);
-        while self.bytes.saturating_add(ENTRY_BYTES) > cap {
-            let Some(victim) = p.victim() else {
-                // Nothing left to evict and still no room: the cap is
-                // below one entry.
+        while self.bytes.saturating_add(ENTRY_BYTES) > lru.cap_bytes {
+            let Some(victim) = lru.pop_coldest() else {
                 return false;
             };
-            if !p.admits(key, victim) {
-                return false;
-            }
-            p.on_evict(victim);
             if self.map.remove(&victim).is_some() {
                 self.bytes = self.bytes.saturating_sub(ENTRY_BYTES);
             }
@@ -203,41 +176,37 @@ impl Shard {
         true
     }
 
-    /// Admits `key -> value` (room already made) at the next access index.
+    /// Memoizes `key -> value` (room already made).
     fn insert(&mut self, key: PairKey, value: f64) {
-        self.clock += 1;
-        let at = self.clock;
         self.map.insert(key, value);
         self.bytes = self.bytes.saturating_add(ENTRY_BYTES);
         self.bytes_peak = self.bytes_peak.max(self.bytes);
-        if let Some(p) = self.policy.as_mut() {
-            p.on_insert(key, at);
+        if let Some(lru) = self.lru.as_mut() {
+            lru.touch(key);
         }
     }
 
     /// Drops every entry (generation advance / clear), returning how many
-    /// were dropped so the caller can count them as evictions. The logical
-    /// clock keeps running — access indexes stay unique for the shard's
-    /// lifetime.
+    /// were dropped so the caller can count them as evictions.
     fn drop_all(&mut self) -> u64 {
         let dropped = self.map.len() as u64;
         self.map.clear();
         self.bytes = 0;
-        if let Some(p) = self.policy.as_mut() {
-            p.clear();
+        if let Some(lru) = self.lru.as_mut() {
+            lru.clear();
         }
         dropped
     }
 }
 
-/// A sharded, policy-bounded, generation-tagged concurrent map from
-/// canonical entity pairs to scores. The reusable core under
+/// A sharded, optionally byte-capped, generation-tagged concurrent map
+/// from canonical entity pairs to scores. The reusable core under
 /// [`CachedRelatedness`]; public so test harnesses and benches can drive
 /// it directly with a pure compute function.
 #[derive(Debug)]
 pub struct PairCache {
     shards: Vec<RwLock<Shard>>,
-    config: CacheConfig,
+    bounded: bool,
     /// KB generation the cached pairs were computed against.
     kb_generation: AtomicU64,
     counters: CacheCounters,
@@ -245,8 +214,8 @@ pub struct PairCache {
 }
 
 impl PairCache {
-    /// An empty cache with the given bound/policy, its counters and
-    /// gauges registered in `metrics` (pass [`Metrics::disabled`] to skip
+    /// An empty cache with the given bound, its counters and gauges
+    /// registered in `metrics` (pass [`Metrics::disabled`] to skip
     /// accounting).
     pub fn new(config: CacheConfig, metrics: &Metrics) -> Self {
         let caps: Vec<Option<u64>> = match config.max_bytes {
@@ -256,22 +225,12 @@ impl PairCache {
             }
         };
         PairCache {
-            shards: caps.into_iter().map(|c| RwLock::new(Shard::new(c, config.policy))).collect(),
-            config,
+            shards: caps.into_iter().map(|c| RwLock::new(Shard::new(c))).collect(),
+            bounded: config.max_bytes.is_some(),
             kb_generation: AtomicU64::new(0),
             counters: CacheCounters::new(metrics),
             gauges: CacheGauges::new(metrics),
         }
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    /// The configured byte cap (`None` when unbounded).
-    pub fn capacity_bytes(&self) -> Option<u64> {
-        self.config.max_bytes
     }
 
     /// Looks `(a, b)` up (symmetric: the pair is canonicalized), calling
@@ -282,8 +241,8 @@ impl PairCache {
     /// with no lock held, then a second visit under the write lock
     /// re-probes (a racing worker may have inserted first — that counts
     /// as a hit and the duplicate computation is discarded), re-checks the
-    /// generation tag, and runs admission/eviction. Counters are bumped
-    /// after the guard drops; the critical section covers only the shard.
+    /// generation tag, and evicts to make room. Counters are bumped after
+    /// the guard drops; the critical section covers only the shard.
     pub fn get_or_insert_with<F: FnOnce() -> f64>(
         &self,
         a: EntityId,
@@ -299,31 +258,24 @@ impl PairCache {
             return (compute(), events);
         };
         let gen_at_start = self.kb_generation.load(Ordering::Acquire);
-        if self.config.max_bytes.is_none() {
-            // Unbounded: hits need no recency bookkeeping, so the probe
-            // stays on the cheap read lock (the legacy fast path).
-            let cached = shard.read().unwrap_or_else(|e| e.into_inner()).map.get(&key).copied();
-            if let Some(v) = cached {
-                events.hit = true;
-                self.counters.apply(&events);
-                return (v, events);
-            }
-        } else {
+        let cached = if self.bounded {
             // Bounded: a hit moves recency state, so probe under the
             // write lock.
-            let cached = {
-                let mut g = shard.write().unwrap_or_else(|e| e.into_inner());
-                let probed = g.map.get(&key).copied();
-                if probed.is_some() {
-                    g.note_hit(key);
-                }
-                probed
-            };
-            if let Some(v) = cached {
-                events.hit = true;
-                self.counters.apply(&events);
-                return (v, events);
+            let mut g = shard.write().unwrap_or_else(|e| e.into_inner());
+            let probed = g.map.get(&key).copied();
+            if probed.is_some() {
+                g.note_hit(key);
             }
+            probed
+        } else {
+            // Unbounded: hits need no recency bookkeeping, so the probe
+            // stays on the cheap read lock.
+            shard.read().unwrap_or_else(|e| e.into_inner()).map.get(&key).copied()
+        };
+        if let Some(v) = cached {
+            events.hit = true;
+            self.counters.apply(&events);
+            return (v, events);
         }
         let v = compute();
         let value = {
@@ -342,7 +294,7 @@ impl PairCache {
                 // swap — but memoizing it would serve stale scores forever.
                 events.stale_discarded = true;
                 v
-            } else if g.make_room(key, &mut events) {
+            } else if g.make_room(&mut events) {
                 g.insert(key, v);
                 events.inserted = true;
                 v
@@ -354,7 +306,6 @@ impl PairCache {
         self.counters.apply(&events);
         (value, events)
     }
-
     /// The KB generation the cached pairs were computed against.
     pub fn generation(&self) -> u64 {
         self.kb_generation.load(Ordering::Acquire)
@@ -459,12 +410,12 @@ impl PairCache {
         self.counters.inserts.value()
     }
 
-    /// Entries dropped so far (policy evictions plus invalidation drops).
+    /// Entries dropped so far (LRU evictions plus invalidation drops).
     pub fn evictions(&self) -> u64 {
         self.counters.evictions.value()
     }
 
-    /// Lookups whose insert was rejected by the admission policy so far.
+    /// Lookups on a shard whose cap is below one entry so far.
     pub fn admit_rejected(&self) -> u64 {
         self.counters.admit_rejected.value()
     }
@@ -516,31 +467,9 @@ impl<M: Relatedness> CachedRelatedness<M> {
         Self::with_config(inner, metrics, CacheConfig::unbounded())
     }
 
-    /// Wraps `inner` with a cache bounded and policed per `config`.
+    /// Wraps `inner` with a cache bounded per `config`.
     pub fn with_config(inner: M, metrics: &Metrics, config: CacheConfig) -> Self {
         CachedRelatedness { inner, cache: PairCache::new(config, metrics) }
-    }
-
-    /// Back-compat shim for the PR-7 entry-cap constructor: `max_entries`
-    /// becomes a byte cap of `max_entries * ENTRY_BYTES` under the default
-    /// policy (`usize::MAX` stays unbounded). Where the old cache stopped
-    /// memoizing at capacity forever (the cap-full starvation bug), this
-    /// one evicts per policy.
-    pub fn with_metrics_and_capacity(inner: M, metrics: &Metrics, max_entries: usize) -> Self {
-        let config = if max_entries == usize::MAX {
-            CacheConfig::unbounded()
-        } else {
-            CacheConfig::bounded((max_entries as u64).saturating_mul(ENTRY_BYTES))
-        };
-        Self::with_config(inner, metrics, config)
-    }
-
-    /// The configured entry capacity (`usize::MAX` when unbounded).
-    pub fn capacity(&self) -> usize {
-        match self.cache.capacity_bytes() {
-            None => usize::MAX,
-            Some(bytes) => usize::try_from(size::entries_under(bytes)).unwrap_or(usize::MAX),
-        }
     }
 
     /// Number of cached pairs.
@@ -586,12 +515,12 @@ impl<M: Relatedness> CachedRelatedness<M> {
         self.cache.inserts()
     }
 
-    /// Entries dropped so far (policy evictions plus invalidation drops).
+    /// Entries dropped so far (LRU evictions plus invalidation drops).
     pub fn evictions(&self) -> u64 {
         self.cache.evictions()
     }
 
-    /// Lookups whose insert the admission policy rejected so far.
+    /// Lookups on a shard whose cap is below one entry so far.
     pub fn admit_rejected(&self) -> u64 {
         self.cache.admit_rejected()
     }
@@ -672,8 +601,8 @@ mod tests {
         Counting { calls: AtomicUsize::new(0) }
     }
 
-    /// `n` distinct keys that all land in one shard, so per-shard policy
-    /// behaviour can be asserted without cross-shard noise.
+    /// `n` distinct keys that all land in one shard, so per-shard eviction
+    /// can be asserted without cross-shard noise.
     fn colliding_keys(n: usize) -> Vec<PairKey> {
         let target = shard_index(canonical_key(EntityId(0), EntityId(0)));
         let mut keys = Vec::new();
@@ -801,12 +730,7 @@ mod tests {
         // that shard's one slot under LRU.
         let cap = SHARD_COUNT as u64 * ENTRY_BYTES;
         let m = Metrics::new();
-        let c = CachedRelatedness::with_config(
-            counting(),
-            &m,
-            CacheConfig::bounded(cap).with_policy(EvictionPolicy::Lru),
-        );
-        assert_eq!(c.capacity(), SHARD_COUNT);
+        let c = CachedRelatedness::with_config(counting(), &m, CacheConfig::bounded(cap));
         for k in colliding_keys(40) {
             assert_eq!(c.relatedness(k.0, k.1), f64::from(k.0 .0 + k.1 .0));
             assert!(c.bytes_used() <= cap, "cap violated mid-run");
@@ -822,43 +746,33 @@ mod tests {
     }
 
     #[test]
-    fn admission_gate_shields_hot_pairs_from_scans() {
-        let m = Metrics::new();
-        let c = CachedRelatedness::with_config(
-            counting(),
-            &m,
-            // One entry per shard, default TinyLFU-SLRU.
-            CacheConfig::bounded(SHARD_COUNT as u64 * ENTRY_BYTES),
+    fn a_full_shard_evicts_its_least_recently_used_pair() {
+        // Two entries per shard; three keys colliding into one shard.
+        let cache = PairCache::new(
+            CacheConfig::bounded(2 * SHARD_COUNT as u64 * ENTRY_BYTES),
+            &Metrics::new(),
         );
-        let keys = colliding_keys(8);
-        let Some((&hot, scan)) = keys.split_first() else {
-            panic!("colliding_keys returned nothing")
-        };
-        // Make the resident pair provably hot (sketch frequency 2).
-        c.relatedness(hot.0, hot.1); // miss + insert
-        c.relatedness(hot.0, hot.1); // hit
-        assert_eq!(c.len(), 1);
-        // A one-shot scan through the same shard: every candidate has
-        // sketch frequency 1 against a victim with frequency 2, so nothing
-        // is admitted and the hot pair survives.
-        for k in scan {
-            c.relatedness(k.0, k.1);
-        }
-        assert_eq!(c.evictions(), 0, "scan must not flush the hot pair");
-        assert_eq!(c.admit_rejected(), scan.len() as u64);
-        assert_eq!(c.len(), 1);
-        // The hot pair still hits.
-        let hits_before = c.hits();
-        c.relatedness(hot.0, hot.1);
-        assert_eq!(c.hits(), hits_before + 1);
-        // Conservation: every miss resolved exactly once.
-        assert_eq!(c.misses(), c.inserts() + c.admit_rejected() + c.stale_discards());
-        assert_eq!(c.inserts(), c.evictions() + c.len() as u64);
+        let keys = colliding_keys(3);
+        let (k1, k2, k3) = (keys[0], keys[1], keys[2]);
+        cache.get_or_insert_with(k1.0, k1.1, || 1.0);
+        cache.get_or_insert_with(k2.0, k2.1, || 2.0);
+        // The hit makes k1 the most recently used, so k2 is the victim.
+        let (_, hit) = cache.get_or_insert_with(k1.0, k1.1, || 9.0);
+        assert!(hit.hit);
+        let (_, e3) = cache.get_or_insert_with(k3.0, k3.1, || 3.0);
+        assert!(e3.inserted);
+        assert_eq!(e3.evicted, vec![k2]);
+        assert_eq!(cache.contents(), vec![(k1, 1.0), (k3, 3.0)]);
+        assert_eq!(cache.admit_rejected(), 0, "a shard with room for an entry admits every pair");
     }
 
     #[test]
     fn capped_cache_results_match_unbounded() {
-        let capped = CachedRelatedness::with_metrics_and_capacity(counting(), &Metrics::new(), 2);
+        let capped = CachedRelatedness::with_config(
+            counting(),
+            &Metrics::new(),
+            CacheConfig::bounded(2 * ENTRY_BYTES),
+        );
         let unbounded = CachedRelatedness::new(counting());
         for i in 0..20u32 {
             for j in 0..3u32 {
@@ -873,24 +787,17 @@ mod tests {
 
     #[test]
     fn eviction_accounting_is_deterministic_for_a_fixed_sequence() {
-        let run = |policy| {
+        let run = || {
             let m = Metrics::new();
-            let c = CachedRelatedness::with_config(
-                counting(),
-                &m,
-                CacheConfig::bounded(7 * ENTRY_BYTES).with_policy(policy),
-            );
+            let config = CacheConfig::bounded(7 * ENTRY_BYTES);
+            let c = CachedRelatedness::with_config(counting(), &m, config);
             for i in 0..60u32 {
                 c.relatedness(EntityId(i % 13), EntityId((i * 7) % 17 + 1));
             }
             c.publish_gauges();
             m.snapshot()
         };
-        for policy in
-            [EvictionPolicy::Lru, EvictionPolicy::SegmentedLru, EvictionPolicy::TinyLfuSlru]
-        {
-            assert_eq!(run(policy), run(policy), "sequence-determinism broke under {policy:?}");
-        }
+        assert_eq!(run(), run(), "sequence-determinism broke");
     }
 
     #[test]
@@ -898,8 +805,6 @@ mod tests {
         use ned_obs::names;
         let m = Metrics::new();
         let c = CachedRelatedness::with_metrics(counting(), &m);
-        assert_eq!(c.capacity(), usize::MAX);
-        assert_eq!(c.cache().capacity_bytes(), None);
         for i in 0..100u32 {
             c.relatedness(EntityId(i), EntityId(i + 1));
         }
@@ -910,7 +815,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_cache_still_answers() {
-        let c = CachedRelatedness::with_metrics_and_capacity(counting(), &Metrics::new(), 0);
+        let c =
+            CachedRelatedness::with_config(counting(), &Metrics::new(), CacheConfig::bounded(0));
         assert_eq!(c.relatedness(EntityId(1), EntityId(2)), 3.0);
         assert_eq!(c.relatedness(EntityId(1), EntityId(2)), 3.0);
         assert!(c.is_empty());
@@ -1027,11 +933,7 @@ mod tests {
     fn lookup_events_expose_evictions_in_order() {
         let m = Metrics::new();
         // One entry per shard; two keys colliding into one shard.
-        let cache = PairCache::new(
-            CacheConfig::bounded(SHARD_COUNT as u64 * ENTRY_BYTES)
-                .with_policy(EvictionPolicy::Lru),
-            &m,
-        );
+        let cache = PairCache::new(CacheConfig::bounded(SHARD_COUNT as u64 * ENTRY_BYTES), &m);
         let keys = colliding_keys(2);
         let (k1, k2) = (keys[0], keys[1]);
         let (_, e1) = cache.get_or_insert_with(k1.0, k1.1, || 1.0);
@@ -1049,13 +951,5 @@ mod tests {
         assert_eq!(c.misses(), 0);
         assert_eq!(c.inserts(), 0);
         assert_eq!(c.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn config_accessors_round_trip() {
-        let cfg = CacheConfig::bounded(1024).with_policy(EvictionPolicy::SegmentedLru);
-        let cache = PairCache::new(cfg, &Metrics::disabled());
-        assert_eq!(cache.config(), cfg);
-        assert_eq!(cache.capacity_bytes(), Some(1024));
     }
 }

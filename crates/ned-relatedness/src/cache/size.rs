@@ -2,7 +2,7 @@
 //!
 //! The cache charges a flat [`ENTRY_BYTES`] per memoized pair rather than
 //! measuring the allocator: the entry layout is fixed (8-byte key pair,
-//! 8-byte score, hash-table slot, recency node, frequency count), so a
+//! 8-byte score, hash-table slot, recency books), so a
 //! conservative constant keeps the accounting exact, deterministic, and
 //! free of allocator introspection. The configured cap is split across
 //! shards up front; each shard enforces its slice under its own lock, so
@@ -11,8 +11,8 @@
 
 /// Bytes charged per cached pair: 16 (canonical `(EntityId, EntityId)`
 /// key) + 8 (`f64` score) + ~24 amortized hash-table slot overhead + ~40
-/// policy metadata (recency-order node plus last-access map entry and a
-/// frequency-sketch count), rounded up to a power-of-two-friendly 96.
+/// recency metadata (recency-order node plus last-access map entry),
+/// rounded up to a power-of-two-friendly 96.
 pub const ENTRY_BYTES: u64 = 96;
 
 /// Splits a global byte cap into per-shard caps whose sum is exactly the
@@ -35,11 +35,6 @@ pub(crate) fn shard_byte_caps(max_bytes: u64, shards: usize) -> Vec<u64> {
     caps
 }
 
-/// How many whole entries fit under `cap_bytes`.
-pub(crate) fn entries_under(cap_bytes: u64) -> u64 {
-    cap_bytes / ENTRY_BYTES
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,7 +53,7 @@ mod tests {
         // 5 entries' worth: shards 0-4 get one entry each, the rest none —
         // a plain byte split would give every shard a useless 30 bytes.
         let caps = shard_byte_caps(5 * ENTRY_BYTES, 16);
-        let entry_caps: Vec<u64> = caps.iter().map(|&c| entries_under(c)).collect();
+        let entry_caps: Vec<u64> = caps.iter().map(|&c| c / ENTRY_BYTES).collect();
         assert_eq!(entry_caps, vec![1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(entry_caps.iter().sum::<u64>(), 5);
     }
@@ -72,13 +67,5 @@ mod tests {
         for (s, l) in small.iter().zip(&large) {
             assert!(s <= l);
         }
-    }
-
-    #[test]
-    fn entries_under_rounds_down() {
-        assert_eq!(entries_under(0), 0);
-        assert_eq!(entries_under(ENTRY_BYTES - 1), 0);
-        assert_eq!(entries_under(ENTRY_BYTES), 1);
-        assert_eq!(entries_under(10 * ENTRY_BYTES + 95), 10);
     }
 }

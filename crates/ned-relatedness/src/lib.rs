@@ -25,8 +25,8 @@ pub mod traits;
 pub mod two_stage;
 
 pub use cache::{
-    canonical_key, shard_index, CacheConfig, CachedRelatedness, EvictionPolicy, LookupEvents,
-    PairCache, PairKey, ENTRY_BYTES, SHARD_COUNT,
+    canonical_key, shard_index, CacheConfig, CachedRelatedness, LookupEvents, PairCache, PairKey,
+    ENTRY_BYTES, SHARD_COUNT,
 };
 pub use keyterm_cosine::{KeyphraseCosine, KeywordCosine};
 pub use jaccard::InlinkJaccard;

@@ -7,9 +7,7 @@
 
 use std::sync::{Arc, Mutex, RwLock};
 
-use ned_aida::{
-    AidaConfig, Annotation, DeadlinePlan, Disambiguator, JointConfig, NedMethod,
-};
+use ned_aida::{AidaConfig, Annotation, DeadlinePlan, Disambiguator, JointConfig};
 use ned_core::{DegradationLevel, NedError, ServeRequest};
 use ned_kb::{KbEpoch, KbHandle, KbView};
 use ned_obs::{Clock, Metrics};
@@ -134,14 +132,8 @@ where
         };
         let disambiguator =
             disambiguator.with_metrics(&self.metrics).with_clock(self.clock.clone());
-        let result = disambiguator.disambiguate(&tokens, &mentions);
-        let degradation = result.degradation.max(plan.floor());
-        let annotations = mentions
-            .into_iter()
-            .zip(result.assignments)
-            .filter_map(|(mention, assignment)| self.joint.accept(mention, assignment))
-            .collect();
-        HandlerOutput { annotations, degradation }
+        let (annotations, degradation) = self.joint.link(&disambiguator, &tokens, mentions);
+        HandlerOutput { annotations, degradation: degradation.max(plan.floor()) }
     }
 }
 

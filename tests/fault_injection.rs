@@ -321,68 +321,55 @@ fn nan_relatedness_never_panics_the_batch() {
 
 #[test]
 fn poisoned_docs_keep_bounded_cache_conservation_exact() {
-    use aida_ned::relatedness::{CacheConfig, CachedRelatedness, EvictionPolicy, ENTRY_BYTES};
+    use aida_ned::relatedness::{CacheConfig, CachedRelatedness, ENTRY_BYTES};
     install_quiet_hook();
     let (exported, docs) = test_env();
     let kb = &FrozenKb::freeze(&exported.kb);
 
     let cap = 400 * ENTRY_BYTES; // tight enough to bind on this corpus
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::TinyLfuSlru] {
-        // Measure the clean single-threaded miss traffic through the same
-        // bounded cache, so the planted panic lands mid-stream inside a
-        // cache miss's compute (only misses reach the inner measure).
-        let counting = FaultyRelatedness::new(MilneWitten::new(kb));
-        let clean_cache = CachedRelatedness::with_config(
-            &counting,
-            &Metrics::new(),
-            CacheConfig::bounded(cap).with_policy(policy),
+    // Measure the clean single-threaded miss traffic through the same
+    // bounded cache, so the planted panic lands mid-stream inside a cache
+    // miss's compute (only misses reach the inner measure).
+    let counting = FaultyRelatedness::new(MilneWitten::new(kb));
+    let clean_cache =
+        CachedRelatedness::with_config(&counting, &Metrics::new(), CacheConfig::bounded(cap));
+    let aida = Disambiguator::new(kb, &clean_cache, AidaConfig::full());
+    let _ = run_method_with_threads(&aida, &docs, 1).expect("thread pool");
+    let inner_calls = counting.calls.load(Ordering::Relaxed);
+    assert!(inner_calls > 0, "the corpus must miss the cache");
+
+    for threads in [1usize, 2] {
+        let metrics = Metrics::new();
+        let faulty = FaultyRelatedness::new(MilneWitten::new(kb)).panicking_at(inner_calls / 2);
+        let cached = CachedRelatedness::with_config(faulty, &metrics, CacheConfig::bounded(cap));
+        let aida = Disambiguator::new(kb, &cached, AidaConfig::full());
+        let eval = run_method_with_threads(&aida, &docs, threads).expect("thread pool");
+        assert_eq!(eval.docs.len(), docs.len());
+        assert!(eval.failed_count() >= 1, "the planted panic must fail a document");
+
+        // The aborted lookup (whose compute panicked) counts nothing;
+        // every completed lookup is exactly one hit or miss — so the
+        // conservation laws stay exact even mid-poisoning.
+        let cache = cached.cache();
+        assert_eq!(
+            cache.misses(),
+            cache.inserts() + cache.admit_rejected() + cache.stale_discards(),
+            "misses must split exactly ({threads} threads)"
         );
-        let aida = Disambiguator::new(kb, &clean_cache, AidaConfig::full());
-        let _ = run_method_with_threads(&aida, &docs, 1).expect("thread pool");
-        let inner_calls = counting.calls.load(Ordering::Relaxed);
-        assert!(inner_calls > 0, "the corpus must miss the cache ({policy:?})");
-
-        for threads in [1usize, 2] {
-            let metrics = Metrics::new();
-            let faulty =
-                FaultyRelatedness::new(MilneWitten::new(kb)).panicking_at(inner_calls / 2);
-            let cached = CachedRelatedness::with_config(
-                faulty,
-                &metrics,
-                CacheConfig::bounded(cap).with_policy(policy),
-            );
-            let aida = Disambiguator::new(kb, &cached, AidaConfig::full());
-            let eval = run_method_with_threads(&aida, &docs, threads).expect("thread pool");
-            assert_eq!(eval.docs.len(), docs.len());
-            assert!(eval.failed_count() >= 1, "the planted panic must fail a document");
-
-            // The aborted lookup (whose compute panicked) counts nothing;
-            // every completed lookup is exactly one hit or miss — so the
-            // conservation laws stay exact even mid-poisoning.
-            let cache = cached.cache();
-            assert_eq!(
-                cache.misses(),
-                cache.inserts() + cache.admit_rejected() + cache.stale_discards(),
-                "misses must split exactly ({policy:?}, {threads} threads)"
-            );
-            assert_eq!(
-                cache.inserts(),
-                cache.evictions() + cache.len() as u64,
-                "inserts must equal evictions + live entries ({policy:?}, {threads} threads)"
-            );
-            assert!(cache.bytes_used() <= cap);
-            assert!(cache.bytes_peak() <= cap);
-            assert!(
-                cache.evictions() + cache.admit_rejected() > 0,
-                "the cap must bind during the poisoned run ({policy:?})"
-            );
-            // Cross-check: the counters in the registry agree with the
-            // cache's own accessors (one source of truth, two views).
-            let snap = metrics.snapshot();
-            assert_eq!(snap.counter(names::RELATEDNESS_CACHE_HITS), cache.hits());
-            assert_eq!(snap.counter(names::RELATEDNESS_CACHE_MISSES), cache.misses());
-            assert_eq!(snap.counter(names::RELATEDNESS_CACHE_EVICTIONS), cache.evictions());
-        }
+        assert_eq!(
+            cache.inserts(),
+            cache.evictions() + cache.len() as u64,
+            "inserts must equal evictions + live entries ({threads} threads)"
+        );
+        assert!(cache.bytes_used() <= cap);
+        assert!(cache.bytes_peak() <= cap);
+        assert!(cache.evictions() > 0, "the cap must bind during the poisoned run");
+        // Cross-check: the counters in the registry agree with the
+        // cache's own accessors (one source of truth, two views).
+        let snap = metrics.snapshot();
+        assert_eq!(snap.counter(names::RELATEDNESS_CACHE_HITS), cache.hits());
+        assert_eq!(snap.counter(names::RELATEDNESS_CACHE_MISSES), cache.misses());
+        assert_eq!(snap.counter(names::RELATEDNESS_CACHE_EVICTIONS), cache.evictions());
     }
 }
 

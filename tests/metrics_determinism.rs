@@ -198,59 +198,47 @@ const TIGHT_CAP: u64 = 64 * aida_ned::relatedness::ENTRY_BYTES;
 
 #[test]
 fn capped_cache_is_invisible_to_outcomes_and_conserves_lookups() {
-    use aida_ned::relatedness::EvictionPolicy;
     let docs = corpus(31, 10);
     let (unbounded, unbounded_snap) = run_frozen(&docs, 1);
+    let config = CacheConfig::bounded(TIGHT_CAP);
+    let one = run_frozen_capped(&docs, 1, config);
 
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::TinyLfuSlru] {
-        let config = CacheConfig::bounded(TIGHT_CAP).with_policy(policy);
-        let one = run_frozen_capped(&docs, 1, config);
+    // Eviction-free determinism: annotation outcomes are byte-identical
+    // to the unbounded cache (memoization is an optimization, never a
+    // result), even while the cap binds and entries churn.
+    assert_identical(&unbounded, &one.eval);
+    assert!(one.snap.counter("relatedness_cache_evictions") > 0, "cap must bind for this test");
+    assert_cache_conservation(&one.snap, one.live_entries);
+    assert!(one.bytes <= TIGHT_CAP, "byte cap violated");
+    assert!(one.bytes_peak <= TIGHT_CAP, "peak bytes exceeded the cap");
 
-        // Eviction-free determinism: annotation outcomes are byte-identical
-        // to the unbounded cache (memoization is an optimization, never a
-        // result), even while the cap binds and entries churn.
-        assert_identical(&unbounded, &one.eval);
-        assert!(
-            one.snap.counter("relatedness_cache_evictions")
-                + one.snap.counter("relatedness_cache_admit_rejected")
-                > 0,
-            "cap must bind for this test ({policy:?})"
-        );
-        assert_cache_conservation(&one.snap, one.live_entries);
-        assert!(one.bytes <= TIGHT_CAP, "byte cap violated ({policy:?})");
-        assert!(one.bytes_peak <= TIGHT_CAP, "peak bytes exceeded the cap ({policy:?})");
+    // For a fixed single-threaded sequence the accounting is exact:
+    // repeated runs produce bit-identical snapshots, gauges included.
+    let again = run_frozen_capped(&docs, 1, config);
+    assert_eq!(one.snap, again.snap, "capped single-threaded snapshot must be reproducible");
 
-        // For a fixed single-threaded sequence the accounting is exact:
-        // repeated runs produce bit-identical snapshots, gauges included.
-        let again = run_frozen_capped(&docs, 1, config);
+    let lookups = |s: &MetricsSnapshot| {
+        s.counter("relatedness_cache_hits") + s.counter("relatedness_cache_misses")
+    };
+    assert_eq!(
+        lookups(&one.snap),
+        lookups(&unbounded_snap),
+        "the cap must not change how many lookups the pipeline issues"
+    );
+    for threads in [2usize, 4] {
+        let multi = run_frozen_capped(&docs, threads, config);
+        assert_identical(&one.eval, &multi.eval);
+        // Under concurrency the hit/miss split may shift (which pairs
+        // win memoization depends on arrival order) but the totals
+        // conserve and the byte bound holds at every observation point.
         assert_eq!(
-            one.snap, again.snap,
-            "capped single-threaded snapshot must be reproducible ({policy:?})"
-        );
-
-        let lookups = |s: &MetricsSnapshot| {
-            s.counter("relatedness_cache_hits") + s.counter("relatedness_cache_misses")
-        };
-        assert_eq!(
+            lookups(&multi.snap),
             lookups(&one.snap),
-            lookups(&unbounded_snap),
-            "the cap must not change how many lookups the pipeline issues"
+            "lookup total drifted at {threads} threads"
         );
-        for threads in [2usize, 4] {
-            let multi = run_frozen_capped(&docs, threads, config);
-            assert_identical(&one.eval, &multi.eval);
-            // Under concurrency the hit/miss split may shift (which pairs
-            // win memoization depends on arrival order) but the totals
-            // conserve and the byte bound holds at every observation point.
-            assert_eq!(
-                lookups(&multi.snap),
-                lookups(&one.snap),
-                "lookup total drifted at {threads} threads ({policy:?})"
-            );
-            assert_cache_conservation(&multi.snap, multi.live_entries);
-            assert!(multi.bytes <= TIGHT_CAP);
-            assert!(multi.bytes_peak <= TIGHT_CAP);
-        }
+        assert_cache_conservation(&multi.snap, multi.live_entries);
+        assert!(multi.bytes <= TIGHT_CAP);
+        assert!(multi.bytes_peak <= TIGHT_CAP);
     }
 }
 
@@ -287,8 +275,7 @@ fn capped_snapshot_is_identical_across_kb_backends() {
 fn bounded_cache_snapshots_are_bit_identical_across_1_2_4_8_threads() {
     use aida_ned::obs::names;
     use aida_ned::relatedness::{
-        canonical_key, shard_index, CacheConfig, EvictionPolicy, PairCache, PairKey,
-        ENTRY_BYTES, SHARD_COUNT,
+        canonical_key, shard_index, CacheConfig, PairCache, PairKey, ENTRY_BYTES, SHARD_COUNT,
     };
     use aida_ned::kb::EntityId;
 
@@ -358,30 +345,22 @@ fn bounded_cache_snapshots_are_bit_identical_across_1_2_4_8_threads() {
         (metrics.snapshot(), contents)
     };
 
-    for policy in [EvictionPolicy::Lru, EvictionPolicy::TinyLfuSlru] {
-        for cap in [Some(4 * SHARD_COUNT as u64 * ENTRY_BYTES), Some(0), Some(1 << 24), None] {
-            let config = match cap {
-                Some(bytes) => CacheConfig::bounded(bytes).with_policy(policy),
-                None => CacheConfig::unbounded().with_policy(policy),
-            };
-            let (snap1, contents1) = replay(config, 1);
+    for cap in [Some(4 * SHARD_COUNT as u64 * ENTRY_BYTES), Some(0), Some(1 << 24), None] {
+        let config = cap.map_or_else(CacheConfig::unbounded, CacheConfig::bounded);
+        let (snap1, contents1) = replay(config, 1);
+        assert_eq!(
+            snap1.counter(names::RELATEDNESS_CACHE_HITS)
+                + snap1.counter(names::RELATEDNESS_CACHE_MISSES),
+            2 * trace.len() as u64,
+            "every replayed lookup is exactly one hit or miss"
+        );
+        for threads in [2usize, 4, 8] {
+            let (snap, contents) = replay(config, threads);
+            assert_eq!(snap1, snap, "cache snapshot diverged at {threads} threads (cap {cap:?})");
             assert_eq!(
-                snap1.counter(names::RELATEDNESS_CACHE_HITS)
-                    + snap1.counter(names::RELATEDNESS_CACHE_MISSES),
-                2 * trace.len() as u64,
-                "every replayed lookup is exactly one hit or miss"
+                contents1, contents,
+                "cache contents diverged at {threads} threads (cap {cap:?})"
             );
-            for threads in [2usize, 4, 8] {
-                let (snap, contents) = replay(config, threads);
-                assert_eq!(
-                    snap1, snap,
-                    "cache snapshot diverged at {threads} threads ({policy:?}, cap {cap:?})"
-                );
-                assert_eq!(
-                    contents1, contents,
-                    "cache contents diverged at {threads} threads ({policy:?}, cap {cap:?})"
-                );
-            }
         }
     }
 }
