@@ -31,6 +31,9 @@ pub struct DocumentContext {
     /// Each distinct word's run in `by_word`, as `(start, end)`: one entry
     /// per distinct word of the document.
     runs: FxHashMap<WordId, (usize, usize)>,
+    /// The distinct words in ascending order, each with the first and the
+    /// last position of its run.
+    distinct: Vec<(WordId, usize, usize)>,
 }
 
 impl DocumentContext {
@@ -39,8 +42,15 @@ impl DocumentContext {
         let words = tokens
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.kind == TokenKind::Word && !is_stopword(&t.text))
-            .filter_map(|(i, t)| kb.word_id(&t.text).map(|w| (i, w)))
+            .filter(|(_, t)| t.kind == TokenKind::Word)
+            .filter_map(|(i, t)| {
+                // One read of the inline text serves both probes.
+                let text = t.text.as_str();
+                if is_stopword(text) {
+                    return None;
+                }
+                kb.word_id(text).map(|w| (i, w))
+            })
             .collect();
         Self::from_words(words)
     }
@@ -55,16 +65,19 @@ impl DocumentContext {
         let mut by_word: Vec<(WordId, usize)> = words.iter().map(|&(pos, w)| (w, pos)).collect();
         by_word.sort_unstable();
         let same_word = |a: &(WordId, usize), b: &(WordId, usize)| a.0 == b.0;
+        let distinct_count = by_word.chunk_by(same_word).count();
         let mut runs = FxHashMap::default();
-        runs.reserve(by_word.chunk_by(same_word).count());
+        runs.reserve(distinct_count);
+        let mut distinct = Vec::with_capacity(distinct_count);
         let mut start = 0;
         for run in by_word.chunk_by(same_word) {
-            if let Some(&(w, _)) = run.first() {
+            if let (Some(&(w, first)), Some(&(_, last))) = (run.first(), run.last()) {
                 runs.insert(w, (start, start + run.len()));
+                distinct.push((w, first, last));
             }
             start += run.len();
         }
-        DocumentContext { words, by_word, runs }
+        DocumentContext { words, by_word, runs, distinct }
     }
 
     /// The `(token position, keyword id)` pairs, sorted by position.
@@ -173,15 +186,17 @@ impl<'a> MentionContext<'a> {
 
     /// Writes the distinct words of the view into `out`, ascending: the
     /// sorted, deduplicated words of [`DocumentContext::for_mention`]. It
-    /// scans the whole word index, so the scorer reads it only for a
-    /// candidate that probes the inverted index word by word.
+    /// tests each distinct word of the document as [`Self::contains`] does,
+    /// so it costs O(distinct words), not O(context tokens).
     pub(crate) fn words_into(self, out: &mut Vec<WordId>) {
         out.clear();
-        for &(w, pos) in &self.doc.by_word {
-            if !self.excludes(pos) && out.last() != Some(&w) {
-                out.push(w);
-            }
-        }
+        out.extend(
+            self.doc
+                .distinct
+                .iter()
+                .filter(|&&(_, first, last)| first < self.start || last >= self.end)
+                .map(|&(w, _, _)| w),
+        );
     }
 }
 

@@ -140,10 +140,11 @@ impl<K: KbView> EntityIndex<K> {
     ) {
         let mut record = DocRecord { id: doc_id.into(), token_count: tokens.len(), ..Default::default() };
         for t in tokens {
-            if t.kind != TokenKind::Word || is_stopword(&t.text) {
+            let text = t.text.as_str();
+            if t.kind != TokenKind::Word || is_stopword(text) {
                 continue;
             }
-            *record.term_freqs.entry(t.lower()).or_insert(0) += 1;
+            *record.term_freqs.entry(text.to_lowercase()).or_insert(0) += 1;
         }
         for term in record.term_freqs.keys() {
             *self.term_df.entry(term.clone()).or_insert(0) += 1;

@@ -32,7 +32,8 @@
 //!
 //! Because the harness installs the counting allocator (see
 //! `ned_obs::alloc`), every stage also reports its allocation-event count:
-//! per-run `allocs_per_doc` columns, and a batched-scoring stage that
+//! per-run `allocs_per_doc` columns, a tokenization stage whose count must
+//! not grow with the number of tokens, and a batched-scoring stage that
 //! certifies the steady-state hot path allocates ~nothing per mention.
 //! The single-threaded stage figures feed the shrink-only `alloc.toml`
 //! ratchet (checked by the `alloc_check` binary in CI).
@@ -367,7 +368,25 @@ pub fn run(scale: &Scale) {
         |events: u64| if mention_count == 0 { 0.0 } else { events as f64 / mention_count as f64 };
     let steady_sim_allocs_per_mention = per_mention(batched_steady_allocs);
 
+    // Tokenization on this thread: each document's text is rendered before
+    // the counted region, so the stage counts only `tokenize` (its token
+    // vector and character table, and nothing per token).
+    let texts: Vec<String> = docs.iter().map(|d| d.text()).collect();
+    let tokenize_before = alloc_events();
+    for text in &texts {
+        std::hint::black_box(ned_text::tokenize(text));
+    }
+    let tokenize_allocs = alloc_events() - tokenize_before;
+    let per_doc =
+        |events: u64| if docs.is_empty() { 0.0 } else { events as f64 / docs.len() as f64 };
+
     let alloc_stages = [
+        StageAlloc {
+            stage: "tokenize",
+            alloc_events: tokenize_allocs,
+            unit: "doc",
+            per_unit: per_doc(tokenize_allocs),
+        },
         StageAlloc {
             stage: "pipeline_1_thread",
             alloc_events: runs.first().map_or(0, |r| r.alloc_events),
@@ -422,6 +441,11 @@ pub fn run(scale: &Scale) {
         "allocations: steady-state batched scoring {batched_steady_allocs} events over {} \
          mentions ({steady_sim_allocs_per_mention:.4}/mention; warmup pass {batched_warm_allocs})",
         mention_count
+    );
+    println!(
+        "allocations: tokenize {tokenize_allocs} events over {} documents ({:.2}/doc)",
+        docs.len(),
+        per_doc(tokenize_allocs)
     );
     println!("metrics: snapshot identical across thread counts: {metrics_deterministic}");
 

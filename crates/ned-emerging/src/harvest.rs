@@ -59,14 +59,15 @@ pub(crate) fn push_surface(tokens: &[Token], out: &mut String) {
         if i > 0 {
             out.push(' ');
         }
-        if token.text.is_ascii() {
+        let text = token.text.as_str();
+        if text.is_ascii() {
             let start = out.len();
-            out.push_str(&token.text);
+            out.push_str(text);
             if let Some(word) = out.get_mut(start..) {
                 word.make_ascii_lowercase();
             }
         } else {
-            out.push_str(&token.lower());
+            out.push_str(&text.to_lowercase());
         }
     }
 }

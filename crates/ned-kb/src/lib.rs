@@ -25,7 +25,6 @@ pub mod delta;
 pub mod dictionary;
 pub mod entity;
 pub mod frozen;
-pub mod fx;
 pub mod handle;
 pub mod ids;
 pub mod keyphrase;
@@ -41,6 +40,10 @@ pub mod view;
 pub mod vocab;
 pub mod wal;
 pub mod weights;
+
+/// The Fx hasher and its map and set types, defined in `ned-text` (whose
+/// stopword set uses them) and shared by every KB index.
+pub use ned_text::fx;
 
 pub use builder::KbBuilder;
 pub use delta::DeltaKb;

@@ -1,10 +1,10 @@
-//! A fast, non-cryptographic hasher for dense integer keys.
+//! A fast, non-cryptographic hasher for dense integer keys and short words.
 //!
 //! The performance guide recommends an FxHash-style multiply-rotate hasher
-//! when HashDoS is not a concern; all hot maps in this workspace are keyed by
-//! interned `u32` ids, for which SipHash is needlessly slow. This is an
-//! in-tree implementation so the workspace stays within its approved
-//! dependency set.
+//! when HashDoS is not a concern; the hot maps in this workspace are keyed by
+//! interned `u32` ids or, like the stopword set, by short fixed words, for
+//! which SipHash is needlessly slow. This is an in-tree implementation so the
+//! workspace stays within its approved dependency set.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

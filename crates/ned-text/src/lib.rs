@@ -15,7 +15,8 @@
 //! contexts).
 //!
 //! Modules:
-//! - [`token`] / [`tokenizer`]: token model and the tokenizer.
+//! - [`token`] / [`tokenizer`]: token model (token text stored inline)
+//!   and the tokenizer.
 //! - [`sentence`]: sentence boundary detection.
 //! - [`stopwords`]: the stopword list used for context extraction.
 //! - [`normalize`]: the name-matching case rules of §3.3.2, and the
@@ -24,7 +25,10 @@
 //! - [`patterns`]: keyphrase part-of-speech patterns (Appendix A).
 //! - [`ner`]: rule-based named-entity recognition.
 //! - [`mention`]: the mention model shared by all disambiguators.
+//! - [`fx`]: the Fx hasher behind the workspace's hot hash maps and the
+//!   stopword set (re-exported as `ned_kb::fx`).
 
+pub mod fx;
 pub mod mention;
 pub mod ner;
 pub mod normalize;
@@ -38,5 +42,5 @@ pub mod tokenizer;
 pub use mention::Mention;
 pub use ner::{NerConfig, Recognizer};
 pub use pos::{PosTag, PosTagger};
-pub use token::{Token, TokenKind};
+pub use token::{Token, TokenKind, TokenText};
 pub use tokenizer::tokenize;

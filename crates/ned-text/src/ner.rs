@@ -12,11 +12,13 @@
 //!    as single mentions even when capitalization is ambiguous.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 use crate::mention::Mention;
+use crate::normalize::with_lowercase;
 use crate::sentence::{split_sentences, Sentence};
 use crate::stopwords::is_stopword;
-use crate::token::{Token, TokenKind};
+use crate::token::{is_all_uppercase, is_capitalized, Token, TokenKind};
 
 /// Configuration for the rule-based recognizer.
 #[derive(Debug, Clone)]
@@ -82,29 +84,36 @@ impl Recognizer {
         mentions
     }
 
+    /// Longest gazetteer match at each position, left to right. The key of
+    /// a span is its tokens lowercased one by one and joined by spaces,
+    /// built in one reused string; a match needs a capitalized token.
     fn match_gazetteer(&self, tokens: &[Token], claimed: &mut [bool], out: &mut Vec<Mention>) {
         if self.gazetteer.is_empty() {
             return;
         }
         let max_len = self.max_gazetteer_tokens.min(self.config.max_mention_tokens);
+        let mut key = String::new();
         let mut i = 0;
         while i < tokens.len() {
             let mut matched = 0;
-            // Longest match wins.
-            let mut key = String::new();
-            for len in 1..=max_len.min(tokens.len() - i) {
+            let mut capitalized = false;
+            key.clear();
+            for (len, tok) in (1..).zip(tokens.iter().skip(i).take(max_len)) {
                 if len > 1 {
                     key.push(' ');
                 }
-                key.push_str(&tokens[i + len - 1].lower());
-                if self.gazetteer.contains(&key) && tokens[i..i + len].iter().any(|t| t.is_capitalized()) {
+                let text = tok.text.as_str();
+                with_lowercase(text, |lower| key.push_str(lower));
+                capitalized |= is_capitalized(text);
+                if capitalized && self.gazetteer.contains(&key) {
                     matched = len;
                 }
             }
-            if matched > 0 && !claimed[i..i + matched].iter().any(|&c| c) {
-                claimed[i..i + matched].iter_mut().for_each(|c| *c = true);
-                out.push(Mention::new(join(&tokens[i..i + matched]), i, i + matched));
-                i += matched;
+            let end = i + matched;
+            if matched > 0 && claimed.get(i..end).is_some_and(|c| !c.contains(&true)) {
+                claim(claimed, i..end);
+                out.push(Mention::new(join(tokens.get(i..end).unwrap_or_default()), i, end));
+                i = end;
             } else {
                 i += 1;
             }
@@ -120,7 +129,7 @@ impl Recognizer {
     ) {
         let mut i = sentence.start;
         while i < sentence.end {
-            if claimed[i] || !self.starts_run(tokens, i, sentence) {
+            if is_claimed(claimed, i) || !self.starts_run(tokens, i, sentence) {
                 i += 1;
                 continue;
             }
@@ -128,20 +137,21 @@ impl Recognizer {
             let mut last_cap = i;
             i += 1;
             while i < sentence.end
-                && !claimed[i]
+                && !is_claimed(claimed, i)
                 && i - start < self.config.max_mention_tokens
             {
-                let tok = &tokens[i];
-                if tok.kind == TokenKind::Word && tok.is_capitalized() && !is_stopword(&tok.text) {
+                let Some(tok) = tokens.get(i).filter(|t| t.kind == TokenKind::Word) else { break };
+                let text = tok.text.as_str();
+                if is_capitalized(text) && !is_stopword(text) {
                     last_cap = i;
                     i += 1;
                 } else if self.config.allow_connectors
-                    && tok.kind == TokenKind::Word
-                    && is_connector(&tok.text)
+                    && is_connector(text)
                     && i + 1 < sentence.end
-                    && tokens[i + 1].kind == TokenKind::Word
-                    && tokens[i + 1].is_capitalized()
-                    && !claimed[i + 1]
+                    && tokens
+                        .get(i + 1)
+                        .is_some_and(|t| t.kind == TokenKind::Word && t.is_capitalized())
+                    && !is_claimed(claimed, i + 1)
                 {
                     i += 1;
                 } else {
@@ -149,8 +159,8 @@ impl Recognizer {
                 }
             }
             let end = last_cap + 1;
-            claimed[start..end].iter_mut().for_each(|c| *c = true);
-            out.push(Mention::new(join(&tokens[start..end]), start, end));
+            claim(claimed, start..end);
+            out.push(Mention::new(join(tokens.get(start..end).unwrap_or_default()), start, end));
         }
     }
 
@@ -159,38 +169,50 @@ impl Recognizer {
     /// all-caps or followed by another capitalized word, because ordinary
     /// sentence-initial words are capitalized too.
     fn starts_run(&self, tokens: &[Token], i: usize, sentence: &Sentence) -> bool {
-        let tok = &tokens[i];
-        if tok.kind != TokenKind::Word || !tok.is_capitalized() || is_stopword(&tok.text) {
+        let Some(tok) = tokens.get(i) else { return false };
+        let text = tok.text.as_str();
+        if tok.kind != TokenKind::Word || !is_capitalized(text) || is_stopword(text) {
             return false;
         }
         if i != sentence.start {
             return true;
         }
-        if tok.is_all_uppercase() && tok.text.chars().count() >= 2 {
+        if is_all_uppercase(text) && text.chars().count() >= 2 {
             return true;
         }
         // Sentence-initial: a following capitalized word or a possessive
         // clitic ("Washington's program ...") marks a name; ordinary
         // sentence-initial words are capitalized too, so require evidence.
-        if i + 1 < sentence.end && tokens[i + 1].text == "'s" {
-            return true;
-        }
-        i + 1 < sentence.end
-            && tokens[i + 1].kind == TokenKind::Word
-            && tokens[i + 1].is_capitalized()
-            && !is_stopword(&tokens[i + 1].text)
+        let Some(next) = tokens.get(i + 1).filter(|_| i + 1 < sentence.end) else { return false };
+        let next_text = next.text.as_str();
+        let capitalized_word = next.kind == TokenKind::Word && is_capitalized(next_text);
+        next_text == "'s" || (capitalized_word && !is_stopword(next_text))
     }
 
     fn match_acronyms(&self, tokens: &[Token], claimed: &mut [bool], out: &mut Vec<Mention>) {
-        for (i, tok) in tokens.iter().enumerate() {
-            if claimed[i] || tok.kind != TokenKind::Word {
+        for ((i, tok), claimed) in tokens.iter().enumerate().zip(claimed.iter_mut()) {
+            if *claimed || tok.kind != TokenKind::Word {
                 continue;
             }
-            if tok.is_all_uppercase() && tok.text.chars().count() >= 2 && !is_stopword(&tok.text) {
-                claimed[i] = true;
-                out.push(Mention::new(tok.text.clone(), i, i + 1));
+            let text = tok.text.as_str();
+            if is_all_uppercase(text) && text.chars().count() >= 2 && !is_stopword(text) {
+                *claimed = true;
+                out.push(Mention::new(text, i, i + 1));
             }
         }
+    }
+}
+
+/// True when token `i` belongs to a mention already; a position past the
+/// tokens counts as claimed, so no mention reaches it.
+fn is_claimed(claimed: &[bool], i: usize) -> bool {
+    claimed.get(i).copied().unwrap_or(true)
+}
+
+/// Marks the tokens of `span` as claimed.
+fn claim(claimed: &mut [bool], span: Range<usize>) {
+    if let Some(c) = claimed.get_mut(span) {
+        c.fill(true);
     }
 }
 

@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 use crate::normalize::with_lowercase;
 use crate::sentence::split_sentences;
 use crate::stopwords::is_stopword;
-use crate::token::{Token, TokenKind};
+use crate::token::{is_all_uppercase, is_capitalized, Token, TokenKind};
 
 /// Part-of-speech tag set, deliberately coarse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,19 +157,20 @@ impl PosTagger {
     }
 
     fn tag_word(&self, tok: &Token, at_sentence_start: bool) -> PosTag {
-        with_lowercase(&tok.text, |l| tag_lowered(tok, l, at_sentence_start))
+        let text = tok.text.as_str();
+        with_lowercase(text, |l| tag_lowered(text, l, at_sentence_start))
     }
 }
 
-/// The tag of the word token `tok`, whose lowercased text is `l`.
-fn tag_lowered(tok: &Token, l: &str, at_sentence_start: bool) -> PosTag {
+/// The tag of a word token whose text is `text` and lowercased text `l`.
+fn tag_lowered(text: &str, l: &str, at_sentence_start: bool) -> PosTag {
     if let Some(&tag) = lexicon().get(l) {
         return tag;
     }
-    if tok.is_all_uppercase() && tok.text.chars().count() >= 2 {
+    if is_all_uppercase(text) && text.chars().count() >= 2 {
         return PosTag::ProperNoun;
     }
-    if tok.is_capitalized() && !at_sentence_start {
+    if is_capitalized(text) && !at_sentence_start {
         return PosTag::ProperNoun;
     }
     if l.ends_with(ADVERB_SUFFIX) && l.len() > 3 {
@@ -214,7 +215,7 @@ mod tests {
         let sentences = split_sentences(&tokens);
         let starts = sentence_start_flags(tokens.len(), &sentences);
         let tags = PosTagger::new().tag(&tokens, &starts);
-        tokens.into_iter().map(|t| t.text).zip(tags).collect()
+        tokens.into_iter().map(|t| t.text.to_string()).zip(tags).collect()
     }
 
     fn tag_of(tagged: &[(String, PosTag)], word: &str) -> PosTag {
@@ -313,7 +314,7 @@ mod tests {
     /// The tagger before its lexicon map and stack-buffer lowercasing: the
     /// reference `tag_word` the proptest below holds the tagger to.
     fn reference_tag_word(tok: &Token, at_sentence_start: bool) -> PosTag {
-        let lower = tok.lower();
+        let lower = tok.text.to_lowercase();
         let l = lower.as_str();
         if DETERMINERS.contains(&l) {
             return PosTag::Determiner;

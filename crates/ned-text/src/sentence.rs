@@ -1,6 +1,6 @@
 //! Sentence boundary detection over token streams.
 
-use crate::token::{Token, TokenKind};
+use crate::token::{is_capitalized, Token, TokenKind};
 
 /// Common abbreviations that do not end a sentence even when followed by an
 /// uppercase word.
@@ -38,10 +38,12 @@ pub fn split_sentences(tokens: &[Token]) -> Vec<Sentence> {
     let mut sentences = Vec::new();
     let mut start = 0;
     for (i, tok) in tokens.iter().enumerate() {
-        if tok.kind != TokenKind::Punct || !matches!(tok.text.as_str(), "." | "!" | "?") {
+        let text = tok.text.as_str();
+        if tok.kind != TokenKind::Punct || !matches!(text, "." | "!" | "?") {
             continue;
         }
-        if tok.text == "." && i > 0 && is_non_terminal_period(&tokens[i - 1]) {
+        let prev = i.checked_sub(1).and_then(|p| tokens.get(p));
+        if text == "." && prev.is_some_and(is_non_terminal_period) {
             continue;
         }
         sentences.push(Sentence { start, end: i + 1 });
@@ -57,11 +59,12 @@ fn is_non_terminal_period(prev: &Token) -> bool {
     if prev.kind != TokenKind::Word {
         return false;
     }
+    let text = prev.text.as_str();
     // Single uppercase initial such as "J".
-    if prev.text.chars().count() == 1 && prev.is_capitalized() {
+    if text.chars().count() == 1 && is_capitalized(text) {
         return true;
     }
-    ABBREVIATIONS.iter().any(|a| prev.text == *a)
+    ABBREVIATIONS.contains(&text)
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Stopword list used when building mention contexts (§3.3.4: "all tokens in
 //! the entire input text (except stopwords and the mention itself)").
 
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
+use crate::fx::FxHashSet;
 use crate::normalize::with_lowercase;
 
 /// English function words plus a handful of high-frequency verbs. The list is
@@ -26,8 +26,10 @@ pub(crate) const STOPWORDS: &[&str] = &[
     "said", "say", "says", "also", "just", "now", "new", "one", "two", "first", "last",
 ];
 
-fn set() -> &'static HashSet<&'static str> {
-    static SET: OnceLock<HashSet<&'static str>> = OnceLock::new();
+/// The list as an Fx-hashed set: `is_stopword` runs once per word token of
+/// every document, and the list is fixed, so SipHash buys nothing.
+fn set() -> &'static FxHashSet<&'static str> {
+    static SET: OnceLock<FxHashSet<&'static str>> = OnceLock::new();
     SET.get_or_init(|| STOPWORDS.iter().copied().collect())
 }
 

@@ -10,7 +10,9 @@ use crate::token::{Token, TokenKind};
 /// Tokenizes `text` into a vector of [`Token`]s with byte spans.
 ///
 /// Guarantees: token spans are non-overlapping, strictly increasing, and
-/// every token's `text` equals `&text[start..end]`.
+/// every token's `text` equals `&text[start..end]`. Token texts are stored
+/// inline ([`crate::token::TokenText`]), so the allocations do not grow
+/// with the number of tokens: the token vector and one character table.
 pub fn tokenize(text: &str) -> Vec<Token> {
     let mut tokens = Vec::with_capacity(text.len() / 5);
     let bytes = text.char_indices().collect::<Vec<_>>();
@@ -31,22 +33,12 @@ pub fn tokenize(text: &str) -> Vec<Token> {
             // Possessive clitic: split "'s" off the preceding word.
             if let Some(stripped) = word.strip_suffix("'s") {
                 if !stripped.is_empty() {
-                    tokens.push(Token {
-                        text: stripped.to_string(),
-                        start: pos,
-                        end: pos + stripped.len(),
-                        kind: TokenKind::Word,
-                    });
-                    tokens.push(Token {
-                        text: "'s".to_string(),
-                        start: pos + stripped.len(),
-                        end: end_pos,
-                        kind: TokenKind::Word,
-                    });
+                    tokens.push(Token::new(stripped, pos, TokenKind::Word));
+                    tokens.push(Token::new("'s", pos + stripped.len(), TokenKind::Word));
                     continue;
                 }
             }
-            tokens.push(Token { text: word.to_string(), start: pos, end: end_pos, kind: TokenKind::Word });
+            tokens.push(Token::new(word, pos, TokenKind::Word));
         } else if ch.is_ascii_digit() {
             while bytes.get(i).is_some_and(|&(_, c)| is_number_char(c, lookahead(&bytes, i))) {
                 i += 1;
@@ -55,19 +47,9 @@ pub fn tokenize(text: &str) -> Vec<Token> {
             // so the scanned slice can never end in a separator.
             let end_pos = end_of(&bytes, i, text);
             let Some(number) = text.get(pos..end_pos) else { continue };
-            tokens.push(Token {
-                text: number.to_string(),
-                start: pos,
-                end: end_pos,
-                kind: TokenKind::Number,
-            });
+            tokens.push(Token::new(number, pos, TokenKind::Number));
         } else {
-            tokens.push(Token {
-                text: ch.to_string(),
-                start: pos,
-                end: pos + ch.len_utf8(),
-                kind: TokenKind::Punct,
-            });
+            tokens.push(Token::new(&*ch.encode_utf8(&mut [0; 4]), pos, TokenKind::Punct));
             i += 1;
         }
     }
@@ -106,7 +88,7 @@ mod tests {
     use super::*;
 
     fn texts(input: &str) -> Vec<String> {
-        tokenize(input).into_iter().map(|t| t.text).collect()
+        tokenize(input).into_iter().map(|t| t.text.to_string()).collect()
     }
 
     #[test]

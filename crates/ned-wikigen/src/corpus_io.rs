@@ -67,6 +67,29 @@ mod tests {
         assert_eq!(original, restored);
     }
 
+    /// Length and FNV-1a of the six-document `docs()` corpus.
+    const PINNED_LEN: usize = 16_762;
+    const PINNED_FNV: u64 = 0x0f64_ef5d_7e97_4ef9;
+
+    /// FNV-1a (64-bit) of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The codec's bytes are pinned: the length and FNV-1a of a seeded
+    /// corpus, as written before tokens stored their text inline. A change
+    /// to the token or mention layout must not change a corpus file.
+    #[test]
+    fn corpus_bytes_are_pinned() {
+        let original = docs();
+        let mut buf = Vec::new();
+        write_docs(&original, &mut buf).unwrap();
+        assert_eq!((buf.len(), fnv1a(&buf)), (PINNED_LEN, PINNED_FNV));
+        assert_eq!(read_docs(buf.as_slice()).unwrap(), original);
+    }
+
     #[test]
     fn rejects_wrong_magic() {
         let err = read_docs(&b"WRONGMAGplus some data"[..]).unwrap_err();

@@ -8,8 +8,12 @@ use aida_ned::eval::spearman::spearman;
 use aida_ned::kb::{EntityKind, FrozenKb, KbBuilder};
 use aida_ned::relatedness::minhash::{exact_jaccard, MinHasher};
 use aida_ned::relatedness::{Kore, MilneWitten, Relatedness};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
+use aida_ned::kb::snapshot::encode;
 use aida_ned::text::normalize::{match_key, names_match};
-use aida_ned::text::tokenize;
+use aida_ned::text::{tokenize, TokenText};
 
 /// Text pieces that exercise the tokenizer's special cases: curly and
 /// straight apostrophes, the possessive clitic, number separators,
@@ -69,6 +73,85 @@ proptest! {
         let joined: String = tokens.iter().map(|t| t.text.as_str()).collect();
         let kept: String = input.chars().filter(|c| !c.is_whitespace()).collect();
         prop_assert_eq!(joined, kept, "{:?}", input);
+    }
+}
+
+fn sip<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut h = DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// `TokenText` against the `String` it replaced, on `text` (and `other`
+/// for the two-sided comparisons): built from `&str` and from `String`, it
+/// round-trips through `as_str` and `Deref`, is inline exactly up to the
+/// limit, compares equal with `str`, `&str` and `String` both ways, orders,
+/// hashes and prints as the string does, and encodes to the same bytes.
+fn token_text_holds_to_string(text: &str, other: &str) -> Result<(), TestCaseError> {
+    let owned = text.to_string();
+    let o = TokenText::from(other);
+    for t in [TokenText::from(text), TokenText::from(owned.clone())] {
+        prop_assert_eq!(t.as_str(), text);
+        prop_assert_eq!(&*t, text);
+        prop_assert_eq!(t.is_inline(), text.len() <= TokenText::INLINE_BYTES);
+        prop_assert!(t == *text && t == text && t == owned);
+        prop_assert!(*text == t && text == t && owned == t);
+        prop_assert_eq!(t == o, text == other);
+        prop_assert_eq!(t.cmp(&o), text.cmp(other));
+        prop_assert_eq!(t.partial_cmp(&o), text.partial_cmp(other));
+        prop_assert_eq!(sip(&t), sip(&owned));
+        prop_assert_eq!(format!("{t:?}"), format!("{owned:?}"));
+        prop_assert_eq!(format!("{t}"), owned.clone());
+        prop_assert_eq!(encode(&t).ok(), encode(&owned).ok());
+    }
+    Ok(())
+}
+
+/// The empty text, texts of 22 and 23 bytes (the inline limit and one past
+/// it), a two-byte character that straddles byte 22, and multi-byte text.
+#[test]
+fn token_text_boundary_cases_hold_to_string() {
+    let limit = TokenText::INLINE_BYTES;
+    let straddle = format!("{}é", "a".repeat(limit - 1));
+    assert!(straddle.len() == limit + 1 && !straddle.is_char_boundary(limit));
+    let cases = ["", &"b".repeat(limit), &"c".repeat(limit + 1), &straddle, "日本語", "\u{0}"];
+    for text in cases {
+        for other in cases {
+            let held = token_text_holds_to_string(text, other);
+            assert!(held.is_ok(), "{text:?} against {other:?}: {held:?}");
+        }
+    }
+}
+
+/// One, two, three and four-byte characters and any scalar value, glued
+/// from `(kind, value)` draws, so texts end on both sides of the limit.
+fn sized_text(draws: &[(u32, u32)]) -> String {
+    draws
+        .iter()
+        .filter_map(|&(kind, value)| match kind {
+            0 => char::from_u32(0x20 + value % 0x5f),
+            1 => char::from_u32(0x80 + value % 0x780),
+            2 => char::from_u32(0x800 + value % 0xd000),
+            3 => char::from_u32(0x1_0000 + value % 0x10_0000),
+            _ => char::from_u32(value),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `TokenText` is indistinguishable from `String` on arbitrary Unicode
+    /// of up to 64 bytes.
+    #[test]
+    fn token_text_is_indistinguishable_from_string(
+        a in proptest::collection::vec((0u32..5, 0u32..0x11_0000), 0..17),
+        b in proptest::collection::vec((0u32..5, 0u32..0x11_0000), 0..17),
+    ) {
+        let (a, b) = (sized_text(&a), sized_text(&b));
+        token_text_holds_to_string(&a, &b)?;
+        token_text_holds_to_string(&b, &a)?;
+        token_text_holds_to_string(&a, &a)?;
     }
 }
 
