@@ -467,6 +467,63 @@ mod tests {
         assert!(r.recovered_torn_tail());
     }
 
+    /// A record sequence that covers every mutation variant, every
+    /// [`EntityKind`], the extreme counts and deltas and non-ASCII names.
+    fn pinned_mutations() -> Vec<KbMutation> {
+        let mut muts: Vec<KbMutation> = EntityKind::ALL
+            .iter()
+            .zip(["Zürich", "Ōsaka FC", "東京", "Desire (album)", "Cup 1996", "Prism"])
+            .map(|(&kind, name)| KbMutation::AddEntity { canonical_name: name.into(), kind })
+            .collect();
+        muts.extend([
+            KbMutation::AddLink { src: "Zürich".into(), dst: "東京".into() },
+            KbMutation::AddKeyphrase {
+                entity: "Prism".into(),
+                surface: "mass surveillance".into(),
+                count: u64::MAX,
+            },
+            KbMutation::ReweightKeyphrase {
+                entity: "Prism".into(),
+                surface: "mass surveillance".into(),
+                delta: -3,
+            },
+            KbMutation::ReweightKeyphrase {
+                entity: "Prism".into(),
+                surface: "mass surveillance".into(),
+                delta: i64::MIN,
+            },
+            KbMutation::AddDictionarySurface {
+                entity: "Ōsaka FC".into(),
+                surface: "Ōsaka".into(),
+                count: 300,
+            },
+        ]);
+        muts
+    }
+
+    /// Length and FNV-1a of the header plus the framed `pinned_mutations`.
+    const PINNED_WAL_LEN: usize = 434;
+    const PINNED_WAL_FNV: u64 = 0x7185_1148_e3f9_9baa;
+
+    /// The record bytes are pinned: the log of `pinned_mutations` keeps
+    /// its length and checksum, and the `AddLink` body its exact layout.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let muts = pinned_mutations();
+        let mut bytes = header_bytes().to_vec();
+        for (seq, m) in muts.iter().enumerate() {
+            bytes.extend_from_slice(&frame_record(seq as u64, m).unwrap());
+        }
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (PINNED_WAL_LEN, PINNED_WAL_FNV));
+        assert_eq!(replay(&bytes).unwrap().mutations, muts);
+
+        // seq 6, op 1 (AddLink), entity "a", other "b", kind 5 (Other),
+        // count 0, delta 0.
+        let link = KbMutation::AddLink { src: "a".into(), dst: "b".into() };
+        let frame = frame_record(6, &link).unwrap();
+        assert_eq!(frame[FRAME_PRELUDE_LEN..], [6, 1, 1, b'a', 1, b'b', 5, 0, 0]);
+    }
+
     #[test]
     fn open_observed_meters_replays_and_records() {
         let path = temp_path("metered.wal");

@@ -112,3 +112,38 @@ fn v3_decode_rebuilds_transient_indexes() {
     assert_transients_rebuilt(&loaded, &frozen, "v3 sectioned reader");
     assert_eq!(loaded.stats(), frozen.stats(), "v3 round-trip changed section stats");
 }
+
+/// Length and FNV-1a of the snapshot of the frozen `WorldConfig::tiny(61)`
+/// KB, as written by the serde-model codec that preceded the hand-written
+/// section layouts.
+const PINNED_SNAPSHOT_LEN: usize = 149_182;
+const PINNED_SNAPSHOT_FNV: u64 = 0x906e_cdd3_0822_d5df;
+
+/// FNV-1a (64-bit) of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The snapshot's bytes are pinned: a seeded world exported and frozen,
+/// with every section non-empty, writes the same bytes as it always has,
+/// and reads back to a KB that writes them again.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    use aida_ned::wikigen::{ExportedKb, World, WorldConfig};
+    let exported = ExportedKb::build(&World::generate(WorldConfig::tiny(61)));
+    let frozen = FrozenKb::freeze(&exported.kb);
+    let stats = frozen.stats();
+    assert!(stats.entity_count > 0 && stats.dictionary_pairs > 0 && stats.link_edges > 0);
+    assert!(stats.word_count > 0 && stats.phrase_count > 0 && stats.phrase_run_bytes > 0);
+    let mut bytes = Vec::new();
+    write_frozen_snapshot(&frozen, &mut bytes).expect("write v3");
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (PINNED_SNAPSHOT_LEN, PINNED_SNAPSHOT_FNV));
+
+    let loaded = read_frozen_snapshot(&bytes[..]).expect("read v3");
+    assert_eq!(loaded.stats(), stats, "round trip changed section stats");
+    let mut again = Vec::new();
+    write_frozen_snapshot(&loaded, &mut again).expect("rewrite v3");
+    assert!(again == bytes, "the loaded KB writes different bytes");
+}
