@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use ned_kb::EntityId;
 use ned_text::{Mention, Token};
 
@@ -13,7 +11,7 @@ use ned_text::{Mention, Token};
 pub type Label = Option<EntityId>;
 
 /// A mention together with its gold or predicted label.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabeledMention {
     /// The mention span and surface.
     pub mention: Mention,
@@ -23,7 +21,7 @@ pub struct LabeledMention {
 
 /// A gold-annotated document: tokens plus labeled mentions, with an
 /// optional timestamp (day index) for news-stream experiments (Ch. 5).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoldDoc {
     /// Stable document identifier.
     pub id: String,
@@ -89,7 +87,7 @@ impl GoldDoc {
 
     /// Checks the mention spans: each covers at least one token inside the
     /// document, and they are sorted and non-overlapping. Documents built
-    /// with [`GoldDoc::new`] pass; deserialized ones must be checked.
+    /// with [`GoldDoc::new`] pass; decoded ones must be checked.
     pub fn validate(&self) -> Result<(), SpanError> {
         let mut prev_end = 0;
         for (index, lm) in self.mentions.iter().enumerate() {

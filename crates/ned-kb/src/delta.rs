@@ -1093,8 +1093,8 @@ mod tests {
     #[test]
     fn weights_are_recomputed_over_merged_kb() {
         let (_, delta, merged) = fixture();
-        let bytes_delta = crate::snapshot::encode(delta.weights()).unwrap();
-        let bytes_merged = crate::snapshot::encode(merged.weights()).unwrap();
+        let bytes_delta = crate::codec::to_bytes(|w| delta.weights().encode(w));
+        let bytes_merged = crate::codec::to_bytes(|w| merged.weights().encode(w));
         assert_eq!(bytes_delta, bytes_merged);
     }
 

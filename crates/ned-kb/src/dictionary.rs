@@ -6,15 +6,13 @@
 //! §3.3.3. Lookup follows the case rules of §3.3.2 via
 //! [`ned_text::normalize::match_key`].
 
-use serde::{Deserialize, Serialize};
-
 use ned_text::normalize::{match_key, squash_whitespace};
 
 use crate::fx::FxHashMap;
 use crate::ids::EntityId;
 
 /// A candidate entity for a name, with its anchor count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
     /// The candidate entity.
     pub entity: EntityId,

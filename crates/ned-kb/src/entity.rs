@@ -1,11 +1,11 @@
 //! Entity repository types.
 
-use serde::{Deserialize, Serialize};
+use crate::codec::{CodecError, Reader, Writer};
 
 /// Coarse semantic class of an entity, mirroring the classic NER type system
 /// (person / organization / location / ...) extended with works and events,
 /// which the thesis' examples use heavily (songs, albums, sports events).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntityKind {
     /// A person ("Bob Dylan", "Jimmy Page").
     Person,
@@ -31,10 +31,20 @@ impl EntityKind {
         EntityKind::Event,
         EntityKind::Other,
     ];
+
+    /// Writes the kind as its declaration index.
+    pub(crate) fn encode(self, w: &mut Writer) {
+        w.u64(self as u64);
+    }
+
+    /// Reads what [`EntityKind::encode`] writes.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.variant("entity kind", &Self::ALL)
+    }
 }
 
 /// A canonical entity registered in the knowledge base.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entity {
     /// Unique canonical name (like a Wikipedia page title), e.g.
     /// "Kashmir (song)".
@@ -47,6 +57,18 @@ impl Entity {
     /// Creates an entity.
     pub fn new(canonical_name: impl Into<String>, kind: EntityKind) -> Self {
         Entity { canonical_name: canonical_name.into(), kind }
+    }
+
+    /// Writes one entity of a snapshot's entities section: the canonical
+    /// name, then the kind.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.str(&self.canonical_name);
+        self.kind.encode(w);
+    }
+
+    /// Reads what [`Entity::encode`] writes.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Entity { canonical_name: r.string()?, kind: EntityKind::decode(r)? })
     }
 }
 

@@ -30,10 +30,9 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use ned_text::normalize::{with_lowercase, with_match_key};
 
+use crate::codec::{CodecError, Reader, Writer};
 use crate::delta::{DeltaKb, OverlayBase};
 use crate::dictionary::Candidate;
 use crate::entity::Entity;
@@ -64,7 +63,7 @@ fn offset(len: usize) -> u32 {
 /// range and `cand_offsets[i]..cand_offsets[i+1]` its candidate range. The
 /// per-key candidate order is exactly the legacy finalize order (count
 /// descending, entity ascending).
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct FrozenDictionary {
     key_arena: String,
     key_offsets: Vec<u32>,
@@ -102,6 +101,28 @@ impl FrozenDictionary {
     /// Number of (name, entity) pairs.
     pub fn pair_count(&self) -> usize {
         self.candidates.len()
+    }
+
+    /// Writes the dictionary section of a snapshot: the key arena, both
+    /// offset arrays and the candidates (entity id, then anchor count).
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.str(&self.key_arena);
+        w.seq(&self.key_offsets, |w, &o| w.u32(o));
+        w.seq(&self.cand_offsets, |w, &o| w.u32(o));
+        w.seq(&self.candidates, |w, c| {
+            w.u32(c.entity.0);
+            w.u64(c.count);
+        });
+    }
+
+    /// Reads what [`FrozenDictionary::encode`] writes.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(FrozenDictionary {
+            key_arena: r.string()?,
+            key_offsets: r.seq(Reader::u32)?,
+            cand_offsets: r.seq(Reader::u32)?,
+            candidates: r.seq(|r| Ok(Candidate { entity: EntityId(r.u32()?), count: r.u64()? }))?,
+        })
     }
 
     /// Checks a decoded dictionary against the entity count (snapshot
@@ -197,7 +218,7 @@ impl FrozenDictionary {
 }
 
 /// CSR link graph: sorted in-/out-adjacency in two flat arrays each.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct FrozenLinks {
     in_offsets: Vec<u32>,
     in_data: Vec<EntityId>,
@@ -241,6 +262,27 @@ impl FrozenLinks {
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count as usize
+    }
+
+    /// Writes the links section of a snapshot: the in-link and out-link
+    /// CSR halves, then the edge count.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.seq(&self.in_offsets, |w, &o| w.u32(o));
+        w.seq(&self.in_data, |w, e| w.u32(e.0));
+        w.seq(&self.out_offsets, |w, &o| w.u32(o));
+        w.seq(&self.out_data, |w, e| w.u32(e.0));
+        w.u64(self.edge_count);
+    }
+
+    /// Reads what [`FrozenLinks::encode`] writes.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(FrozenLinks {
+            in_offsets: r.seq(Reader::u32)?,
+            in_data: r.seq(|r| r.u32().map(EntityId))?,
+            out_offsets: r.seq(Reader::u32)?,
+            out_data: r.seq(|r| r.u32().map(EntityId))?,
+            edge_count: r.u64()?,
+        })
     }
 
     /// Checks decoded links against the entity count (snapshot load): one
@@ -291,7 +333,7 @@ impl FrozenLinks {
 
 /// Vocabulary + keyphrase section: keyword texts, phrase→word CSR, phrase
 /// surfaces, and the entity→keyphrase CSR.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct FrozenPhrases {
     /// Lowercased keyword texts, indexed by `WordId`.
     words: Vec<String>,
@@ -353,6 +395,35 @@ impl FrozenPhrases {
 
     pub(crate) fn phrase_count(&self) -> usize {
         self.phrase_surfaces.len()
+    }
+
+    /// Writes the keyphrases section of a snapshot: the keyword texts, the
+    /// phrase-word CSR, the phrase surfaces, the keyphrase CSR (phrase id,
+    /// then count) and the observation total.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.seq(&self.words, |w, word| w.str(word));
+        w.seq(&self.phrase_word_offsets, |w, &o| w.u32(o));
+        w.seq(&self.phrase_word_data, |w, word| w.u32(word.0));
+        w.seq(&self.phrase_surfaces, |w, surface| w.str(surface));
+        w.seq(&self.kp_offsets, |w, &o| w.u32(o));
+        w.seq(&self.kp_data, |w, ep| {
+            w.u32(ep.phrase.0);
+            w.u64(ep.count);
+        });
+        w.u64(self.total_phrase_observations);
+    }
+
+    /// Reads what [`FrozenPhrases::encode`] writes.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(FrozenPhrases {
+            words: r.seq(Reader::string)?,
+            phrase_word_offsets: r.seq(Reader::u32)?,
+            phrase_word_data: r.seq(|r| r.u32().map(WordId))?,
+            phrase_surfaces: r.seq(Reader::string)?,
+            kp_offsets: r.seq(Reader::u32)?,
+            kp_data: r.seq(|r| Ok(EntityPhrase { phrase: PhraseId(r.u32()?), count: r.u64()? }))?,
+            total_phrase_observations: r.u64()?,
+        })
     }
 
     /// Checks decoded keyphrases against the entity count (snapshot load):

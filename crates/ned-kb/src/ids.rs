@@ -4,14 +4,10 @@
 //! hot structures compact (see the type-size guidance in the performance
 //! guide) and makes hashing cheap.
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {

@@ -6,12 +6,10 @@
 //! entity's Wikipedia article; here they are supplied by the builder (the
 //! synthetic generator or harvested phrases).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{EntityId, PhraseId};
 
 /// A keyphrase of an entity, with its observation count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntityPhrase {
     /// Interned phrase id.
     pub phrase: PhraseId,

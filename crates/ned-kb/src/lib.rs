@@ -21,6 +21,7 @@
 //! [`DeltaKb`] overlay of promoted entities implement.
 
 pub mod builder;
+pub mod codec;
 pub mod delta;
 pub mod dictionary;
 pub mod entity;

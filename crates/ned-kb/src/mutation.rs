@@ -16,16 +16,12 @@
 //!
 //! [`EntityId`]: crate::ids::EntityId
 
-use serde::{Deserialize, Serialize};
-
 use crate::entity::EntityKind;
 
 /// One atomic change to the knowledge base.
 ///
-/// Serialized into WAL frames by [`crate::wal`] with the same hand-rolled
-/// codec as snapshot v3 (via the flat `WireMutation` wire form — the
-/// vendored codec derives only handle structs and fieldless enums), and
-/// applied in order by [`crate::delta::DeltaKb::build`].
+/// Written into WAL records by [`crate::wal`] and applied in order by
+/// [`crate::delta::DeltaKb::build`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KbMutation {
     /// Registers a new entity with a unique canonical name.
@@ -95,115 +91,11 @@ impl KbMutation {
     }
 }
 
-/// Fieldless discriminant of [`WireMutation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum WireOp {
-    /// [`KbMutation::AddEntity`].
-    AddEntity,
-    /// [`KbMutation::AddLink`].
-    AddLink,
-    /// [`KbMutation::AddKeyphrase`].
-    AddKeyphrase,
-    /// [`KbMutation::ReweightKeyphrase`].
-    ReweightKeyphrase,
-    /// [`KbMutation::AddDictionarySurface`].
-    AddDictionarySurface,
-}
-
-/// Flat wire form of a [`KbMutation`], shaped for the vendored codec
-/// derives (a struct of scalars/strings plus fieldless enums). Fields not
-/// meaningful for an op carry their defaults and are ignored on decode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct WireMutation {
-    op: WireOp,
-    /// Canonical entity name (or link source).
-    entity: String,
-    /// Second name: link destination, keyphrase surface, or alias surface.
-    other: String,
-    /// Entity kind (AddEntity only).
-    kind: EntityKind,
-    /// Observation count (AddEntity/AddKeyphrase/AddDictionarySurface).
-    count: u64,
-    /// Signed adjustment (ReweightKeyphrase only).
-    delta: i64,
-}
-
-impl From<&KbMutation> for WireMutation {
-    fn from(m: &KbMutation) -> Self {
-        let blank = WireMutation {
-            op: WireOp::AddEntity,
-            entity: String::new(),
-            other: String::new(),
-            kind: EntityKind::Other,
-            count: 0,
-            delta: 0,
-        };
-        match m {
-            KbMutation::AddEntity { canonical_name, kind } => WireMutation {
-                op: WireOp::AddEntity,
-                entity: canonical_name.clone(),
-                kind: *kind,
-                ..blank
-            },
-            KbMutation::AddLink { src, dst } => WireMutation {
-                op: WireOp::AddLink,
-                entity: src.clone(),
-                other: dst.clone(),
-                ..blank
-            },
-            KbMutation::AddKeyphrase { entity, surface, count } => WireMutation {
-                op: WireOp::AddKeyphrase,
-                entity: entity.clone(),
-                other: surface.clone(),
-                count: *count,
-                ..blank
-            },
-            KbMutation::ReweightKeyphrase { entity, surface, delta } => WireMutation {
-                op: WireOp::ReweightKeyphrase,
-                entity: entity.clone(),
-                other: surface.clone(),
-                delta: *delta,
-                ..blank
-            },
-            KbMutation::AddDictionarySurface { entity, surface, count } => WireMutation {
-                op: WireOp::AddDictionarySurface,
-                entity: entity.clone(),
-                other: surface.clone(),
-                count: *count,
-                ..blank
-            },
-        }
-    }
-}
-
-impl From<WireMutation> for KbMutation {
-    fn from(w: WireMutation) -> Self {
-        match w.op {
-            WireOp::AddEntity => {
-                KbMutation::AddEntity { canonical_name: w.entity, kind: w.kind }
-            }
-            WireOp::AddLink => KbMutation::AddLink { src: w.entity, dst: w.other },
-            WireOp::AddKeyphrase => {
-                KbMutation::AddKeyphrase { entity: w.entity, surface: w.other, count: w.count }
-            }
-            WireOp::ReweightKeyphrase => KbMutation::ReweightKeyphrase {
-                entity: w.entity,
-                surface: w.other,
-                delta: w.delta,
-            },
-            WireOp::AddDictionarySurface => KbMutation::AddDictionarySurface {
-                entity: w.entity,
-                surface: w.other,
-                count: w.count,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{decode, encode};
+    use crate::codec::{from_bytes, to_bytes};
+    use crate::wal::{read_record, write_record};
 
     fn samples() -> Vec<KbMutation> {
         vec![
@@ -232,10 +124,9 @@ mod tests {
 
     #[test]
     fn codec_roundtrip_preserves_every_variant() {
-        for m in samples() {
-            let bytes = encode(&WireMutation::from(&m)).unwrap();
-            let wire: WireMutation = decode(&bytes).unwrap();
-            assert_eq!(KbMutation::from(wire), m);
+        for (seq, m) in samples().into_iter().enumerate() {
+            let bytes = to_bytes(|w| write_record(w, seq as u64, &m));
+            assert_eq!(from_bytes(&bytes, read_record), Ok((seq as u64, m)));
         }
     }
 

@@ -28,15 +28,14 @@
 //! recomputing. Freezing a built KB or compacting an overlay builds it
 //! from the keyphrases and weights.
 
-use serde::{Deserialize, Serialize};
-
+use crate::codec::{CodecError, Reader, Writer};
 use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::EntityPhrase;
 use crate::snapshot::{check_ids, check_offsets};
 use crate::weights::WeightModel;
 
 /// Sorted-deduplicated phrase-word runs with precomputed weight masses.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct PhraseRuns {
     /// CSR offsets into `run_data`; `phrase_count + 1` entries.
     run_offsets: Vec<u32>,
@@ -181,6 +180,30 @@ impl PhraseRuns {
         // ned-lint: allow(p1) — CSR invariant: offsets has entity_count+1 entries
         let row = &self.npmi_mass[self.npmi_offsets[i] as usize..self.npmi_offsets[i + 1] as usize];
         row.binary_search_by_key(&p, |&(x, _)| x).map(|k| row[k].1).ok() // ned-lint: allow(p1) — index returned by binary_search
+    }
+
+    /// Writes the phrase-runs section of a snapshot: the run CSR, the IDF
+    /// masses, then the NPMI CSR, each entry a phrase id then its mass.
+    pub fn encode(&self, w: &mut Writer) {
+        w.seq(&self.run_offsets, |w, &o| w.u32(o));
+        w.seq(&self.run_data, |w, word| w.u32(word.0));
+        w.seq(&self.idf_mass, |w, &x| w.f64(x));
+        w.seq(&self.npmi_offsets, |w, &o| w.u32(o));
+        w.seq(&self.npmi_mass, |w, &(phrase, mass)| {
+            w.u32(phrase.0);
+            w.f64(mass);
+        });
+    }
+
+    /// Reads what [`PhraseRuns::encode`] writes.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(PhraseRuns {
+            run_offsets: r.seq(Reader::u32)?,
+            run_data: r.seq(|r| r.u32().map(WordId))?,
+            idf_mass: r.seq(Reader::f64)?,
+            npmi_offsets: r.seq(Reader::u32)?,
+            npmi_mass: r.seq(|r| Ok((PhraseId(r.u32()?), r.f64()?)))?,
+        })
     }
 
     /// Checks decoded runs against the owning KB's counts (snapshot load):

@@ -1,17 +1,15 @@
 //! Compact binary snapshots of a knowledge base.
 //!
-//! A hand-rolled, versioned binary codec over the serde data model is
-//! overkill here; instead we use a simple length-prefixed encoding written
-//! through a minimal serializer implemented in this module. The format is
-//! deliberately tiny: it only needs to round-trip the concrete types of this
-//! crate, keeping the workspace inside its approved dependency set (serde
-//! without a third-party format crate).
-//!
 //! There is one on-disk layout, format version 3: an 8-byte header (magic,
 //! version) followed by six section frames in a fixed order — entities,
 //! dictionary, links, keyphrases, weights, phrase runs — each
 //! length-prefixed and individually FNV-checksummed, decoding straight into
-//! the flat arrays of a [`FrozenKb`]. [`write_frozen_snapshot`] writes it,
+//! the flat arrays of a [`FrozenKb`]. Each section's type writes its own
+//! body with an `encode` next to its definition, its fields in declaration
+//! order on a [`crate::codec::Writer`] (`Entity`, `FrozenDictionary`,
+//! `FrozenLinks`, `FrozenPhrases`, [`WeightModel::encode`],
+//! [`PhraseRuns::encode`]), and reads it back with a `decode` on a
+//! [`crate::codec::Reader`]. [`write_frozen_snapshot`] writes it,
 //! and [`read_frozen_snapshot`] reads back exactly that layout and no
 //! other. A KB grows after its snapshot only through the write-ahead log
 //! ([`crate::wal`]), so a snapshot plus its log is the whole durable state.
@@ -25,608 +23,12 @@ use std::io::{self, Read, Write};
 
 use ned_core::{NedError, SnapshotError};
 use ned_obs::{names, Metrics};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 
+use crate::codec::{from_bytes, to_bytes, CodecError, Reader, Writer};
 use crate::entity::Entity;
 use crate::frozen::{FrozenDictionary, FrozenKb, FrozenLinks, FrozenPhrases};
 use crate::phrase_runs::PhraseRuns;
 use crate::weights::WeightModel;
-
-mod codec {
-    //! A minimal self-describing binary serde format (subset sufficient for
-    //! the plain-data types of this workspace: structs, vecs, maps, strings,
-    //! integers, floats, options, enums with unit/newtype variants).
-
-    use serde::de::{self, DeserializeSeed, IntoDeserializer, Visitor};
-    use serde::ser::{self, SerializeMap, SerializeSeq, SerializeStruct, SerializeTuple};
-    use serde::{Deserialize, Serialize};
-    use std::fmt;
-
-    /// Serialization/deserialization error.
-    #[derive(Debug)]
-    pub struct Error(pub String);
-
-    impl fmt::Display for Error {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "codec error: {}", self.0)
-        }
-    }
-
-    impl std::error::Error for Error {}
-
-    impl ser::Error for Error {
-        fn custom<T: fmt::Display>(msg: T) -> Self {
-            Error(msg.to_string())
-        }
-    }
-
-    impl de::Error for Error {
-        fn custom<T: fmt::Display>(msg: T) -> Self {
-            Error(msg.to_string())
-        }
-    }
-
-    /// Serializes a value to bytes.
-    pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, Error> {
-        let mut ser = Ser { out: Vec::new() };
-        value.serialize(&mut ser)?;
-        Ok(ser.out)
-    }
-
-    /// Deserializes a value from bytes.
-    pub fn from_bytes<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, Error> {
-        let mut de = De { input: bytes };
-        let v = T::deserialize(&mut de)?;
-        if !de.input.is_empty() {
-            return Err(Error(format!("{} trailing bytes", de.input.len())));
-        }
-        Ok(v)
-    }
-
-    struct Ser {
-        out: Vec<u8>,
-    }
-
-    impl Ser {
-        fn put_u64(&mut self, v: u64) {
-            // LEB128 variable-length encoding.
-            let mut v = v;
-            loop {
-                let byte = (v & 0x7f) as u8;
-                v >>= 7;
-                if v == 0 {
-                    self.out.push(byte);
-                    break;
-                }
-                self.out.push(byte | 0x80);
-            }
-        }
-    }
-
-    impl ser::Serializer for &mut Ser {
-        type Ok = ();
-        type Error = Error;
-        type SerializeSeq = Self;
-        type SerializeTuple = Self;
-        type SerializeTupleStruct = Self;
-        type SerializeTupleVariant = Self;
-        type SerializeMap = Self;
-        type SerializeStruct = Self;
-        type SerializeStructVariant = Self;
-
-        fn serialize_bool(self, v: bool) -> Result<(), Error> {
-            self.out.push(v as u8);
-            Ok(())
-        }
-        fn serialize_i8(self, v: i8) -> Result<(), Error> {
-            self.serialize_i64(v.into())
-        }
-        fn serialize_i16(self, v: i16) -> Result<(), Error> {
-            self.serialize_i64(v.into())
-        }
-        fn serialize_i32(self, v: i32) -> Result<(), Error> {
-            self.serialize_i64(v.into())
-        }
-        fn serialize_i64(self, v: i64) -> Result<(), Error> {
-            // ZigZag encoding.
-            self.put_u64(((v << 1) ^ (v >> 63)) as u64);
-            Ok(())
-        }
-        fn serialize_u8(self, v: u8) -> Result<(), Error> {
-            self.put_u64(v.into());
-            Ok(())
-        }
-        fn serialize_u16(self, v: u16) -> Result<(), Error> {
-            self.put_u64(v.into());
-            Ok(())
-        }
-        fn serialize_u32(self, v: u32) -> Result<(), Error> {
-            self.put_u64(v.into());
-            Ok(())
-        }
-        fn serialize_u64(self, v: u64) -> Result<(), Error> {
-            self.put_u64(v);
-            Ok(())
-        }
-        fn serialize_f32(self, v: f32) -> Result<(), Error> {
-            self.out.extend_from_slice(&v.to_le_bytes());
-            Ok(())
-        }
-        fn serialize_f64(self, v: f64) -> Result<(), Error> {
-            self.out.extend_from_slice(&v.to_le_bytes());
-            Ok(())
-        }
-        fn serialize_char(self, v: char) -> Result<(), Error> {
-            self.put_u64(v as u64);
-            Ok(())
-        }
-        fn serialize_str(self, v: &str) -> Result<(), Error> {
-            self.put_u64(v.len() as u64);
-            self.out.extend_from_slice(v.as_bytes());
-            Ok(())
-        }
-        fn serialize_bytes(self, v: &[u8]) -> Result<(), Error> {
-            self.put_u64(v.len() as u64);
-            self.out.extend_from_slice(v);
-            Ok(())
-        }
-        fn serialize_none(self) -> Result<(), Error> {
-            self.out.push(0);
-            Ok(())
-        }
-        fn serialize_some<T: ?Sized + Serialize>(self, value: &T) -> Result<(), Error> {
-            self.out.push(1);
-            value.serialize(self)
-        }
-        fn serialize_unit(self) -> Result<(), Error> {
-            Ok(())
-        }
-        fn serialize_unit_struct(self, _name: &'static str) -> Result<(), Error> {
-            Ok(())
-        }
-        fn serialize_unit_variant(
-            self,
-            _name: &'static str,
-            variant_index: u32,
-            _variant: &'static str,
-        ) -> Result<(), Error> {
-            self.put_u64(variant_index.into());
-            Ok(())
-        }
-        fn serialize_newtype_struct<T: ?Sized + Serialize>(
-            self,
-            _name: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(self)
-        }
-        fn serialize_newtype_variant<T: ?Sized + Serialize>(
-            self,
-            _name: &'static str,
-            variant_index: u32,
-            _variant: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            self.put_u64(variant_index.into());
-            value.serialize(self)
-        }
-        fn serialize_seq(self, len: Option<usize>) -> Result<Self, Error> {
-            let len = len.ok_or_else(|| Error("sequence length required".into()))?;
-            self.put_u64(len as u64);
-            Ok(self)
-        }
-        fn serialize_tuple(self, _len: usize) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_tuple_variant(
-            self,
-            _name: &'static str,
-            variant_index: u32,
-            _variant: &'static str,
-            _len: usize,
-        ) -> Result<Self, Error> {
-            self.put_u64(variant_index.into());
-            Ok(self)
-        }
-        fn serialize_map(self, len: Option<usize>) -> Result<Self, Error> {
-            let len = len.ok_or_else(|| Error("map length required".into()))?;
-            self.put_u64(len as u64);
-            Ok(self)
-        }
-        fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_struct_variant(
-            self,
-            _name: &'static str,
-            variant_index: u32,
-            _variant: &'static str,
-            _len: usize,
-        ) -> Result<Self, Error> {
-            self.put_u64(variant_index.into());
-            Ok(self)
-        }
-    }
-
-    impl SerializeSeq for &mut Ser {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-
-    impl SerializeTuple for &mut Ser {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-
-    impl ser::SerializeTupleStruct for &mut Ser {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-
-    impl ser::SerializeTupleVariant for &mut Ser {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-
-    impl SerializeMap for &mut Ser {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_key<T: ?Sized + Serialize>(&mut self, key: &T) -> Result<(), Error> {
-            key.serialize(&mut **self)
-        }
-        fn serialize_value<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-
-    impl SerializeStruct for &mut Ser {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(
-            &mut self,
-            _key: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn skip_field(&mut self, _key: &'static str) -> Result<(), Error> {
-            Ok(())
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-
-    impl ser::SerializeStructVariant for &mut Ser {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(
-            &mut self,
-            _key: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-
-    struct De<'de> {
-        input: &'de [u8],
-    }
-
-    impl<'de> De<'de> {
-        fn take(&mut self, n: usize) -> Result<&'de [u8], Error> {
-            if self.input.len() < n {
-                return Err(Error("unexpected end of input".into()));
-            }
-            let (head, tail) = self.input.split_at(n);
-            self.input = tail;
-            Ok(head)
-        }
-
-        fn get_u64(&mut self) -> Result<u64, Error> {
-            let mut v = 0u64;
-            let mut shift = 0;
-            loop {
-                let byte = self.take(1)?[0];
-                v |= u64::from(byte & 0x7f) << shift;
-                if byte & 0x80 == 0 {
-                    return Ok(v);
-                }
-                shift += 7;
-                if shift >= 64 {
-                    return Err(Error("varint overflow".into()));
-                }
-            }
-        }
-
-        fn get_i64(&mut self) -> Result<i64, Error> {
-            let z = self.get_u64()?;
-            Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-        }
-    }
-
-    macro_rules! de_uint {
-        ($method:ident, $visit:ident, $ty:ty) => {
-            fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-                let v = self.get_u64()?;
-                visitor.$visit(<$ty>::try_from(v).map_err(|_| Error("int out of range".into()))?)
-            }
-        };
-    }
-
-    macro_rules! de_int {
-        ($method:ident, $visit:ident, $ty:ty) => {
-            fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-                let v = self.get_i64()?;
-                visitor.$visit(<$ty>::try_from(v).map_err(|_| Error("int out of range".into()))?)
-            }
-        };
-    }
-
-    impl<'de> de::Deserializer<'de> for &mut De<'de> {
-        type Error = Error;
-
-        fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, Error> {
-            Err(Error("format is not self-describing".into()))
-        }
-
-        fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            visitor.visit_bool(self.take(1)?[0] != 0)
-        }
-
-        de_int!(deserialize_i8, visit_i8, i8);
-        de_int!(deserialize_i16, visit_i16, i16);
-        de_int!(deserialize_i32, visit_i32, i32);
-
-        fn deserialize_i64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            let v = self.get_i64()?;
-            visitor.visit_i64(v)
-        }
-
-        de_uint!(deserialize_u8, visit_u8, u8);
-        de_uint!(deserialize_u16, visit_u16, u16);
-        de_uint!(deserialize_u32, visit_u32, u32);
-
-        fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            let v = self.get_u64()?;
-            visitor.visit_u64(v)
-        }
-
-        fn deserialize_f32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            let b = self.take(4)?;
-            let b: [u8; 4] = b.try_into().map_err(|_| Error("bad f32 slice".into()))?;
-            visitor.visit_f32(f32::from_le_bytes(b))
-        }
-
-        fn deserialize_f64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            let b = self.take(8)?;
-            let b: [u8; 8] = b.try_into().map_err(|_| Error("bad f64 slice".into()))?;
-            visitor.visit_f64(f64::from_le_bytes(b))
-        }
-
-        fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            let v = u32::try_from(self.get_u64()?).map_err(|_| Error("bad char".into()))?;
-            visitor.visit_char(char::from_u32(v).ok_or_else(|| Error("bad char".into()))?)
-        }
-
-        fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            let len = self.get_u64()? as usize;
-            let bytes = self.take(len)?;
-            visitor.visit_borrowed_str(
-                std::str::from_utf8(bytes).map_err(|e| Error(e.to_string()))?,
-            )
-        }
-
-        fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            self.deserialize_str(visitor)
-        }
-
-        fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            let len = self.get_u64()? as usize;
-            visitor.visit_borrowed_bytes(self.take(len)?)
-        }
-
-        fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            self.deserialize_bytes(visitor)
-        }
-
-        fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            if self.take(1)?[0] == 0 {
-                visitor.visit_none()
-            } else {
-                visitor.visit_some(self)
-            }
-        }
-
-        fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            visitor.visit_unit()
-        }
-
-        fn deserialize_unit_struct<V: Visitor<'de>>(
-            self,
-            _name: &'static str,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_unit()
-        }
-
-        fn deserialize_newtype_struct<V: Visitor<'de>>(
-            self,
-            _name: &'static str,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_newtype_struct(self)
-        }
-
-        fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            let len = self.get_u64()? as usize;
-            visitor.visit_seq(Counted { de: self, remaining: len })
-        }
-
-        fn deserialize_tuple<V: Visitor<'de>>(
-            self,
-            len: usize,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_seq(Counted { de: self, remaining: len })
-        }
-
-        fn deserialize_tuple_struct<V: Visitor<'de>>(
-            self,
-            _name: &'static str,
-            len: usize,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            self.deserialize_tuple(len, visitor)
-        }
-
-        fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            let len = self.get_u64()? as usize;
-            visitor.visit_map(Counted { de: self, remaining: len })
-        }
-
-        fn deserialize_struct<V: Visitor<'de>>(
-            self,
-            _name: &'static str,
-            fields: &'static [&'static str],
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_seq(Counted { de: self, remaining: fields.len() })
-        }
-
-        fn deserialize_enum<V: Visitor<'de>>(
-            self,
-            _name: &'static str,
-            _variants: &'static [&'static str],
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_enum(EnumAccess { de: self })
-        }
-
-        fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, Error> {
-            Err(Error("identifiers are not encoded".into()))
-        }
-
-        fn deserialize_ignored_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, Error> {
-            Err(Error("cannot skip values in non-self-describing format".into()))
-        }
-    }
-
-    struct Counted<'a, 'de> {
-        de: &'a mut De<'de>,
-        remaining: usize,
-    }
-
-    impl<'de> de::SeqAccess<'de> for Counted<'_, 'de> {
-        type Error = Error;
-        fn next_element_seed<T: DeserializeSeed<'de>>(
-            &mut self,
-            seed: T,
-        ) -> Result<Option<T::Value>, Error> {
-            if self.remaining == 0 {
-                return Ok(None);
-            }
-            self.remaining -= 1;
-            seed.deserialize(&mut *self.de).map(Some)
-        }
-        fn size_hint(&self) -> Option<usize> {
-            Some(self.remaining)
-        }
-    }
-
-    impl<'de> de::MapAccess<'de> for Counted<'_, 'de> {
-        type Error = Error;
-        fn next_key_seed<K: DeserializeSeed<'de>>(
-            &mut self,
-            seed: K,
-        ) -> Result<Option<K::Value>, Error> {
-            if self.remaining == 0 {
-                return Ok(None);
-            }
-            self.remaining -= 1;
-            seed.deserialize(&mut *self.de).map(Some)
-        }
-        fn next_value_seed<V: DeserializeSeed<'de>>(&mut self, seed: V) -> Result<V::Value, Error> {
-            seed.deserialize(&mut *self.de)
-        }
-        fn size_hint(&self) -> Option<usize> {
-            Some(self.remaining)
-        }
-    }
-
-    struct EnumAccess<'a, 'de> {
-        de: &'a mut De<'de>,
-    }
-
-    impl<'de, 'a> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
-        type Error = Error;
-        type Variant = &'a mut De<'de>;
-        fn variant_seed<V: DeserializeSeed<'de>>(
-            self,
-            seed: V,
-        ) -> Result<(V::Value, Self::Variant), Error> {
-            let idx = u32::try_from(self.de.get_u64()?).map_err(|_| Error("bad variant".into()))?;
-            let val = seed.deserialize(idx.into_deserializer())?;
-            Ok((val, self.de))
-        }
-    }
-
-    impl<'de> de::VariantAccess<'de> for &mut De<'de> {
-        type Error = Error;
-        fn unit_variant(self) -> Result<(), Error> {
-            Ok(())
-        }
-        fn newtype_variant_seed<T: DeserializeSeed<'de>>(self, seed: T) -> Result<T::Value, Error> {
-            seed.deserialize(self)
-        }
-        fn tuple_variant<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value, Error> {
-            de::Deserializer::deserialize_tuple(self, len, visitor)
-        }
-        fn struct_variant<V: Visitor<'de>>(
-            self,
-            fields: &'static [&'static str],
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            de::Deserializer::deserialize_tuple(self, fields.len(), visitor)
-        }
-    }
-}
-
-pub use codec::Error as CodecError;
 
 /// Magic bytes identifying a knowledge-base snapshot.
 const MAGIC: &[u8; 6] = b"AIDAKB";
@@ -671,25 +73,14 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Serializes any serde value to the crate's binary format.
-pub fn encode<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
-    codec::to_bytes(value)
-}
-
-/// Deserializes a value from the crate's binary format.
-pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    codec::from_bytes(bytes)
-}
-
-/// Encodes one value as a section frame: tag, body length, FNV-1a body
-/// checksum, body.
-fn write_section<W: Write, T: Serialize>(
+/// Writes one section frame: tag, body length, FNV-1a body checksum, and
+/// the body `encode` writes.
+fn write_section<W: Write>(
     writer: &mut W,
     section: Section,
-    value: &T,
+    encode: impl FnOnce(&mut Writer),
 ) -> Result<(), NedError> {
-    let body =
-        encode(value).map_err(|e| NedError::Snapshot(SnapshotError::Codec(e.to_string())))?;
+    let body = to_bytes(encode);
     let mut prelude = [0u8; FRAME_PRELUDE_LEN];
     prelude[0] = section.tag; // ned-lint: allow(p1) — fixed-size buffer, constant bounds
     prelude[1..9].copy_from_slice(&(body.len() as u64).to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
@@ -709,23 +100,23 @@ pub fn write_frozen_snapshot<W: Write>(kb: &FrozenKb, mut writer: W) -> Result<(
     header[6..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes()); // ned-lint: allow(p1) — fixed-size buffer, constant bounds
     writer.write_all(&header).map_err(|e| NedError::io("writing snapshot header", e))?;
     let (entities, dictionary, links, phrases, weights, phrase_runs) = kb.sections();
-    write_section(&mut writer, ENTITIES, entities)?;
-    write_section(&mut writer, DICTIONARY, dictionary)?;
-    write_section(&mut writer, LINKS, links)?;
-    write_section(&mut writer, KEYPHRASES, phrases)?;
-    write_section(&mut writer, WEIGHTS, weights)?;
-    write_section(&mut writer, PHRASE_RUNS, phrase_runs)?;
-    Ok(())
+    write_section(&mut writer, ENTITIES, |w| w.seq(entities, |w, e| e.encode(w)))?;
+    write_section(&mut writer, DICTIONARY, |w| dictionary.encode(w))?;
+    write_section(&mut writer, LINKS, |w| links.encode(w))?;
+    write_section(&mut writer, KEYPHRASES, |w| phrases.encode(w))?;
+    write_section(&mut writer, WEIGHTS, |w| weights.encode(w))?;
+    write_section(&mut writer, PHRASE_RUNS, |w| phrase_runs.encode(w))
 }
 
 /// Reads the next frame, which must carry `section`, validates its length
-/// and checksum, and decodes its body. Records the body size as a gauge
-/// and adds the frame's bytes to `total_bytes`.
-fn read_section<R: Read, T: DeserializeOwned>(
+/// and checksum, and decodes all of its body with `decode`. Records the
+/// body size as a gauge and adds the frame's bytes to `total_bytes`.
+fn read_section<R: Read, T>(
     reader: &mut R,
     section: Section,
     metrics: &Metrics,
     total_bytes: &mut u64,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, CodecError>,
 ) -> Result<T, NedError> {
     let mut prelude = [0u8; FRAME_PRELUDE_LEN];
     let got = read_up_to(reader, &mut prelude)
@@ -779,7 +170,7 @@ fn read_section<R: Read, T: DeserializeOwned>(
     let gauge = format!("{}{}", names::SNAPSHOT_SECTION_BYTES_PREFIX, section.name);
     metrics.gauge(&gauge).set(body.len() as u64);
     *total_bytes += (FRAME_PRELUDE_LEN + body.len()) as u64;
-    decode(&body)
+    from_bytes(&body, decode)
         .map_err(|e| NedError::Snapshot(SnapshotError::Codec(format!("{}: {e}", section.name))))
 }
 
@@ -842,13 +233,13 @@ pub fn read_frozen_snapshot_observed<R: Read>(
         );
     }
     let mut total = V3_HEADER_LEN as u64;
-    let entities: Vec<Entity> = read_section(&mut reader, ENTITIES, metrics, &mut total)?;
-    let dictionary: FrozenDictionary =
-        read_section(&mut reader, DICTIONARY, metrics, &mut total)?;
-    let links: FrozenLinks = read_section(&mut reader, LINKS, metrics, &mut total)?;
-    let phrases: FrozenPhrases = read_section(&mut reader, KEYPHRASES, metrics, &mut total)?;
-    let weights: WeightModel = read_section(&mut reader, WEIGHTS, metrics, &mut total)?;
-    let phrase_runs: PhraseRuns = read_section(&mut reader, PHRASE_RUNS, metrics, &mut total)?;
+    let r = &mut reader;
+    let entities = read_section(r, ENTITIES, metrics, &mut total, |r| r.seq(Entity::decode))?;
+    let dictionary = read_section(r, DICTIONARY, metrics, &mut total, FrozenDictionary::decode)?;
+    let links = read_section(r, LINKS, metrics, &mut total, FrozenLinks::decode)?;
+    let phrases = read_section(r, KEYPHRASES, metrics, &mut total, FrozenPhrases::decode)?;
+    let weights = read_section(r, WEIGHTS, metrics, &mut total, WeightModel::decode)?;
+    let phrase_runs = read_section(r, PHRASE_RUNS, metrics, &mut total, PhraseRuns::decode)?;
     let extra = read_up_to(&mut reader, &mut [0u8; 1])
         .map_err(|e| NedError::io("reading snapshot", e))?;
     if extra > 0 {
@@ -967,45 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_roundtrips_basic_types() {
-        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-        struct S {
-            a: u32,
-            b: String,
-            c: Vec<(i64, f64)>,
-            d: Option<bool>,
-            e: std::collections::HashMap<String, u8>,
-        }
-        let mut e = std::collections::HashMap::new();
-        e.insert("k".to_string(), 7u8);
-        let s = S {
-            a: 42,
-            b: "hello".into(),
-            c: vec![(-5, 1.5), (i64::MAX, -0.0)],
-            d: Some(true),
-            e,
-        };
-        let bytes = encode(&s).unwrap();
-        let s2: S = decode(&bytes).unwrap();
-        assert_eq!(s, s2);
-    }
-
-    #[test]
-    fn codec_rejects_trailing_bytes() {
-        let bytes = encode(&7u32).unwrap();
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert!(decode::<u32>(&longer).is_err());
-        assert_eq!(decode::<u32>(&bytes).unwrap(), 7);
-    }
-
-    #[test]
-    fn codec_rejects_truncated_input() {
-        let bytes = encode(&"a longer string".to_string()).unwrap();
-        assert!(decode::<String>(&bytes[..bytes.len() - 2]).is_err());
-    }
-
-    #[test]
     fn corrupted_frame_length_errors_without_allocating_it() {
         // The entities frame claims u64::MAX body bytes: the reader must
         // report truncation, not try to allocate them.
@@ -1095,11 +447,12 @@ mod tests {
     }
 
     /// `buf` with its frame at `index` replaced by a frame of `tag` whose
-    /// body encodes `value`, checksummed so that only its shape is wrong.
-    fn with_frame<T: Serialize>(buf: &[u8], index: usize, tag: u8, value: &T) -> Vec<u8> {
+    /// body is what `encode` writes, checksummed so that only its shape is
+    /// wrong.
+    fn with_frame(buf: &[u8], index: usize, tag: u8, encode: impl FnOnce(&mut Writer)) -> Vec<u8> {
         let mut ends = frame_starts(buf);
         ends.push(buf.len());
-        let body = encode(value).unwrap();
+        let body = to_bytes(encode);
         let mut out = buf[..ends[index]].to_vec();
         out.push(tag);
         out.extend_from_slice(&(body.len() as u64).to_le_bytes());
@@ -1163,7 +516,7 @@ mod tests {
             b.add_keyphrase(e, "single phrase", 1);
             FrozenKb::freeze(&b.build()).phrase_runs().clone()
         };
-        let swapped = with_frame(&buf, 5, 6, &foreign);
+        let swapped = with_frame(&buf, 5, 6, |w| foreign.encode(w));
         let err = read_frozen_snapshot(swapped.as_slice()).unwrap_err();
         assert_eq!(shape_error_section(err), "phrase_runs");
     }
@@ -1173,24 +526,29 @@ mod tests {
         let buf = sample_snapshot();
         // A dictionary with no offsets at all: not even the leading 0.
         let err = read_frozen_snapshot(
-            with_frame(&buf, 1, 2, &FrozenDictionary::default()).as_slice(),
+            with_frame(&buf, 1, 2, |w| FrozenDictionary::default().encode(w)).as_slice(),
         )
         .unwrap_err();
         assert_eq!(shape_error_section(err), "dictionary");
         // Sections of an empty KB: no rows where the entities frame has two.
         let empty = FrozenKb::freeze(&KbBuilder::new().build());
         let (_, dictionary, links, phrases, weights, runs) = empty.sections();
-        let err = read_frozen_snapshot(with_frame(&buf, 2, 3, links).as_slice()).unwrap_err();
+        let err = read_frozen_snapshot(with_frame(&buf, 2, 3, |w| links.encode(w)).as_slice())
+            .unwrap_err();
         assert_eq!(shape_error_section(err), "links");
-        let err = read_frozen_snapshot(with_frame(&buf, 3, 4, phrases).as_slice()).unwrap_err();
+        let err = read_frozen_snapshot(with_frame(&buf, 3, 4, |w| phrases.encode(w)).as_slice())
+            .unwrap_err();
         assert_eq!(shape_error_section(err), "keyphrases");
-        let err = read_frozen_snapshot(with_frame(&buf, 4, 5, weights).as_slice()).unwrap_err();
+        let err = read_frozen_snapshot(with_frame(&buf, 4, 5, |w| weights.encode(w)).as_slice())
+            .unwrap_err();
         assert_eq!(shape_error_section(err), "weights");
-        let err = read_frozen_snapshot(with_frame(&buf, 5, 6, runs).as_slice()).unwrap_err();
+        let err = read_frozen_snapshot(with_frame(&buf, 5, 6, |w| runs.encode(w)).as_slice())
+            .unwrap_err();
         assert_eq!(shape_error_section(err), "phrase_runs");
         // The empty KB's dictionary has no rows, so it is consistent with
         // any entity count.
-        assert!(read_frozen_snapshot(with_frame(&buf, 1, 2, dictionary).as_slice()).is_ok());
+        let consistent = with_frame(&buf, 1, 2, |w| dictionary.encode(w));
+        assert!(read_frozen_snapshot(consistent.as_slice()).is_ok());
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Aggregate statistics over a knowledge base (supports Table 3.1-style
 //! corpus/KB property reports).
 
-use serde::{Deserialize, Serialize};
-
 use crate::view::KbView;
 
 /// Summary statistics of a knowledge base.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KbStats {
     /// Number of entities.
     pub entities: usize,

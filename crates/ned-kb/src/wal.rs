@@ -14,8 +14,16 @@
 //! ```text
 //! header: magic "AIDAWL" (6) + format version u16 LE (2)
 //! frame:  tag u8 (1) + body length u64 LE (8) + FNV-1a checksum u64 LE (8)
-//! body:   codec-encoded { seq: u64, mutation: KbMutation }
+//! body:   seq, op, entity, other, kind, count, delta
 //! ```
+//!
+//! A body is six fields after the sequence number, in [`crate::codec`]'s
+//! encoding, whatever the mutation: `op` is the [`KbMutation`] variant's
+//! declaration index, `entity` the canonical name (the link source for
+//! `AddLink`), `other` the second name (link destination, keyphrase or
+//! alias surface), `kind` an [`EntityKind`] index, `count` a varint and
+//! `delta` a zigzag varint. A field the op does not use holds its default:
+//! an empty string, `Other`, or 0.
 //!
 //! Records carry explicit sequence numbers so replay is **idempotent**: a
 //! crash between a write and its acknowledgement may duplicate an append,
@@ -37,10 +45,11 @@ use std::path::{Path, PathBuf};
 
 use ned_core::{NedError, WalError};
 use ned_obs::{names, Metrics};
-use serde::{Deserialize, Serialize};
 
-use crate::mutation::{KbMutation, WireMutation};
-use crate::snapshot::{decode, encode, fnv1a};
+use crate::codec::{from_bytes, to_bytes, CodecError, Reader, Writer};
+use crate::entity::EntityKind;
+use crate::mutation::KbMutation;
+use crate::snapshot::fnv1a;
 
 /// Magic bytes identifying a knowledge-base WAL.
 const MAGIC: &[u8; 6] = b"AIDAWL";
@@ -57,14 +66,6 @@ const FRAME_PRELUDE_LEN: usize = 17;
 
 /// The only frame tag of format version 1: one mutation record.
 const TAG_RECORD: u8 = 1;
-
-/// One framed WAL body: a sequence number plus the mutation it carries
-/// (in its flat wire form).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct WalRecord {
-    seq: u64,
-    mutation: WireMutation,
-}
 
 /// Outcome of replaying a WAL byte stream.
 #[derive(Debug, Clone, Default)]
@@ -178,20 +179,17 @@ pub fn replay(bytes: &[u8]) -> Result<WalReplay, NedError> {
             }
             .into());
         }
-        let record: WalRecord = decode(body).map_err(|e| WalError::Codec {
-            offset: pos as u64,
-            message: e.to_string(),
-        })?;
+        let (seq, mutation) = from_bytes(body, read_record)
+            .map_err(|e| WalError::Codec { offset: pos as u64, message: e.to_string() })?;
         out.records += 1;
-        match record.seq.cmp(&next_seq) {
+        match seq.cmp(&next_seq) {
             std::cmp::Ordering::Less => out.duplicates_skipped += 1,
             std::cmp::Ordering::Equal => {
-                out.mutations.push(KbMutation::from(record.mutation));
+                out.mutations.push(mutation);
                 next_seq += 1;
             }
             std::cmp::Ordering::Greater => {
-                return Err(WalError::SequenceGap { expected: next_seq, found: record.seq }
-                    .into());
+                return Err(WalError::SequenceGap { expected: next_seq, found: seq }.into());
             }
         }
         pos = match pos.checked_add(body_end) {
@@ -204,16 +202,56 @@ pub fn replay(bytes: &[u8]) -> Result<WalReplay, NedError> {
     Ok(out)
 }
 
+/// Writes one record body (see the module docs for its fields).
+pub(crate) fn write_record(w: &mut Writer, seq: u64, mutation: &KbMutation) {
+    let (op, entity, other, kind, count, delta) = match mutation {
+        KbMutation::AddEntity { canonical_name, kind } => (0, canonical_name, "", *kind, 0, 0),
+        KbMutation::AddLink { src, dst } => (1, src, dst.as_str(), EntityKind::Other, 0, 0),
+        KbMutation::AddKeyphrase { entity, surface, count } => {
+            (2, entity, surface.as_str(), EntityKind::Other, *count, 0)
+        }
+        KbMutation::ReweightKeyphrase { entity, surface, delta } => {
+            (3, entity, surface.as_str(), EntityKind::Other, 0, *delta)
+        }
+        KbMutation::AddDictionarySurface { entity, surface, count } => {
+            (4, entity, surface.as_str(), EntityKind::Other, *count, 0)
+        }
+    };
+    w.u64(seq);
+    w.u64(op);
+    w.str(entity);
+    w.str(other);
+    kind.encode(w);
+    w.u64(count);
+    w.i64(delta);
+}
+
+/// Reads what [`write_record`] writes: the sequence number and the
+/// mutation. The fields its op does not use are read and dropped.
+pub(crate) fn read_record(r: &mut Reader<'_>) -> Result<(u64, KbMutation), CodecError> {
+    let (seq, op) = (r.u64()?, r.u64()?);
+    let (entity, other) = (r.string()?, r.string()?);
+    let (kind, count, delta) = (EntityKind::decode(r)?, r.u64()?, r.i64()?);
+    let mutation = match op {
+        0 => KbMutation::AddEntity { canonical_name: entity, kind },
+        1 => KbMutation::AddLink { src: entity, dst: other },
+        2 => KbMutation::AddKeyphrase { entity, surface: other, count },
+        3 => KbMutation::ReweightKeyphrase { entity, surface: other, delta },
+        4 => KbMutation::AddDictionarySurface { entity, surface: other, count },
+        index => return Err(CodecError::UnknownVariant { what: "mutation op", index }),
+    };
+    Ok((seq, mutation))
+}
+
 /// Encodes one record into its framed byte form.
-fn frame_record(seq: u64, mutation: &KbMutation) -> Result<Vec<u8>, NedError> {
-    let body = encode(&WalRecord { seq, mutation: WireMutation::from(mutation) })
-        .map_err(|e| WalError::Codec { offset: 0, message: e.to_string() })?;
+fn frame_record(seq: u64, mutation: &KbMutation) -> Vec<u8> {
+    let body = to_bytes(|w| write_record(w, seq, mutation));
     let mut frame = Vec::with_capacity(FRAME_PRELUDE_LEN + body.len());
     frame.push(TAG_RECORD);
     frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
     frame.extend_from_slice(&fnv1a(&body).to_le_bytes());
     frame.extend_from_slice(&body);
-    Ok(frame)
+    frame
 }
 
 /// An open, appendable write-ahead log.
@@ -282,7 +320,7 @@ impl Wal {
     /// Returns the record's sequence number.
     pub fn append(&mut self, mutation: &KbMutation) -> Result<u64, NedError> {
         let seq = self.next_seq;
-        let frame = frame_record(seq, mutation)?;
+        let frame = frame_record(seq, mutation);
         self.file
             .write_all(&frame)
             .and_then(|()| self.file.flush())
@@ -307,7 +345,6 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::EntityKind;
 
     fn sample_mutations() -> Vec<KbMutation> {
         vec![
@@ -408,10 +445,10 @@ mod tests {
         let mut bytes = header_bytes().to_vec();
         // Record 0, record 1, then record 1 again (crash between write and
         // ack), then record 2.
-        bytes.extend_from_slice(&frame_record(0, &muts[0]).unwrap());
-        bytes.extend_from_slice(&frame_record(1, &muts[1]).unwrap());
-        bytes.extend_from_slice(&frame_record(1, &muts[1]).unwrap());
-        bytes.extend_from_slice(&frame_record(2, &muts[2]).unwrap());
+        bytes.extend_from_slice(&frame_record(0, &muts[0]));
+        bytes.extend_from_slice(&frame_record(1, &muts[1]));
+        bytes.extend_from_slice(&frame_record(1, &muts[1]));
+        bytes.extend_from_slice(&frame_record(2, &muts[2]));
         let replay = replay(&bytes).unwrap();
         assert_eq!(replay.mutations, muts);
         assert_eq!(replay.records, 4);
@@ -422,8 +459,8 @@ mod tests {
     fn sequence_gap_is_a_hard_error() {
         let muts = sample_mutations();
         let mut bytes = header_bytes().to_vec();
-        bytes.extend_from_slice(&frame_record(0, &muts[0]).unwrap());
-        bytes.extend_from_slice(&frame_record(2, &muts[2]).unwrap());
+        bytes.extend_from_slice(&frame_record(0, &muts[0]));
+        bytes.extend_from_slice(&frame_record(2, &muts[2]));
         let err = replay(&bytes).unwrap_err();
         assert!(
             matches!(
@@ -512,7 +549,7 @@ mod tests {
         let muts = pinned_mutations();
         let mut bytes = header_bytes().to_vec();
         for (seq, m) in muts.iter().enumerate() {
-            bytes.extend_from_slice(&frame_record(seq as u64, m).unwrap());
+            bytes.extend_from_slice(&frame_record(seq as u64, m));
         }
         assert_eq!((bytes.len(), fnv1a(&bytes)), (PINNED_WAL_LEN, PINNED_WAL_FNV));
         assert_eq!(replay(&bytes).unwrap().mutations, muts);
@@ -520,7 +557,7 @@ mod tests {
         // seq 6, op 1 (AddLink), entity "a", other "b", kind 5 (Other),
         // count 0, delta 0.
         let link = KbMutation::AddLink { src: "a".into(), dst: "b".into() };
-        let frame = frame_record(6, &link).unwrap();
+        let frame = frame_record(6, &link);
         assert_eq!(frame[FRAME_PRELUDE_LEN..], [6, 1, 1, b'a', 1, b'b', 5, 0, 0]);
     }
 

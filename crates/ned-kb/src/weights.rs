@@ -16,8 +16,7 @@
 //!   `µ(E,T) = 2·(H(E) + H(T) − H(E,T)) / (H(E) + H(T))` over the binary
 //!   occurrence variables of the same superdocument model.
 
-use serde::{Deserialize, Serialize};
-
+use crate::codec::{CodecError, Reader, Writer};
 use crate::ids::{EntityId, PhraseId, WordId};
 use crate::keyphrase::{EntityPhrase, KeyphraseStore};
 use crate::links::LinkGraph;
@@ -25,7 +24,7 @@ use crate::snapshot::check_ids;
 use crate::vocab::PhraseInterner;
 
 /// Precomputed weights for all entity–keyterm pairs in the knowledge base.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct WeightModel {
     n_entities: usize,
     /// Keyword IDF, indexed by `WordId`.
@@ -159,6 +158,42 @@ impl WeightModel {
     /// an out-of-range entity.
     pub fn phrase_mi_row(&self, e: EntityId) -> &[(PhraseId, f64)] {
         self.entity_phrase_mi.get(e.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Writes the weights section of a snapshot: the entity count, the
+    /// keyword and keyphrase IDFs, both superdocument df arrays, then the
+    /// NPMI and µ-MI rows, each entry a term id then its weight.
+    pub fn encode(&self, w: &mut Writer) {
+        w.usize(self.n_entities);
+        w.seq(&self.word_idf, |w, &x| w.f64(x));
+        w.seq(&self.phrase_idf, |w, &x| w.f64(x));
+        w.seq(&self.word_super_df, |w, &df| w.u32(df));
+        w.seq(&self.phrase_super_df, |w, &df| w.u32(df));
+        w.seq(&self.entity_word_npmi, |w, row| {
+            w.seq(row, |w, &(word, npmi)| {
+                w.u32(word.0);
+                w.f64(npmi);
+            });
+        });
+        w.seq(&self.entity_phrase_mi, |w, row| {
+            w.seq(row, |w, &(phrase, mi)| {
+                w.u32(phrase.0);
+                w.f64(mi);
+            });
+        });
+    }
+
+    /// Reads what [`WeightModel::encode`] writes.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(WeightModel {
+            n_entities: r.usize()?,
+            word_idf: r.seq(Reader::f64)?,
+            phrase_idf: r.seq(Reader::f64)?,
+            word_super_df: r.seq(Reader::u32)?,
+            phrase_super_df: r.seq(Reader::u32)?,
+            entity_word_npmi: r.seq(|r| r.seq(|r| Ok((WordId(r.u32()?), r.f64()?))))?,
+            entity_phrase_mi: r.seq(|r| r.seq(|r| Ok((PhraseId(r.u32()?), r.f64()?))))?,
+        })
     }
 
     /// Checks a decoded model against the KB's counts (snapshot load): one

@@ -1,13 +1,11 @@
 //! The mention model shared by all disambiguation components.
 
-use serde::{Deserialize, Serialize};
-
 /// A recognized named-entity mention in a document.
 ///
 /// A mention is a surface phrase (e.g. "Kashmir", "Jimmy Page") together
 /// with its token range in the tokenized document. Disambiguators map each
 /// mention either to a knowledge-base entity or to an out-of-KB placeholder.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Mention {
     /// Surface form exactly as it appears in the text.
     pub surface: String,

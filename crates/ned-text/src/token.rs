@@ -5,11 +5,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 
-use serde::de::{Deserializer, Error, Visitor};
-use serde::{Deserialize, Serialize, Serializer};
-
 /// Coarse lexical class of a token, determined at tokenization time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
     /// Alphabetic word (may contain internal hyphens or apostrophes).
     Word,
@@ -19,8 +16,13 @@ pub enum TokenKind {
     Punct,
 }
 
+impl TokenKind {
+    /// All kinds, in declaration order.
+    pub const ALL: [TokenKind; 3] = [TokenKind::Word, TokenKind::Number, TokenKind::Punct];
+}
+
 /// A single token with its surface text and byte span in the source string.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     /// Surface form exactly as it appears in the input.
     pub text: TokenText,
@@ -76,8 +78,8 @@ pub fn is_capitalized(text: &str) -> bool {
 
 /// The text of a [`Token`] in 24 bytes: a text of up to
 /// [`TokenText::INLINE_BYTES`] bytes is stored inline, a longer one in a
-/// `Box<str>`. It derefs to `str`, and compares, orders, hashes, prints
-/// and serializes exactly like the `str` it holds.
+/// `Box<str>`. It derefs to `str`, and compares, orders, hashes and
+/// prints exactly like the `str` it holds.
 #[derive(Clone)]
 pub struct TokenText(Repr);
 
@@ -198,30 +200,6 @@ impl fmt::Debug for TokenText {
 impl fmt::Display for TokenText {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(self.as_str(), f)
-    }
-}
-
-impl Serialize for TokenText {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(self.as_str())
-    }
-}
-
-impl<'de> Deserialize<'de> for TokenText {
-    /// Reads a string; a borrowed one of at most
-    /// [`TokenText::INLINE_BYTES`] bytes is stored with no allocation.
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> Visitor<'de> for V {
-            type Value = TokenText;
-            fn visit_str<E: Error>(self, v: &str) -> Result<TokenText, E> {
-                Ok(TokenText::from(v))
-            }
-            fn visit_string<E: Error>(self, v: String) -> Result<TokenText, E> {
-                Ok(TokenText::from(v))
-            }
-        }
-        deserializer.deserialize_str(V)
     }
 }
 

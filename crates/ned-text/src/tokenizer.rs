@@ -15,7 +15,10 @@ use crate::token::{Token, TokenKind};
 /// with the number of tokens: the token vector and one character table.
 pub fn tokenize(text: &str) -> Vec<Token> {
     let mut tokens = Vec::with_capacity(text.len() / 5);
-    let bytes = text.char_indices().collect::<Vec<_>>();
+    // A text has at most one character per byte, so the table never grows
+    // (`char_indices` hints only a quarter of that).
+    let mut bytes = Vec::with_capacity(text.len());
+    bytes.extend(text.char_indices());
     let mut i = 0;
     while let Some(&(pos, ch)) = bytes.get(i) {
         if ch.is_whitespace() {

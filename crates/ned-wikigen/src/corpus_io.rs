@@ -2,19 +2,26 @@
 //! them back, so expensive corpus generation can be cached between runs and
 //! gold data can be shared (the thesis publishes its annotated corpora the
 //! same way).
+//!
+//! A corpus file is the magic `AIDADOC1`, the body length as a `u64` LE
+//! and the body: the documents as a [`ned_kb::codec`] sequence. Each
+//! document is its id, its tokens (text, start, end, kind index), its
+//! mentions (surface, token start, token end, then the label as an
+//! `Option` of an entity id) and its day.
 
 use std::io::{self, Read, Write};
 
-use ned_eval::gold::GoldDoc;
-use ned_kb::snapshot::{decode, encode};
+use ned_eval::gold::{GoldDoc, LabeledMention};
+use ned_kb::codec::{from_bytes, to_bytes, CodecError, Reader, Writer};
+use ned_kb::EntityId;
+use ned_text::{Mention, Token, TokenKind};
 
 /// Magic header identifying a gold-corpus file.
 const MAGIC: &[u8; 8] = b"AIDADOC1";
 
 /// Writes a slice of gold documents.
 pub fn write_docs<W: Write>(docs: &[GoldDoc], mut writer: W) -> io::Result<()> {
-    let body =
-        encode(&docs.to_vec()).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    let body = to_bytes(|w| w.seq(docs, write_doc));
     writer.write_all(MAGIC)?;
     writer.write_all(&(body.len() as u64).to_le_bytes())?;
     writer.write_all(&body)
@@ -37,12 +44,57 @@ pub fn read_docs<R: Read>(mut reader: R) -> io::Result<Vec<GoldDoc>> {
     if body.len() as u64 != len {
         return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated corpus body"));
     }
-    let docs: Vec<GoldDoc> =
-        decode(&body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    let docs = from_bytes(&body, |r| r.seq(read_doc))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     for doc in &docs {
         doc.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     }
     Ok(docs)
+}
+
+/// Writes one document (see the module docs for its fields).
+fn write_doc(w: &mut Writer, doc: &GoldDoc) {
+    w.str(&doc.id);
+    w.seq(&doc.tokens, |w, token| {
+        w.str(&token.text);
+        w.usize(token.start);
+        w.usize(token.end);
+        w.u64(token.kind as u64);
+    });
+    w.seq(&doc.mentions, |w, labeled| {
+        let mention = &labeled.mention;
+        w.str(&mention.surface);
+        w.usize(mention.token_start);
+        w.usize(mention.token_end);
+        w.option(labeled.label, |w, entity| w.u32(entity.0));
+    });
+    w.u32(doc.day);
+}
+
+/// Reads what [`write_doc`] writes; the spans are checked by the caller.
+fn read_doc(r: &mut Reader<'_>) -> Result<GoldDoc, CodecError> {
+    Ok(GoldDoc {
+        id: r.string()?,
+        tokens: r.seq(|r| {
+            Ok(Token {
+                text: r.str()?.into(),
+                start: r.usize()?,
+                end: r.usize()?,
+                kind: r.variant("token kind", &TokenKind::ALL)?,
+            })
+        })?,
+        mentions: r.seq(|r| {
+            Ok(LabeledMention {
+                mention: Mention {
+                    surface: r.string()?,
+                    token_start: r.usize()?,
+                    token_end: r.usize()?,
+                },
+                label: r.option(|r| r.u32().map(EntityId))?,
+            })
+        })?,
+        day: r.u32()?,
+    })
 }
 
 #[cfg(test)]

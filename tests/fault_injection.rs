@@ -18,6 +18,10 @@
 //!    recovers exactly the valid record prefix or fails with a typed
 //!    `WalError` — never a panic, never mutations the log did not carry
 //!    (property-tested over arbitrary mutation sequences and cut points).
+//! 5. **Garbage behind valid framing**: a snapshot section, a WAL record or
+//!    a corpus body of arbitrary bytes, or of real bytes written over, with
+//!    a correct checksum or length, so that it reaches the decoder. Each
+//!    decodes to a typed error or to a value that passes its checks.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -28,13 +32,14 @@ use std::sync::{Once, OnceLock};
 
 use aida_ned::aida::context::DocumentContext;
 use aida_ned::aida::{AidaConfig, Disambiguator, NedMethod};
-use aida_ned::core::{NedError, SnapshotError};
+use aida_ned::core::{NedError, SnapshotError, WalError};
 use aida_ned::kb::snapshot::{read_frozen_snapshot, write_frozen_snapshot, FORMAT_VERSION};
-use aida_ned::kb::{EntityId, EntityKind, FrozenKb, KbBuilder, KnowledgeBase};
+use aida_ned::kb::{EntityId, EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase, WordId};
 use aida_ned::relatedness::{MilneWitten, Relatedness};
 use aida_ned::text::tokenize;
 use aida_ned::wikigen::config::WorldConfig;
 use aida_ned::wikigen::corpus::conll_like;
+use aida_ned::wikigen::corpus_io::{read_docs, write_docs};
 use aida_ned::wikigen::{ExportedKb, World};
 use aida_ned::core::DegradationLevel;
 use aida_ned::kb::{KbMutation, Wal};
@@ -692,6 +697,102 @@ proptest! {
     }
 }
 
+/// FNV-1a (64-bit), the checksum of snapshot and WAL frames.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A snapshot or WAL frame of `tag` around `body`, with a correct checksum.
+fn checksummed_frame(tag: u8, body: &[u8]) -> Vec<u8> {
+    let mut frame = vec![tag];
+    frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    frame.extend_from_slice(&fnv1a(body).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// Any byte.
+fn byte() -> impl Strategy<Value = u8> {
+    (0u16..256).prop_map(|b| b as u8)
+}
+
+/// `body` with each `(position, byte)` written over it.
+fn edited(body: &[u8], edits: &[(usize, u8)]) -> Vec<u8> {
+    let mut out = body.to_vec();
+    for &(pos, b) in edits {
+        let len = out.len();
+        if let Some(slot) = out.get_mut(pos % len.max(1)) {
+            *slot = b;
+        }
+    }
+    out
+}
+
+/// Reads every part of a KB that loaded and writes it out again: sections
+/// that passed the load's checks must serve each read without panicking.
+fn read_everything(kb: &FrozenKb) {
+    for (key, candidates) in KbView::dictionary(kb).iter() {
+        for c in candidates {
+            let _ = (kb.entity(c.entity), kb.prior(key, c.entity));
+        }
+    }
+    for wi in 0..kb.word_count() {
+        let w = WordId::from_index(wi);
+        let _ = (kb.word_id(kb.word_text(w)), kb.keyphrase_index().postings(w));
+    }
+    for e in kb.entity_ids() {
+        let _ = kb.entity_by_name(&kb.entity(e).canonical_name);
+        let _ = (kb.links().inlinks(e), kb.links().outlinks(e));
+        for ep in kb.keyphrases(e) {
+            let _ = (kb.phrase_words(ep.phrase), kb.phrase_surface(ep.phrase));
+            let _ = kb.phrase_runs().npmi_mass(e, ep.phrase);
+        }
+    }
+    let mut bytes = Vec::new();
+    write_frozen_snapshot(kb, &mut bytes).expect("snapshot written");
+    assert!(read_frozen_snapshot(bytes.as_slice()).is_ok(), "a loaded KB's snapshot must load");
+}
+
+proptest! {
+    /// Each of the fixture's six frames in turn replaced by a frame of
+    /// arbitrary bytes, or of its own body with bytes written over, under
+    /// a correct checksum: the section decoder and the shape check see the
+    /// bytes. The load fails with a `Codec` error that names a section (the
+    /// replaced one, or one whose shape disagrees with it), or yields a KB
+    /// that serves every read.
+    #[test]
+    fn checksummed_garbage_sections_yield_typed_errors(
+        data in proptest::collection::vec(byte(), 0..513),
+        edits in proptest::collection::vec((0usize..100_000, byte()), 1..4),
+    ) {
+        let bytes = snapshot_fixture();
+        let frames = snapshot_frames(bytes);
+        for (i, (frame, section)) in frames.iter().zip(SECTIONS).enumerate() {
+            let own_body = &bytes[frame.start + 17..frame.end];
+            for body in [data.clone(), edited(own_body, &edits)] {
+                let mut stream = bytes[..frame.start].to_vec();
+                stream.extend_from_slice(&checksummed_frame(i as u8 + 1, &body));
+                stream.extend_from_slice(&bytes[frame.end..]);
+                match read_frozen_snapshot(stream.as_slice()) {
+                    Ok(kb) => read_everything(&kb),
+                    Err(NedError::Snapshot(SnapshotError::Codec(msg))) => {
+                        let named = msg.split(':').next().unwrap_or_default();
+                        prop_assert!(
+                            SECTIONS.contains(&named),
+                            "{} frame: error names no section: {}", section, msg
+                        );
+                    }
+                    Err(other) => {
+                        return Err(TestCaseError::fail(format!("{section} frame: {other}")));
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // WAL corruption (incremental KB, DESIGN.md §15)
 // ---------------------------------------------------------------------------
@@ -854,6 +955,35 @@ proptest! {
         prop_assert!(!replayed.recovered_torn_tail());
     }
 
+    /// A header and one record frame of arbitrary bytes, or of the first
+    /// fixture record's body with bytes written over, under a correct
+    /// checksum: the record decoder sees the bytes. Replay fails with a
+    /// typed `WalError` (undecodable body, or a sequence number past 0) or
+    /// recovers the one mutation the body decodes to.
+    #[test]
+    fn checksummed_garbage_records_yield_typed_errors(
+        data in proptest::collection::vec(byte(), 0..513),
+        edits in proptest::collection::vec((0usize..100_000, byte()), 1..4),
+    ) {
+        let (bytes, _) = wal_fixture();
+        let first = wal_frame_ranges(bytes)[0].clone();
+        for body in [data.clone(), edited(&bytes[first.start + 17..first.end], &edits)] {
+            let mut stream = bytes[..8].to_vec();
+            stream.extend_from_slice(&checksummed_frame(1, &body));
+            match wal_replay(&stream) {
+                Ok(replayed) => {
+                    prop_assert_eq!((replayed.records, replayed.mutations.len()), (1, 1));
+                    prop_assert!(!replayed.recovered_torn_tail());
+                }
+                Err(NedError::Wal(WalError::Codec { offset: 8, .. }))
+                | Err(NedError::Wal(WalError::SequenceGap { expected: 0, .. })) => {}
+                Err(other) => {
+                    return Err(TestCaseError::fail(format!("body {body:?}: {other}")));
+                }
+            }
+        }
+    }
+
     /// End-to-end crash recovery over arbitrary mutation sequences: write
     /// through a real `Wal`, tear the file at an arbitrary point, reopen.
     /// The recovered log is exactly a prefix of what was written, the file
@@ -890,5 +1020,49 @@ proptest! {
         prop_assert_eq!(replayed.mutations.len(), k + 1);
         prop_assert_eq!(&replayed.mutations[..k], &muts[..k]);
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Corpus files (gold corpora on disk)
+// ---------------------------------------------------------------------------
+
+/// The corpus file of three seeded documents.
+fn corpus_fixture() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let world = World::generate(WorldConfig::tiny(61));
+        let exported = ExportedKb::build(&world);
+        let mut bytes = Vec::new();
+        write_docs(&conll_like(&world, &exported, 1, 3).docs, &mut bytes).unwrap();
+        bytes
+    })
+}
+
+proptest! {
+    /// A corpus file with a valid magic and length around arbitrary body
+    /// bytes, or around the fixture's body with bytes written over: the
+    /// corpus decoder sees the bytes. Reading fails with `InvalidData` or
+    /// yields documents whose spans validate and that round-trip.
+    #[test]
+    fn corpus_bodies_decode_to_typed_errors_or_valid_documents(
+        data in proptest::collection::vec(byte(), 0..513),
+        edits in proptest::collection::vec((0usize..100_000, byte()), 1..4),
+    ) {
+        let fixture = corpus_fixture();
+        for body in [data.clone(), edited(&fixture[16..], &edits)] {
+            let mut file = fixture[..8].to_vec();
+            file.extend_from_slice(&(body.len() as u64).to_le_bytes());
+            file.extend_from_slice(&body);
+            match read_docs(file.as_slice()) {
+                Ok(docs) => {
+                    prop_assert!(docs.iter().all(|doc| doc.validate().is_ok()));
+                    let mut again = Vec::new();
+                    write_docs(&docs, &mut again).unwrap();
+                    prop_assert_eq!(read_docs(again.as_slice()).unwrap(), docs);
+                }
+                Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e),
+            }
+        }
     }
 }

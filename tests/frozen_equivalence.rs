@@ -21,7 +21,7 @@ use aida_ned::aida::context::{DocumentContext, MentionContext};
 use aida_ned::aida::scratch::{with_scratch, ScoringScratch};
 use aida_ned::aida::similarity::simscores_batch;
 use aida_ned::aida::{AidaConfig, Disambiguator, KeywordWeighting, NedMethod, SimObs};
-use aida_ned::kb::snapshot::encode;
+use aida_ned::kb::codec::to_bytes;
 use aida_ned::kb::{
     DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbView, KnowledgeBase, PhraseId, WordId,
 };
@@ -181,7 +181,10 @@ proptest! {
         }
 
         // Weights survive freezing bit for bit.
-        prop_assert_eq!(encode(frozen.weights()).unwrap(), encode(kb.weights()).unwrap());
+        prop_assert_eq!(
+            to_bytes(|w| frozen.weights().encode(w)),
+            to_bytes(|w| kb.weights().encode(w))
+        );
 
         // Keyphrase inverted index: each word's postings are the store's
         // (entity, phrase) entries whose phrase contains the word, sorted

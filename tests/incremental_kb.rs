@@ -28,7 +28,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use aida_ned::aida::{AidaConfig, Disambiguator};
-use aida_ned::kb::snapshot::{encode, write_frozen_snapshot};
+use aida_ned::kb::codec::to_bytes;
+use aida_ned::kb::snapshot::write_frozen_snapshot;
 use aida_ned::kb::{
     DeltaKb, EntityId, EntityKind, FrozenKb, KbBuilder, KbMutation, KbView, Wal, WordId,
 };
@@ -253,11 +254,15 @@ fn assert_reads_identical<K1: KbView, K2: KbView>(a: &K1, b: &K2, surfaces: &[St
         );
     }
     // The derived statistics, bit for bit.
-    assert_eq!(encode(a.weights()).unwrap(), encode(b.weights()).unwrap(), "{tag}: weights");
+    assert_eq!(
+        to_bytes(|w| a.weights().encode(w)),
+        to_bytes(|w| b.weights().encode(w)),
+        "{tag}: weights"
+    );
     assert_eq!(a.phrase_runs(), b.phrase_runs(), "{tag}: phrase runs");
     assert_eq!(
-        encode(a.phrase_runs()).unwrap(),
-        encode(b.phrase_runs()).unwrap(),
+        to_bytes(|w| a.phrase_runs().encode(w)),
+        to_bytes(|w| b.phrase_runs().encode(w)),
         "{tag}: phrase run bits"
     );
 }

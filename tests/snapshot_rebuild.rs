@@ -114,8 +114,8 @@ fn v3_decode_rebuilds_transient_indexes() {
 }
 
 /// Length and FNV-1a of the snapshot of the frozen `WorldConfig::tiny(61)`
-/// KB, as written by the serde-model codec that preceded the hand-written
-/// section layouts.
+/// KB. A change to any section's layout moves them, and needs a new
+/// format version.
 const PINNED_SNAPSHOT_LEN: usize = 149_182;
 const PINNED_SNAPSHOT_FNV: u64 = 0x906e_cdd3_0822_d5df;
 
